@@ -7,7 +7,10 @@ Subcommands:
   ``.summary.json`` files into the output directory (``--out``, then
   the config's ``out_dir``, then $PFOCO_OUT_DIR, then ``runs``).
 * ``pfoco regret TRACE CONFIG [--intervals POLICY|FILE] [--seed K]``
-  -- re-score a written trace against the certified comparators.
+  -- re-score a written trace against the certified comparators.  The
+  seed comes from the trace's sibling ``.summary.json``, else from a
+  config that lists exactly one seed; ``--seed`` may repeat it but not
+  contradict it.
 * ``pfoco validate CONFIG`` -- parse and resolve a config without
   running it.
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -58,7 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--intervals",
         help="'strided', 'exhaustive', or a JSON file holding [[start, end], ...] (default: config or strided)",
     )
-    reg_p.add_argument("--seed", type=int, help="seed that produced the trace (default: first config seed)")
+    reg_p.add_argument(
+        "--seed",
+        type=int,
+        help="seed that produced the trace (default: the sibling .summary.json's, else the config's only seed)",
+    )
 
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config")
@@ -96,7 +104,7 @@ def _cmd_regret(args) -> int:
     trace = read_trace_csv(args.trace)
     if trace.T != cfg.T:
         raise ConfigError(f"trace has {trace.T} rounds but config.T = {cfg.T}")
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
+    seed = _trace_seed(args.trace, args.seed, cfg.seeds)
     ss_sched, _ = np.random.SeedSequence(seed).spawn(2)
     set_ = build_set(cfg.set_cfg)
     schedule = build_schedule(cfg.loss_cfg, cfg.T, set_, np.random.default_rng(ss_sched))
@@ -120,6 +128,27 @@ def _cmd_regret(args) -> int:
         f"at [{report.argmax[0]}, {report.argmax[1]}]"
     )
     return 0
+
+
+def _trace_seed(trace_path: str, given, config_seeds: list[int]) -> int:
+    """The seed that produced a trace; never a guess among several."""
+    summary_path = os.path.splitext(trace_path)[0] + ".summary.json"
+    if os.path.exists(summary_path):
+        try:
+            with open(summary_path) as fh:
+                seed = int(json.load(fh)["seed"])
+        except (ValueError, KeyError, TypeError) as e:
+            raise ConfigError(f"unreadable summary {summary_path}: {e}") from e
+        if given is not None and given != seed:
+            raise ConfigError(f"--seed {given} contradicts seed {seed} in {summary_path}")
+        return seed
+    if given is not None:
+        return given
+    if len(config_seeds) == 1:
+        return config_seeds[0]
+    raise ConfigError(
+        f"ambiguous seed: config lists seeds {config_seeds} and there is no {summary_path}; pass --seed"
+    )
 
 
 def _cmd_validate(args) -> int:

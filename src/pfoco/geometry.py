@@ -8,7 +8,8 @@ known interior margin r, so ``r * B <= K <= R * B``; the simplex reports
 
 Algorithms touch a set only through three operations:
 
-* ``loo(d)``      -- linear optimization: a vertex minimizing ``d @ v`` over K.
+* ``loo(d)``      -- linear optimization: a minimizer of ``d @ v`` over K,
+  a vertex wherever the optimum is unique.
 * ``separate(y)`` -- membership test, or a hyperplane separating y from K.
 * ``project(y)``  -- exact Euclidean projection.  Reference/testing aid
   only; it is never charged against oracle budgets.
@@ -16,9 +17,12 @@ Algorithms touch a set only through three operations:
 Use the module-level wrappers :func:`loo_query` and :func:`so_query`
 when a call should be charged to an :class:`OracleCounters`.
 
-Tie-breaking is deterministic everywhere: closed-form sets resolve ties
-toward the lowest coordinate index, the polytope inherits the LP
-solver's (deterministic) vertex choice.
+Tie-breaking: closed-form sets resolve ties toward the lowest coordinate
+index.  The polytope's answer is a function of the LP solver's optimal
+basis; on directions with tied optima that basis can depend on earlier
+queries to the same ``Polytope``, so only a fresh set repeats such an
+answer.  Traces stay byte-deterministic per (config, seed) because each
+run builds its own set.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Optional, TypeAlias
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 Vector: TypeAlias = NDArray[np.float64]
 
@@ -317,8 +321,10 @@ class Polytope(FeasibleSet):
     Rows are normalized at construction so each ``a_i`` is a unit vector;
     then constraint violations are Euclidean distances, ``r = min_i b_i``,
     and the separation oracle returns the unit normal of the most
-    violated face.  Boundedness is verified (and the circumradius bound R
-    computed) by 2n coordinate-range LPs at construction.
+    violated face.  The LOO runs on one HiGHS model per polytope: each
+    query changes only the objective and restarts from the last optimal
+    basis.  Boundedness is verified (and the circumradius bound R
+    computed) by 2n coordinate-range LPs on that model at construction.
     """
 
     #: dual-gap certificate threshold for project()
@@ -341,29 +347,75 @@ class Polytope(FeasibleSet):
         self.n = A.shape[1]
         self.m = A.shape[0]
         self.r = float(np.min(self.b))
+        self._highs = self._build_lp()
         self.R = self._bounding_radius()
+        # every member minimizes d = 0; answer with the -e_1 minimizer found
+        # here, so the answer does not depend on later queries
+        self._zero_answer = self.loo(-np.eye(self.n)[0])
+
+    def _build_lp(self) -> "highs._Highs":
+        """One HiGHS model min c @ x s.t. A x <= b, x free, re-solved
+        from its previous basis after each change of c."""
+        m, n, inf = self.m, self.n, highs.kHighsInf
+        h = highs._Highs()
+        h.setOptionValue("output_flag", False)
+        h.setOptionValue("presolve", "off")
+        h.setOptionValue("simplex_strategy", 4)  # primal simplex keeps the old basis feasible
+        starts = np.arange(0, m * n, n, dtype=np.int32)
+        columns = np.tile(np.arange(n, dtype=np.int32), m)
+        added = (
+            h.addVars(n, np.full(n, -inf), np.full(n, inf)),
+            h.addRows(m, np.full(m, -inf), self.b, m * n, starts, columns, self.A.ravel()),
+        )
+        if highs.HighsStatus.kError in added:
+            raise ValueError("HiGHS rejected the polytope LP")
+        return h
+
+    def _solve(self, c: Vector) -> Vector:
+        """Minimizer of c @ x over K read from the optimal basis.
+
+        The solver's own primal values depend on the warm-start path in
+        the last bits; the basic solution does not.  Every non-basic row
+        sits on its face (its only finite bound) and every non-basic free
+        column at 0, which gives one non-singular n x n system.
+        """
+        h = self._highs
+        h.changeColsCost(self.n, np.arange(self.n, dtype=np.int32), c)
+        h.run()
+        status = h.getModelStatus()
+        if status != highs.HighsModelStatus.kOptimal:
+            raise RuntimeError(f"LP solve failed with status {h.modelStatusToString(status)}")
+        # basic variable k >= 0 is column k, k < 0 is row -1 - k
+        _, basic = h.getBasicVariables()
+        tight = np.ones(self.m, dtype=bool)
+        tight[-1 - basic[basic < 0]] = False
+        fixed = np.ones(self.n, dtype=bool)
+        fixed[basic[basic >= 0]] = False
+        lhs = np.concatenate([self.A[tight], np.eye(self.n)[fixed]])
+        rhs = np.concatenate([self.b[tight], np.zeros(int(fixed.sum()))])
+        return np.linalg.solve(lhs, rhs)
 
     def _bounding_radius(self) -> float:
         lo = np.empty(self.n)
         hi = np.empty(self.n)
-        for i in range(self.n):
-            c = np.zeros(self.n)
-            c[i] = 1.0
-            res_lo = linprog(c, A_ub=self.A, b_ub=self.b, bounds=(None, None), method="highs")
-            res_hi = linprog(-c, A_ub=self.A, b_ub=self.b, bounds=(None, None), method="highs")
-            if res_lo.status != 0 or res_hi.status != 0:
-                raise ValueError("polytope is unbounded or numerically degenerate")
-            lo[i] = res_lo.fun
-            hi[i] = -res_hi.fun
+        eye = np.eye(self.n)
+        try:
+            for i in range(self.n):
+                lo[i] = self._solve(eye[i])[i]
+                hi[i] = self._solve(-eye[i])[i]
+        except RuntimeError as e:
+            raise ValueError("polytope is unbounded or numerically degenerate") from e
         return float(np.sqrt(np.sum(np.maximum(lo**2, hi**2))))
 
     def loo(self, direction: Vector) -> Vector:
+        """A minimizer of ``direction @ v`` over K: a vertex, except on
+        tied optima where a non-basic free column can leave the answer
+        inside the optimal face."""
         d = self._check_dim(direction)
-        res = linprog(d, A_ub=self.A, b_ub=self.b, bounds=(None, None), method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"LP solve failed with status {res.status}")
-        v = np.asarray(res.x, dtype=np.float64)
-        # pull the solver's vertex inside exactly; shrinking toward the
+        if not np.any(d):
+            return self._zero_answer.copy()
+        v = self._solve(d)
+        # pull the basic solution inside exactly; shrinking toward the
         # interior origin costs ~1 ulp of optimality
         scale = float(np.max(self.A @ v / self.b))
         if scale > 1.0:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from pfoco.geometry import (
     Ball,
@@ -142,6 +143,58 @@ def test_polytope_loo_matches_box_loo():
     )
     d = np.array([0.7, -1.3])
     np.testing.assert_allclose(poly.loo(d), box.loo(d), atol=1e-9)
+
+
+def _linprog_loo(poly, d):
+    """Reference LOO: a fresh LP per query."""
+    res = linprog(d, A_ub=poly.A, b_ub=poly.b, bounds=(None, None), method="highs")
+    assert res.status == 0
+    return res.x
+
+
+def test_polytope_loo_matches_linprog_reference():
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        poly = make_polytope(rng, int(rng.integers(2, 9)), extra=int(rng.integers(2, 40)))
+        for d in rng.standard_normal((25, poly.n)) * rng.uniform(0.01, 100.0):
+            v = poly.loo(d)
+            ref = _linprog_loo(poly, d)
+            assert abs(float(d @ v) - float(d @ ref)) <= 1e-12 * poly.R * np.linalg.norm(d)
+            assert poly.contains(v)
+            assert np.max(poly.A @ v - poly.b) <= poly._tol()
+
+
+def test_polytope_loo_independent_of_query_history():
+    poly, fresh = (make_polytope(np.random.default_rng(43), 6, extra=20) for _ in range(2))
+    rng = np.random.default_rng(44)
+    d = rng.standard_normal(6)
+    for other in rng.standard_normal((50, 6)):
+        poly.loo(other)
+    np.testing.assert_array_equal(poly.loo(d), fresh.loo(d))
+
+
+def test_polytope_loo_zero_direction_is_fixed():
+    poly, fresh = (make_polytope(np.random.default_rng(47), 5, extra=10) for _ in range(2))
+    first = poly.loo(np.zeros(5))
+    for other in np.random.default_rng(48).standard_normal((30, 5)):
+        poly.loo(other)
+    np.testing.assert_array_equal(poly.loo(np.zeros(5)), first)
+    np.testing.assert_array_equal(fresh.loo(np.zeros(5)), first)
+    assert poly.contains(first)
+
+
+def test_polytope_axis_directions_on_box_faces():
+    # +-e_i on a polytope with box faces has a whole face of optima
+    # (dual degenerate); the answer must still be an optimal member
+    rng = np.random.default_rng(53)
+    for poly in (make_polytope(rng, 4, extra=0), make_polytope(rng, 5, extra=6)):
+        for i in range(poly.n):
+            for sign in (1.0, -1.0):
+                d = np.zeros(poly.n)
+                d[i] = sign
+                v = poly.loo(d)
+                assert poly.contains(v)
+                assert abs(float(d @ v) - float(d @ _linprog_loo(poly, d))) <= 1e-12 * poly.R
 
 
 # ----------------------------------------------------------------------

@@ -376,10 +376,33 @@ def test_cli_run_and_regret_agree(tmp_path, capsys):
     summary = json.loads(open(os.path.join(out, "cfg_seed2.summary.json")).read())
 
     assert cli_main(["regret", trace_path, cfg_path, "--seed", "2"]) == 0
+    assert _static_regret_printed(capsys) == pytest.approx(summary["observed"]["static_regret"], rel=1e-9, abs=1e-9)
+
+    # several config seeds and no --seed: the trace's summary names its seed
+    multi = _write_cfg(tmp_path, _base_config(T=60, seeds=[0, 1], learner={"kind": "so_ogd", "c": 1.0}), "multi.json")
+    assert cli_main(["run", multi, "--out", out]) == 0
+    capsys.readouterr()
+    trace1 = os.path.join(out, "multi_seed1.csv")
+    summary1 = json.loads(open(os.path.join(out, "multi_seed1.summary.json")).read())
+    assert cli_main(["regret", trace1, multi]) == 0
+    assert _static_regret_printed(capsys) == pytest.approx(summary1["observed"]["static_regret"], rel=1e-9, abs=1e-9)
+
+    # a --seed that contradicts the summary is refused
+    assert cli_main(["regret", trace1, multi, "--seed", "0"]) == 2
+    assert "contradicts seed 1" in capsys.readouterr().err
+
+    # without the summary the seed is ambiguous, unless --seed names it
+    os.remove(os.path.join(out, "multi_seed1.summary.json"))
+    assert cli_main(["regret", trace1, multi]) == 2
+    assert "ambiguous seed" in capsys.readouterr().err
+    assert cli_main(["regret", trace1, multi, "--seed", "1"]) == 0
+    assert _static_regret_printed(capsys) == pytest.approx(summary1["observed"]["static_regret"], rel=1e-9, abs=1e-9)
+
+
+def _static_regret_printed(capsys) -> float:
     lines = capsys.readouterr().out.strip().splitlines()
     static_line = [ln for ln in lines if ln.startswith("static regret")][0]
-    got = float(static_line.split(":")[1].split("(")[0])
-    assert got == pytest.approx(summary["observed"]["static_regret"], rel=1e-9, abs=1e-9)
+    return float(static_line.split(":")[1].split("(")[0])
 
 
 def test_cli_validate_exit_codes(tmp_path, capsys):
