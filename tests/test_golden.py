@@ -1,0 +1,40 @@
+"""Behaviour lock: small seeded runs of every learner kind must keep their
+oracle counts, block structure and summary checks exactly, and the sums
+of their plays and losses to 1e-9 relative.
+
+The configs in ``golden_runs.json`` cover the six learner kinds on the
+ball, l1 ball, box and polytope, mostly under switching schedules with
+``eps``/``K`` overrides, so that the infeasible projections do real work
+(each LOO config has at least one projection that leaves its anchor).
+Sums stand in for a digest of the trace: the last bits of a dot product
+depend on the BLAS kernel a CPU selects, which a byte digest would turn
+into a spurious failure.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from pfoco.harness import parse_config_dict, run_one
+
+with open(os.path.join(os.path.dirname(__file__), "golden_runs.json")) as _fh:
+    GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
+def test_golden_run(case):
+    cfg = parse_config_dict(case["config"])
+    trace, _, _, summary = run_one(cfg, cfg.seeds[0])
+    want = case["expect"]
+    assert trace.counters.loo_calls == want["loo_calls"]
+    assert trace.counters.so_calls == want["so_calls"]
+    assert int(trace.loo_cum.sum()) == want["loo_cum_sum"]
+    assert int(trace.so_cum.sum()) == want["so_cum_sum"]
+    assert np.bincount(trace.block_index)[1:].tolist() == want["block_lengths"]
+    assert summary["checks"] == want["checks"]
+    assert float(trace.plays.sum()) == pytest.approx(want["plays_sum"], rel=1e-9, abs=1e-12)
+    assert float(trace.losses.sum()) == pytest.approx(want["losses_sum"], rel=1e-9, abs=1e-12)
+    if cfg.learner_cfg["kind"].startswith("loo_"):
+        assert any(rec.outer_iterations > 0 for rec in trace.projections)
