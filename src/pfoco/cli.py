@@ -32,18 +32,19 @@ from .harness import (
     ConfigError,
     build_schedule,
     build_set,
-    exhaustive_intervals,
     intervals_from_cfg,
     interval_regret_report,
+    learner_params,
     parse_config_file,
+    read_intervals_file,
     read_trace_csv,
     resolve_out_dir,
     run_one,
     static_regret,
-    strided_intervals,
     trace_basename,
     write_run_outputs,
 )
+from .learners import LEARNERS, theoretical_bounds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,21 +105,16 @@ def _cmd_regret(args) -> int:
     trace = read_trace_csv(args.trace)
     if trace.T != cfg.T:
         raise ConfigError(f"trace has {trace.T} rounds but config.T = {cfg.T}")
-    seed = _trace_seed(args.trace, args.seed, cfg.seeds)
+    seed = _trace_seed(args.trace, args.seed, cfg)
     ss_sched, _ = np.random.SeedSequence(seed).spawn(2)
     set_ = build_set(cfg.set_cfg)
     schedule = build_schedule(cfg.loss_cfg, cfg.T, set_, np.random.default_rng(ss_sched))
 
-    if args.intervals == "strided":
-        intervals = strided_intervals(cfg.T, schedule.boundaries)
-    elif args.intervals == "exhaustive":
-        intervals = exhaustive_intervals(cfg.T)
-    elif args.intervals:
-        with open(args.intervals) as fh:
-            pairs = json.load(fh)
-        intervals = sorted({(int(s), int(e)) for s, e in pairs})
+    if args.intervals in (None, "strided", "exhaustive"):
+        policy = cfg.intervals_cfg if args.intervals is None else {"policy": args.intervals}
+        intervals = intervals_from_cfg(policy, cfg.T, schedule.boundaries)
     else:
-        intervals = intervals_from_cfg(cfg.intervals_cfg, cfg.T, schedule.boundaries)
+        intervals = read_intervals_file(args.intervals, cfg.T)
 
     sr = static_regret(trace, schedule, set_)
     report = interval_regret_report(trace, schedule, set_, intervals)
@@ -130,25 +126,31 @@ def _cmd_regret(args) -> int:
     return 0
 
 
-def _trace_seed(trace_path: str, given, config_seeds: list[int]) -> int:
-    """The seed that produced a trace; never a guess among several."""
+def _trace_seed(trace_path: str, given, cfg) -> int:
+    """The seed that produced a trace; never a guess among several.
+
+    The trace's sibling summary, when there is one, also records the T,
+    set and loss of its run: a trace scored against another config
+    would get that config's numbers, so these must match."""
     summary_path = os.path.splitext(trace_path)[0] + ".summary.json"
     if os.path.exists(summary_path):
         try:
             with open(summary_path) as fh:
-                seed = int(json.load(fh)["seed"])
+                summary = json.load(fh)
+            seed = int(summary["seed"])
         except (ValueError, KeyError, TypeError) as e:
             raise ConfigError(f"unreadable summary {summary_path}: {e}") from e
+        for field, value in (("T", cfg.T), ("set", cfg.set_cfg), ("loss", cfg.loss_cfg)):
+            if summary.get(field) != value:
+                raise ConfigError(f"config {field} differs from the {field} recorded in {summary_path}")
         if given is not None and given != seed:
             raise ConfigError(f"--seed {given} contradicts seed {seed} in {summary_path}")
         return seed
     if given is not None:
         return given
-    if len(config_seeds) == 1:
-        return config_seeds[0]
-    raise ConfigError(
-        f"ambiguous seed: config lists seeds {config_seeds} and there is no {summary_path}; pass --seed"
-    )
+    if len(cfg.seeds) == 1:
+        return cfg.seeds[0]
+    raise ConfigError(f"ambiguous seed: config lists seeds {cfg.seeds} and there is no {summary_path}; pass --seed")
 
 
 def _cmd_validate(args) -> int:
@@ -159,44 +161,16 @@ def _cmd_validate(args) -> int:
     kind = cfg.learner_cfg["kind"]
     print(f"ok: T={cfg.T} seeds={cfg.seeds} set={cfg.set_cfg['kind']} (n={set_.n}, R={set_.R:.6g}, r={set_.r:.6g})")
     print(f"ok: loss={schedule.kind} G_f={schedule.G_f:.6g} M={schedule.M:.6g}")
-    _validate_learner_params(cfg, set_, schedule, kind)
-    return 0
-
-
-def _validate_learner_params(cfg, set_, schedule, kind):
-    from . import learners
-
-    lc = cfg.learner_cfg
-    if kind == "loo_bogd":
-        p = learners.loo_bogd_params(set_, schedule.G_f, cfg.T, eta=lc.get("eta"), eps=lc.get("eps"), K=lc.get("K"))
-    elif kind == "loo_bogd_sc":
-        alpha = lc.get("alpha", schedule.alpha_min)
-        if not (alpha and alpha > 0):
-            raise ConfigError("learner parameters rejected: needs a strongly convex schedule (alpha > 0)")
-        p = learners.loo_bogd_sc_params(set_, schedule.G_f, cfg.T, alpha=float(alpha), K=lc.get("K"))
-    elif kind == "loo_bbgd":
-        p = learners.loo_bbgd_params(set_, schedule.M, cfg.T, c=float(lc["c"]), G_f=schedule.G_f)
-    elif kind == "so_ogd":
-        c = lc.get("c")
-        p = learners.so_ogd_params(set_, schedule.G_f, cfg.T, c=None if c is None else float(c))
-    elif kind == "so_bgd":
-        c, cp = lc.get("c"), lc.get("c_prime")
-        p = learners.so_bgd_params(
-            set_,
-            schedule.M,
-            cfg.T,
-            c=None if c is None else float(c),
-            c_prime=None if cp is None else float(cp),
-            G_f=schedule.G_f,
-        )
-    else:
+    params = learner_params(cfg.learner_cfg, set_, schedule, cfg.T)
+    if LEARNERS[kind].bounds is None:
         print(f"ok: learner={kind} (no oracle bounds)")
-        return
-    bounds = learners.theoretical_bounds(p)
+        return 0
+    bounds = theoretical_bounds(params)
     print(
-        f"ok: learner={kind} K={p.K} B={p.B} -> regret bound {bounds['regret']:.6g}, "
+        f"ok: learner={kind} K={params.K} B={params.B} -> regret bound {bounds['regret']:.6g}, "
         f"{bounds['oracle']} calls bound {bounds['oracle_calls']:.6g}"
     )
+    return 0
 
 
 def main(argv=None) -> int:

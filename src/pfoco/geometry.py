@@ -57,9 +57,6 @@ class OracleCounters:
     loo_calls: int = 0
     so_calls: int = 0
 
-    def snapshot(self) -> tuple[int, int]:
-        return (self.loo_calls, self.so_calls)
-
 
 class OracleContractError(RuntimeError):
     """An oracle loop overran its certified iteration ceiling.
@@ -415,8 +412,9 @@ class Polytope(FeasibleSet):
         if not np.any(d):
             return self._zero_answer.copy()
         v = self._solve(d)
-        # pull the basic solution inside exactly; shrinking toward the
-        # interior origin costs ~1 ulp of optimality
+        # pull the basic solution inside, to within a few ulp: max(A v - b)
+        # can stay ~2e-16 above 0, which the 1e-12*R membership tolerance
+        # covers.  Shrinking toward the interior origin costs ~1 ulp
         scale = float(np.max(self.A @ v / self.b))
         if scale > 1.0:
             v = v / scale

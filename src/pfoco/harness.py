@@ -34,21 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Ball, Box, FeasibleSet, L1Ball, Polytope, Simplex, exact_project
-from .learners import (
-    LearnerParams,
-    RunTrace,
-    loo_bbgd_params,
-    loo_bbgd_run,
-    loo_bogd_params,
-    loo_bogd_run,
-    loo_bogd_sc_params,
-    ogd_wf_run,
-    so_bgd_params,
-    so_bgd_run,
-    so_ogd_params,
-    so_ogd_run,
-    theoretical_bounds,
-)
+from .learners import LEARNERS, LearnerParams, RunTrace, theoretical_bounds
 from .losses import (
     LossSchedule,
     make_iid_absdev_schedule,
@@ -123,15 +109,18 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(T, list(seeds), set_cfg, loss_cfg, learner_cfg, intervals_cfg, out_dir, raw)
 
 
-def parse_config_file(path: str) -> ExperimentConfig:
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as e:
-        raise ConfigError(f"config file not found: {path}") from e
+            return json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"{what} file not found or unreadable: {path} ({e.strerror})") from e
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
-    return parse_config_dict(raw)
+        raise ConfigError(f"{what} is not valid JSON: {e}") from e
+
+
+def parse_config_file(path: str) -> ExperimentConfig:
+    return parse_config_dict(_read_json(path, "config"))
 
 
 def _validate_set_cfg(d: dict) -> dict:
@@ -213,28 +202,28 @@ def build_schedule(d: dict, T: int, set_: FeasibleSet, rng: np.random.Generator)
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 
-_LEARNER_KINDS = ("ogd_wf", "loo_bogd", "loo_bogd_sc", "loo_bbgd", "so_ogd", "so_bgd")
-
-
 def _validate_learner_cfg(d: dict) -> dict:
-    _check_keys(d, "learner", ("kind",), ("eta", "eps", "K", "alpha", "c", "c_prime"))
+    _check_keys(d, "learner", ("kind",), set().union(*(k.keys for k in LEARNERS.values())))
     kind = d.get("kind")
-    if kind not in _LEARNER_KINDS:
+    entry = LEARNERS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         raise ConfigError(f"unknown learner kind {kind!r}")
-    allowed = {
-        "ogd_wf": {"eta", "alpha"},
-        "loo_bogd": {"eta", "eps", "K"},
-        "loo_bogd_sc": {"alpha", "K"},
-        "loo_bbgd": {"c"},
-        "so_ogd": {"c"},
-        "so_bgd": {"c", "c_prime"},
-    }[kind]
-    extras = sorted(set(d) - {"kind"} - allowed)
+    extras = sorted(set(d) - {"kind"} - entry.keys)
     if extras:
         raise ConfigError(f"keys {extras} do not apply to learner {kind!r}")
-    if kind == "loo_bbgd" and "c" not in d:
-        raise ConfigError("learner loo_bbgd requires an explicit exploration constant c")
+    for key, what in entry.required.items():
+        if key not in d:
+            raise ConfigError(f"learner {kind} requires an explicit {what}")
     return d
+
+
+def learner_params(learner_cfg: dict, set_: FeasibleSet, schedule: LossSchedule, T: int):
+    """Theorem-default parameters with the config's overrides, as the run
+    function takes them; a failed precondition is a ConfigError."""
+    try:
+        return LEARNERS[learner_cfg["kind"]].build(learner_cfg, set_, schedule, T)
+    except ValueError as e:
+        raise ConfigError(f"learner parameters rejected: {e}") from e
 
 
 def run_learner(
@@ -242,62 +231,12 @@ def run_learner(
     set_: FeasibleSet,
     schedule: LossSchedule,
     T: int,
-    play_rng: np.random.Generator,
+    play_rng: Optional[np.random.Generator],
     seed: Optional[int] = None,
 ) -> RunTrace:
     """Build theorem-default parameters (with config overrides) and run."""
-    kind = learner_cfg["kind"]
-    try:
-        if kind == "ogd_wf":
-            alpha = learner_cfg.get("alpha")
-            if alpha is not None:
-                etas = 1.0 / (float(alpha) * np.arange(1, T + 1))
-            else:
-                eta = learner_cfg.get("eta")
-                etas = float(eta) if eta is not None else set_.R / (schedule.G_f * math.sqrt(T))
-            trace = ogd_wf_run(set_, schedule, etas)
-            trace.seed = seed
-            return trace
-        if kind == "loo_bogd":
-            params = loo_bogd_params(
-                set_,
-                schedule.G_f,
-                T,
-                eta=learner_cfg.get("eta"),
-                eps=learner_cfg.get("eps"),
-                K=learner_cfg.get("K"),
-            )
-            return loo_bogd_run(set_, schedule, params, seed=seed)
-        if kind == "loo_bogd_sc":
-            alpha = learner_cfg.get("alpha", schedule.alpha_min)
-            if not (alpha and alpha > 0):
-                raise ValueError("needs a strongly convex schedule (alpha > 0)")
-            params = loo_bogd_sc_params(set_, schedule.G_f, T, alpha=float(alpha), K=learner_cfg.get("K"))
-            return loo_bogd_run(set_, schedule, params, seed=seed)
-        if kind == "loo_bbgd":
-            params = loo_bbgd_params(set_, schedule.M, T, c=float(learner_cfg["c"]), G_f=schedule.G_f)
-            return loo_bbgd_run(set_, schedule, params, play_rng, seed=seed)
-        if kind == "so_ogd":
-            c = learner_cfg.get("c")
-            params = so_ogd_params(set_, schedule.G_f, T, c=None if c is None else float(c))
-            return so_ogd_run(set_, schedule, params, seed=seed)
-        if kind == "so_bgd":
-            c = learner_cfg.get("c")
-            cp = learner_cfg.get("c_prime")
-            params = so_bgd_params(
-                set_,
-                schedule.M,
-                T,
-                c=None if c is None else float(c),
-                c_prime=None if cp is None else float(cp),
-                G_f=schedule.G_f,
-            )
-            return so_bgd_run(set_, schedule, params, play_rng, seed=seed)
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"learner parameters rejected: {e}") from e
-    raise ConfigError(f"unknown learner kind {kind!r}")
+    params = learner_params(learner_cfg, set_, schedule, T)
+    return LEARNERS[learner_cfg["kind"]].run(set_, schedule, params, play_rng, seed)
 
 
 # ----------------------------------------------------------------------
@@ -325,14 +264,22 @@ def _validate_intervals_cfg(d: Optional[dict], T: int) -> Optional[dict]:
 
 
 def _validate_interval_pairs(pairs, T: int):
-    if not isinstance(pairs, list):
-        raise ConfigError("intervals must be a list of [start, end] pairs")
+    if not isinstance(pairs, list) or not pairs:
+        raise ConfigError("intervals must be a non-empty list of [start, end] pairs")
     for p in pairs:
         if not (isinstance(p, list) and len(p) == 2 and all(isinstance(v, int) for v in p)):
             raise ConfigError("intervals must be [start, end] integer pairs")
         s, e = p
         if not (1 <= s <= e <= T):
             raise ConfigError(f"interval [{s}, {e}] out of range for T = {T}")
+
+
+def read_intervals_file(path: str, T: int) -> list[tuple[int, int]]:
+    """Intervals from a JSON file of [start, end] pairs, checked as a
+    config's interval list is."""
+    pairs = _read_json(path, "intervals")
+    _validate_interval_pairs(pairs, T)
+    return sorted({(s, e) for s, e in pairs})
 
 
 def strided_intervals(T: int, boundaries: Optional[list[int]] = None, extra=None) -> list[tuple[int, int]]:
@@ -471,6 +418,8 @@ def interval_regret_report(
 ) -> RegretReport:
     """Regret of the played sequence on each interval, vs the certified
     interval minimizer."""
+    if not intervals:
+        raise ValueError("no intervals to score")
     comp = _comparator(set_, schedule, comparator_tol)
     played_prefix = np.concatenate([[0.0], np.cumsum(trace.losses)])
     results = []
@@ -543,15 +492,6 @@ def read_trace_csv(path: str) -> RunTrace:
 # experiment driver
 
 
-_BOUND_SCOPE = {
-    "loo_bogd": "adaptive",
-    "loo_bogd_sc": "static",
-    "loo_bbgd": "expected_adaptive",
-    "so_ogd": "adaptive",
-    "so_bgd": "expected_adaptive",
-}
-
-
 def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunTrace, LossSchedule, FeasibleSet, dict]:
     """One seeded run plus its summary dict."""
     root = np.random.SeedSequence(seed)
@@ -561,6 +501,7 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunTrace, LossSchedule, F
     trace = run_learner(cfg.learner_cfg, set_, schedule, cfg.T, np.random.default_rng(ss_play), seed=seed)
 
     kind = cfg.learner_cfg["kind"]
+    entry = LEARNERS[kind]
     summary: dict = {
         "learner": kind,
         "seed": seed,
@@ -574,10 +515,10 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunTrace, LossSchedule, F
             "wall_time_s": trace.wall_time,
         },
     }
-    if kind in _BOUND_SCOPE:
-        bounds = theoretical_bounds(_params_from_dict(trace.params))
+    if entry.bounds is not None:
+        bounds = theoretical_bounds(LearnerParams(**trace.params))
         summary["bounds"] = bounds
-        summary["bound_scope"] = _BOUND_SCOPE[kind]
+        summary["bound_scope"] = entry.scope
         observed_calls = trace.counters.loo_calls if bounds["oracle"] == "loo" else trace.counters.so_calls
         summary["checks"] = {"oracle_calls_within_bound": bool(observed_calls <= bounds["oracle_calls"])}
     else:
@@ -600,14 +541,6 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunTrace, LossSchedule, F
         summary["observed"]["static_regret"] = None
         summary["observed"]["comparator"] = "unavailable for this loss kind"
     return trace, schedule, set_, summary
-
-
-def _params_from_dict(d: dict) -> LearnerParams:
-    clean = dict(d)
-    for k in ("eta_m", "eps_m"):
-        if clean.get(k) is not None:
-            clean[k] = np.asarray(clean[k], dtype=np.float64)
-    return LearnerParams(**clean)
 
 
 def run_experiment(cfg: ExperimentConfig, seeds: Optional[list[int]] = None):

@@ -7,19 +7,17 @@ oracle.  The blocked variants amortize one projection over K rounds of
 accumulated gradients, which is what pushes the total oracle bill down
 to O(T) while keeping the regret sublinear.
 
-Learners:
+Two run loops cover the paper's learners, each with full-information
+and bandit feedback; a bandit run steps along the one-point estimate
+(n/delta) f(x + delta u) u in place of the subgradient:
 
-* :func:`ogd_wf_run`      -- projected OGD scaffold with a pluggable
-  projection map; with the exact projection it is the classical
-  baseline the others are measured against.
-* :func:`loo_bogd_run`    -- blocked OGD with the LOO-based infeasible
-  projection (full information; uniform or per-block schedules, the
-  latter covering the strongly convex variant).
-* :func:`loo_bbgd_run`    -- its bandit version: one-point gradient
-  estimates on a slightly squeezed copy of the set.
-* :func:`so_ogd_run`      -- per-round OGD with the separation-based
-  infeasible projection (full information).
-* :func:`so_bgd_run`      -- its bandit version.
+* :func:`loo_run` -- blocked OGD with the LOO-based infeasible
+  projection: ``loo_bogd``, ``loo_bogd_sc`` (per-block schedule for
+  strongly convex losses) and the bandit ``loo_bbgd``.
+* :func:`so_run` -- per-round OGD with the separation-based infeasible
+  projection: ``so_ogd`` and the bandit ``so_bgd``.
+* :func:`ogd_wf_run` -- OGD with the exact projection (``ogd_wf``), the
+  classical baseline the others are measured against.
 
 Every run returns a :class:`RunTrace` carrying plays, per-round losses,
 cumulative oracle counts, and the full diagnostics of every projection
@@ -28,9 +26,11 @@ and the global budget/regret bounds on real runs.
 
 Parameter builders (``*_params``) encode the step sizes, tolerances,
 and block lengths under which the guarantees hold, validate their
-preconditions by name, and accept explicit overrides.  The companion
-``theoretical_bounds`` evaluates the governing regret and oracle-call
-bounds at the actual run parameters.
+preconditions by name, and accept explicit overrides.  The table
+:data:`LEARNERS` holds everything that depends on the learner kind: the
+config keys it accepts, the builder from a config to its parameters,
+its run loop, and its governing regret and oracle-call bounds, which
+:func:`theoretical_bounds` evaluates at the actual run parameters.
 """
 
 from __future__ import annotations
@@ -42,13 +42,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .geometry import (
-    FeasibleSet,
-    OracleCounters,
-    Vector,
-    exact_project,
-    squeeze,
-)
+from .geometry import FeasibleSet, OracleCounters, exact_project, squeeze
 from .losses import LossSchedule, bandit_gradient_estimate, sample_unit_sphere
 from .projection import cip_loo, cip_so
 
@@ -320,101 +314,98 @@ def so_bgd_params(
 
 
 # ----------------------------------------------------------------------
-# governing bounds, evaluated at actual run parameters
+# governing bounds, evaluated at actual run parameters; each returns
+# (regret bound, oracle-call bound)
+
+
+def _loo_bogd_bounds(p: LearnerParams) -> tuple[float, float]:
+    T, R, G, K, eta, eps = p.T, p.R, p.G_f, p.K, p.eta, p.eps
+    regret = G * math.sqrt(3.0 * eps) * T + 4.0 * R * G * K + 4.0 * R * R / eta + 0.5 * G * G * K * eta * T
+    calls = (T / K) * (
+        8.5 + 5.5 * K**2 * eta**2 * G**2 / eps + K**4 * eta**4 * G**4 / eps**2
+    ) * (27.0 * R * R / eps)
+    return regret, calls
+
+
+def _loo_bogd_sc_bounds(p: LearnerParams) -> tuple[float, float]:
+    T, R, G, a = p.T, p.R, p.G_f, p.alpha
+    regret = 36.0 * (G**4 * R * R / a) ** (1.0 / 3.0) * T ** (2.0 / 3.0) * (
+        1.0 + (2.0 / 3.0) * math.log(math.sqrt(T) * G / (a * R))
+    )
+    return regret, 0.94 * T
+
+
+def _loo_bbgd_bounds(p: LearnerParams) -> tuple[float, float]:
+    T, R, r, G, c = p.T, p.R, p.r, p.G_f, p.c
+    nM = p.n * p.M
+    regret = (
+        (4.0 + R / r) * G * c * T**0.75
+        + math.sqrt(nM) * (4.0 * R + 1.0 / math.sqrt(6.0) + 3.0 * R * G * G + R * nM / (2.0 * c * c)) * T**0.75
+        + 24.0 * R * nM * (math.sqrt(nM) / (c * math.sqrt(6.0)) + G) * math.sqrt(T)
+    )
+    calls = (27.0 * R * R / (2.0 * nM * c * c)) * (
+        6.0**5 * R**4 * nM**4 / (4.0 * c**8)
+        + 6.0**6 * R**4 * nM**3 * G * G / (2.0 * c**6)
+        + 6.0**6 * R**4 * nM**2 * G**4 / (3.0 * c**4)
+        + 19.0
+    ) * T
+    return regret, calls
+
+
+def _so_ogd_bounds(p: LearnerParams) -> tuple[float, float]:
+    T, R, r, G, eta, delta = p.T, p.R, p.r, p.G_f, p.eta, p.delta
+    regret = (G * R * delta + 0.5 * G * G * eta) * T + 2.0 * R * R / eta
+    calls = (2.0 * R * G / (r * r)) * (eta / delta) * T + (G * G / (r * r)) * (eta / delta) ** 2 * T + T
+    return regret, calls
+
+
+def _so_bgd_bounds(p: LearnerParams) -> tuple[float, float]:
+    T, R, r, G, c, cp = p.T, p.R, p.r, p.G_f, p.c, p.c_prime
+    nM = p.n * p.M
+    regret = G * R * (
+        3.0 * cp / R
+        + cp / r
+        + c
+        + 4.0 * math.sqrt(nM) / (r * G)
+        + nM ** 1.5 * r / (8.0 * G * R * cp * cp)
+    ) * T**0.75 + G * R * (c * cp / r) * math.sqrt(T)
+    calls = T + (2.0 * R * math.sqrt(nM) / r) * (1.0 / (c * cp)) * T**0.75 + (nM / 4.0) * (
+        1.0 / (c * c * cp * cp)
+    ) * math.sqrt(T)
+    return regret, calls
 
 
 def theoretical_bounds(params: LearnerParams) -> dict:
-    """Regret and oracle-call bounds for a parameterized run.
-
-    Regret means: worst interval (adaptive) for loo_bogd and so_ogd,
-    static for loo_bogd_sc, expected adaptive over the exploration for
-    the bandit learners.
-    """
-    p = params
-    T, R, r, G, K = p.T, p.R, p.r, p.G_f, p.K
-    if p.kind == "loo_bogd":
-        eta, eps = p.eta, p.eps
-        regret = G * math.sqrt(3.0 * eps) * T + 4.0 * R * G * K + 4.0 * R * R / eta + 0.5 * G * G * K * eta * T
-        calls = (T / K) * (
-            8.5 + 5.5 * K**2 * eta**2 * G**2 / eps + K**4 * eta**4 * G**4 / eps**2
-        ) * (27.0 * R * R / eps)
-        return {"regret": regret, "oracle_calls": calls, "oracle": "loo"}
-    if p.kind == "loo_bogd_sc":
-        a = p.alpha
-        regret = 36.0 * (G**4 * R * R / a) ** (1.0 / 3.0) * T ** (2.0 / 3.0) * (
-            1.0 + (2.0 / 3.0) * math.log(math.sqrt(T) * G / (a * R))
-        )
-        return {"regret": regret, "oracle_calls": 0.94 * T, "oracle": "loo"}
-    if p.kind == "loo_bbgd":
-        nM = p.n * p.M
-        c = p.c
-        regret = (
-            (4.0 + R / r) * G * c * T**0.75
-            + math.sqrt(nM) * (4.0 * R + 1.0 / math.sqrt(6.0) + 3.0 * R * G * G + R * nM / (2.0 * c * c)) * T**0.75
-            + 24.0 * R * nM * (math.sqrt(nM) / (c * math.sqrt(6.0)) + G) * math.sqrt(T)
-        )
-        calls = (27.0 * R * R / (2.0 * nM * c * c)) * (
-            6.0**5 * R**4 * nM**4 / (4.0 * c**8)
-            + 6.0**6 * R**4 * nM**3 * G * G / (2.0 * c**6)
-            + 6.0**6 * R**4 * nM**2 * G**4 / (3.0 * c**4)
-            + 19.0
-        ) * T
-        return {"regret": regret, "oracle_calls": calls, "oracle": "loo"}
-    if p.kind == "so_ogd":
-        eta, delta = p.eta, p.delta
-        regret = (G * R * delta + 0.5 * G * G * eta) * T + 2.0 * R * R / eta
-        calls = (2.0 * R * G / (r * r)) * (eta / delta) * T + (G * G / (r * r)) * (eta / delta) ** 2 * T + T
-        return {"regret": regret, "oracle_calls": calls, "oracle": "so"}
-    if p.kind == "so_bgd":
-        nM = p.n * p.M
-        c, cp = p.c, p.c_prime
-        regret = G * R * (
-            3.0 * cp / R
-            + cp / r
-            + c
-            + 4.0 * math.sqrt(nM) / (r * G)
-            + nM ** 1.5 * r / (8.0 * G * R * cp * cp)
-        ) * T**0.75 + G * R * (c * cp / r) * math.sqrt(T)
-        calls = T + (2.0 * R * math.sqrt(nM) / r) * (1.0 / (c * cp)) * T**0.75 + (nM / 4.0) * (
-            1.0 / (c * c * cp * cp)
-        ) * math.sqrt(T)
-        return {"regret": regret, "oracle_calls": calls, "oracle": "so"}
-    raise ValueError(f"unknown learner kind {p.kind!r}")
+    """Regret and oracle-call bounds for a parameterized run; the regret
+    is in the sense of the kind's ``scope`` in :data:`LEARNERS`."""
+    kind = LEARNERS.get(params.kind)
+    if kind is None or kind.bounds is None:
+        raise ValueError(f"unknown learner kind {params.kind!r}")
+    regret, calls = kind.bounds(params)
+    return {"regret": regret, "oracle_calls": calls, "oracle": kind.oracle}
 
 
 # ----------------------------------------------------------------------
 # runs
 
 
-def _finish_trace(
-    trace: RunTrace,
-    t0: float,
-) -> RunTrace:
-    trace.wall_time = time.perf_counter() - t0
-    return trace
-
-
 def ogd_wf_run(
     set_: FeasibleSet,
     schedule: LossSchedule,
     etas: Union[float, np.ndarray],
-    projector: Optional[Callable[[Vector], Vector]] = None,
-    start: Optional[Vector] = None,
+    rng: Optional[np.random.Generator] = None,
+    seed: Optional[int] = None,
 ) -> RunTrace:
-    """Projected online gradient descent with a pluggable projection map.
-
-    The default projector is the exact projection, giving the classical
-    baseline.  ``etas`` is a scalar or a length-T array of step sizes.
-    """
+    """Online gradient descent with the exact projection from the set's
+    center; ``etas`` is a scalar or a length-T array of step sizes, and
+    ``rng`` is unused (it completes the run signature the learners share)."""
     t0 = time.perf_counter()
     T = schedule.T
     n = set_.n
     eta_arr = np.full(T, float(etas)) if np.isscalar(etas) else np.asarray(etas, dtype=np.float64)
     if eta_arr.shape != (T,):
         raise ValueError("etas must be a scalar or a length-T array")
-    if projector is None:
-        projector = lambda y: exact_project(set_, y)  # noqa: E731
-    x = np.array(set_.center if start is None else start, dtype=np.float64)
+    x = np.array(set_.center, dtype=np.float64)
     plays = np.empty((T, n))
     losses = np.empty(T)
     gnorms = np.empty(T)
@@ -425,9 +416,9 @@ def ogd_wf_run(
         g = f.subgrad(x)
         losses[t] = val
         gnorms[t] = np.linalg.norm(g)
-        x = projector(x - eta_arr[t] * g)
+        x = exact_project(set_, x - eta_arr[t] * g)
     zeros = np.zeros(T, dtype=np.int64)
-    trace = RunTrace(
+    return RunTrace(
         plays=plays,
         losses=losses,
         loo_cum=zeros.copy(),
@@ -437,186 +428,149 @@ def ogd_wf_run(
         projections=[],
         params={"kind": "ogd_wf", "T": T, "etas": eta_arr.tolist() if T <= 64 else float(eta_arr[0])},
         grad_norms=gnorms,
+        seed=seed,
+        wall_time=time.perf_counter() - t0,
     )
-    return _finish_trace(trace, t0)
 
 
-def loo_bogd_run(
+def _is_bandit(params: LearnerParams, schedule: LossSchedule, rng, run) -> bool:
+    """Whether ``run`` takes one-point feedback for ``params``; rejects params
+    built for another loop or horizon, and a bandit run without an rng."""
+    kind = LEARNERS.get(params.kind)
+    if kind is None or kind.run is not run:
+        raise ValueError(f"params built for learner {params.kind!r}, not for {run.__name__}")
+    if params.T != schedule.T:
+        raise ValueError("schedule horizon differs from params.T")
+    if kind.bandit and rng is None:
+        raise ValueError(f"bandit learner {params.kind!r} needs an rng for its exploration directions")
+    return kind.bandit
+
+
+def loo_run(
     set_: FeasibleSet,
     schedule: LossSchedule,
     params: LearnerParams,
+    rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
 ) -> RunTrace:
-    """Blocked OGD with LOO-based infeasible projections (full info).
+    """Blocked OGD with LOO-based infeasible projections.
 
     One projection per block from the second block on, computed at
     block start from the previous block's accumulated gradient steps;
     the block's plays stay at the anchor produced two blocks back.
+    Full information (loo_bogd, loo_bogd_sc) steps along the subgradient
+    at the block's target.  Bandit feedback (loo_bbgd) keeps the anchors
+    on the (1 - delta/r)-squeezed set, plays each anchor plus a
+    delta-sphere perturbation, which stays inside the original set, and
+    steps along the one-point estimate from the single observed value.
     """
     t0 = time.perf_counter()
-    if params.kind not in ("loo_bogd", "loo_bogd_sc"):
-        raise ValueError("params built for a different learner")
+    bandit = _is_bandit(params, schedule, rng, loo_run)
     T, K, B = params.T, params.K, params.B
-    if T != schedule.T:
-        raise ValueError("schedule horizon differs from params.T")
     n = set_.n
+    delta = params.delta  # exploration radius
+    view = squeeze(set_, 1.0 - delta / set_.r) if bandit else set_
+    U = sample_unit_sphere(rng, n, T) if bandit else None
     counters = OracleCounters()
-    start = np.array(set_.center)
-    anchors = [start, start.copy()]  # x_0, x_1
-    targets = [start.copy(), start.copy()]  # gradient points ytil_0, ytil_1
-    y = start.copy()  # running accumulator, begins at ytil_0
+    start = np.array(view.center)
+    # play and gradient point of this block, and of the next one (the
+    # projection made at this block's start); blocks 1 and 2 use the start
+    anchor, target = start, start.copy()
+    upcoming = (start.copy(), start.copy())
+    y = start.copy()  # running accumulator of gradient steps
     plays = np.empty((T, n))
     losses = np.empty(T)
-    gnorms = np.empty(T)
+    gnorms = None if bandit else np.empty(T)
     loo_cum = np.empty(T, dtype=np.int64)
-    so_cum = np.empty(T, dtype=np.int64)
-    block_index = np.empty(T, dtype=np.int64)
     projections = []
-    t = 0
     for m in range(1, B + 1):
         if m >= 2:
-            res = cip_loo(set_, anchors[m - 2], y, float(params.eps_m[m - 1]), counters)
+            res = cip_loo(view, anchor, y, float(params.eps_m[m - 1]), counters)
             projections.append(res)
-            anchors.append(res.x)
-            targets.append(res.y)
-            y = targets[m - 1].copy()
-        play = anchors[m - 1]
-        target = targets[m - 1]
+            (anchor, target), upcoming = upcoming, (res.x, res.y)
+            y = target.copy()
         eta = float(params.eta_m[m - 1])
-        length = min(K, T - (m - 1) * K)
-        for _ in range(length):
+        first = (m - 1) * K
+        loo_cum[first : first + K] = counters.loo_calls  # no LOO call inside a block
+        for t in range(first, min(first + K, T)):
             f = schedule.losses[t]
-            plays[t] = play
-            losses[t] = f.value(play)
-            g = f.subgrad(target)
-            gnorms[t] = np.linalg.norm(g)
-            y = y - eta * g
-            loo_cum[t] = counters.loo_calls
-            so_cum[t] = counters.so_calls
-            block_index[t] = m
-            t += 1
-    trace = RunTrace(
+            if bandit:
+                z = anchor + delta * U[t]
+                plays[t] = z
+                val = f.value(z)
+                losses[t] = val
+                y = y - eta * bandit_gradient_estimate(val, U[t], n, delta)
+            else:
+                plays[t] = anchor
+                losses[t] = f.value(anchor)
+                g = f.subgrad(target)
+                gnorms[t] = np.linalg.norm(g)
+                y = y - eta * g
+    return RunTrace(
         plays=plays,
         losses=losses,
         loo_cum=loo_cum,
-        so_cum=so_cum,
-        block_index=block_index,
+        so_cum=np.zeros(T, dtype=np.int64),  # LOO projections make no SO calls
+        block_index=np.arange(T, dtype=np.int64) // K + 1,
         counters=counters,
         projections=projections,
         params=params.to_dict(),
         grad_norms=gnorms,
         seed=seed,
+        wall_time=time.perf_counter() - t0,
     )
-    return _finish_trace(trace, t0)
 
 
-def loo_bbgd_run(
+def so_run(
     set_: FeasibleSet,
     schedule: LossSchedule,
     params: LearnerParams,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
 ) -> RunTrace:
-    """Blocked bandit learner on a squeezed copy of the set.
+    """Per-round OGD with separation-based infeasible projections.
 
-    Anchors live on (1 - delta/r) K; each play adds a delta-radius
-    sphere perturbation, staying inside the original set.  Gradient
-    steps use the one-point estimate from the single observed value.
+    Full information (so_ogd) plays the projected point and steps along
+    its subgradient.  Bandit feedback (so_bgd) has the projection keep
+    the decision points in (1 - delta'/r) K, so the delta'-sphere
+    exploration never leaves the set, and steps along the one-point
+    estimate.
     """
     t0 = time.perf_counter()
-    if params.kind != "loo_bbgd":
-        raise ValueError("params built for a different learner")
-    T, K, B = params.T, params.K, params.B
-    if T != schedule.T:
-        raise ValueError("schedule horizon differs from params.T")
+    bandit = _is_bandit(params, schedule, rng, so_run)
+    T = params.T
     n = set_.n
-    delta = params.delta
-    view = squeeze(set_, 1.0 - delta / set_.r)
-    U = sample_unit_sphere(rng, n, T)
+    delta, eta = params.delta, params.eta
+    dp = params.delta_prime if bandit else 0.0  # exploration radius
+    U = sample_unit_sphere(rng, n, T) if bandit else None
     counters = OracleCounters()
-    start = np.array(view.center)
-    anchors = [start, start.copy()]
-    targets = [start.copy(), start.copy()]
-    y = start.copy()
+    ytil = np.zeros(n)
     plays = np.empty((T, n))
     losses = np.empty(T)
-    loo_cum = np.empty(T, dtype=np.int64)
+    gnorms = None if bandit else np.empty(T)
     so_cum = np.empty(T, dtype=np.int64)
-    block_index = np.empty(T, dtype=np.int64)
     projections = []
-    t = 0
-    for m in range(1, B + 1):
-        if m >= 2:
-            res = cip_loo(view, anchors[m - 2], y, float(params.eps_m[m - 1]), counters)
-            projections.append(res)
-            anchors.append(res.x)
-            targets.append(res.y)
-            y = targets[m - 1].copy()
-        anchor = anchors[m - 1]
-        eta = float(params.eta_m[m - 1])
-        length = min(K, T - (m - 1) * K)
-        for _ in range(length):
-            f = schedule.losses[t]
-            z = anchor + delta * U[t]
+    for t in range(T):
+        f = schedule.losses[t]
+        if bandit:
+            z = ytil + dp * U[t]
             plays[t] = z
             val = f.value(z)
             losses[t] = val
-            y = y - eta * bandit_gradient_estimate(val, U[t], n, delta)
-            loo_cum[t] = counters.loo_calls
-            so_cum[t] = counters.so_calls
-            block_index[t] = m
-            t += 1
-    trace = RunTrace(
-        plays=plays,
-        losses=losses,
-        loo_cum=loo_cum,
-        so_cum=so_cum,
-        block_index=block_index,
-        counters=counters,
-        projections=projections,
-        params=params.to_dict(),
-        seed=seed,
-    )
-    return _finish_trace(trace, t0)
-
-
-def so_ogd_run(
-    set_: FeasibleSet,
-    schedule: LossSchedule,
-    params: LearnerParams,
-    seed: Optional[int] = None,
-) -> RunTrace:
-    """Per-round OGD with separation-based infeasible projections."""
-    t0 = time.perf_counter()
-    if params.kind != "so_ogd":
-        raise ValueError("params built for a different learner")
-    T = params.T
-    if T != schedule.T:
-        raise ValueError("schedule horizon differs from params.T")
-    n = set_.n
-    counters = OracleCounters()
-    ytil = np.zeros(n)
-    plays = np.empty((T, n))
-    losses = np.empty(T)
-    gnorms = np.empty(T)
-    loo_cum = np.empty(T, dtype=np.int64)
-    so_cum = np.empty(T, dtype=np.int64)
-    projections = []
-    for t in range(T):
-        f = schedule.losses[t]
-        plays[t] = ytil
-        losses[t] = f.value(ytil)
-        g = f.subgrad(ytil)
-        gnorms[t] = np.linalg.norm(g)
-        proj = cip_so(set_, set_.r, params.delta, 0.0, ytil - params.eta * g, counters)
+            g = bandit_gradient_estimate(val, U[t], n, dp)
+        else:
+            plays[t] = ytil
+            losses[t] = f.value(ytil)
+            g = f.subgrad(ytil)
+            gnorms[t] = np.linalg.norm(g)
+        proj = cip_so(set_, set_.r, delta, dp, ytil - eta * g, counters)
         projections.append(proj)
         ytil = proj.y
-        loo_cum[t] = counters.loo_calls
         so_cum[t] = counters.so_calls
-    trace = RunTrace(
+    return RunTrace(
         plays=plays,
         losses=losses,
-        loo_cum=loo_cum,
+        loo_cum=np.zeros(T, dtype=np.int64),  # SO projections make no LOO calls
         so_cum=so_cum,
         block_index=np.arange(1, T + 1, dtype=np.int64),
         counters=counters,
@@ -624,59 +578,87 @@ def so_ogd_run(
         params=params.to_dict(),
         grad_norms=gnorms,
         seed=seed,
+        wall_time=time.perf_counter() - t0,
     )
-    return _finish_trace(trace, t0)
 
 
-def so_bgd_run(
-    set_: FeasibleSet,
-    schedule: LossSchedule,
-    params: LearnerParams,
-    rng: np.random.Generator,
-    seed: Optional[int] = None,
-) -> RunTrace:
-    """Per-round bandit learner with separation-based projections.
+# ----------------------------------------------------------------------
+# the learner table
 
-    Decision points are kept in (1 - delta'/r) K by the projection, so
-    the delta'-sphere exploration never leaves the set.
+
+def _opt_float(v) -> Optional[float]:
+    return None if v is None else float(v)
+
+
+def _ogd_wf_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> Union[float, np.ndarray]:
+    """Step sizes 1/(alpha t) with ``alpha``, else ``eta``, else R/(G_f sqrt(T))."""
+    alpha = cfg.get("alpha")
+    if alpha is not None:
+        return 1.0 / (float(alpha) * np.arange(1, T + 1))
+    eta = cfg.get("eta")
+    return float(eta) if eta is not None else set_.R / (sched.G_f * math.sqrt(T))
+
+
+def _loo_bogd_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> LearnerParams:
+    return loo_bogd_params(set_, sched.G_f, T, eta=cfg.get("eta"), eps=cfg.get("eps"), K=cfg.get("K"))
+
+
+def _loo_bogd_sc_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> LearnerParams:
+    alpha = cfg.get("alpha", sched.alpha_min)
+    if not (alpha and alpha > 0):
+        raise ValueError("needs a strongly convex schedule (alpha > 0)")
+    return loo_bogd_sc_params(set_, sched.G_f, T, alpha=float(alpha), K=cfg.get("K"))
+
+
+def _loo_bbgd_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> LearnerParams:
+    return loo_bbgd_params(set_, sched.M, T, c=float(cfg["c"]), G_f=sched.G_f)
+
+
+def _so_ogd_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> LearnerParams:
+    return so_ogd_params(set_, sched.G_f, T, c=_opt_float(cfg.get("c")))
+
+
+def _so_bgd_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> LearnerParams:
+    c, c_prime = _opt_float(cfg.get("c")), _opt_float(cfg.get("c_prime"))
+    return so_bgd_params(set_, sched.M, T, c=c, c_prime=c_prime, G_f=sched.G_f)
+
+
+@dataclasses.dataclass(frozen=True)
+class LearnerKind:
+    """Everything that depends on a learner kind.
+
+    ``keys`` are the config keys it accepts besides ``kind``; ``required``
+    maps those without a default to a description.  ``build(cfg, set_,
+    schedule, T)`` gives what ``run(set_, schedule, params, rng, seed)``
+    takes.  ``bounds(params)`` is (regret in the sense of ``scope``,
+    calls to ``oracle``); all three are None without a guarantee.
     """
-    t0 = time.perf_counter()
-    if params.kind != "so_bgd":
-        raise ValueError("params built for a different learner")
-    T = params.T
-    if T != schedule.T:
-        raise ValueError("schedule horizon differs from params.T")
-    n = set_.n
-    delta, dp = params.delta, params.delta_prime
-    U = sample_unit_sphere(rng, n, T)
-    counters = OracleCounters()
-    ytil = np.zeros(n)
-    plays = np.empty((T, n))
-    losses = np.empty(T)
-    loo_cum = np.empty(T, dtype=np.int64)
-    so_cum = np.empty(T, dtype=np.int64)
-    projections = []
-    for t in range(T):
-        f = schedule.losses[t]
-        z = ytil + dp * U[t]
-        plays[t] = z
-        val = f.value(z)
-        losses[t] = val
-        g = bandit_gradient_estimate(val, U[t], n, dp)
-        proj = cip_so(set_, set_.r, delta, dp, ytil - params.eta * g, counters)
-        projections.append(proj)
-        ytil = proj.y
-        loo_cum[t] = counters.loo_calls
-        so_cum[t] = counters.so_calls
-    trace = RunTrace(
-        plays=plays,
-        losses=losses,
-        loo_cum=loo_cum,
-        so_cum=so_cum,
-        block_index=np.arange(1, T + 1, dtype=np.int64),
-        counters=counters,
-        projections=projections,
-        params=params.to_dict(),
-        seed=seed,
-    )
-    return _finish_trace(trace, t0)
+
+    keys: set
+    required: dict
+    build: Callable
+    run: Callable
+    bandit: bool = False
+    bounds: Optional[Callable[[LearnerParams], tuple[float, float]]] = None
+    scope: Optional[str] = None
+    oracle: Optional[str] = None
+
+
+# kind: LearnerKind(keys, required, build, run, bandit, bounds, scope, oracle)
+LEARNERS = {
+    "ogd_wf": LearnerKind({"eta", "alpha"}, {}, _ogd_wf_from_cfg, ogd_wf_run),
+    "loo_bogd": LearnerKind(
+        {"eta", "eps", "K"}, {}, _loo_bogd_from_cfg, loo_run, False, _loo_bogd_bounds, "adaptive", "loo"
+    ),
+    "loo_bogd_sc": LearnerKind(
+        {"alpha", "K"}, {}, _loo_bogd_sc_from_cfg, loo_run, False, _loo_bogd_sc_bounds, "static", "loo"
+    ),
+    "loo_bbgd": LearnerKind(
+        {"c"}, {"c": "exploration constant c"}, _loo_bbgd_from_cfg, loo_run, True, _loo_bbgd_bounds,
+        "expected_adaptive", "loo",
+    ),
+    "so_ogd": LearnerKind({"c"}, {}, _so_ogd_from_cfg, so_run, False, _so_ogd_bounds, "adaptive", "so"),
+    "so_bgd": LearnerKind(
+        {"c", "c_prime"}, {}, _so_bgd_from_cfg, so_run, True, _so_bgd_bounds, "expected_adaptive", "so"
+    ),
+}

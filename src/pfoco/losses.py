@@ -101,11 +101,6 @@ class AbsDevLoss:
         return np.abs(X @ self.a - self.b)
 
 
-def eval_loss(loss, x: Vector) -> tuple[float, Vector]:
-    """Value and one subgradient at x."""
-    return loss.value(x), loss.subgrad(x)
-
-
 # ----------------------------------------------------------------------
 # sampling and estimation
 

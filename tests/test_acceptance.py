@@ -35,15 +35,13 @@ from pfoco.harness import (
 )
 from pfoco.learners import (
     loo_bbgd_params,
-    loo_bbgd_run,
     loo_bogd_params,
-    loo_bogd_run,
     loo_bogd_sc_params,
+    loo_run,
     ogd_wf_run,
     so_bgd_params,
-    so_bgd_run,
     so_ogd_params,
-    so_ogd_run,
+    so_run,
     theoretical_bounds,
 )
 from pfoco.losses import (
@@ -122,7 +120,7 @@ def _blocked_loo_result():
         ss_sched, _ = np.random.SeedSequence(8404).spawn(2)
         sched = make_iid_linear_schedule(T_BIG, 2, set_.R, np.random.default_rng(ss_sched))
         params = loo_bogd_params(set_, sched.G_f, T_BIG)
-        trace = loo_bogd_run(set_, sched, params, seed=8404)
+        trace = loo_run(set_, sched, params, seed=8404)
         report = interval_regret_report(trace, sched, set_, strided_intervals(T_BIG, sched.boundaries))
         _CACHE["bogd"] = (trace, sched, set_, params, report, time.perf_counter() - t0)
     return _CACHE["bogd"]
@@ -135,7 +133,7 @@ def _strongly_convex_result():
         ss_sched, _ = np.random.SeedSequence(8505).spawn(2)
         sched = make_iid_quadratic_schedule(T_BIG, 2, set_.R, np.random.default_rng(ss_sched), alpha=1.0, spread=0.2)
         params = loo_bogd_sc_params(set_, sched.G_f, T_BIG, alpha=1.0)
-        trace = loo_bogd_run(set_, sched, params, seed=8505)
+        trace = loo_run(set_, sched, params, seed=8505)
         sr = static_regret(trace, sched, set_)
         _CACHE["sc"] = (trace, sched, set_, params, sr, time.perf_counter() - t0)
     return _CACHE["sc"]
@@ -148,7 +146,7 @@ def _separation_ogd_result():
         ss_sched, _ = np.random.SeedSequence(8606).spawn(2)
         sched = make_iid_linear_schedule(T_BIG, 2, set_.R, np.random.default_rng(ss_sched))
         params = so_ogd_params(set_, sched.G_f, T_BIG, c=4.0)
-        trace = so_ogd_run(set_, sched, params, seed=8606)
+        trace = so_run(set_, sched, params, seed=8606)
         report = interval_regret_report(trace, sched, set_, strided_intervals(T_BIG, sched.boundaries))
         _CACHE["so_ogd"] = (trace, sched, set_, params, report, time.perf_counter() - t0)
     return _CACHE["so_ogd"]
@@ -337,13 +335,13 @@ def test_a07_bandit_feasibility_and_budgets():
                 sched = _drifting_linear_schedule(T, 2, R, sched_rng, drift_scale=0.85)
             if name == "loo_bbgd":
                 params = loo_bbgd_params(set_, sched.M, T, c=5.0, G_f=sched.G_f)
-                trace = loo_bbgd_run(set_, sched, params, np.random.default_rng(ss_play), seed=seed)
+                trace = loo_run(set_, sched, params, np.random.default_rng(ss_play), seed=seed)
                 calls.append(trace.counters.loo_calls)
                 for rec in trace.projections:
                     check_cip_loo_record(rec)
             else:
                 params = so_bgd_params(set_, sched.M, T, G_f=sched.G_f)
-                trace = so_bgd_run(set_, sched, params, np.random.default_rng(ss_play), seed=seed)
+                trace = so_run(set_, sched, params, np.random.default_rng(ss_play), seed=seed)
                 calls.append(trace.counters.so_calls)
                 assert trace.counters.so_calls <= so_display_gate
                 for rec in trace.projections:
@@ -433,7 +431,7 @@ def test_a09_strided_scan_tracks_exhaustive_scan():
         n = int(rng.integers(2, 4))
         set_ = Ball(n, 1.0)
         sched = _drifting_linear_schedule(T, n, set_.R, rng)
-        trace = so_ogd_run(set_, sched, so_ogd_params(set_, sched.G_f, T, c=2.0))
+        trace = so_run(set_, sched, so_ogd_params(set_, sched.G_f, T, c=2.0))
         st = interval_regret_report(trace, sched, set_, strided_intervals(T, sched.boundaries))
         ex = interval_regret_report(trace, sched, set_, exhaustive_intervals(T))
         ratios.append(st.max_regret / ex.max_regret)

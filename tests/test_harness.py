@@ -96,6 +96,8 @@ def test_interval_config_validation():
         parse_config_dict(_base_config(intervals={"policy": "dyadic"}))
     with pytest.raises(ConfigError, match="out of range"):
         parse_config_dict(_base_config(intervals={"policy": "list", "intervals": [[1, 65]]}))
+    with pytest.raises(ConfigError, match="non-empty list"):
+        parse_config_dict(_base_config(intervals={"policy": "list", "intervals": []}))
     with pytest.raises(ConfigError, match="does not apply to policy"):
         parse_config_dict(_base_config(intervals={"policy": "list", "intervals": [[1, 4]], "extra": [[1, 2]]}))
     with pytest.raises(ConfigError, match="limited to T <= 512"):
@@ -208,6 +210,8 @@ def test_linear_interval_regret_matches_direct_sum():
         assert r.regret == pytest.approx(direct - comp, abs=1e-9)
         assert r.certificate.method == "loo_exact"
     assert report.max_regret == max(r.regret for r in report.intervals)
+    with pytest.raises(ValueError, match="no intervals"):
+        interval_regret_report(trace, schedule, set_, [])
 
 
 def test_linear_comparator_beats_sampled_points():
@@ -378,6 +382,16 @@ def test_cli_run_and_regret_agree(tmp_path, capsys):
     assert cli_main(["regret", trace_path, cfg_path, "--seed", "2"]) == 0
     assert _static_regret_printed(capsys) == pytest.approx(summary["observed"]["static_regret"], rel=1e-9, abs=1e-9)
 
+    # the same trace scored against a config with another set or loss is refused
+    wider = {"kind": "ball", "n": 2, "radius": 2.0}
+    for field, overrides in (
+        ("set", {"set": wider, "loss": {"kind": "iid_linear", "scale": 3.0}}),
+        ("loss", {"loss": {"kind": "iid_linear", "scale": 3.0}}),
+    ):
+        other = _write_cfg(tmp_path, _base_config(T=60, seeds=[2], **overrides), "other.json")
+        assert cli_main(["regret", trace_path, other]) == 2
+        assert f"config {field} differs" in capsys.readouterr().err
+
     # several config seeds and no --seed: the trace's summary names its seed
     multi = _write_cfg(tmp_path, _base_config(T=60, seeds=[0, 1], learner={"kind": "so_ogd", "c": 1.0}), "multi.json")
     assert cli_main(["run", multi, "--out", out]) == 0
@@ -435,6 +449,12 @@ def test_cli_intervals_file_and_missing_config(tmp_path, capsys):
     trace_path = os.path.join(out, "cfg_seed0.csv")
     assert cli_main(["regret", trace_path, cfg_path, "--intervals", str(iv_path)]) == 0
     assert "over 2 intervals" in capsys.readouterr().out
+    assert cli_main(["regret", trace_path, cfg_path, "--intervals", str(tmp_path / "missing.json")]) == 2
+    assert "intervals file not found" in capsys.readouterr().err
+    for text, message in (("[[1.9, 3]]", "integer pairs"), ("[]", "non-empty list")):
+        iv_path.write_text(text)
+        assert cli_main(["regret", trace_path, cfg_path, "--intervals", str(iv_path)]) == 2
+        assert message in capsys.readouterr().err
 
     assert cli_main(["validate", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err

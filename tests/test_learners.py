@@ -6,15 +6,13 @@ import pytest
 from pfoco.geometry import Ball, Box, OracleCounters, exact_project, squeeze
 from pfoco.learners import (
     loo_bbgd_params,
-    loo_bbgd_run,
     loo_bogd_params,
-    loo_bogd_run,
     loo_bogd_sc_params,
+    loo_run,
     ogd_wf_run,
     so_bgd_params,
-    so_bgd_run,
     so_ogd_params,
-    so_ogd_run,
+    so_run,
     theoretical_bounds,
 )
 from pfoco.losses import (
@@ -174,7 +172,7 @@ def _small_bogd_setup(T=240, seed=127):
 
 def test_loo_bogd_block_structure():
     ball, sched, params = _small_bogd_setup()
-    trace = loo_bogd_run(ball, sched, params)
+    trace = loo_run(ball, sched, params)
     T, K, B = params.T, params.K, params.B
     assert len(trace.projections) == B - 1
     assert trace.block_index[0] == 1 and trace.block_index[-1] == B
@@ -193,7 +191,7 @@ def test_loo_bogd_block_structure():
 
 def test_loo_bogd_projection_budgets_and_input_bound():
     ball, sched, params = _small_bogd_setup()
-    trace = loo_bogd_run(ball, sched, params)
+    trace = loo_run(ball, sched, params)
     K, G = params.K, sched.G_f
     for j, rec in enumerate(trace.projections):
         check_cip_loo_record(rec)
@@ -209,7 +207,7 @@ def test_loo_bogd_matches_eager_end_of_block_realization():
     # computing the next block's projection immediately after the last
     # update of the current block must give bit-identical traces
     ball, sched, params = _small_bogd_setup()
-    expected = loo_bogd_run(ball, sched, params)
+    expected = loo_run(ball, sched, params)
 
     T, K, B = params.T, params.K, params.B
     counters = OracleCounters()
@@ -248,7 +246,7 @@ def test_loo_bogd_strongly_convex_schedule_arrays():
     T = 400
     sched = make_iid_quadratic_schedule(T, 2, ball.R, rng, alpha=1.0, spread=0.2)
     params = loo_bogd_sc_params(ball, sched.G_f, T, alpha=1.0)
-    trace = loo_bogd_run(ball, sched, params)
+    trace = loo_run(ball, sched, params)
     assert len(trace.projections) == params.B - 1
     for j, rec in enumerate(trace.projections):
         check_cip_loo_record(rec)
@@ -259,7 +257,7 @@ def test_loo_bogd_strongly_convex_schedule_arrays():
 def test_loo_bogd_rejects_foreign_params():
     ball, sched, _ = _small_bogd_setup()
     with pytest.raises(ValueError):
-        loo_bogd_run(ball, sched, so_ogd_params(ball, 1.0, sched.T))
+        loo_run(ball, sched, so_ogd_params(ball, 1.0, sched.T))
 
 
 # ----------------------------------------------------------------------
@@ -273,9 +271,11 @@ def test_loo_bbgd_plays_feasible_and_deterministic():
     sched = make_iid_linear_schedule(T, 2, box.R, rng)
     params = loo_bbgd_params(box, sched.M, T, c=1.0, G_f=sched.G_f)
     view = squeeze(box, 1.0 - params.delta / box.r)
-    tr1 = loo_bbgd_run(box, sched, params, np.random.default_rng(7))
-    tr2 = loo_bbgd_run(box, sched, params, np.random.default_rng(7))
+    tr1 = loo_run(box, sched, params, np.random.default_rng(7))
+    tr2 = loo_run(box, sched, params, np.random.default_rng(7))
     np.testing.assert_array_equal(tr1.plays, tr2.plays)
+    with pytest.raises(ValueError, match="loo_bbgd' needs an rng"):
+        loo_run(box, sched, params)
     assert all(box.contains(z) for z in tr1.plays)
     for rec in tr1.projections:
         check_cip_loo_record(rec)
@@ -293,7 +293,7 @@ def test_so_ogd_round_mechanics():
     T = 400
     sched = make_iid_linear_schedule(T, 2, ball.R, rng)
     params = so_ogd_params(ball, sched.G_f, T)
-    trace = so_ogd_run(ball, sched, params)
+    trace = so_run(ball, sched, params)
     assert len(trace.projections) == T  # one projection per round
     assert all(ball.contains(x) for x in trace.plays)
     assert trace.counters.so_calls == sum(r.so_calls for r in trace.projections)
@@ -310,14 +310,16 @@ def test_so_bgd_round_mechanics():
     T = 256
     sched = make_iid_linear_schedule(T, 2, ball.R, rng)
     params = so_bgd_params(ball, sched.M, T, c=2.0, c_prime=1.0, G_f=sched.G_f)
-    trace = so_bgd_run(ball, sched, params, np.random.default_rng(3))
+    trace = so_run(ball, sched, params, np.random.default_rng(3))
     assert all(ball.contains(z) for z in trace.plays)
     scale = 1.0 - params.delta_prime / ball.r
     for rec in trace.projections[:: T // 40]:
         check_cip_so_record(rec, ball)
         assert ball.contains(rec.y / scale)
-    again = so_bgd_run(ball, sched, params, np.random.default_rng(3))
+    again = so_run(ball, sched, params, np.random.default_rng(3))
     np.testing.assert_array_equal(trace.plays, again.plays)
+    with pytest.raises(ValueError, match="so_bgd' needs an rng"):
+        so_run(ball, sched, params)
 
 
 def test_learners_reject_mismatched_horizon():
@@ -326,4 +328,4 @@ def test_learners_reject_mismatched_horizon():
     sched = make_iid_linear_schedule(100, 2, ball.R, rng)
     params = so_ogd_params(ball, sched.G_f, 200)
     with pytest.raises(ValueError):
-        so_ogd_run(ball, sched, params)
+        so_run(ball, sched, params)

@@ -6,7 +6,6 @@ from pfoco.losses import (
     LinearLoss,
     QuadraticLoss,
     bandit_gradient_estimate,
-    eval_loss,
     make_iid_absdev_schedule,
     make_iid_linear_schedule,
     make_iid_quadratic_schedule,
@@ -39,7 +38,7 @@ def test_declared_bounds_hold_on_the_domain():
             for _ in range(50):
                 x = rng.standard_normal(n)
                 x *= rng.uniform(0, R) / np.linalg.norm(x)
-                val, g = eval_loss(loss, x)
+                val, g = loss.value(x), loss.subgrad(x)
                 assert abs(val) <= loss.M + 1e-9
                 assert np.linalg.norm(g) <= loss.G_f + 1e-9
 
@@ -52,7 +51,7 @@ def test_subgradient_inequality():
             for _ in range(20):
                 x = rng.standard_normal(n) * 0.5
                 z = rng.standard_normal(n) * 0.5
-                vx, g = eval_loss(loss, x)
+                vx, g = loss.value(x), loss.subgrad(x)
                 assert loss.value(z) >= vx + float(g @ (z - x)) - 1e-9
 
 
