@@ -10,7 +10,8 @@ Subcommands:
   -- re-score a written trace against the certified comparators.  The
   seed comes from the trace's sibling ``.summary.json``, else from a
   config that lists exactly one seed; ``--seed`` may repeat it but not
-  contradict it.
+  contradict it.  The trace's loss column must equal f_t(x_t) of the
+  rebuilt schedule at its plays.
 * ``pfoco validate CONFIG`` -- parse and resolve a config without
   running it.
 
@@ -109,6 +110,7 @@ def _cmd_regret(args) -> int:
     ss_sched, _ = np.random.SeedSequence(seed).spawn(2)
     set_ = build_set(cfg.set_cfg)
     schedule = build_schedule(cfg.loss_cfg, cfg.T, set_, np.random.default_rng(ss_sched))
+    _check_loss_column(trace, schedule)
 
     if args.intervals in (None, "strided", "exhaustive"):
         policy = cfg.intervals_cfg if args.intervals is None else {"policy": args.intervals}
@@ -124,6 +126,21 @@ def _cmd_regret(args) -> int:
         f"at [{report.argmax[0]}, {report.argmax[1]}]"
     )
     return 0
+
+
+def _check_loss_column(trace, schedule) -> None:
+    """Each recorded loss must be f_t(x_t) to 1e-12 relative (relative to
+    the larger of |f_t(x_t)| and the schedule's value bound M), or the
+    scores would rest on losses the plays did not incur."""
+    want = np.array([f.value(x) for f, x in zip(schedule.losses, trace.plays)])
+    tol = 1e-12 * np.maximum(np.abs(want), schedule.M)
+    off = np.flatnonzero(~(np.abs(trace.losses - want) <= tol))
+    if off.size:
+        t = int(off[0])
+        raise ConfigError(
+            f"trace loss at round {t + 1} is {float(trace.losses[t])!r}, "
+            f"but the schedule gives f_t(x_t) = {float(want[t])!r}"
+        )
 
 
 def _trace_seed(trace_path: str, given, cfg) -> int:

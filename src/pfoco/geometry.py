@@ -14,6 +14,12 @@ Algorithms touch a set only through three operations:
 * ``project(y)``  -- exact Euclidean projection.  Reference/testing aid
   only; it is never charged against oracle budgets.
 
+``loo_many(D)`` and ``project_many(Y)`` answer one query per row of a
+(k, n) array, for comparator scans.  The closed-form sets answer all
+rows in one vectorized pass with the tie rules of ``loo``/``project``;
+other sets (the polytope) loop over ``loo``/``project``.  Neither is a
+learner's oracle call.
+
 Use the module-level wrappers :func:`loo_query` and :func:`so_query`
 when a call should be charged to an :class:`OracleCounters`.
 
@@ -119,7 +125,31 @@ class FeasibleSet:
     def project(self, point: Vector) -> Vector:
         raise NotImplementedError
 
+    def loo_many(self, directions) -> np.ndarray:
+        """``loo`` of every row of a (k, n) array."""
+        return self._rowwise(self.loo, directions)
+
+    def project_many(self, points) -> np.ndarray:
+        """``project`` of every row of a (k, n) array."""
+        return self._rowwise(self.project, points)
+
     # -- helpers --------------------------------------------------------
+    def _rowwise(self, oracle, rows) -> np.ndarray:
+        M = self._check_rows(rows)
+        out = np.empty_like(M)
+        for i, row in enumerate(M):
+            out[i] = oracle(row)
+        return out
+
+    def _check_rows(self, rows) -> np.ndarray:
+        """Coerce to a finite, contiguous (k, n) float64 array."""
+        M = np.ascontiguousarray(rows, dtype=np.float64)
+        if M.ndim != 2 or M.shape[1] != self.n:
+            raise ValueError(f"expected a (k, {self.n}) array, got shape {M.shape}")
+        if not np.all(np.isfinite(M)):
+            raise ValueError("array has non-finite entries")
+        return M
+
     def contains(self, point: Vector) -> bool:
         return self.separate(point).feasible
 
@@ -167,6 +197,23 @@ class Ball(FeasibleSet):
             return y.copy()
         return (self.R / nrm) * y
 
+    def loo_many(self, directions) -> np.ndarray:
+        D = self._check_rows(directions)
+        nrm = np.linalg.norm(D, axis=1)
+        zero = nrm == 0.0
+        V = (-self.R / np.where(zero, 1.0, nrm))[:, None] * D
+        V[zero] = 0.0
+        V[zero, 0] = self.R
+        return V
+
+    def project_many(self, points) -> np.ndarray:
+        Y = self._check_rows(points)
+        nrm = np.linalg.norm(Y, axis=1)
+        out = nrm > self.R
+        X = Y.copy()
+        X[out] = (self.R / nrm[out])[:, None] * Y[out]
+        return X
+
 
 class Box(FeasibleSet):
     """Axis-aligned box [lower, upper] containing the origin."""
@@ -210,15 +257,23 @@ class Box(FeasibleSet):
         y = self._check_dim(point)
         return np.clip(y, self.lower, self.upper)
 
+    def loo_many(self, directions) -> np.ndarray:
+        return np.where(self._check_rows(directions) > 0.0, self.lower, self.upper)
 
-def simplex_project_sorted(y: Vector, s: float) -> Vector:
-    """Project onto {x >= 0, sum(x) = s} by the sort-and-threshold rule."""
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - s
-    idx = np.arange(1, y.shape[0] + 1)
-    cond = u - css / idx > 0
-    rho = int(idx[cond][-1])  # cond[0] always holds for s > 0
-    theta = css[rho - 1] / rho
+    def project_many(self, points) -> np.ndarray:
+        return np.clip(self._check_rows(points), self.lower, self.upper)
+
+
+def simplex_project_sorted(y, s: float) -> np.ndarray:
+    """Project onto {x >= 0, sum(x) = s} by the sort-and-threshold rule;
+    a 2-D ``y`` is projected row by row."""
+    n = y.shape[-1]
+    u = np.sort(y, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - s
+    cond = u - css / np.arange(1, n + 1) > 0
+    # rho: the last index where cond holds (cond[..., 0] always does for s > 0)
+    rho = n - np.argmax(cond[..., ::-1], axis=-1)[..., None]
+    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
     return np.maximum(y - theta, 0.0)
 
 
@@ -274,6 +329,15 @@ class Simplex(FeasibleSet):
         y = self._check_dim(point)
         return simplex_project_sorted(y, self.scale)
 
+    def loo_many(self, directions) -> np.ndarray:
+        D = self._check_rows(directions)
+        V = np.zeros_like(D)
+        V[np.arange(len(D)), np.argmin(D, axis=1)] = self.scale  # lowest index on ties
+        return V
+
+    def project_many(self, points) -> np.ndarray:
+        return simplex_project_sorted(self._check_rows(points), self.scale)
+
 
 class L1Ball(FeasibleSet):
     """Cross-polytope {x : ||x||_1 <= radius}."""
@@ -310,6 +374,23 @@ class L1Ball(FeasibleSet):
             return y.copy()
         w = simplex_project_sorted(np.abs(y), self.R)
         return np.sign(y) * w
+
+    def loo_many(self, directions) -> np.ndarray:
+        D = self._check_rows(directions)
+        rows = np.arange(len(D))
+        j = np.argmax(np.abs(D), axis=1)  # lowest index on ties
+        dj = D[rows, j]
+        V = np.zeros_like(D)
+        V[rows, j] = -self.R * np.sign(dj)
+        V[dj == 0.0, 0] = self.R
+        return V
+
+    def project_many(self, points) -> np.ndarray:
+        Y = self._check_rows(points)
+        X = Y.copy()
+        out = np.sum(np.abs(Y), axis=1) > self.R
+        X[out] = np.sign(Y[out]) * simplex_project_sorted(np.abs(Y[out]), self.R)
+        return X
 
 
 class Polytope(FeasibleSet):
@@ -462,7 +543,7 @@ class Polytope(FeasibleSet):
         p = np.zeros((self.m, self.n))
         stop = 1e-16 * max(1.0, float(np.linalg.norm(y)))
         for _ in range(max_cycles):
-            x_prev = x.copy()
+            x_prev, p_prev = x.copy(), p.copy()
             for i in range(self.m):
                 w = x + p[i]
                 viol = float(self.A[i] @ w - self.b[i])
@@ -471,7 +552,9 @@ class Polytope(FeasibleSet):
                 else:
                     x = w
                 p[i] = w - x
-            if float(np.max(np.abs(x - x_prev))) <= stop:
+            # x can come back to the same point after a cycle while the
+            # corrections still move it on the next one: both must settle
+            if max(float(np.max(np.abs(x - x_prev))), float(np.max(np.abs(p - p_prev)))) <= stop:
                 break
         return x
 
@@ -512,6 +595,12 @@ class SqueezedSetView(FeasibleSet):
     def project(self, point: Vector) -> Vector:
         y = self._check_dim(point)
         return self.factor * self.base.project(y / self.factor)
+
+    def loo_many(self, directions) -> np.ndarray:
+        return self.factor * self.base.loo_many(directions)
+
+    def project_many(self, points) -> np.ndarray:
+        return self.factor * self.base.project_many(self._check_rows(points) / self.factor)
 
 
 # ----------------------------------------------------------------------

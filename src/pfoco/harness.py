@@ -6,14 +6,17 @@ Schedules and play randomness draw from two independent streams spawned
 from the seed, so the loss sequence is oblivious to the learner's
 randomness by construction.
 
-Regret is evaluated against certified comparators only:
+Regret is evaluated against certified comparators only, all intervals
+of a report in one batched scan (``loo_many``/``project_many``, one
+answer per interval):
 
 * all-linear schedules: interval sums of coefficients via prefix sums,
-  one (uncharged) LOO call per interval -- exact minimizer.
+  one (uncharged) LOO answer per interval -- exact minimizer.
 * all-quadratic schedules with a common curvature: the interval
   objective is a single quadratic, so its constrained minimizer is the
   exact projection of the unconstrained one; a one-LOO duality-gap
-  certificate is attached and checked against the comparator tolerance.
+  certificate is attached to every interval and checked against the
+  comparator tolerance.
 
 Schedules without a certified comparator (absolute deviations) are
 refused by the evaluator rather than scored approximately.
@@ -29,11 +32,11 @@ import dataclasses
 import json
 import math
 import os
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Ball, Box, FeasibleSet, L1Ball, Polytope, Simplex, exact_project
+from .geometry import Ball, Box, FeasibleSet, L1Ball, Polytope, Simplex
 from .learners import LEARNERS, LearnerParams, RunTrace, theoretical_bounds
 from .losses import (
     LossSchedule,
@@ -65,7 +68,7 @@ def _check_keys(d: dict, where: str, required: tuple, optional: tuple = ()):
 
 def _num(d: dict, key: str, where: str, default=None, minimum=None):
     v = d.get(key, default)
-    if v is None:
+    if v is None and key not in d:
         raise ConfigError(f"{where}.{key} is required")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number")
@@ -214,6 +217,11 @@ def _validate_learner_cfg(d: dict) -> dict:
     for key, what in entry.required.items():
         if key not in d:
             raise ConfigError(f"learner {kind} requires an explicit {what}")
+    for key in sorted(set(d) - {"kind"}):
+        if key == "K":
+            _int(d, key, "learner", minimum=1)
+        else:
+            _num(d, key, "learner")
     return d
 
 
@@ -348,29 +356,53 @@ class IntervalRegret:
 
 @dataclasses.dataclass
 class RegretReport:
+    """Per-interval regrets as columns, one entry per scored interval in
+    input order; ``argmax`` is the first interval of maximal regret."""
+
     max_regret: float
     argmax: tuple[int, int]
-    intervals: list[IntervalRegret]
+    starts: np.ndarray
+    ends: np.ndarray
+    regrets: np.ndarray
+    method: str
+    gaps: np.ndarray
+    tol: float
 
     @property
     def n_intervals(self) -> int:
-        return len(self.intervals)
+        return len(self.regrets)
+
+    @property
+    def intervals(self) -> list[IntervalRegret]:
+        return [
+            IntervalRegret(int(s), int(e), float(r), ComparatorCertificate(self.method, float(g), self.tol))
+            for s, e, r, g in zip(self.starts, self.ends, self.regrets, self.gaps)
+        ]
+
+
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", A, B)
 
 
 class _LinearComparator:
+    method = "loo_exact"
+    tol = 0.0
+
     def __init__(self, set_: FeasibleSet, schedule: LossSchedule):
         C = schedule.linear_coefficients()
         self.set_ = set_
         self.prefix = np.vstack([np.zeros((1, C.shape[1])), np.cumsum(C, axis=0)])
-        self.cert = ComparatorCertificate("loo_exact", 0.0, 0.0)
 
-    def best(self, s: int, e: int) -> tuple[float, ComparatorCertificate]:
-        csum = self.prefix[e] - self.prefix[s - 1]
-        v = self.set_.loo(csum)
-        return float(csum @ v), self.cert
+    def best_many(self, S: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Optimal values and certificate gaps on the intervals [S[i], E[i]]."""
+        csum = self.prefix[E] - self.prefix[S - 1]
+        V = self.set_.loo_many(csum)
+        return _rowdot(csum, V), np.zeros(len(S))
 
 
 class _QuadraticComparator:
+    method = "projected_quadratic"
+
     def __init__(self, set_: FeasibleSet, schedule: LossSchedule, tol: float):
         alpha, B, C = schedule.quadratic_parts()
         self.set_ = set_
@@ -380,23 +412,27 @@ class _QuadraticComparator:
         self.Sw = np.vstack([np.zeros((1, n)), np.cumsum(alpha * B - C, axis=0)])
         self.Sb2 = np.concatenate([[0.0], np.cumsum(np.sum(B * B, axis=1))])
 
-    def best(self, s: int, e: int) -> tuple[float, ComparatorCertificate]:
-        length = e - s + 1
-        w = self.Sw[e] - self.Sw[s - 1]
-        x = exact_project(self.set_, w / (self.alpha * length))
-        value = (
-            0.5 * self.alpha * length * float(x @ x)
-            - float(w @ x)
-            + 0.5 * self.alpha * (self.Sb2[e] - self.Sb2[s - 1])
+    def best_many(self, S: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Optimal values and duality gaps on the intervals [S[i], E[i]];
+        a gap above the tolerance fails the first such interval."""
+        length = (E - S + 1).astype(np.float64)
+        W = self.Sw[E] - self.Sw[S - 1]
+        X = self.set_.project_many(W / (self.alpha * length)[:, None])
+        values = (
+            0.5 * self.alpha * length * _rowdot(X, X)
+            - _rowdot(W, X)
+            + 0.5 * self.alpha * (self.Sb2[E] - self.Sb2[S - 1])
         )
-        grad = self.alpha * length * x - w
-        v = self.set_.loo(grad)
-        gap = float(grad @ (x - v))
-        if gap > self.tol:
+        grad = (self.alpha * length)[:, None] * X - W
+        gaps = _rowdot(grad, X - self.set_.loo_many(grad))
+        failed = np.flatnonzero(gaps > self.tol)
+        if failed.size:
+            i = failed[0]
             raise RuntimeError(
-                f"comparator certificate failed on [{s}, {e}]: duality gap {gap:.3e} exceeds tolerance {self.tol:.3e}"
+                f"comparator certificate failed on [{S[i]}, {E[i]}]: duality gap {gaps[i]:.3e} "
+                f"exceeds tolerance {self.tol:.3e}"
             )
-        return value, ComparatorCertificate("projected_quadratic", gap, self.tol)
+        return values, gaps
 
 
 def _comparator(set_: FeasibleSet, schedule: LossSchedule, tol: Optional[float]):
@@ -413,27 +449,27 @@ def interval_regret_report(
     trace: RunTrace,
     schedule: LossSchedule,
     set_: FeasibleSet,
-    intervals: list[tuple[int, int]],
+    intervals: Sequence[tuple[int, int]],
     comparator_tol: Optional[float] = None,
 ) -> RegretReport:
     """Regret of the played sequence on each interval, vs the certified
     interval minimizer."""
-    if not intervals:
+    if not len(intervals):
         raise ValueError("no intervals to score")
+    pairs = np.asarray(intervals)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise ValueError("intervals must be [start, end] integer pairs")
+    S, E = pairs[:, 0], pairs[:, 1]
+    outside = np.flatnonzero(~((1 <= S) & (S <= E) & (E <= trace.T)))
+    if outside.size:
+        s, e = pairs[outside[0]]
+        raise ValueError(f"interval [{s}, {e}] out of range")
     comp = _comparator(set_, schedule, comparator_tol)
     played_prefix = np.concatenate([[0.0], np.cumsum(trace.losses)])
-    results = []
-    best: Optional[IntervalRegret] = None
-    for s, e in intervals:
-        if not (1 <= s <= e <= trace.T):
-            raise ValueError(f"interval [{s}, {e}] out of range")
-        opt, cert = comp.best(s, e)
-        reg = float(played_prefix[e] - played_prefix[s - 1] - opt)
-        item = IntervalRegret(s, e, reg, cert)
-        results.append(item)
-        if best is None or reg > best.regret:
-            best = item
-    return RegretReport(best.regret, (best.start, best.end), results)
+    opt, gaps = comp.best_many(S, E)
+    regrets = played_prefix[E] - played_prefix[S - 1] - opt
+    i = int(np.argmax(regrets))
+    return RegretReport(float(regrets[i]), (int(S[i]), int(E[i])), S, E, regrets, comp.method, gaps, comp.tol)
 
 
 def static_regret(
@@ -541,11 +577,6 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunTrace, LossSchedule, F
         summary["observed"]["static_regret"] = None
         summary["observed"]["comparator"] = "unavailable for this loss kind"
     return trace, schedule, set_, summary
-
-
-def run_experiment(cfg: ExperimentConfig, seeds: Optional[list[int]] = None):
-    """Run every seed; returns (trace, schedule, set, summary) tuples."""
-    return [run_one(cfg, s) for s in (seeds if seeds is not None else cfg.seeds)]
 
 
 def resolve_out_dir(cli_out: Optional[str], cfg: ExperimentConfig) -> str:

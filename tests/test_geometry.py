@@ -183,6 +183,20 @@ def test_polytope_loo_zero_direction_is_fixed():
     assert poly.contains(first)
 
 
+def test_polytope_projection_when_a_dykstra_cycle_repeats_its_point():
+    # after its second cycle Dykstra's iterate equals the first cycle's
+    # while the corrections still move it; stopping there left a dual gap
+    # of 2.7 that the certification steps could not close
+    poly = random_set(np.random.default_rng([0, 1]), "polytope")
+    y = np.array([-2.63736117, 4.44067331, 3.23761629, 2.48257975])
+    x = poly.project(y)
+    assert poly.contains(x)
+    v = poly.loo(x - y)
+    assert float((x - v) @ (x - y)) <= Polytope.PROJECT_GAP_TOL
+    for z in sample_members(poly, np.random.default_rng(2), 40):
+        assert float((y - x) @ (z - x)) <= 1e-9
+
+
 def test_polytope_axis_directions_on_box_faces():
     # +-e_i on a polytope with box faces has a whole face of optima
     # (dual degenerate); the answer must still be an optimal member
@@ -327,6 +341,55 @@ def test_squeezed_point_plus_margin_stays_inside():
                 u = rng.standard_normal(set_.n)
                 u /= np.linalg.norm(u)
                 assert outer.contains(z + delta * (r - dp) * u)
+
+
+# ----------------------------------------------------------------------
+# batched oracles
+
+
+def _batch_rows(rng, set_, k=40):
+    """LOO directions with zero rows and tied entries, and points inside
+    and outside the set, some of them with tied entries too."""
+    n = set_.n
+    ties = np.concatenate([np.round(rng.standard_normal((k // 4, n))), np.full((2, n), 0.7), -np.full((2, n), 1.3)])
+    directions = np.concatenate(
+        [rng.standard_normal((k // 2, n)) * rng.uniform(0.01, 100.0, (k // 2, 1)), ties, np.zeros((2, n))]
+    )
+    inside = sample_members(set_, rng, k // 4)
+    if set_.r > 0:
+        inside = 0.5 * inside
+    points = np.concatenate([inside, set_.R * ties / 2.0, rng.standard_normal((k // 2, n)) * 2.0 * set_.R])
+    return directions, points
+
+
+@pytest.mark.parametrize("squeezed", [False, True], ids=["set", "squeezed"])
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_batched_oracles_equal_row_by_row(kind, squeezed):
+    for seed in range(4):
+        # twin sets: the polytope's answer on tied optima depends on its
+        # query history, so each side queries a fresh copy in the same order
+        batch, single = (random_set(np.random.default_rng([seed, 1]), kind) for _ in range(2))
+        if squeezed:
+            batch, single = squeeze(batch, 0.6), squeeze(single, 0.6)
+        directions, points = _batch_rows(np.random.default_rng([seed, 2]), single)
+        for oracle, rows in (("loo", directions), ("project", points)):
+            many = getattr(batch, oracle + "_many")(rows)
+            one = np.array([getattr(single, oracle)(row) for row in rows])
+            assert many.shape == rows.shape
+            if kind == "ball":  # a norm is taken: the row norms may round differently
+                np.testing.assert_allclose(many, one, rtol=1e-15, atol=0.0)
+            else:
+                np.testing.assert_array_equal(many, one)
+
+
+def test_batched_oracles_check_their_input():
+    ball = Ball(3, 1.0)
+    poly = make_polytope(np.random.default_rng(3), 3)
+    assert ball.loo_many(np.zeros((0, 3))).shape == (0, 3)
+    for bad in (np.ones(3), np.ones((2, 2)), np.array([[np.inf, 0.0, 0.0]])):
+        for oracle in (ball.loo_many, ball.project_many, poly.loo_many):
+            with pytest.raises(ValueError):
+                oracle(bad)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from pfoco.harness import (
 from pfoco.learners import ogd_wf_run
 from pfoco.losses import make_iid_absdev_schedule, make_iid_linear_schedule, make_iid_quadratic_schedule
 
-from support import sample_members
+from support import SET_KINDS, random_set, sample_members
 
 
 def _base_config(**overrides):
@@ -83,6 +83,23 @@ def test_learner_keys_must_match_kind():
         parse_config_dict(_base_config(learner={"kind": "so_ogd", "eta": 0.1}))
     with pytest.raises(ConfigError, match="requires an explicit exploration constant"):
         parse_config_dict(_base_config(learner={"kind": "loo_bbgd"}))
+
+
+def test_learner_values_are_validated_not_coerced():
+    for learner, message in (
+        ({"kind": "loo_bogd", "K": 2.5}, "learner.K must be an integer"),
+        ({"kind": "loo_bogd", "K": 0}, "learner.K must be >= 1"),
+        ({"kind": "loo_bogd", "K": True}, "learner.K must be a number"),
+        ({"kind": "loo_bogd", "eps": True}, "learner.eps must be a number"),
+        ({"kind": "loo_bogd", "eta": "0.1"}, "learner.eta must be a number"),
+        ({"kind": "loo_bogd_sc", "alpha": None}, "learner.alpha must be a number"),
+        ({"kind": "loo_bbgd", "c": [1.0]}, "learner.c must be a number"),
+        ({"kind": "so_bgd", "c_prime": False}, "learner.c_prime must be a number"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_dict(_base_config(learner=learner))
+    cfg = parse_config_dict(_base_config(learner={"kind": "loo_bogd", "K": 4.0, "eps": 1, "eta": 0.5}))
+    assert cfg.learner_cfg["K"] == 4.0
 
 
 def test_segment_lengths_must_sum_to_horizon():
@@ -212,6 +229,91 @@ def test_linear_interval_regret_matches_direct_sum():
     assert report.max_regret == max(r.regret for r in report.intervals)
     with pytest.raises(ValueError, match="no intervals"):
         interval_regret_report(trace, schedule, set_, [])
+
+
+def _reference_scan(trace, schedule, set_, intervals):
+    """The per-interval scan: one loo, and one project for quadratics, per
+    interval; (start, end, regret, gap) rows."""
+    played = np.concatenate([[0.0], np.cumsum(trace.losses)])
+    rows = []
+    if schedule.kind == "linear":
+        C = schedule.linear_coefficients()
+        prefix = np.vstack([np.zeros((1, C.shape[1])), np.cumsum(C, axis=0)])
+    else:
+        alpha, B, C = schedule.quadratic_parts()
+        Sw = np.vstack([np.zeros((1, B.shape[1])), np.cumsum(alpha * B - C, axis=0)])
+        Sb2 = np.concatenate([[0.0], np.cumsum(np.sum(B * B, axis=1))])
+    for s, e in intervals:
+        if schedule.kind == "linear":
+            csum = prefix[e] - prefix[s - 1]
+            opt, gap = float(csum @ set_.loo(csum)), 0.0
+        else:
+            length = e - s + 1
+            w = Sw[e] - Sw[s - 1]
+            x = set_.project(w / (alpha * length))
+            opt = 0.5 * alpha * length * float(x @ x) - float(w @ x) + 0.5 * alpha * (Sb2[e] - Sb2[s - 1])
+            grad = alpha * length * x - w
+            gap = float(grad @ (x - set_.loo(grad)))
+        rows.append((s, e, float(played[e] - played[s - 1] - opt), gap))
+    return rows
+
+
+@pytest.mark.parametrize("loss", ["linear", "quadratic"])
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_batched_report_matches_per_interval_scan(kind, loss):
+    T = 24
+    for seed in range(3):
+        # twin sets: the polytope's answer on tied optima depends on its query history
+        set_, twin = (random_set(np.random.default_rng([seed, 5]), kind) for _ in range(2))
+        rng = np.random.default_rng([seed, 6])
+        if loss == "linear":
+            schedule = make_iid_linear_schedule(T, set_.n, set_.R, rng)
+        else:  # targets mostly outside the set, so the projections do work
+            schedule = make_iid_quadratic_schedule(T, set_.n, set_.R, rng, alpha=1.5, spread=2.0 * set_.R)
+        trace = _played_trace(set_, schedule, rng)
+        intervals = strided_intervals(T, [1, 9, 17])[::-1]
+        report = interval_regret_report(trace, schedule, set_, intervals)
+        ref = _reference_scan(trace, schedule, twin, intervals)
+        assert report.n_intervals == len(intervals)
+        assert [(r.start, r.end) for r in report.intervals] == intervals
+        assert report.regrets.tolist() == pytest.approx([r[2] for r in ref], rel=1e-12, abs=1e-12)
+        assert report.gaps.tolist() == pytest.approx([r[3] for r in ref], rel=1e-12, abs=1e-12)
+        method = "loo_exact" if loss == "linear" else "projected_quadratic"
+        assert {r.certificate.method for r in report.intervals} == {method}
+        first_max = int(np.argmax(report.regrets))
+        assert report.max_regret == report.regrets[first_max] == max(report.regrets)
+        assert report.argmax == intervals[first_max]
+
+
+def test_certificate_failure_names_the_first_failing_interval():
+    rng = np.random.default_rng(29)
+    set_ = L1Ball(4, 1.0)
+    schedule = make_iid_quadratic_schedule(30, 4, set_.R, rng, alpha=1.0, spread=2.0)
+    trace = _played_trace(set_, schedule, rng)
+    intervals = strided_intervals(30)[::-1]
+    gaps = interval_regret_report(trace, schedule, set_, intervals).gaps
+    # a tolerance that the first interval meets but a later one does not
+    order = np.argsort(gaps, kind="stable")
+    intervals = [intervals[i] for i in order]
+    gaps = gaps[order]
+    assert gaps[0] < gaps[-1]
+    first_failing = intervals[int(np.flatnonzero(gaps > gaps[0])[0])]
+    with pytest.raises(RuntimeError, match=rf"certificate failed on \[{first_failing[0]}, {first_failing[1]}\]"):
+        interval_regret_report(trace, schedule, set_, intervals, comparator_tol=float(gaps[0]))
+    with pytest.raises(RuntimeError, match=rf"failed on \[{intervals[0][0]}, {intervals[0][1]}\]"):
+        interval_regret_report(trace, schedule, set_, intervals, comparator_tol=-1.0)
+
+
+def test_out_of_range_and_malformed_intervals_raise():
+    rng = np.random.default_rng(31)
+    set_ = Ball(2, 1.0)
+    schedule = make_iid_linear_schedule(10, 2, set_.R, rng)
+    trace = _played_trace(set_, schedule, rng)
+    for bad, first in (([(1, 5), (0, 3), (4, 11)], (0, 3)), ([(2, 4), (6, 5)], (6, 5)), ([(3, 11)], (3, 11))):
+        with pytest.raises(ValueError, match=rf"interval \[{first[0]}, {first[1]}\] out of range"):
+            interval_regret_report(trace, schedule, set_, bad)
+    with pytest.raises(ValueError, match="integer pairs"):
+        interval_regret_report(trace, schedule, set_, [(1.5, 3)])
 
 
 def test_linear_comparator_beats_sampled_points():
@@ -437,6 +539,40 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     tight = _write_cfg(tmp_path, _base_config(T=9, learner={"kind": "so_ogd"}), "tight.json")
     assert cli_main(["validate", tight]) == 2
     assert "c*T^(-1/2) < 1" in capsys.readouterr().err
+
+    # learner values are checked, not truncated or cast
+    learner = {"kind": "loo_bogd", "K": 2.5, "eps": True}
+    coerced = _write_cfg(tmp_path, _base_config(T=100, learner=learner), "coerced.json")
+    assert cli_main(["validate", coerced]) == 2
+    assert "learner.K must be an integer" in capsys.readouterr().err
+
+
+def test_cli_regret_checks_the_loss_column(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _base_config(T=64, seeds=[0, 1]))
+    out = str(tmp_path / "out")
+    assert cli_main(["run", cfg_path, "--out", out]) == 0
+    trace_path = os.path.join(out, "cfg_seed1.csv")
+    assert cli_main(["regret", trace_path, cfg_path]) == 0
+    capsys.readouterr()
+
+    with open(trace_path) as fh:
+        lines = fh.read().splitlines()
+    row = lines[23].split(",")  # round 23
+    row[2] = format(float(row[2]) - 5.0, ".17g")
+    lines[23] = ",".join(row)
+    with open(trace_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert cli_main(["regret", trace_path, cfg_path]) == 2
+    assert "trace loss at round 23" in capsys.readouterr().err
+
+    # without a summary the check still runs
+    os.remove(os.path.join(out, "cfg_seed1.summary.json"))
+    assert cli_main(["regret", trace_path, cfg_path, "--seed", "1"]) == 2
+    assert "trace loss at round 23" in capsys.readouterr().err
+    # nor does another seed's schedule (round 1 plays the origin, where every loss is 0)
+    os.remove(os.path.join(out, "cfg_seed0.summary.json"))
+    assert cli_main(["regret", os.path.join(out, "cfg_seed0.csv"), cfg_path, "--seed", "1"]) == 2
+    assert "trace loss at round 2 " in capsys.readouterr().err
 
 
 def test_cli_intervals_file_and_missing_config(tmp_path, capsys):
