@@ -8,7 +8,9 @@ ball, l1 ball, box and polytope, mostly under switching schedules with
 (each LOO config has at least one projection that leaves its anchor).
 Sums stand in for a digest of the trace: the last bits of a dot product
 depend on the BLAS kernel a CPU selects, which a byte digest would turn
-into a spurious failure.
+into a spurious failure.  ``loo_bogd_l1_iid_quad`` gives every round its
+own loss, and ``so_bgd_l1_switch_lin_pull`` is a bandit SO run whose
+projections pull (more SO calls than rounds).
 """
 
 import json
@@ -18,9 +20,11 @@ import numpy as np
 import pytest
 
 from pfoco.harness import parse_config_dict, run_one
+from support import check_cip_so_record
 
 with open(os.path.join(os.path.dirname(__file__), "golden_runs.json")) as _fh:
     GOLDEN = json.load(_fh)
+GOLDEN_BY_NAME = {c["name"]: c for c in GOLDEN}
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
@@ -38,3 +42,12 @@ def test_golden_run(case):
     assert float(trace.losses.sum()) == pytest.approx(want["losses_sum"], rel=1e-9, abs=1e-12)
     if cfg.learner_cfg["kind"].startswith("loo_"):
         assert any(rec.outer_iterations > 0 for rec in trace.projections)
+
+
+def test_golden_bandit_so_run_pulls_within_its_ceilings():
+    cfg = parse_config_dict(GOLDEN_BY_NAME["so_bgd_l1_switch_lin_pull"]["config"])
+    trace, _, set_, _ = run_one(cfg, cfg.seeds[0])
+    assert trace.counters.so_calls > cfg.T
+    assert any(rec.so_calls > 1 for rec in trace.projections)
+    for rec in trace.projections:
+        check_cip_so_record(rec, set_)
