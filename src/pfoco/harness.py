@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -384,14 +385,20 @@ def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
+def _prefix(A: np.ndarray) -> np.ndarray:
+    """Running sums along axis 0 after a zero row: out[k] = A[0] + ... + A[k-1]."""
+    out = np.zeros((A.shape[0] + 1,) + A.shape[1:])
+    np.cumsum(A, axis=0, out=out[1:])
+    return out
+
+
 class _LinearComparator:
     method = "loo_exact"
     tol = 0.0
 
     def __init__(self, set_: FeasibleSet, schedule: LossSchedule):
-        C = schedule.linear_coefficients()
         self.set_ = set_
-        self.prefix = np.vstack([np.zeros((1, C.shape[1])), np.cumsum(C, axis=0)])
+        self.prefix = _prefix(schedule.linear_coefficients())
 
     def best_many(self, S: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Optimal values and certificate gaps on the intervals [S[i], E[i]]."""
@@ -408,9 +415,8 @@ class _QuadraticComparator:
         self.set_ = set_
         self.alpha = alpha
         self.tol = tol
-        n = B.shape[1]
-        self.Sw = np.vstack([np.zeros((1, n)), np.cumsum(alpha * B - C, axis=0)])
-        self.Sb2 = np.concatenate([[0.0], np.cumsum(np.sum(B * B, axis=1))])
+        self.Sw = _prefix(alpha * B - C)
+        self.Sb2 = _prefix(np.sum(B * B, axis=1))
 
     def best_many(self, S: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Optimal values and duality gaps on the intervals [S[i], E[i]];
@@ -465,7 +471,7 @@ def interval_regret_report(
         s, e = pairs[outside[0]]
         raise ValueError(f"interval [{s}, {e}] out of range")
     comp = _comparator(set_, schedule, comparator_tol)
-    played_prefix = np.concatenate([[0.0], np.cumsum(trace.losses)])
+    played_prefix = _prefix(trace.losses)
     opt, gaps = comp.best_many(S, E)
     regrets = played_prefix[E] - played_prefix[S - 1] - opt
     i = int(np.argmax(regrets))
@@ -485,31 +491,39 @@ def static_regret(
 # trace files
 
 
+_TRACE_HEADER = ["t", "x", "loss", "loo_calls_cum", "so_calls_cum", "block_index"]
+_TRACE_CHUNK = 1024  # rows per format call; bounds the Python objects alive at once
+
+
 def write_trace_csv(trace: RunTrace, path: str) -> None:
     """Columns: t, x (semicolon-joined, 17 significant digits), loss,
-    loo_calls_cum, so_calls_cum, block_index; LF line endings."""
+    loo_calls_cum, so_calls_cum, block_index; LF line endings.
+
+    Each chunk of rows is one ``%`` format of a repeated row template;
+    no field can hold a comma, quote or line break, so the bytes are
+    those a ``csv.writer`` would write."""
+    T, n = trace.plays.shape
+    row = "%d," + ";".join(["%.17g"] * n) + ",%.17g,%d,%d,%d\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "x", "loss", "loo_calls_cum", "so_calls_cum", "block_index"])
-        for t in range(trace.T):
-            w.writerow(
-                [
-                    t + 1,
-                    ";".join(format(v, ".17g") for v in trace.plays[t]),
-                    format(trace.losses[t], ".17g"),
-                    int(trace.loo_cum[t]),
-                    int(trace.so_cum[t]),
-                    int(trace.block_index[t]),
-                ]
+        fh.write(",".join(_TRACE_HEADER) + "\n")
+        for lo in range(0, T, _TRACE_CHUNK):
+            hi = min(lo + _TRACE_CHUNK, T)
+            columns = (
+                range(lo + 1, hi + 1),
+                *trace.plays[lo:hi].T.tolist(),
+                trace.losses[lo:hi].tolist(),
+                trace.loo_cum[lo:hi].tolist(),
+                trace.so_cum[lo:hi].tolist(),
+                trace.block_index[lo:hi].tolist(),
             )
+            fh.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
 def read_trace_csv(path: str) -> RunTrace:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    header = ["t", "x", "loss", "loo_calls_cum", "so_calls_cum", "block_index"]
-    if not rows or rows[0] != header:
-        raise ValueError(f"not a trace CSV (expected header {header})")
+    if not rows or rows[0] != _TRACE_HEADER:
+        raise ValueError(f"not a trace CSV (expected header {_TRACE_HEADER})")
     T = len(rows) - 1
     plays = np.array([[float(v) for v in row[1].split(";")] for row in rows[1:]])
     return RunTrace(

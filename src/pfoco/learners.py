@@ -409,8 +409,9 @@ def ogd_wf_run(
     plays = np.empty((T, n))
     losses = np.empty(T)
     gnorms = np.empty(T)
+    table, rows = schedule.table, schedule.rows.tolist()
     for t in range(T):
-        f = schedule.losses[t]
+        f = table[rows[t]]
         plays[t] = x
         val = f.value(x)
         g = f.subgrad(x)
@@ -459,10 +460,14 @@ def loo_run(
     block start from the previous block's accumulated gradient steps;
     the block's plays stay at the anchor produced two blocks back.
     Full information (loo_bogd, loo_bogd_sc) steps along the subgradient
-    at the block's target.  Bandit feedback (loo_bbgd) keeps the anchors
-    on the (1 - delta/r)-squeezed set, plays each anchor plus a
-    delta-sphere perturbation, which stays inside the original set, and
-    steps along the one-point estimate from the single observed value.
+    at the block's target; play and target are fixed for the block, so
+    each run of rounds sharing a loss-table row costs one value, one
+    subgradient and one norm, and the block's steps are subtracted from
+    y in round order by one ``np.subtract.accumulate``.  Bandit feedback
+    (loo_bbgd) keeps the anchors on the (1 - delta/r)-squeezed set,
+    plays each anchor plus a delta-sphere perturbation, which stays
+    inside the original set, and steps along the one-point estimate
+    from the single observed value.
     """
     t0 = time.perf_counter()
     bandit = _is_bandit(params, schedule, rng, loo_run)
@@ -471,6 +476,7 @@ def loo_run(
     delta = params.delta  # exploration radius
     view = squeeze(set_, 1.0 - delta / set_.r) if bandit else set_
     U = sample_unit_sphere(rng, n, T) if bandit else None
+    table, rows = schedule.table, schedule.rows
     counters = OracleCounters()
     start = np.array(view.center)
     # play and gradient point of this block, and of the next one (the
@@ -490,22 +496,28 @@ def loo_run(
             (anchor, target), upcoming = upcoming, (res.x, res.y)
             y = target.copy()
         eta = float(params.eta_m[m - 1])
-        first = (m - 1) * K
-        loo_cum[first : first + K] = counters.loo_calls  # no LOO call inside a block
-        for t in range(first, min(first + K, T)):
-            f = schedule.losses[t]
-            if bandit:
+        first, last = (m - 1) * K, min(m * K, T)
+        loo_cum[first:last] = counters.loo_calls  # no LOO call inside a block
+        if bandit:
+            for t in range(first, last):
                 z = anchor + delta * U[t]
                 plays[t] = z
-                val = f.value(z)
+                val = table[rows[t]].value(z)
                 losses[t] = val
                 y = y - eta * bandit_gradient_estimate(val, U[t], n, delta)
-            else:
-                plays[t] = anchor
-                losses[t] = f.value(anchor)
-                g = f.subgrad(target)
-                gnorms[t] = np.linalg.norm(g)
-                y = y - eta * g
+            continue
+        plays[first:last] = anchor
+        steps = np.empty((last - first + 1, n))
+        steps[0] = y
+        edges = [first, *(np.flatnonzero(np.diff(rows[first:last])) + first + 1).tolist(), last]
+        for a, b in zip(edges[:-1], edges[1:]):
+            f = table[rows[a]]
+            losses[a:b] = f.value(anchor)
+            g = f.subgrad(target)
+            gnorms[a:b] = np.linalg.norm(g)
+            steps[a - first + 1 : b - first + 1] = eta * g
+        # sequential, so y - s_1 - s_2 ... rounds exactly as a per-round loop
+        y = np.subtract.accumulate(steps)[-1]
     return RunTrace(
         plays=plays,
         losses=losses,
@@ -550,8 +562,9 @@ def so_run(
     gnorms = None if bandit else np.empty(T)
     so_cum = np.empty(T, dtype=np.int64)
     projections = []
+    table, rows = schedule.table, schedule.rows.tolist()
     for t in range(T):
-        f = schedule.losses[t]
+        f = table[rows[t]]
         if bandit:
             z = ytil + dp * U[t]
             plays[t] = z

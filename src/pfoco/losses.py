@@ -6,6 +6,13 @@ from their coefficients and the domain radius R they will be played on:
 ``alpha`` is the strong-convexity modulus (0 when merely convex).
 Learners size their step schedules from these declared values.
 
+A :class:`LossSchedule` stores the distinct losses once, in a table,
+and an int array giving each round its table row.  A switching schedule
+plays one loss for a whole segment, so its table holds one loss per
+segment and a T-round schedule costs a few objects, not T; a learner
+whose play and gradient point are fixed for a block evaluates each run
+of equal rows once.  An iid schedule has one row per round.
+
 Bandit learners never see subgradients; they play a perturbed point
 z = x + delta*u with u uniform on the unit sphere and build the
 one-point estimate g = (n/delta) f(z) u, whose expectation is the
@@ -158,52 +165,95 @@ def smoothed_value_mc(loss, x: Vector, delta: float, samples: int, rng: np.rando
 
 @dataclasses.dataclass
 class LossSchedule:
-    """A fixed (oblivious) sequence of per-round losses.
+    """A fixed (oblivious) sequence of per-round losses, stored as a
+    table of distinct losses plus the table row each round plays.
 
+    ``rows[t - 1]`` is the index into ``table`` of round t's loss.  A
+    switching schedule repeats one loss for a whole segment, so its
+    table has one row per segment and learners can evaluate a run of
+    equal rows once; an iid schedule has one row per round.
     ``boundaries`` holds the 1-based first round of each segment; the
     harness aligns adaptive-regret intervals with them.  Aggregate
-    declared bounds cover every round.
+    declared bounds cover every row.
     """
 
-    losses: list
+    table: list
+    rows: np.ndarray
     boundaries: list[int]
     kind: str
     G_f: float
     M: float
     alpha_min: float
 
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=np.intp)
+        if self.rows.ndim != 1 or not self.rows.size:
+            raise ValueError("rows must be a non-empty 1-D array of table indices")
+        if self.rows.min() < 0 or self.rows.max() >= len(self.table):
+            raise ValueError(f"rows index outside the {len(self.table)}-row loss table")
+
     @property
     def T(self) -> int:
-        return len(self.losses)
+        return len(self.rows)
 
     def loss_at(self, t: int):
         """1-based round index, matching the play/regret conventions."""
-        return self.losses[t - 1]
+        return self.table[self.rows[t - 1]]
 
     def linear_coefficients(self) -> np.ndarray:
+        """(T, n) coefficients, one row per round."""
         if self.kind != "linear":
             raise ValueError("schedule is not all-linear")
-        return np.stack([f.c for f in self.losses])
+        return np.stack([f.c for f in self.table])[self.rows]
 
     def quadratic_parts(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Common alpha, target matrix, linear-term matrix."""
+        """Common alpha, target matrix, linear-term matrix (one row per round)."""
         if self.kind != "quadratic":
             raise ValueError("schedule is not all-quadratic")
-        alphas = {f.alpha for f in self.losses}
+        alphas = {f.alpha for f in self.table}
         if len(alphas) != 1:
             raise ValueError("comparators need a common curvature")
-        return self.losses[0].alpha, np.stack([f.b for f in self.losses]), np.stack([f.c for f in self.losses])
+        B = np.stack([f.b for f in self.table])
+        C = np.stack([f.c for f in self.table])
+        return self.table[0].alpha, B[self.rows], C[self.rows]
 
 
-def _aggregate(losses: Sequence, kind: str, boundaries: list[int]) -> LossSchedule:
+def _schedule(table: Sequence, rows, kind: str, boundaries: list[int]) -> LossSchedule:
+    if not len(table):
+        raise ValueError("T must be >= 1")
     return LossSchedule(
-        losses=list(losses),
+        table=list(table),
+        rows=rows,
         boundaries=boundaries,
         kind=kind,
-        G_f=max(f.G_f for f in losses),
-        M=max(f.M for f in losses),
-        alpha_min=min(f.alpha for f in losses),
+        G_f=max(f.G_f for f in table),
+        M=max(f.M for f in table),
+        alpha_min=min(f.alpha for f in table),
     )
+
+
+def _iid(table: Sequence, kind: str) -> LossSchedule:
+    return _schedule(table, np.arange(len(table)), kind, [1])
+
+
+def _switching(segments, n: int, make, kind: str, T: int) -> LossSchedule:
+    """One table row per segment, built by ``make(target)``; round rows
+    repeat each segment's row over its length."""
+    table, lengths, boundaries = [], [], []
+    pos = 1
+    for length, target in segments:
+        tv = as_vector(target)
+        if tv.shape != (n,):
+            raise ValueError("segment target has wrong dimension")
+        if int(length) != length or length < 1:
+            raise ValueError("segment lengths must be positive integers")
+        table.append(make(tv))
+        lengths.append(int(length))
+        boundaries.append(pos)
+        pos += int(length)
+    if pos - 1 != T:
+        raise ValueError("segment lengths must sum to T")
+    return _schedule(table, np.repeat(np.arange(len(table)), lengths), kind, boundaries)
 
 
 def make_iid_linear_schedule(T: int, n: int, R: float, rng: np.random.Generator, scale: float = 1.0) -> LossSchedule:
@@ -211,7 +261,7 @@ def make_iid_linear_schedule(T: int, n: int, R: float, rng: np.random.Generator,
     if T < 1:
         raise ValueError("T must be >= 1")
     C = scale * sample_unit_sphere(rng, n, T)
-    return _aggregate([LinearLoss(c, R) for c in C], "linear", [1])
+    return _iid([LinearLoss(c, R) for c in C], "linear")
 
 
 def make_switching_linear_schedule(T: int, n: int, R: float, segments, gain: float = 1.0) -> LossSchedule:
@@ -221,23 +271,14 @@ def make_switching_linear_schedule(T: int, n: int, R: float, segments, gain: flo
     to T; within a segment every loss is c = -gain * target/||target||,
     so the segment minimizer is the set's vertex in the target direction.
     """
-    losses: list = []
-    boundaries: list[int] = []
-    pos = 1
-    for length, target in segments:
-        tv = as_vector(target)
-        if tv.shape != (n,):
-            raise ValueError("segment target has wrong dimension")
+
+    def make(tv):
         nrm = float(np.linalg.norm(tv))
         if nrm == 0:
             raise ValueError("segment target must be nonzero")
-        c = -gain * tv / nrm
-        boundaries.append(pos)
-        losses.extend(LinearLoss(c, R) for _ in range(int(length)))
-        pos += int(length)
-    if len(losses) != T:
-        raise ValueError("segment lengths must sum to T")
-    return _aggregate(losses, "linear", boundaries)
+        return LinearLoss(-gain * tv / nrm, R)
+
+    return _switching(segments, n, make, "linear", T)
 
 
 def make_iid_quadratic_schedule(
@@ -250,28 +291,16 @@ def make_iid_quadratic_schedule(
 ) -> LossSchedule:
     """T quadratics alpha/2 ||x - b_t||^2 with targets in a small ball."""
     B = spread * sample_unit_ball(rng, n, T)
-    return _aggregate([QuadraticLoss(alpha, b, R) for b in B], "quadratic", [1])
+    return _iid([QuadraticLoss(alpha, b, R) for b in B], "quadratic")
 
 
 def make_switching_quadratic_schedule(T: int, n: int, R: float, segments, alpha: float = 1.0) -> LossSchedule:
     """Piecewise-constant quadratics; each segment minimizes at its target."""
-    losses: list = []
-    boundaries: list[int] = []
-    pos = 1
-    for length, target in segments:
-        tv = as_vector(target)
-        if tv.shape != (n,):
-            raise ValueError("segment target has wrong dimension")
-        boundaries.append(pos)
-        losses.extend(QuadraticLoss(alpha, tv, R) for _ in range(int(length)))
-        pos += int(length)
-    if len(losses) != T:
-        raise ValueError("segment lengths must sum to T")
-    return _aggregate(losses, "quadratic", boundaries)
+    return _switching(segments, n, lambda tv: QuadraticLoss(alpha, tv, R), "quadratic", T)
 
 
 def make_iid_absdev_schedule(T: int, n: int, R: float, rng: np.random.Generator, scale: float = 1.0) -> LossSchedule:
     """T independent |a_t @ x - b_t| losses (no certified comparator)."""
     A = scale * sample_unit_sphere(rng, n, T)
     bs = rng.uniform(-0.5, 0.5, T) * scale * R
-    return _aggregate([AbsDevLoss(a, b, R) for a, b in zip(A, bs)], "absdev", [1])
+    return _iid([AbsDevLoss(a, b, R) for a, b in zip(A, bs)], "absdev")

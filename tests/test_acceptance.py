@@ -304,7 +304,8 @@ def _drifting_linear_schedule(T, n, R, rng, drift_scale=0.7):
     C = rng.standard_normal((T, n)) * (1.0 - drift_scale) + drift_scale * d
     C /= np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1e-12)
     return LossSchedule(
-        losses=[LinearLoss(c, R) for c in C], boundaries=[1], kind="linear", G_f=1.0, M=R, alpha_min=0.0
+        table=[LinearLoss(c, R) for c in C], rows=np.arange(T), boundaries=[1], kind="linear", G_f=1.0, M=R,
+        alpha_min=0.0,
     )
 
 

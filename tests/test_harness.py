@@ -1,5 +1,6 @@
 """Config validation, regret evaluators, interval policies, trace files, CLI."""
 
+import csv
 import json
 import math
 import os
@@ -205,7 +206,7 @@ def test_intervals_from_cfg_list_policy():
 def _played_trace(set_, schedule, rng):
     # an arbitrary feasible play sequence with recorded losses
     plays = sample_members(set_, rng, schedule.T)
-    losses = np.array([schedule.losses[t].value(plays[t]) for t in range(schedule.T)])
+    losses = np.array([schedule.loss_at(t + 1).value(plays[t]) for t in range(schedule.T)])
     zeros = np.zeros(schedule.T, dtype=np.int64)
     from pfoco.learners import RunTrace
 
@@ -222,7 +223,7 @@ def test_linear_interval_regret_matches_direct_sum():
     for s, e in [(1, 40), (5, 5), (13, 29), (40, 40), (2, 39)]:
         csum = np.sum(schedule.linear_coefficients()[s - 1 : e], axis=0)
         comp = float(csum @ set_.loo(csum))
-        direct = sum(float(schedule.losses[t - 1].value(trace.plays[t - 1])) for t in range(s, e + 1))
+        direct = sum(float(schedule.loss_at(t).value(trace.plays[t - 1])) for t in range(s, e + 1))
         r = by_pair[(s, e)]
         assert r.regret == pytest.approx(direct - comp, abs=1e-9)
         assert r.certificate.method == "loo_exact"
@@ -326,7 +327,7 @@ def test_linear_comparator_beats_sampled_points():
         r = interval_regret_report(trace, schedule, set_, [(s, e)]).intervals[0]
         played = float(np.sum(trace.losses[s - 1 : e]))
         for z in members:
-            at_z = sum(float(schedule.losses[t - 1].value(z)) for t in range(s, e + 1))
+            at_z = sum(float(schedule.loss_at(t).value(z)) for t in range(s, e + 1))
             assert played - at_z <= r.regret + 1e-9
 
 
@@ -343,7 +344,7 @@ def test_quadratic_comparator_certified_and_consistent():
         played = float(np.sum(trace.losses[r.start - 1 : r.end]))
         comp = played - r.regret
         direct_at = lambda z: sum(  # noqa: E731
-            float(schedule.losses[t - 1].value(z)) for t in range(r.start, r.end + 1)
+            float(schedule.loss_at(t).value(z)) for t in range(r.start, r.end + 1)
         )
         # the certified value is attained by an actual feasible point
         alpha, B, C = schedule.quadratic_parts()
@@ -409,6 +410,45 @@ def test_trace_csv_round_trip_is_exact(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.splitlines()[0] == b"t,x,loss,loo_calls_cum,so_calls_cum,block_index"
+
+
+def _csv_writer_trace(trace, path):
+    """The trace file as ``csv.writer`` writes it, one formatted row at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["t", "x", "loss", "loo_calls_cum", "so_calls_cum", "block_index"])
+        for t in range(trace.T):
+            w.writerow(
+                [
+                    t + 1,
+                    ";".join(format(v, ".17g") for v in trace.plays[t]),
+                    format(trace.losses[t], ".17g"),
+                    int(trace.loo_cum[t]),
+                    int(trace.so_cum[t]),
+                    int(trace.block_index[t]),
+                ]
+            )
+
+
+@pytest.mark.parametrize("T, n", [(40, 3), (2100, 1)])  # 2100 rows span three 1024-row chunks
+def test_trace_writer_bytes_equal_csv_writer(tmp_path, T, n):
+    from pfoco.learners import RunTrace
+
+    rng = np.random.default_rng(31)
+    special = np.array([-0.0, 1e-300, -1e-300, 5e-324, 0.1 + 0.2, 2.0 / 3.0, -1.2345678901234567e-5, 1e300, 7.0])
+    plays = rng.standard_normal((T, n)) * 10.0 ** rng.integers(-20, 20, (T, n))
+    plays.flat[: special.size] = special[: plays.size]
+    losses = rng.standard_normal(T)
+    losses[: special.size] = special
+    counts = np.cumsum(rng.integers(0, 4, T)).astype(np.int64)
+    trace = RunTrace(plays, losses, counts, 2 * counts, np.arange(T, dtype=np.int64) // 7 + 1, None, [], {})
+    fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+    write_trace_csv(trace, str(fast))
+    _csv_writer_trace(trace, str(reference))
+    assert fast.read_bytes() == reference.read_bytes()
+    assert fast.read_bytes().splitlines()[1].startswith(b"1,-0")  # the sign of -0.0 survives
+    back = read_trace_csv(str(fast))
+    assert np.array_equal(back.plays, plays) and np.array_equal(back.losses, losses)
 
 
 def test_same_seed_means_byte_identical_traces(tmp_path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pfoco.geometry import Ball, Box, OracleCounters, exact_project, squeeze
+from pfoco import learners
+from pfoco.geometry import Ball, Box, L1Ball, OracleCounters, exact_project, squeeze
 from pfoco.learners import (
     loo_bbgd_params,
     loo_bogd_params,
@@ -18,6 +19,8 @@ from pfoco.learners import (
 from pfoco.losses import (
     make_iid_linear_schedule,
     make_iid_quadratic_schedule,
+    make_switching_linear_schedule,
+    make_switching_quadratic_schedule,
 )
 from pfoco.projection import cip_loo
 from support import check_cip_loo_record, check_cip_so_record
@@ -152,7 +155,7 @@ def test_ogd_baseline_strongly_convex_step_schedule():
     trace = ogd_wf_run(ball, sched, etas)
     _, B, _ = sched.quadratic_parts()
     x_star = exact_project(ball, B.mean(axis=0))
-    opt = sum(f.value(x_star) for f in sched.losses)
+    opt = sum(sched.loss_at(t).value(x_star) for t in range(1, T + 1))
     regret = float(trace.losses.sum() - opt)
     bound = float(np.sum(trace.grad_norms**2 / (2.0 * alpha * np.arange(1, T + 1))))
     assert regret <= bound + 1e-9
@@ -228,7 +231,7 @@ def test_loo_bogd_matches_eager_end_of_block_realization():
         target = targets[m - 1]
         eta = float(params.eta_m[m - 1])
         for _ in range(min(K, T - (m - 1) * K)):
-            f = sched.losses[t]
+            f = sched.loss_at(t + 1)
             plays[t] = play
             losses[t] = f.value(play)
             y = y - eta * f.subgrad(target)
@@ -238,6 +241,78 @@ def test_loo_bogd_matches_eager_end_of_block_realization():
 
     np.testing.assert_array_equal(plays, expected.plays)
     np.testing.assert_array_equal(losses, expected.losses)
+
+
+def _per_round_loo_run(set_, schedule, params):
+    """The full-information blocked learner one round at a time: plays,
+    losses, gradient norms, cumulative LOO counts and the (anchor, y,
+    eps) input of every projection."""
+    T, K, B, n = params.T, params.K, params.B, set_.n
+    counters = OracleCounters()
+    start = np.array(set_.center)
+    anchor, target = start, start.copy()
+    upcoming = (start.copy(), start.copy())
+    y = start.copy()
+    plays, losses, gnorms = np.empty((T, n)), np.empty(T), np.empty(T)
+    loo_cum = np.empty(T, dtype=np.int64)
+    inputs = []
+    for m in range(1, B + 1):
+        if m >= 2:
+            eps = float(params.eps_m[m - 1])
+            inputs.append((anchor, y, eps))
+            res = cip_loo(set_, anchor, y, eps, counters)
+            (anchor, target), upcoming = upcoming, (res.x, res.y)
+            y = target.copy()
+        eta = float(params.eta_m[m - 1])
+        for t in range((m - 1) * K, min(m * K, T)):
+            f = schedule.loss_at(t + 1)
+            plays[t] = anchor
+            losses[t] = f.value(anchor)
+            g = f.subgrad(target)
+            gnorms[t] = np.linalg.norm(g)
+            y = y - eta * g
+            loo_cum[t] = counters.loo_calls
+    return plays, losses, gnorms, loo_cum, inputs
+
+
+# T = 250 with K = 40: blocks start at rounds 1, 41, ..., 241 and the
+# last block has 10 rounds; segment boundaries at rounds 56, 126 and 166
+# fall inside blocks
+_SEGMENTS = [(55, [1.0, -0.5, 0.2]), (70, [-1.5, 0.3, 1.0]), (40, [0.2, 2.0, -0.7]), (85, [0.9, 0.4, -1.8])]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda R: make_switching_linear_schedule(250, 3, R, _SEGMENTS, gain=2.0),
+        lambda R: make_switching_quadratic_schedule(250, 3, R, _SEGMENTS, alpha=1.0),
+        lambda R: make_iid_linear_schedule(250, 3, R, np.random.default_rng(41)),
+        lambda R: make_iid_quadratic_schedule(250, 3, R, np.random.default_rng(43), spread=2.0),
+    ],
+    ids=["switching_linear", "switching_quadratic", "iid_linear", "iid_quadratic"],
+)
+def test_loo_run_collapsed_blocks_equal_the_per_round_loop(make, monkeypatch):
+    set_ = L1Ball(3, 1.0)
+    sched = make(set_.R)
+    params = loo_bogd_params(set_, sched.G_f, sched.T, eta=0.05, eps=0.01, K=40)
+    assert params.T % params.K != 0
+    seen = []
+
+    def recording_cip_loo(view, x0, y0, eps, counters):
+        seen.append((x0.copy(), y0.copy(), eps))
+        return cip_loo(view, x0, y0, eps, counters)
+
+    monkeypatch.setattr(learners, "cip_loo", recording_cip_loo)
+    trace = loo_run(set_, sched, params)
+    plays, losses, gnorms, loo_cum, inputs = _per_round_loo_run(set_, sched, params)
+    assert np.array_equal(trace.plays, plays)
+    assert np.array_equal(trace.losses, losses)
+    assert np.array_equal(trace.grad_norms, gnorms)
+    assert np.array_equal(trace.loo_cum, loo_cum)
+    assert len(seen) == len(inputs) == params.B - 1
+    for (x0, y0, eps), (ref_x0, ref_y0, ref_eps) in zip(seen, inputs):
+        assert np.array_equal(x0, ref_x0) and np.array_equal(y0, ref_y0) and eps == ref_eps
+    assert any(rec.outer_iterations > 0 for rec in trace.projections)
 
 
 def test_loo_bogd_strongly_convex_schedule_arrays():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,30 @@ def test_schedule_builders():
     a = make_iid_absdev_schedule(50, 2, 1.0, rng)
     assert a.kind == "absdev"
     assert a.G_f == pytest.approx(1.0)
+
+
+def test_schedule_tables_hold_one_loss_per_segment():
+    segments = [(3, [1.0, 0.0]), (5, [0.0, -1.0]), (2, [1.0, 1.0])]
+    sw = make_switching_linear_schedule(10, 2, 1.0, segments)
+    assert len(sw.table) == 3
+    assert sw.rows.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 2, 2]
+    assert all(sw.loss_at(t) is sw.table[sw.rows[t - 1]] for t in range(1, 11))
+    C = sw.linear_coefficients()
+    np.testing.assert_array_equal(C, np.stack([f.c for f in sw.table])[sw.rows])
+    q = make_switching_quadratic_schedule(10, 2, 1.0, segments, alpha=2.0)
+    assert len(q.table) == 3 and q.rows.tolist() == sw.rows.tolist()
+    _, B, _ = q.quadratic_parts()
+    assert B.shape == (10, 2)
+    np.testing.assert_array_equal(B[3:8], np.tile([0.0, -1.0], (5, 1)))
+
+    iid = make_iid_quadratic_schedule(7, 2, 1.0, np.random.default_rng(3))
+    assert len(iid.table) == 7 and iid.rows.tolist() == list(range(7))
+
+    for bad in ([(0, [1.0, 0.0]), (10, [0.0, 1.0])], [(-2, [1.0, 0.0]), (12, [0.0, 1.0])], [(2.5, [1.0, 0.0])]):
+        with pytest.raises(ValueError, match="positive integers"):
+            make_switching_linear_schedule(10, 2, 1.0, bad)
+    with pytest.raises(ValueError, match="outside the 3-row loss table"):
+        dataclasses.replace(sw, rows=np.array([0, 3]))
 
 
 def test_schedules_deterministic_given_seed():
