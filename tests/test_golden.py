@@ -10,7 +10,10 @@ Sums stand in for a digest of the trace: the last bits of a dot product
 depend on the BLAS kernel a CPU selects, which a byte digest would turn
 into a spurious failure.  ``loo_bogd_l1_iid_quad`` gives every round its
 own loss, and ``so_bgd_l1_switch_lin_pull`` is a bandit SO run whose
-projections pull (more SO calls than rounds).
+projections pull (more SO calls than rounds).  ``loo_bogd_l1_iid_absdev``
+runs a learner on absolute-deviation losses (no comparator, so no regret
+check), and ``loo_bbgd_ball_iid_lin`` is a bandit blocked run with one
+loss per round whose projections leave their anchors.
 """
 
 import json
