@@ -132,7 +132,7 @@ def _check_loss_column(trace, schedule) -> None:
     """Each recorded loss must be f_t(x_t) to 1e-12 relative (relative to
     the larger of |f_t(x_t)| and the schedule's value bound M), or the
     scores would rest on losses the plays did not incur."""
-    want = np.array([schedule.loss_at(t).value(x) for t, x in enumerate(trace.plays, 1)])
+    want = schedule.family.values(schedule.rows, trace.plays)
     tol = 1e-12 * np.maximum(np.abs(want), schedule.M)
     off = np.flatnonzero(~(np.abs(trace.losses - want) <= tol))
     if off.size:

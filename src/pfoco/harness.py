@@ -67,11 +67,15 @@ def _check_keys(d: dict, where: str, required: tuple, optional: tuple = ()):
         raise ConfigError(f"missing keys {missing} in {where}")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _num(d: dict, key: str, where: str, default=None, minimum=None):
     v = d.get(key, default)
     if v is None and key not in d:
         raise ConfigError(f"{where}.{key} is required")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError(f"{where}.{key} must be a number")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}")
@@ -142,6 +146,10 @@ def _validate_set_cfg(d: dict) -> dict:
         _check_keys(d, "set(polytope)", ("kind", "A", "b"))
     else:
         raise ConfigError(f"unknown set kind {kind!r}")
+    if "n" in d:
+        _int(d, "n", "set", minimum=1)
+    for key in sorted(set(d) & {"radius", "scale"}):
+        _num(d, key, "set")
     return d
 
 
@@ -171,15 +179,18 @@ def _validate_loss_cfg(d: dict, T: int) -> dict:
     kind = d.get("kind")
     if kind not in _LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {kind!r}")
+    for key in sorted(set(d) & {"scale", "gain", "alpha", "spread"}):
+        _num(d, key, "loss")
     if kind.startswith("switching"):
         segs = d.get("segments")
         if not isinstance(segs, list) or not segs:
             raise ConfigError("switching losses need a non-empty loss.segments list")
         total = 0
-        for seg in segs:
-            if not (isinstance(seg, list) and len(seg) == 2 and isinstance(seg[0], int) and seg[0] > 0):
-                raise ConfigError("each segment must be [length, target-vector]")
-            total += seg[0]
+        for j, seg in enumerate(segs):
+            length, target = seg if isinstance(seg, list) and len(seg) == 2 else (None, None)
+            if not (type(length) is int and length > 0 and isinstance(target, list) and all(map(_is_number, target))):
+                raise ConfigError(f"loss.segments[{j}] must be [positive integer length, list of numbers]")
+            total += length
         if total != T:
             raise ConfigError(f"segment lengths sum to {total}, but T = {T}")
     return d
@@ -398,7 +409,7 @@ class _LinearComparator:
 
     def __init__(self, set_: FeasibleSet, schedule: LossSchedule):
         self.set_ = set_
-        self.prefix = _prefix(schedule.linear_coefficients())
+        self.prefix = _prefix(schedule.family.C[schedule.rows])
 
     def best_many(self, S: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Optimal values and certificate gaps on the intervals [S[i], E[i]]."""
@@ -411,11 +422,11 @@ class _QuadraticComparator:
     method = "projected_quadratic"
 
     def __init__(self, set_: FeasibleSet, schedule: LossSchedule, tol: float):
-        alpha, B, C = schedule.quadratic_parts()
+        alpha, B = schedule.family.alpha, schedule.family.B[schedule.rows]
         self.set_ = set_
         self.alpha = alpha
         self.tol = tol
-        self.Sw = _prefix(alpha * B - C)
+        self.Sw = _prefix(alpha * B)
         self.Sb2 = _prefix(np.sum(B * B, axis=1))
 
     def best_many(self, S: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -409,12 +409,12 @@ def ogd_wf_run(
     plays = np.empty((T, n))
     losses = np.empty(T)
     gnorms = np.empty(T)
-    table, rows = schedule.table, schedule.rows.tolist()
+    value, subgrad, rows = schedule.family.value, schedule.family.subgrad, schedule.rows.tolist()
     for t in range(T):
-        f = table[rows[t]]
+        i = rows[t]
         plays[t] = x
-        val = f.value(x)
-        g = f.subgrad(x)
+        val = value(i, x)
+        g = subgrad(i, x)
         losses[t] = val
         gnorms[t] = np.linalg.norm(g)
         x = exact_project(set_, x - eta_arr[t] * g)
@@ -458,16 +458,17 @@ def loo_run(
 
     One projection per block from the second block on, computed at
     block start from the previous block's accumulated gradient steps;
-    the block's plays stay at the anchor produced two blocks back.
-    Full information (loo_bogd, loo_bogd_sc) steps along the subgradient
-    at the block's target; play and target are fixed for the block, so
-    each run of rounds sharing a loss-table row costs one value, one
-    subgradient and one norm, and the block's steps are subtracted from
-    y in round order by one ``np.subtract.accumulate``.  Bandit feedback
-    (loo_bbgd) keeps the anchors on the (1 - delta/r)-squeezed set,
-    plays each anchor plus a delta-sphere perturbation, which stays
-    inside the original set, and steps along the one-point estimate
-    from the single observed value.
+    the block's plays stay at the anchor produced two blocks back, and
+    the block's steps are subtracted from y in round order by one
+    ``np.subtract.accumulate``.  Full information (loo_bogd,
+    loo_bogd_sc) steps along the subgradient at the block's target;
+    play and target are fixed for the block, so each run of rounds
+    sharing a loss row costs one value, one subgradient and one norm.
+    Bandit feedback (loo_bbgd) keeps the anchors on the (1 -
+    delta/r)-squeezed set, plays anchor + delta*u_t, which stays inside
+    the original set, and steps along the one-point estimate from the
+    single observed value; a block's plays, values and steps are each
+    one array operation.
     """
     t0 = time.perf_counter()
     bandit = _is_bandit(params, schedule, rng, loo_run)
@@ -476,7 +477,7 @@ def loo_run(
     delta = params.delta  # exploration radius
     view = squeeze(set_, 1.0 - delta / set_.r) if bandit else set_
     U = sample_unit_sphere(rng, n, T) if bandit else None
-    table, rows = schedule.table, schedule.rows
+    family, rows = schedule.family, schedule.rows
     counters = OracleCounters()
     start = np.array(view.center)
     # play and gradient point of this block, and of the next one (the
@@ -498,24 +499,23 @@ def loo_run(
         eta = float(params.eta_m[m - 1])
         first, last = (m - 1) * K, min(m * K, T)
         loo_cum[first:last] = counters.loo_calls  # no LOO call inside a block
-        if bandit:
-            for t in range(first, last):
-                z = anchor + delta * U[t]
-                plays[t] = z
-                val = table[rows[t]].value(z)
-                losses[t] = val
-                y = y - eta * bandit_gradient_estimate(val, U[t], n, delta)
-            continue
-        plays[first:last] = anchor
         steps = np.empty((last - first + 1, n))
         steps[0] = y
-        edges = [first, *(np.flatnonzero(np.diff(rows[first:last])) + first + 1).tolist(), last]
-        for a, b in zip(edges[:-1], edges[1:]):
-            f = table[rows[a]]
-            losses[a:b] = f.value(anchor)
-            g = f.subgrad(target)
-            gnorms[a:b] = np.linalg.norm(g)
-            steps[a - first + 1 : b - first + 1] = eta * g
+        if bandit:
+            u = U[first:last]
+            plays[first:last] = anchor + delta * u
+            losses[first:last] = vals = family.values(rows[first:last], plays[first:last])
+            # eta * ((n/delta) f(z_t) u_t), rounded as the one-point estimate
+            steps[1:] = eta * (((n / delta) * vals)[:, None] * u)
+        else:
+            plays[first:last] = anchor
+            edges = [first, *(np.flatnonzero(np.diff(rows[first:last])) + first + 1).tolist(), last]
+            for a, b in zip(edges[:-1], edges[1:]):
+                i = rows[a]
+                losses[a:b] = family.value(i, anchor)
+                g = family.subgrad(i, target)
+                gnorms[a:b] = np.linalg.norm(g)
+                steps[a - first + 1 : b - first + 1] = eta * g
         # sequential, so y - s_1 - s_2 ... rounds exactly as a per-round loop
         y = np.subtract.accumulate(steps)[-1]
     return RunTrace(
@@ -562,19 +562,19 @@ def so_run(
     gnorms = None if bandit else np.empty(T)
     so_cum = np.empty(T, dtype=np.int64)
     projections = []
-    table, rows = schedule.table, schedule.rows.tolist()
+    value, subgrad, rows = schedule.family.value, schedule.family.subgrad, schedule.rows.tolist()
     for t in range(T):
-        f = table[rows[t]]
+        i = rows[t]
         if bandit:
             z = ytil + dp * U[t]
             plays[t] = z
-            val = f.value(z)
+            val = value(i, z)
             losses[t] = val
             g = bandit_gradient_estimate(val, U[t], n, dp)
         else:
             plays[t] = ytil
-            losses[t] = f.value(ytil)
-            g = f.subgrad(ytil)
+            losses[t] = value(i, ytil)
+            g = subgrad(i, ytil)
             gnorms[t] = np.linalg.norm(g)
         proj = cip_so(set_, set_.r, delta, dp, ytil - eta * g, counters)
         projections.append(proj)
@@ -617,7 +617,7 @@ def _loo_bogd_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int
 
 
 def _loo_bogd_sc_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> LearnerParams:
-    alpha = cfg.get("alpha", sched.alpha_min)
+    alpha = cfg.get("alpha", sched.family.alpha)
     if not (alpha and alpha > 0):
         raise ValueError("needs a strongly convex schedule (alpha > 0)")
     return loo_bogd_sc_params(set_, sched.G_f, T, alpha=float(alpha), K=cfg.get("K"))

@@ -1,17 +1,19 @@
-"""Loss oracles, loss schedules, and one-point gradient estimation.
+"""Loss families, loss schedules, and one-point gradient estimation.
 
-Losses declare their own bounds at construction, computed analytically
-from their coefficients and the domain radius R they will be played on:
-``G_f`` bounds subgradient norms over the R-ball, ``M`` bounds |f|,
-``alpha`` is the strong-convexity modulus (0 when merely convex).
-Learners size their step schedules from these declared values.
+A loss family holds k losses of one kind, one array row per loss:
+:class:`LinearLosses` (f_i(x) = C[i] @ x), :class:`QuadraticLosses`
+(alpha/2 ||x - B[i]||^2, one alpha > 0) and :class:`AbsDevLosses`
+(|A[i] @ x - b[i]|).  It answers ``value(i, x)``, ``subgrad(i, x)`` and
+the batched ``values(I, X)``, which runs the per-row dot kernel of
+``@`` (``np.vecdot``), so it equals the one-row path bit for bit.
+``bounds(R)`` declares ``G_f`` (subgradient norms) and ``M`` (|f|) over
+the R-ball; ``alpha`` is the strong-convexity modulus (0 when merely
+convex).  Learners size their step schedules from the declared values.
 
-A :class:`LossSchedule` stores the distinct losses once, in a table,
-and an int array giving each round its table row.  A switching schedule
-plays one loss for a whole segment, so its table holds one loss per
-segment and a T-round schedule costs a few objects, not T; a learner
-whose play and gradient point are fixed for a block evaluates each run
-of equal rows once.  An iid schedule has one row per round.
+A :class:`LossSchedule` is a family plus each round's row: one row per
+segment for a switching schedule, so a learner whose play is fixed for
+a block evaluates each run of equal rows once, and one per round for an
+iid schedule, drawn in one array operation.
 
 Bandit learners never see subgradients; they play a perturbed point
 z = x + delta*u with u uniform on the unit sphere and build the
@@ -24,102 +26,126 @@ bound, which is what the regret accounting charges for the smoothing.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
-
+import functools
 import numpy as np
 
 from .geometry import Vector, as_vector
 
 
-class LinearLoss:
-    """f(x) = c @ x."""
+def _matrix(X) -> np.ndarray:
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or not np.all(np.isfinite(X)):
+        raise ValueError(f"loss rows must be a finite (k, n) array, got shape {X.shape}")
+    return X
 
+
+def _norms(X: np.ndarray) -> np.ndarray:
+    """Row norms, each rounded as ``np.linalg.norm`` of that row."""
+    return np.sqrt(np.vecdot(X, X))
+
+
+class LinearLosses:
+    """f_i(x) = C[i] @ x."""
+
+    kind = "linear"
     alpha = 0.0
 
-    def __init__(self, c, R: float):
-        self.c = as_vector(c)
-        self.n = self.c.shape[0]
-        self.R = float(R)
-        self.G_f = float(np.linalg.norm(self.c))
-        self.M = self.R * self.G_f
+    def __init__(self, C):
+        self.C = _matrix(C)
+        self.shape = self.C.shape  # (k losses, dimension n)
 
-    def value(self, x: Vector) -> float:
-        return float(self.c @ x)
+    def bounds(self, R: float) -> tuple[float, float]:
+        G_f = float(_norms(self.C).max())
+        return G_f, R * G_f
 
-    def subgrad(self, x: Vector) -> Vector:
-        return self.c.copy()
+    @functools.cached_property
+    def _rows(self) -> list:
+        # row views built once: a per-round C[i] would make a view each call
+        return list(self.C)
 
-    def values_batch(self, X) -> np.ndarray:
-        return X @ self.c
+    def value(self, i: int, x: Vector) -> float:
+        return float(self._rows[i] @ x)
+
+    def subgrad(self, i: int, x: Vector) -> Vector:
+        return self._rows[i].copy()
+
+    def values(self, I, X) -> np.ndarray:
+        return np.vecdot(X, self.C[I])
 
 
-class QuadraticLoss:
-    """f(x) = alpha/2 * ||x - b||^2 + c @ x, alpha > 0."""
+class QuadraticLosses:
+    """f_i(x) = alpha/2 * ||x - B[i]||^2, alpha > 0."""
 
-    def __init__(self, alpha: float, b, R: float, c=None):
+    kind = "quadratic"
+
+    def __init__(self, alpha: float, B):
         if not (alpha > 0):
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
-        self.b = as_vector(b)
-        self.n = self.b.shape[0]
-        self.c = np.zeros(self.n) if c is None else as_vector(c)
-        if self.c.shape != self.b.shape:
-            raise ValueError("b/c dimension mismatch")
-        self.R = float(R)
-        # sup over the R-ball of ||alpha*(x - b) + c|| is attained at
-        # x aligned with the constant part
-        self.G_f = self.alpha * self.R + float(np.linalg.norm(self.alpha * self.b - self.c))
-        self.M = 0.5 * self.alpha * (self.R + float(np.linalg.norm(self.b))) ** 2 + self.R * float(
-            np.linalg.norm(self.c)
-        )
+        self.B = _matrix(B)
+        self.shape = self.B.shape
 
-    def value(self, x: Vector) -> float:
-        d = x - self.b
-        return 0.5 * self.alpha * float(d @ d) + float(self.c @ x)
+    def bounds(self, R: float) -> tuple[float, float]:
+        # sup over the R-ball of alpha*||x - b|| is attained at x = -R b/||b||
+        G_f = self.alpha * R + float(_norms(self.alpha * self.B).max())
+        M = 0.5 * self.alpha * (R + float(_norms(self.B).max())) ** 2
+        return G_f, M
 
-    def subgrad(self, x: Vector) -> Vector:
-        return self.alpha * (x - self.b) + self.c
+    @functools.cached_property
+    def _rows(self) -> list:
+        return list(self.B)
 
-    def values_batch(self, X) -> np.ndarray:
-        D = X - self.b
-        return 0.5 * self.alpha * np.sum(D * D, axis=1) + X @ self.c
+    def value(self, i: int, x: Vector) -> float:
+        d = x - self._rows[i]
+        return 0.5 * self.alpha * float(d @ d)
+
+    def subgrad(self, i: int, x: Vector) -> Vector:
+        return self.alpha * (x - self._rows[i])
+
+    def values(self, I, X) -> np.ndarray:
+        D = X - self.B[I]
+        return 0.5 * self.alpha * np.vecdot(D, D)
 
 
-class AbsDevLoss:
-    """f(x) = |a @ x - b|; subgradient 0 at the kink."""
+class AbsDevLosses:
+    """f_i(x) = |A[i] @ x - b[i]|; subgradient 0 at the kink."""
 
+    kind = "absdev"
     alpha = 0.0
 
-    def __init__(self, a, b: float, R: float):
-        self.a = as_vector(a)
-        self.b = float(b)
-        self.n = self.a.shape[0]
-        self.R = float(R)
-        self.G_f = float(np.linalg.norm(self.a))
-        self.M = self.R * self.G_f + abs(self.b)
+    def __init__(self, A, b):
+        self.A = _matrix(A)
+        self.b = np.asarray(b, dtype=np.float64)
+        if self.b.shape != (self.A.shape[0],) or not np.all(np.isfinite(self.b)):
+            raise ValueError("b must hold one finite offset per row of A")
+        self.shape = self.A.shape
 
-    def value(self, x: Vector) -> float:
-        return abs(float(self.a @ x) - self.b)
+    def bounds(self, R: float) -> tuple[float, float]:
+        G = _norms(self.A)
+        return float(G.max()), float((R * G + np.abs(self.b)).max())
 
-    def subgrad(self, x: Vector) -> Vector:
-        return float(np.sign(float(self.a @ x) - self.b)) * self.a
+    @functools.cached_property
+    def _rows(self) -> list:
+        return list(zip(self.A, self.b.tolist()))
 
-    def values_batch(self, X) -> np.ndarray:
-        return np.abs(X @ self.a - self.b)
+    def value(self, i: int, x: Vector) -> float:
+        a, b = self._rows[i]
+        return abs(float(a @ x) - b)
+
+    def subgrad(self, i: int, x: Vector) -> Vector:
+        a, b = self._rows[i]
+        return float(np.sign(float(a @ x) - b)) * a
+
+    def values(self, I, X) -> np.ndarray:
+        return np.abs(np.vecdot(X, self.A[I]) - self.b[I])
 
 
 # ----------------------------------------------------------------------
 # sampling and estimation
 
 
-def sample_unit_sphere(rng: np.random.Generator, n: int, size: Optional[int] = None):
-    """Uniform draw(s) on the unit sphere (normalized Gaussians)."""
-    if size is None:
-        while True:
-            g = rng.standard_normal(n)
-            nrm = float(np.linalg.norm(g))
-            if nrm > 1e-12:
-                return g / nrm
+def sample_unit_sphere(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """``size`` uniform draws on the unit sphere (normalized Gaussians)."""
     G = rng.standard_normal((size, n))
     norms = np.linalg.norm(G, axis=1, keepdims=True)
     # a degenerate draw is measure-zero; route it to e_1 anyway
@@ -131,10 +157,8 @@ def sample_unit_sphere(rng: np.random.Generator, n: int, size: Optional[int] = N
     return G / norms
 
 
-def sample_unit_ball(rng: np.random.Generator, n: int, size: Optional[int] = None):
-    """Uniform draw(s) in the unit ball: sphere point times U^(1/n)."""
-    if size is None:
-        return sample_unit_sphere(rng, n) * rng.uniform() ** (1.0 / n)
+def sample_unit_ball(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """``size`` uniform draws in the unit ball: sphere point times U^(1/n)."""
     S = sample_unit_sphere(rng, n, size)
     radii = rng.uniform(size=size) ** (1.0 / n)
     return S * radii[:, None]
@@ -147,99 +171,51 @@ def bandit_gradient_estimate(value: float, u: Vector, n: int, delta: float) -> V
     return (n / delta) * value * np.asarray(u, dtype=np.float64)
 
 
-def smoothed_value_mc(loss, x: Vector, delta: float, samples: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Monte-Carlo estimate of the delta-ball-smoothed value at x.
-
-    Returns (estimate, standard error).
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    U = sample_unit_ball(rng, loss.n, samples)
-    vals = loss.values_batch(np.asarray(x) + delta * U)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(samples))
-
-
 # ----------------------------------------------------------------------
 # schedules
 
 
 @dataclasses.dataclass
 class LossSchedule:
-    """A fixed (oblivious) sequence of per-round losses, stored as a
-    table of distinct losses plus the table row each round plays.
-
-    ``rows[t - 1]`` is the index into ``table`` of round t's loss.  A
-    switching schedule repeats one loss for a whole segment, so its
-    table has one row per segment and learners can evaluate a run of
-    equal rows once; an iid schedule has one row per round.
-    ``boundaries`` holds the 1-based first round of each segment; the
-    harness aligns adaptive-regret intervals with them.  Aggregate
-    declared bounds cover every row.
+    """A fixed (oblivious) sequence of per-round losses: round t plays
+    row ``rows[t - 1]`` of ``family``.  ``boundaries`` holds the 1-based
+    first round of each segment; the harness aligns adaptive-regret
+    intervals with them.  The declared bounds ``G_f`` and ``M`` cover
+    every row.
     """
 
-    table: list
+    family: LinearLosses | QuadraticLosses | AbsDevLosses
     rows: np.ndarray
     boundaries: list[int]
-    kind: str
     G_f: float
     M: float
-    alpha_min: float
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.intp)
         if self.rows.ndim != 1 or not self.rows.size:
-            raise ValueError("rows must be a non-empty 1-D array of table indices")
-        if self.rows.min() < 0 or self.rows.max() >= len(self.table):
-            raise ValueError(f"rows index outside the {len(self.table)}-row loss table")
+            raise ValueError("rows must be a non-empty 1-D array of family rows")
+        k = self.family.shape[0]
+        if self.rows.min() < 0 or self.rows.max() >= k:
+            raise ValueError(f"rows index outside the {k}-row loss family")
 
     @property
     def T(self) -> int:
         return len(self.rows)
 
-    def loss_at(self, t: int):
-        """1-based round index, matching the play/regret conventions."""
-        return self.table[self.rows[t - 1]]
-
-    def linear_coefficients(self) -> np.ndarray:
-        """(T, n) coefficients, one row per round."""
-        if self.kind != "linear":
-            raise ValueError("schedule is not all-linear")
-        return np.stack([f.c for f in self.table])[self.rows]
-
-    def quadratic_parts(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Common alpha, target matrix, linear-term matrix (one row per round)."""
-        if self.kind != "quadratic":
-            raise ValueError("schedule is not all-quadratic")
-        alphas = {f.alpha for f in self.table}
-        if len(alphas) != 1:
-            raise ValueError("comparators need a common curvature")
-        B = np.stack([f.b for f in self.table])
-        C = np.stack([f.c for f in self.table])
-        return self.table[0].alpha, B[self.rows], C[self.rows]
+    @property
+    def kind(self) -> str:
+        return self.family.kind
 
 
-def _schedule(table: Sequence, rows, kind: str, boundaries: list[int]) -> LossSchedule:
-    if not len(table):
+def _schedule(family, rows, boundaries: list[int], R: float) -> LossSchedule:
+    if not family.shape[0]:
         raise ValueError("T must be >= 1")
-    return LossSchedule(
-        table=list(table),
-        rows=rows,
-        boundaries=boundaries,
-        kind=kind,
-        G_f=max(f.G_f for f in table),
-        M=max(f.M for f in table),
-        alpha_min=min(f.alpha for f in table),
-    )
+    return LossSchedule(family, rows, boundaries, *family.bounds(float(R)))
 
 
-def _iid(table: Sequence, kind: str) -> LossSchedule:
-    return _schedule(table, np.arange(len(table)), kind, [1])
-
-
-def _switching(segments, n: int, make, kind: str, T: int) -> LossSchedule:
-    """One table row per segment, built by ``make(target)``; round rows
-    repeat each segment's row over its length."""
-    table, lengths, boundaries = [], [], []
+def _switching(segments, n: int, T: int, R: float, row, family) -> LossSchedule:
+    """The schedule of ``family(rows)``, one row ``row(target)`` per segment."""
+    out, lengths, boundaries = [], [], []
     pos = 1
     for length, target in segments:
         tv = as_vector(target)
@@ -247,21 +223,18 @@ def _switching(segments, n: int, make, kind: str, T: int) -> LossSchedule:
             raise ValueError("segment target has wrong dimension")
         if int(length) != length or length < 1:
             raise ValueError("segment lengths must be positive integers")
-        table.append(make(tv))
+        out.append(row(tv))
         lengths.append(int(length))
         boundaries.append(pos)
         pos += int(length)
-    if pos - 1 != T:
-        raise ValueError("segment lengths must sum to T")
-    return _schedule(table, np.repeat(np.arange(len(table)), lengths), kind, boundaries)
+    if pos - 1 != T or not out:
+        raise ValueError("segment lengths must sum to T >= 1")
+    return _schedule(family(np.stack(out)), np.repeat(np.arange(len(out)), lengths), boundaries, R)
 
 
 def make_iid_linear_schedule(T: int, n: int, R: float, rng: np.random.Generator, scale: float = 1.0) -> LossSchedule:
     """T independent linear losses with ||c_t|| = scale."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    C = scale * sample_unit_sphere(rng, n, T)
-    return _iid([LinearLoss(c, R) for c in C], "linear")
+    return _schedule(LinearLosses(scale * sample_unit_sphere(rng, n, T)), np.arange(T), [1], R)
 
 
 def make_switching_linear_schedule(T: int, n: int, R: float, segments, gain: float = 1.0) -> LossSchedule:
@@ -272,13 +245,13 @@ def make_switching_linear_schedule(T: int, n: int, R: float, segments, gain: flo
     so the segment minimizer is the set's vertex in the target direction.
     """
 
-    def make(tv):
+    def row(tv):
         nrm = float(np.linalg.norm(tv))
         if nrm == 0:
             raise ValueError("segment target must be nonzero")
-        return LinearLoss(-gain * tv / nrm, R)
+        return -gain * tv / nrm
 
-    return _switching(segments, n, make, "linear", T)
+    return _switching(segments, n, T, R, row, LinearLosses)
 
 
 def make_iid_quadratic_schedule(
@@ -290,17 +263,16 @@ def make_iid_quadratic_schedule(
     spread: float = 0.2,
 ) -> LossSchedule:
     """T quadratics alpha/2 ||x - b_t||^2 with targets in a small ball."""
-    B = spread * sample_unit_ball(rng, n, T)
-    return _iid([QuadraticLoss(alpha, b, R) for b in B], "quadratic")
+    return _schedule(QuadraticLosses(alpha, spread * sample_unit_ball(rng, n, T)), np.arange(T), [1], R)
 
 
 def make_switching_quadratic_schedule(T: int, n: int, R: float, segments, alpha: float = 1.0) -> LossSchedule:
     """Piecewise-constant quadratics; each segment minimizes at its target."""
-    return _switching(segments, n, lambda tv: QuadraticLoss(alpha, tv, R), "quadratic", T)
+    return _switching(segments, n, T, R, lambda tv: tv, lambda B: QuadraticLosses(alpha, B))
 
 
 def make_iid_absdev_schedule(T: int, n: int, R: float, rng: np.random.Generator, scale: float = 1.0) -> LossSchedule:
     """T independent |a_t @ x - b_t| losses (no certified comparator)."""
     A = scale * sample_unit_sphere(rng, n, T)
-    bs = rng.uniform(-0.5, 0.5, T) * scale * R
-    return _iid([AbsDevLoss(a, b, R) for a, b in zip(A, bs)], "absdev")
+    b = rng.uniform(-0.5, 0.5, T) * scale * R
+    return _schedule(AbsDevLosses(A, b), np.arange(T), [1], R)

@@ -116,32 +116,44 @@ def min_over_set_linear(set_, c, counters=None):
 # Monte-Carlo statistics for the one-point gradient estimator
 
 
-def estimate_gradient_mc(loss, x, delta, samples, rng):
-    """Empirical mean and per-coordinate SEM of the one-point estimator."""
+def estimate_gradient_mc(family, i, x, delta, samples, rng):
+    """Empirical mean and per-coordinate SEM of the one-point estimator
+    for loss row i of a loss family."""
     from pfoco.losses import sample_unit_sphere
 
-    U = sample_unit_sphere(rng, loss.n, samples)
-    vals = loss.values_batch(np.asarray(x) + delta * U)
-    G = (loss.n / delta) * vals[:, None] * U
+    n = family.shape[1]
+    U = sample_unit_sphere(rng, n, samples)
+    vals = family.values(i, np.asarray(x) + delta * U)
+    G = (n / delta) * vals[:, None] * U
     return G.mean(axis=0), G.std(axis=0, ddof=1) / math.sqrt(samples)
 
 
-def smoothed_fd_gradient(loss, x, delta, h, samples, seed):
-    """Central finite differences of the MC-smoothed value.
+def smoothed_value_mc(family, i, x, delta, samples, rng):
+    """Monte-Carlo estimate of loss row i's delta-ball-smoothed value at
+    x: (estimate, standard error)."""
+    from pfoco.losses import sample_unit_ball
+
+    if samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+    U = sample_unit_ball(rng, family.shape[1], samples)
+    vals = family.values(i, np.asarray(x) + delta * U)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(samples))
+
+
+def smoothed_fd_gradient(family, i, x, delta, h, samples, seed):
+    """Central finite differences of loss row i's MC-smoothed value.
 
     Common random numbers: both sides of each difference reuse the same
     sample stream, so the smoothing noise cancels and only the bias of
     the difference quotient remains."""
-    from pfoco.losses import smoothed_value_mc
-
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty(loss.n)
-    for i in range(loss.n):
-        e = np.zeros(loss.n)
-        e[i] = h
-        plus, _ = smoothed_value_mc(loss, x + e, delta, samples, np.random.default_rng(seed))
-        minus, _ = smoothed_value_mc(loss, x - e, delta, samples, np.random.default_rng(seed))
-        out[i] = (plus - minus) / (2.0 * h)
+    out = np.empty(family.shape[1])
+    for k in range(family.shape[1]):
+        e = np.zeros(family.shape[1])
+        e[k] = h
+        plus, _ = smoothed_value_mc(family, i, x + e, delta, samples, np.random.default_rng(seed))
+        minus, _ = smoothed_value_mc(family, i, x - e, delta, samples, np.random.default_rng(seed))
+        out[k] = (plus - minus) / (2.0 * h)
     return out
 
 

@@ -45,10 +45,10 @@ from pfoco.learners import (
     theoretical_bounds,
 )
 from pfoco.losses import (
-    AbsDevLoss,
-    LinearLoss,
+    AbsDevLosses,
+    LinearLosses,
     LossSchedule,
-    QuadraticLoss,
+    QuadraticLosses,
     make_iid_linear_schedule,
     make_iid_quadratic_schedule,
     make_switching_linear_schedule,
@@ -303,10 +303,9 @@ def _drifting_linear_schedule(T, n, R, rng, drift_scale=0.7):
     d /= np.linalg.norm(d)
     C = rng.standard_normal((T, n)) * (1.0 - drift_scale) + drift_scale * d
     C /= np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1e-12)
-    return LossSchedule(
-        table=[LinearLoss(c, R) for c in C], rows=np.arange(T), boundaries=[1], kind="linear", G_f=1.0, M=R,
-        alpha_min=0.0,
-    )
+    # declared bounds: derived from the normalized rows they read
+    # 1.0000000000000002, which moves loo_bbgd's block length
+    return LossSchedule(LinearLosses(C), rows=np.arange(T), boundaries=[1], G_f=1.0, M=R)
 
 
 def test_a07_bandit_feasibility_and_budgets():
@@ -374,22 +373,22 @@ def test_a08_estimator_statistics():
     rng = np.random.default_rng(8808)
     samples = 100_000
 
-    lin = LinearLoss(np.array([0.6, -0.2, 0.4]), 1.0)
+    lin = LinearLosses([[0.6, -0.2, 0.4]])
     x = np.array([0.1, -0.3, 0.2])
-    mean, sem = estimate_gradient_mc(lin, x, 0.3, samples, rng)
-    assert np.all(np.abs(mean - lin.subgrad(x)) <= 5.0 * sem)
+    mean, sem = estimate_gradient_mc(lin, 0, x, 0.3, samples, rng)
+    assert np.all(np.abs(mean - lin.subgrad(0, x)) <= 5.0 * sem)
 
-    quad = QuadraticLoss(1.3, np.array([0.2, -0.1]), 1.0, c=np.array([0.3, 0.05]))
+    quad = QuadraticLosses(1.3, [[0.2, -0.1]])
     x2 = np.array([-0.2, 0.4])
-    mean, sem = estimate_gradient_mc(quad, x2, 0.25, samples, rng)
-    assert np.all(np.abs(mean - quad.subgrad(x2)) <= 5.0 * sem)
+    mean, sem = estimate_gradient_mc(quad, 0, x2, 0.25, samples, rng)
+    assert np.all(np.abs(mean - quad.subgrad(0, x2)) <= 5.0 * sem)
 
-    ad = AbsDevLoss(np.array([0.8, -0.5]), 0.1, 1.0)
+    ad = AbsDevLosses([[0.8, -0.5]], [0.1])
     x3 = np.array([0.05, 0.1])
     delta = 0.3
-    mean, sem = estimate_gradient_mc(ad, x3, delta, samples, rng)
-    fd = smoothed_fd_gradient(ad, x3, delta, h=1e-3, samples=samples, seed=771)
-    fd_noise = ad.G_f / math.sqrt(samples)
+    mean, sem = estimate_gradient_mc(ad, 0, x3, delta, samples, rng)
+    fd = smoothed_fd_gradient(ad, 0, x3, delta, h=1e-3, samples=samples, seed=771)
+    fd_noise = ad.bounds(1.0)[0] / math.sqrt(samples)
     assert np.all(np.abs(mean - fd) <= 5.0 * (sem + fd_noise) + 1e-4)
 
     for L, n, dlt in ((6, 3, 0.4), (12, 2, 0.25)):

@@ -103,6 +103,29 @@ def test_learner_values_are_validated_not_coerced():
     assert cfg.learner_cfg["K"] == 4.0
 
 
+def test_set_and_loss_values_are_validated_not_coerced():
+    ball = {"kind": "ball", "n": 2, "radius": 1.0}
+    for set_cfg, loss, message in (
+        ({**ball, "n": 2.5}, None, "set.n must be an integer"),
+        ({**ball, "n": 0}, None, "set.n must be >= 1"),
+        ({**ball, "radius": True}, None, "set.radius must be a number"),
+        ({"kind": "simplex", "n": 2, "scale": True}, None, "set.scale must be a number"),
+        (None, {"kind": "iid_linear", "scale": True}, "loss.scale must be a number"),
+        (None, {"kind": "iid_linear", "scale": None}, "loss.scale must be a number"),
+        (None, {"kind": "iid_quadratic", "spread": "0.2"}, "loss.spread must be a number"),
+        (None, {"kind": "iid_quadratic", "alpha": False}, "loss.alpha must be a number"),
+        (None, {"kind": "switching_linear", "gain": "3", "segments": [[64, [1.0, 0.0]]]}, "loss.gain must be a number"),
+        (None, {"kind": "switching_linear", "segments": [[64, [True, 0]]]}, r"loss.segments\[0\] must be"),
+        (None, {"kind": "switching_linear", "segments": [[63, [1, 0]], [True, [0, 1]]]}, r"loss.segments\[1\] must be"),
+        (None, {"kind": "switching_linear", "segments": [[64.0, [1, 0]]]}, r"loss.segments\[0\] must be"),
+    ):
+        overrides = {"set": set_cfg} if set_cfg else {"loss": loss}
+        with pytest.raises(ConfigError, match=message):
+            parse_config_dict(_base_config(**overrides))
+    cfg = parse_config_dict(_base_config(set={**ball, "n": 2.0, "radius": 2}, loss={"kind": "iid_linear", "scale": 1}))
+    assert cfg.set_cfg["n"] == 2.0
+
+
 def test_segment_lengths_must_sum_to_horizon():
     loss = {"kind": "switching_linear", "segments": [[30, [1.0, 0.0]], [30, [0.0, 1.0]]]}
     with pytest.raises(ConfigError, match="segment lengths sum to 60, but T = 64"):
@@ -206,7 +229,7 @@ def test_intervals_from_cfg_list_policy():
 def _played_trace(set_, schedule, rng):
     # an arbitrary feasible play sequence with recorded losses
     plays = sample_members(set_, rng, schedule.T)
-    losses = np.array([schedule.loss_at(t + 1).value(plays[t]) for t in range(schedule.T)])
+    losses = np.array([schedule.family.value(i, x) for i, x in zip(schedule.rows, plays)])
     zeros = np.zeros(schedule.T, dtype=np.int64)
     from pfoco.learners import RunTrace
 
@@ -221,9 +244,9 @@ def test_linear_interval_regret_matches_direct_sum():
     report = interval_regret_report(trace, schedule, set_, exhaustive_intervals(40))
     by_pair = {(r.start, r.end): r for r in report.intervals}
     for s, e in [(1, 40), (5, 5), (13, 29), (40, 40), (2, 39)]:
-        csum = np.sum(schedule.linear_coefficients()[s - 1 : e], axis=0)
+        csum = np.sum(schedule.family.C[schedule.rows[s - 1 : e]], axis=0)
         comp = float(csum @ set_.loo(csum))
-        direct = sum(float(schedule.loss_at(t).value(trace.plays[t - 1])) for t in range(s, e + 1))
+        direct = sum(schedule.family.value(schedule.rows[t - 1], trace.plays[t - 1]) for t in range(s, e + 1))
         r = by_pair[(s, e)]
         assert r.regret == pytest.approx(direct - comp, abs=1e-9)
         assert r.certificate.method == "loo_exact"
@@ -238,11 +261,11 @@ def _reference_scan(trace, schedule, set_, intervals):
     played = np.concatenate([[0.0], np.cumsum(trace.losses)])
     rows = []
     if schedule.kind == "linear":
-        C = schedule.linear_coefficients()
+        C = schedule.family.C[schedule.rows]
         prefix = np.vstack([np.zeros((1, C.shape[1])), np.cumsum(C, axis=0)])
     else:
-        alpha, B, C = schedule.quadratic_parts()
-        Sw = np.vstack([np.zeros((1, B.shape[1])), np.cumsum(alpha * B - C, axis=0)])
+        alpha, B = schedule.family.alpha, schedule.family.B[schedule.rows]
+        Sw = np.vstack([np.zeros((1, B.shape[1])), np.cumsum(alpha * B, axis=0)])
         Sb2 = np.concatenate([[0.0], np.cumsum(np.sum(B * B, axis=1))])
     for s, e in intervals:
         if schedule.kind == "linear":
@@ -327,7 +350,7 @@ def test_linear_comparator_beats_sampled_points():
         r = interval_regret_report(trace, schedule, set_, [(s, e)]).intervals[0]
         played = float(np.sum(trace.losses[s - 1 : e]))
         for z in members:
-            at_z = sum(float(schedule.loss_at(t).value(z)) for t in range(s, e + 1))
+            at_z = sum(schedule.family.value(schedule.rows[t - 1], z) for t in range(s, e + 1))
             assert played - at_z <= r.regret + 1e-9
 
 
@@ -344,11 +367,11 @@ def test_quadratic_comparator_certified_and_consistent():
         played = float(np.sum(trace.losses[r.start - 1 : r.end]))
         comp = played - r.regret
         direct_at = lambda z: sum(  # noqa: E731
-            float(schedule.loss_at(t).value(z)) for t in range(r.start, r.end + 1)
+            schedule.family.value(schedule.rows[t - 1], z) for t in range(r.start, r.end + 1)
         )
         # the certified value is attained by an actual feasible point
-        alpha, B, C = schedule.quadratic_parts()
-        w = np.sum(alpha * B[r.start - 1 : r.end] - C[r.start - 1 : r.end], axis=0)
+        alpha, B = schedule.family.alpha, schedule.family.B[schedule.rows]
+        w = np.sum(alpha * B[r.start - 1 : r.end], axis=0)
         x_star = exact_project(set_, w / (alpha * (r.end - r.start + 1)))
         assert direct_at(x_star) == pytest.approx(comp, rel=1e-10, abs=1e-10)
         for z in members:
@@ -585,6 +608,14 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     coerced = _write_cfg(tmp_path, _base_config(T=100, learner=learner), "coerced.json")
     assert cli_main(["validate", coerced]) == 2
     assert "learner.K must be an integer" in capsys.readouterr().err
+
+    # and so are set and loss values; a null scale used to crash the build
+    for name, overrides, message in (
+        ("n.json", {"set": {"kind": "ball", "n": 2.5, "radius": 1.0}}, "set.n must be an integer"),
+        ("scale.json", {"loss": {"kind": "iid_linear", "scale": None}}, "loss.scale must be a number"),
+    ):
+        assert cli_main(["validate", _write_cfg(tmp_path, _base_config(**overrides), name)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_regret_checks_the_loss_column(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,10 +18,13 @@ from pfoco.learners import (
     theoretical_bounds,
 )
 from pfoco.losses import (
+    bandit_gradient_estimate,
+    make_iid_absdev_schedule,
     make_iid_linear_schedule,
     make_iid_quadratic_schedule,
     make_switching_linear_schedule,
     make_switching_quadratic_schedule,
+    sample_unit_sphere,
 )
 from pfoco.projection import cip_loo
 from support import check_cip_loo_record, check_cip_so_record
@@ -138,7 +142,7 @@ def test_ogd_baseline_static_regret_bound():
     eta = ball.R / (sched.G_f * math.sqrt(T))
     trace = ogd_wf_run(ball, sched, eta)
     assert all(ball.contains(x) for x in trace.plays)
-    c_sum = sched.linear_coefficients().sum(axis=0)
+    c_sum = sched.family.C[sched.rows].sum(axis=0)
     x_star = ball.loo(c_sum)
     regret = float(trace.losses.sum() - c_sum @ x_star)
     bound = np.sum((trace.plays[0] - x_star) ** 2) / (2 * eta) + 0.5 * eta * float(np.sum(trace.grad_norms**2))
@@ -153,9 +157,8 @@ def test_ogd_baseline_strongly_convex_step_schedule():
     sched = make_iid_quadratic_schedule(T, 2, ball.R, rng, alpha=alpha, spread=0.2)
     etas = 1.0 / (alpha * np.arange(1, T + 1))
     trace = ogd_wf_run(ball, sched, etas)
-    _, B, _ = sched.quadratic_parts()
-    x_star = exact_project(ball, B.mean(axis=0))
-    opt = sum(sched.loss_at(t).value(x_star) for t in range(1, T + 1))
+    x_star = exact_project(ball, sched.family.B[sched.rows].mean(axis=0))
+    opt = sum(sched.family.value(i, x_star) for i in sched.rows)
     regret = float(trace.losses.sum() - opt)
     bound = float(np.sum(trace.grad_norms**2 / (2.0 * alpha * np.arange(1, T + 1))))
     assert regret <= bound + 1e-9
@@ -231,10 +234,10 @@ def test_loo_bogd_matches_eager_end_of_block_realization():
         target = targets[m - 1]
         eta = float(params.eta_m[m - 1])
         for _ in range(min(K, T - (m - 1) * K)):
-            f = sched.loss_at(t + 1)
+            i = sched.rows[t]
             plays[t] = play
-            losses[t] = f.value(play)
-            y = y - eta * f.subgrad(target)
+            losses[t] = sched.family.value(i, play)
+            y = y - eta * sched.family.subgrad(i, target)
             t += 1
         if m + 1 <= B:
             pending = cip_loo(ball, anchors[m - 1], y, float(params.eps_m[m]), counters)
@@ -243,36 +246,75 @@ def test_loo_bogd_matches_eager_end_of_block_realization():
     np.testing.assert_array_equal(losses, expected.losses)
 
 
-def _per_round_loo_run(set_, schedule, params):
-    """The full-information blocked learner one round at a time: plays,
-    losses, gradient norms, cumulative LOO counts and the (anchor, y,
-    eps) input of every projection."""
+def _per_round_loo_run(set_, schedule, params, rng=None):
+    """The blocked learner one round at a time: plays, losses, gradient
+    norms, cumulative LOO counts and the (anchor, y, eps) input of every
+    projection.  With an rng it is the bandit loop (loo_bbgd): anchors on
+    the squeezed set, z = anchor + delta*u_t, the value at z, then a
+    step along the one-point estimate; its gradient norms are None."""
     T, K, B, n = params.T, params.K, params.B, set_.n
+    bandit = rng is not None
+    delta = params.delta
+    view = squeeze(set_, 1.0 - delta / set_.r) if bandit else set_
+    U = sample_unit_sphere(rng, n, T) if bandit else None
+    family = schedule.family
     counters = OracleCounters()
-    start = np.array(set_.center)
+    start = np.array(view.center)
     anchor, target = start, start.copy()
     upcoming = (start.copy(), start.copy())
     y = start.copy()
-    plays, losses, gnorms = np.empty((T, n)), np.empty(T), np.empty(T)
+    plays, losses = np.empty((T, n)), np.empty(T)
+    gnorms = None if bandit else np.empty(T)
     loo_cum = np.empty(T, dtype=np.int64)
     inputs = []
     for m in range(1, B + 1):
         if m >= 2:
             eps = float(params.eps_m[m - 1])
             inputs.append((anchor, y, eps))
-            res = cip_loo(set_, anchor, y, eps, counters)
+            res = cip_loo(view, anchor, y, eps, counters)
             (anchor, target), upcoming = upcoming, (res.x, res.y)
             y = target.copy()
         eta = float(params.eta_m[m - 1])
         for t in range((m - 1) * K, min(m * K, T)):
-            f = schedule.loss_at(t + 1)
-            plays[t] = anchor
-            losses[t] = f.value(anchor)
-            g = f.subgrad(target)
-            gnorms[t] = np.linalg.norm(g)
-            y = y - eta * g
+            i = schedule.rows[t]
+            if bandit:
+                z = anchor + delta * U[t]
+                plays[t] = z
+                val = family.value(i, z)
+                losses[t] = val
+                y = y - eta * bandit_gradient_estimate(val, U[t], n, delta)
+            else:
+                plays[t] = anchor
+                losses[t] = family.value(i, anchor)
+                g = family.subgrad(i, target)
+                gnorms[t] = np.linalg.norm(g)
+                y = y - eta * g
             loo_cum[t] = counters.loo_calls
     return plays, losses, gnorms, loo_cum, inputs
+
+
+def _assert_run_equals_per_round_loop(set_, sched, params, monkeypatch, play_seed=None):
+    seen = []
+
+    def recording_cip_loo(view, x0, y0, eps, counters):
+        seen.append((x0.copy(), y0.copy(), eps))
+        return cip_loo(view, x0, y0, eps, counters)
+
+    monkeypatch.setattr(learners, "cip_loo", recording_cip_loo)
+
+    def play_rng():
+        return None if play_seed is None else np.random.default_rng(play_seed)
+
+    trace = loo_run(set_, sched, params, play_rng())
+    plays, losses, gnorms, loo_cum, inputs = _per_round_loo_run(set_, sched, params, play_rng())
+    assert np.array_equal(trace.plays, plays)
+    assert np.array_equal(trace.losses, losses)
+    assert (trace.grad_norms is None) if gnorms is None else np.array_equal(trace.grad_norms, gnorms)
+    assert np.array_equal(trace.loo_cum, loo_cum)
+    assert len(seen) == len(inputs) == params.B - 1
+    for (x0, y0, eps), (ref_x0, ref_y0, ref_eps) in zip(seen, inputs):
+        assert np.array_equal(x0, ref_x0) and np.array_equal(y0, ref_y0) and eps == ref_eps
+    assert any(rec.outer_iterations > 0 for rec in trace.projections)
 
 
 # T = 250 with K = 40: blocks start at rounds 1, 41, ..., 241 and the
@@ -281,38 +323,36 @@ def _per_round_loo_run(set_, schedule, params):
 _SEGMENTS = [(55, [1.0, -0.5, 0.2]), (70, [-1.5, 0.3, 1.0]), (40, [0.2, 2.0, -0.7]), (85, [0.9, 0.4, -1.8])]
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda R: make_switching_linear_schedule(250, 3, R, _SEGMENTS, gain=2.0),
-        lambda R: make_switching_quadratic_schedule(250, 3, R, _SEGMENTS, alpha=1.0),
-        lambda R: make_iid_linear_schedule(250, 3, R, np.random.default_rng(41)),
-        lambda R: make_iid_quadratic_schedule(250, 3, R, np.random.default_rng(43), spread=2.0),
-    ],
-    ids=["switching_linear", "switching_quadratic", "iid_linear", "iid_quadratic"],
-)
+_SCHEDULES = {
+    "switching_linear": lambda R: make_switching_linear_schedule(250, 3, R, _SEGMENTS, gain=2.0),
+    "switching_quadratic": lambda R: make_switching_quadratic_schedule(250, 3, R, _SEGMENTS, alpha=1.0),
+    "iid_linear": lambda R: make_iid_linear_schedule(250, 3, R, np.random.default_rng(41)),
+    "iid_quadratic": lambda R: make_iid_quadratic_schedule(250, 3, R, np.random.default_rng(43), spread=2.0),
+    "iid_absdev": lambda R: make_iid_absdev_schedule(250, 3, R, np.random.default_rng(47)),
+}
+
+
+@pytest.mark.parametrize("make", list(_SCHEDULES.values()), ids=list(_SCHEDULES))
 def test_loo_run_collapsed_blocks_equal_the_per_round_loop(make, monkeypatch):
     set_ = L1Ball(3, 1.0)
     sched = make(set_.R)
     params = loo_bogd_params(set_, sched.G_f, sched.T, eta=0.05, eps=0.01, K=40)
     assert params.T % params.K != 0
-    seen = []
+    _assert_run_equals_per_round_loop(set_, sched, params, monkeypatch)
 
-    def recording_cip_loo(view, x0, y0, eps, counters):
-        seen.append((x0.copy(), y0.copy(), eps))
-        return cip_loo(view, x0, y0, eps, counters)
 
-    monkeypatch.setattr(learners, "cip_loo", recording_cip_loo)
-    trace = loo_run(set_, sched, params)
-    plays, losses, gnorms, loo_cum, inputs = _per_round_loo_run(set_, sched, params)
-    assert np.array_equal(trace.plays, plays)
-    assert np.array_equal(trace.losses, losses)
-    assert np.array_equal(trace.grad_norms, gnorms)
-    assert np.array_equal(trace.loo_cum, loo_cum)
-    assert len(seen) == len(inputs) == params.B - 1
-    for (x0, y0, eps), (ref_x0, ref_y0, ref_eps) in zip(seen, inputs):
-        assert np.array_equal(x0, ref_x0) and np.array_equal(y0, ref_y0) and eps == ref_eps
-    assert any(rec.outer_iterations > 0 for rec in trace.projections)
+@pytest.mark.parametrize("make", list(_SCHEDULES.values()), ids=list(_SCHEDULES))
+def test_loo_run_bandit_blocks_equal_the_per_round_loop(make, monkeypatch):
+    # the theorem block length is the whole horizon at this scale; K = 40
+    # and a larger step put segment switches inside blocks, leave a
+    # 10-round last block and make the projections leave their anchors
+    set_ = L1Ball(3, 1.0)
+    sched = make(set_.R)
+    p = loo_bbgd_params(set_, sched.M, sched.T, c=1.0, G_f=sched.G_f)
+    B = math.ceil(p.T / 40)
+    params = dataclasses.replace(p, K=40, B=B, eta_m=np.full(B, 0.05), eps_m=np.full(B, p.eps))
+    assert params.T % params.K != 0
+    _assert_run_equals_per_round_loop(set_, sched, params, monkeypatch, play_seed=5)
 
 
 def test_loo_bogd_strongly_convex_schedule_arrays():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pfoco.losses import (
-    AbsDevLoss,
-    LinearLoss,
-    QuadraticLoss,
+    AbsDevLosses,
+    LinearLosses,
+    QuadraticLosses,
     bandit_gradient_estimate,
     make_iid_absdev_schedule,
     make_iid_linear_schedule,
@@ -15,20 +15,20 @@ from pfoco.losses import (
     make_switching_quadratic_schedule,
     sample_unit_ball,
     sample_unit_sphere,
-    smoothed_value_mc,
 )
 from support import (
     block_sum_moment_bounds,
     block_sum_moment_samples,
     estimate_gradient_mc,
+    smoothed_value_mc,
 )
 
 
-def _random_losses(rng, n, R):
+def _random_families(rng, n, k=4):
     return [
-        LinearLoss(rng.standard_normal(n), R),
-        QuadraticLoss(rng.uniform(0.5, 2.0), 0.3 * rng.standard_normal(n), R, c=0.2 * rng.standard_normal(n)),
-        AbsDevLoss(rng.standard_normal(n), rng.uniform(-1, 1), R),
+        LinearLosses(rng.standard_normal((k, n))),
+        QuadraticLosses(rng.uniform(0.5, 2.0), 0.3 * rng.standard_normal((k, n))),
+        AbsDevLosses(rng.standard_normal((k, n)), rng.uniform(-1, 1, k)),
     ]
 
 
@@ -36,37 +36,62 @@ def test_declared_bounds_hold_on_the_domain():
     rng = np.random.default_rng(73)
     for _ in range(10):
         n, R = int(rng.integers(2, 6)), rng.uniform(0.5, 2.0)
-        for loss in _random_losses(rng, n, R):
+        for fam in _random_families(rng, n):
+            G_f, M = fam.bounds(R)
             for _ in range(50):
                 x = rng.standard_normal(n)
                 x *= rng.uniform(0, R) / np.linalg.norm(x)
-                val, g = loss.value(x), loss.subgrad(x)
-                assert abs(val) <= loss.M + 1e-9
-                assert np.linalg.norm(g) <= loss.G_f + 1e-9
+                for i in range(fam.shape[0]):
+                    val, g = fam.value(i, x), fam.subgrad(i, x)
+                    assert abs(val) <= M + 1e-9
+                    assert np.linalg.norm(g) <= G_f + 1e-9
 
 
 def test_subgradient_inequality():
     rng = np.random.default_rng(79)
     for _ in range(10):
-        n, R = int(rng.integers(2, 6)), 1.5
-        for loss in _random_losses(rng, n, R):
+        n = int(rng.integers(2, 6))
+        for fam in _random_families(rng, n):
             for _ in range(20):
                 x = rng.standard_normal(n) * 0.5
                 z = rng.standard_normal(n) * 0.5
-                vx, g = loss.value(x), loss.subgrad(x)
-                assert loss.value(z) >= vx + float(g @ (z - x)) - 1e-9
+                for i in range(fam.shape[0]):
+                    vx, g = fam.value(i, x), fam.subgrad(i, x)
+                    assert fam.value(i, z) >= vx + float(g @ (z - x)) - 1e-9
+
+
+def test_batched_values_equal_row_by_row():
+    # the batched kernel rounds each dot product as the one-row path does
+    rng = np.random.default_rng(71)
+    for n in (2, 3, 8, 17):
+        X = rng.standard_normal((300, n))
+        I = rng.integers(0, 5, 300)
+        for fam in _random_families(rng, n, k=5):
+            want = np.array([fam.value(i, x) for i, x in zip(I, X)])
+            assert np.array_equal(fam.values(I, X), want)
 
 
 def test_quadratic_gradient_bound_is_tight():
-    loss = QuadraticLoss(1.3, np.array([0.4, -0.2]), R=1.0, c=np.array([0.1, 0.3]))
-    w = loss.alpha * loss.b - loss.c
-    x_star = -loss.R * w / np.linalg.norm(w)
-    assert np.linalg.norm(loss.subgrad(x_star)) == pytest.approx(loss.G_f, rel=1e-12)
+    loss = QuadraticLosses(1.3, [[0.4, -0.2]])
+    b = loss.B[0]
+    x_star = -b / np.linalg.norm(b)  # R = 1
+    assert np.linalg.norm(loss.subgrad(0, x_star)) == pytest.approx(loss.bounds(1.0)[0], rel=1e-12)
+
+
+def test_families_check_their_rows():
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        QuadraticLosses(0.0, [[0.1, 0.2]])
+    with pytest.raises(ValueError, match=r"finite \(k, n\) array, got shape \(2,\)"):
+        LinearLosses([0.1, 0.2])
+    with pytest.raises(ValueError, match=r"finite \(k, n\) array"):
+        LinearLosses([[0.1, np.inf]])
+    with pytest.raises(ValueError, match="one finite offset per row"):
+        AbsDevLosses([[1.0, 0.0], [0.0, 1.0]], [0.5])
 
 
 def test_absdev_kink_subgradient_is_zero():
-    loss = AbsDevLoss(np.array([1.0, 1.0]), 1.0, R=2.0)
-    np.testing.assert_array_equal(loss.subgrad(np.array([0.5, 0.5])), [0.0, 0.0])
+    loss = AbsDevLosses([[1.0, 1.0]], [1.0])
+    np.testing.assert_array_equal(loss.subgrad(0, np.array([0.5, 0.5])), [0.0, 0.0])
 
 
 def test_sphere_and_ball_samplers():
@@ -79,9 +104,6 @@ def test_sphere_and_ball_samplers():
     # mean radius of a uniform ball draw is n/(n+1)
     sem = radii.std(ddof=1) / np.sqrt(radii.size)
     assert abs(radii.mean() - 4.0 / 5.0) <= 5 * sem
-    # single draws work too
-    assert np.linalg.norm(sample_unit_sphere(rng, 3)) == pytest.approx(1.0)
-    assert np.linalg.norm(sample_unit_ball(rng, 3)) <= 1.0
 
 
 def test_gradient_estimate_formula():
@@ -95,35 +117,35 @@ def test_gradient_estimate_formula():
 def test_estimator_mean_matches_linear_gradient():
     rng = np.random.default_rng(89)
     c = np.array([0.6, -0.2, 0.3])
-    loss = LinearLoss(c, R=1.0)
+    loss = LinearLosses([c])
     x = np.array([0.1, 0.2, -0.1])
-    mean, sem = estimate_gradient_mc(loss, x, delta=0.5, samples=40000, rng=rng)
+    mean, sem = estimate_gradient_mc(loss, 0, x, delta=0.5, samples=40000, rng=rng)
     assert np.all(np.abs(mean - c) <= 5 * sem + 1e-12)
 
 
 def test_estimator_mean_matches_smoothed_quadratic_gradient():
     # ball smoothing leaves a quadratic's gradient unchanged
     rng = np.random.default_rng(97)
-    loss = QuadraticLoss(1.2, np.array([0.3, -0.1]), R=1.0, c=np.array([0.05, 0.2]))
+    loss = QuadraticLosses(1.2, [[0.3, -0.1]])
     x = np.array([0.2, 0.4])
-    mean, sem = estimate_gradient_mc(loss, x, delta=0.4, samples=60000, rng=rng)
-    assert np.all(np.abs(mean - loss.subgrad(x)) <= 5 * sem)
+    mean, sem = estimate_gradient_mc(loss, 0, x, delta=0.4, samples=60000, rng=rng)
+    assert np.all(np.abs(mean - loss.subgrad(0, x)) <= 5 * sem)
 
 
 def test_smoothed_value_stays_within_delta_lipschitz_band():
     rng = np.random.default_rng(101)
-    for loss in _random_losses(rng, 3, 1.0):
+    for fam in _random_families(rng, 3, k=1):
         x = np.array([0.2, -0.3, 0.1])
         delta = 0.3
-        est, stderr = smoothed_value_mc(loss, x, delta, 20000, rng)
-        assert abs(est - loss.value(x)) <= delta * loss.G_f + 5 * stderr
+        est, stderr = smoothed_value_mc(fam, 0, x, delta, 20000, rng)
+        assert abs(est - fam.value(0, x)) <= delta * fam.bounds(1.0)[0] + 5 * stderr
 
 
 def test_block_sum_moments_within_bounds():
     rng = np.random.default_rng(103)
     L, n, R, delta = 6, 3, 1.0, 0.4
     sched = make_iid_linear_schedule(L, n, R, rng)
-    C = sched.linear_coefficients()
+    C = sched.family.C[sched.rows]
     x = np.array([0.3, 0.0, 0.0])
     sq = block_sum_moment_samples(C, x, delta, blocks=20000, rng=rng)
     b2, b4 = block_sum_moment_bounds(L, n, sched.M, delta, sched.G_f)
@@ -140,26 +162,20 @@ def test_schedule_builders():
     assert s.T == 100 and s.kind == "linear"
     assert s.G_f == pytest.approx(0.7)
     assert s.M == pytest.approx(0.7)
-    assert s.alpha_min == 0.0
+    assert s.family.alpha == 0.0
     assert s.boundaries == [1]
-    assert s.linear_coefficients().shape == (100, 3)
+    assert s.family.C.shape == (100, 3)
 
     sw = make_switching_linear_schedule(10, 2, 1.0, [(6, [1.0, 0.0]), (4, [0.0, -1.0])], gain=2.0)
     assert sw.boundaries == [1, 7]
-    np.testing.assert_allclose(sw.loss_at(1).c, [-2.0, 0.0])
-    np.testing.assert_allclose(sw.loss_at(7).c, [0.0, 2.0])
+    np.testing.assert_allclose(sw.family.C[sw.rows[0]], [-2.0, 0.0])
+    np.testing.assert_allclose(sw.family.C[sw.rows[6]], [0.0, 2.0])
     with pytest.raises(ValueError):
         make_switching_linear_schedule(9, 2, 1.0, [(6, [1.0, 0.0]), (4, [0.0, 1.0])])
 
     q = make_switching_quadratic_schedule(8, 2, 1.0, [(8, [0.2, 0.1])], alpha=1.5)
-    assert q.alpha_min == 1.5
-    alpha, B, Clin = q.quadratic_parts()
-    assert alpha == 1.5
-    np.testing.assert_allclose(B[0], [0.2, 0.1])
-    np.testing.assert_array_equal(Clin, np.zeros((8, 2)))
-
-    with pytest.raises(ValueError):
-        q.linear_coefficients()
+    assert q.kind == "quadratic" and q.family.alpha == 1.5
+    np.testing.assert_allclose(q.family.B[q.rows[0]], [0.2, 0.1])
 
     a = make_iid_absdev_schedule(50, 2, 1.0, rng)
     assert a.kind == "absdev"
@@ -169,36 +185,47 @@ def test_schedule_builders():
 def test_schedule_tables_hold_one_loss_per_segment():
     segments = [(3, [1.0, 0.0]), (5, [0.0, -1.0]), (2, [1.0, 1.0])]
     sw = make_switching_linear_schedule(10, 2, 1.0, segments)
-    assert len(sw.table) == 3
+    assert sw.family.shape[0] == 3
     assert sw.rows.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 2, 2]
-    assert all(sw.loss_at(t) is sw.table[sw.rows[t - 1]] for t in range(1, 11))
-    C = sw.linear_coefficients()
-    np.testing.assert_array_equal(C, np.stack([f.c for f in sw.table])[sw.rows])
+    np.testing.assert_array_equal(sw.family.C[1], [0.0, 1.0])
     q = make_switching_quadratic_schedule(10, 2, 1.0, segments, alpha=2.0)
-    assert len(q.table) == 3 and q.rows.tolist() == sw.rows.tolist()
-    _, B, _ = q.quadratic_parts()
-    assert B.shape == (10, 2)
-    np.testing.assert_array_equal(B[3:8], np.tile([0.0, -1.0], (5, 1)))
+    assert q.family.shape[0] == 3 and q.rows.tolist() == sw.rows.tolist()
+    np.testing.assert_array_equal(q.family.B[q.rows][3:8], np.tile([0.0, -1.0], (5, 1)))
 
     iid = make_iid_quadratic_schedule(7, 2, 1.0, np.random.default_rng(3))
-    assert len(iid.table) == 7 and iid.rows.tolist() == list(range(7))
+    assert iid.family.shape[0] == 7 and iid.rows.tolist() == list(range(7))
 
     for bad in ([(0, [1.0, 0.0]), (10, [0.0, 1.0])], [(-2, [1.0, 0.0]), (12, [0.0, 1.0])], [(2.5, [1.0, 0.0])]):
         with pytest.raises(ValueError, match="positive integers"):
             make_switching_linear_schedule(10, 2, 1.0, bad)
-    with pytest.raises(ValueError, match="outside the 3-row loss table"):
+    with pytest.raises(ValueError, match="outside the 3-row loss family"):
         dataclasses.replace(sw, rows=np.array([0, 3]))
+
+
+def test_declared_bounds_are_the_row_maxima():
+    # exactly the maxima of the per-row bounds: learners size their steps from them
+    rng = np.random.default_rng(61)
+    R = 1.7
+    lin = make_iid_linear_schedule(50, 3, R, rng, scale=0.7)
+    g = max(float(np.linalg.norm(c)) for c in lin.family.C)
+    assert (lin.G_f, lin.M) == (g, R * g)
+    q = make_iid_quadratic_schedule(50, 3, R, rng, alpha=1.3, spread=0.4)
+    assert q.G_f == max(1.3 * R + float(np.linalg.norm(1.3 * b)) for b in q.family.B)
+    assert q.M == max(0.5 * 1.3 * (R + float(np.linalg.norm(b))) ** 2 for b in q.family.B)
+    a = make_iid_absdev_schedule(50, 3, R, rng)
+    assert a.G_f == max(float(np.linalg.norm(r)) for r in a.family.A)
+    assert a.M == max(R * float(np.linalg.norm(r)) + abs(b) for r, b in zip(a.family.A, a.family.b))
 
 
 def test_schedules_deterministic_given_seed():
     s1 = make_iid_linear_schedule(50, 3, 1.0, np.random.default_rng(5))
     s2 = make_iid_linear_schedule(50, 3, 1.0, np.random.default_rng(5))
-    np.testing.assert_array_equal(s1.linear_coefficients(), s2.linear_coefficients())
+    np.testing.assert_array_equal(s1.family.C, s2.family.C)
 
 
 def test_iid_quadratic_schedule_declared_curvature():
     sched = make_iid_quadratic_schedule(20, 2, 1.0, np.random.default_rng(9), alpha=2.0, spread=0.1)
-    assert sched.alpha_min == 2.0
+    assert sched.family.alpha == 2.0
     assert sched.kind == "quadratic"
     # targets stay inside the spread ball, so G_f <= alpha*(R + spread)
     assert sched.G_f <= 2.0 * 1.1 + 1e-12
