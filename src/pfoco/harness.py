@@ -68,7 +68,8 @@ def _check_keys(d: dict, where: str, required: tuple, optional: tuple = ()):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or a finite float (json.load parses NaN and Infinity), not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and math.isfinite(v)
 
 
 def _num(d: dict, key: str, where: str, default=None, minimum=None):
@@ -76,7 +77,7 @@ def _num(d: dict, key: str, where: str, default=None, minimum=None):
     if v is None and key not in d:
         raise ConfigError(f"{where}.{key} is required")
     if not _is_number(v):
-        raise ConfigError(f"{where}.{key} must be a number")
+        raise ConfigError(f"{where}.{key} must be a {'finite number' if isinstance(v, float) else 'number'}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}")
     return v

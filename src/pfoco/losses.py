@@ -26,7 +26,7 @@ bound, which is what the regret accounting charges for the smoothing.
 from __future__ import annotations
 
 import dataclasses
-import functools
+
 import numpy as np
 
 from .geometry import Vector, as_vector
@@ -53,21 +53,23 @@ class LinearLosses:
     def __init__(self, C):
         self.C = _matrix(C)
         self.shape = self.C.shape  # (k losses, dimension n)
+        self._rows = None  # row views, listed on the first per-round call
 
     def bounds(self, R: float) -> tuple[float, float]:
         G_f = float(_norms(self.C).max())
         return G_f, R * G_f
 
-    @functools.cached_property
-    def _rows(self) -> list:
-        # row views built once: a per-round C[i] would make a view each call
-        return list(self.C)
+    def _list_rows(self) -> list:
+        # indexing a list of views beats making the view C[i] each round; a
+        # plain attribute, as a cached_property lookup costs more per round
+        self._rows = list(self.C)
+        return self._rows
 
     def value(self, i: int, x: Vector) -> float:
-        return float(self._rows[i] @ x)
+        return float((self._rows or self._list_rows())[i] @ x)
 
     def subgrad(self, i: int, x: Vector) -> Vector:
-        return self._rows[i].copy()
+        return (self._rows or self._list_rows())[i].copy()
 
     def values(self, I, X) -> np.ndarray:
         return np.vecdot(X, self.C[I])
@@ -84,6 +86,7 @@ class QuadraticLosses:
         self.alpha = float(alpha)
         self.B = _matrix(B)
         self.shape = self.B.shape
+        self._rows = None
 
     def bounds(self, R: float) -> tuple[float, float]:
         # sup over the R-ball of alpha*||x - b|| is attained at x = -R b/||b||
@@ -91,16 +94,16 @@ class QuadraticLosses:
         M = 0.5 * self.alpha * (R + float(_norms(self.B).max())) ** 2
         return G_f, M
 
-    @functools.cached_property
-    def _rows(self) -> list:
-        return list(self.B)
+    def _list_rows(self) -> list:
+        self._rows = list(self.B)
+        return self._rows
 
     def value(self, i: int, x: Vector) -> float:
-        d = x - self._rows[i]
+        d = x - (self._rows or self._list_rows())[i]
         return 0.5 * self.alpha * float(d @ d)
 
     def subgrad(self, i: int, x: Vector) -> Vector:
-        return self.alpha * (x - self._rows[i])
+        return self.alpha * (x - (self._rows or self._list_rows())[i])
 
     def values(self, I, X) -> np.ndarray:
         D = X - self.B[I]
@@ -119,21 +122,22 @@ class AbsDevLosses:
         if self.b.shape != (self.A.shape[0],) or not np.all(np.isfinite(self.b)):
             raise ValueError("b must hold one finite offset per row of A")
         self.shape = self.A.shape
+        self._rows = None
 
     def bounds(self, R: float) -> tuple[float, float]:
         G = _norms(self.A)
         return float(G.max()), float((R * G + np.abs(self.b)).max())
 
-    @functools.cached_property
-    def _rows(self) -> list:
-        return list(zip(self.A, self.b.tolist()))
+    def _list_rows(self) -> list:
+        self._rows = list(zip(self.A, self.b.tolist()))
+        return self._rows
 
     def value(self, i: int, x: Vector) -> float:
-        a, b = self._rows[i]
+        a, b = (self._rows or self._list_rows())[i]
         return abs(float(a @ x) - b)
 
     def subgrad(self, i: int, x: Vector) -> Vector:
-        a, b = self._rows[i]
+        a, b = (self._rows or self._list_rows())[i]
         return float(np.sign(float(a @ x) - b)) * a
 
     def values(self, I, X) -> np.ndarray:
@@ -144,8 +148,11 @@ class AbsDevLosses:
 # sampling and estimation
 
 
-def sample_unit_sphere(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """``size`` uniform draws on the unit sphere (normalized Gaussians)."""
+def sample_unit_sphere(rng: np.random.Generator, n: int, size: int | None = None) -> np.ndarray:
+    """Uniform draw(s) on the unit sphere (normalized Gaussians); a single
+    draw is a batch of one."""
+    if size is None:
+        return sample_unit_sphere(rng, n, 1)[0]
     G = rng.standard_normal((size, n))
     norms = np.linalg.norm(G, axis=1, keepdims=True)
     # a degenerate draw is measure-zero; route it to e_1 anyway
@@ -157,8 +164,10 @@ def sample_unit_sphere(rng: np.random.Generator, n: int, size: int) -> np.ndarra
     return G / norms
 
 
-def sample_unit_ball(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """``size`` uniform draws in the unit ball: sphere point times U^(1/n)."""
+def sample_unit_ball(rng: np.random.Generator, n: int, size: int | None = None) -> np.ndarray:
+    """Uniform draw(s) in the unit ball: sphere point times U^(1/n)."""
+    if size is None:
+        return sample_unit_ball(rng, n, 1)[0]
     S = sample_unit_sphere(rng, n, size)
     radii = rng.uniform(size=size) ** (1.0 / n)
     return S * radii[:, None]
@@ -169,6 +178,18 @@ def bandit_gradient_estimate(value: float, u: Vector, n: int, delta: float) -> V
     if not (delta > 0):
         raise ValueError("delta must be positive")
     return (n / delta) * value * np.asarray(u, dtype=np.float64)
+
+
+def smoothed_value_mc(family, i: int, x: Vector, delta: float, samples: int, rng) -> tuple[float, float]:
+    """Monte-Carlo estimate of row i's delta-ball-smoothed value at x.
+
+    Returns (estimate, standard error).
+    """
+    if samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+    U = sample_unit_ball(rng, family.shape[1], samples)
+    vals = family.values(i, np.asarray(x) + delta * U)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(samples))
 
 
 # ----------------------------------------------------------------------

@@ -128,24 +128,14 @@ def estimate_gradient_mc(family, i, x, delta, samples, rng):
     return G.mean(axis=0), G.std(axis=0, ddof=1) / math.sqrt(samples)
 
 
-def smoothed_value_mc(family, i, x, delta, samples, rng):
-    """Monte-Carlo estimate of loss row i's delta-ball-smoothed value at
-    x: (estimate, standard error)."""
-    from pfoco.losses import sample_unit_ball
-
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    U = sample_unit_ball(rng, family.shape[1], samples)
-    vals = family.values(i, np.asarray(x) + delta * U)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(samples))
-
-
 def smoothed_fd_gradient(family, i, x, delta, h, samples, seed):
     """Central finite differences of loss row i's MC-smoothed value.
 
     Common random numbers: both sides of each difference reuse the same
     sample stream, so the smoothing noise cancels and only the bias of
     the difference quotient remains."""
+    from pfoco.losses import smoothed_value_mc
+
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(family.shape[1])
     for k in range(family.shape[1]):

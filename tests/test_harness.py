@@ -108,6 +108,8 @@ def test_set_and_loss_values_are_validated_not_coerced():
     for set_cfg, loss, message in (
         ({**ball, "n": 2.5}, None, "set.n must be an integer"),
         ({**ball, "n": 0}, None, "set.n must be >= 1"),
+        ({**ball, "n": float("inf")}, None, "set.n must be a finite number"),
+        ({**ball, "radius": float("nan")}, None, "set.radius must be a finite number"),
         ({**ball, "radius": True}, None, "set.radius must be a number"),
         ({"kind": "simplex", "n": 2, "scale": True}, None, "set.scale must be a number"),
         (None, {"kind": "iid_linear", "scale": True}, "loss.scale must be a number"),
@@ -118,6 +120,8 @@ def test_set_and_loss_values_are_validated_not_coerced():
         (None, {"kind": "switching_linear", "segments": [[64, [True, 0]]]}, r"loss.segments\[0\] must be"),
         (None, {"kind": "switching_linear", "segments": [[63, [1, 0]], [True, [0, 1]]]}, r"loss.segments\[1\] must be"),
         (None, {"kind": "switching_linear", "segments": [[64.0, [1, 0]]]}, r"loss.segments\[0\] must be"),
+        (None, {"kind": "switching_linear", "segments": [[64, [float("nan"), 1]]]}, r"loss.segments\[0\] must be"),
+        (None, {"kind": "iid_linear", "scale": float("-inf")}, "loss.scale must be a finite number"),
     ):
         overrides = {"set": set_cfg} if set_cfg else {"loss": loss}
         with pytest.raises(ConfigError, match=message):
@@ -609,9 +613,11 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert cli_main(["validate", coerced]) == 2
     assert "learner.K must be an integer" in capsys.readouterr().err
 
-    # and so are set and loss values; a null scale used to crash the build
+    # and so are set and loss values; a null scale used to crash the build,
+    # and json.load reads Infinity as a float that int() cannot convert
     for name, overrides, message in (
         ("n.json", {"set": {"kind": "ball", "n": 2.5, "radius": 1.0}}, "set.n must be an integer"),
+        ("inf.json", {"set": {"kind": "ball", "n": float("inf"), "radius": 1.0}}, "set.n must be a finite number"),
         ("scale.json", {"loss": {"kind": "iid_linear", "scale": None}}, "loss.scale must be a number"),
     ):
         assert cli_main(["validate", _write_cfg(tmp_path, _base_config(**overrides), name)]) == 2

@@ -15,12 +15,12 @@ from pfoco.losses import (
     make_switching_quadratic_schedule,
     sample_unit_ball,
     sample_unit_sphere,
+    smoothed_value_mc,
 )
 from support import (
     block_sum_moment_bounds,
     block_sum_moment_samples,
     estimate_gradient_mc,
-    smoothed_value_mc,
 )
 
 
@@ -104,6 +104,9 @@ def test_sphere_and_ball_samplers():
     # mean radius of a uniform ball draw is n/(n+1)
     sem = radii.std(ddof=1) / np.sqrt(radii.size)
     assert abs(radii.mean() - 4.0 / 5.0) <= 5 * sem
+    # single draws work too
+    assert np.linalg.norm(sample_unit_sphere(rng, 3)) == pytest.approx(1.0)
+    assert np.linalg.norm(sample_unit_ball(rng, 3)) <= 1.0
 
 
 def test_gradient_estimate_formula():
