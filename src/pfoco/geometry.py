@@ -23,6 +23,15 @@ learner's oracle call.
 Use the module-level wrappers :func:`loo_query` and :func:`so_query`
 when a call should be charged to an :class:`OracleCounters`.
 
+Validation: every public oracle here (``loo``, ``separate``, ``project``
+and the ``*_many`` forms) and every projection in :mod:`pfoco.projection`
+checks its vector input once, on entry, and raises ``ValueError`` unless
+it is a 1-D float64 array (or rows of one) of the set's dimension with
+finite entries.  The learner loops call these same entry points; there
+is no unchecked path.  The per-vector check (:func:`as_vector`) is one
+``dot`` and a finiteness test of the result, about 1 us on an 8-vector;
+the entry-wise scan runs only when that sum of squares is not finite.
+
 Tie-breaking: closed-form sets resolve ties toward the lowest coordinate
 index.  The polytope's answer is a function of the LP solver's optimal
 basis; on directions with tied optima that basis can depend on earlier
@@ -34,6 +43,7 @@ run builds its own set.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional, TypeAlias
 
 import numpy as np
@@ -47,11 +57,17 @@ MEMBERSHIP_RTOL = 1e-12
 
 
 def as_vector(x) -> Vector:
-    """Coerce to a finite, contiguous 1-D float64 array."""
+    """Coerce to a finite, contiguous 1-D float64 array.
+
+    Entries so large that their squares overflow (above about 1e154) are
+    accepted, after NumPy's overflow warning.
+    """
     v = np.ascontiguousarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    # a finite sum of squares proves every entry finite; only an overflow
+    # or a non-finite entry needs the entry-wise scan
+    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -89,6 +105,10 @@ class SeparationAnswer:
 
     feasible: bool
     g: Optional[Vector] = None
+
+
+# the one "feasible" reply, shared by every set (the answer is frozen)
+FEASIBLE = SeparationAnswer(True)
 
 
 class FeasibleSet:
@@ -186,8 +206,8 @@ class Ball(FeasibleSet):
 
     def separate(self, point: Vector) -> SeparationAnswer:
         y = self._check_dim(point)
-        if float(np.linalg.norm(y)) <= self.R + self._tol():
-            return SeparationAnswer(True)
+        if math.sqrt(y.dot(y)) <= self.R + self._tol():
+            return FEASIBLE
         return SeparationAnswer(False, y.copy())
 
     def project(self, point: Vector) -> Vector:
@@ -245,7 +265,7 @@ class Box(FeasibleSet):
         viol = np.concatenate([over, under])
         j = int(np.argmax(viol))
         if viol[j] <= self._tol():
-            return SeparationAnswer(True)
+            return FEASIBLE
         g = np.zeros(self.n)
         if j < self.n:
             g[j] = 1.0  # above the upper face
@@ -315,7 +335,7 @@ class Simplex(FeasibleSet):
         rt = np.sqrt(self.n)
         worst = max(neg, total / rt, -total / rt)
         if worst <= tol:
-            return SeparationAnswer(True)
+            return FEASIBLE
         g = np.zeros(self.n)
         if neg >= worst:
             g[j] = -1.0
@@ -363,8 +383,8 @@ class L1Ball(FeasibleSet):
 
     def separate(self, point: Vector) -> SeparationAnswer:
         y = self._check_dim(point)
-        if float(np.sum(np.abs(y))) <= self.R + self._tol():
-            return SeparationAnswer(True)
+        if float(np.abs(y).sum()) <= self.R + self._tol():
+            return FEASIBLE
         # z @ sign(y) <= ||z||_1 <= R < ||y||_1 = y @ sign(y) for all z in K
         return SeparationAnswer(False, np.sign(y))
 
@@ -506,7 +526,7 @@ class Polytope(FeasibleSet):
         viol = self.A @ y - self.b
         j = int(np.argmax(viol))
         if viol[j] <= self._tol():
-            return SeparationAnswer(True)
+            return FEASIBLE
         return SeparationAnswer(False, self.A[j].copy())
 
     def project(self, point: Vector) -> Vector:

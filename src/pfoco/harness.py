@@ -72,6 +72,11 @@ def _is_number(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and math.isfinite(v)
 
 
+def _is_numbers(v) -> bool:
+    """A list of finite numbers (see :func:`_is_number`)."""
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
 def _num(d: dict, key: str, where: str, default=None, minimum=None):
     v = d.get(key, default)
     if v is None and key not in d:
@@ -151,11 +156,16 @@ def _validate_set_cfg(d: dict) -> dict:
         _int(d, "n", "set", minimum=1)
     for key in sorted(set(d) & {"radius", "scale"}):
         _num(d, key, "set")
+    for key in sorted(set(d) & {"lower", "upper", "b"}):
+        if not _is_numbers(d[key]):
+            raise ConfigError(f"set.{key} must be a list of finite numbers")
+    if "A" in d and not (isinstance(d["A"], list) and all(map(_is_numbers, d["A"]))):
+        raise ConfigError("set.A must be a list of lists of finite numbers")
     return d
 
 
 def build_set(d: dict) -> FeasibleSet:
-    kind = d["kind"]
+    kind = _validate_set_cfg(d)["kind"]
     try:
         if kind == "ball":
             return Ball(int(d["n"]), float(d["radius"]))
@@ -169,17 +179,27 @@ def build_set(d: dict) -> FeasibleSet:
             return Polytope(np.asarray(d["A"], dtype=np.float64), np.asarray(d["b"], dtype=np.float64))
     except (ValueError, TypeError) as e:
         raise ConfigError(f"bad set config: {e}") from e
-    raise ConfigError(f"unknown set kind {kind!r}")
 
 
-_LOSS_KINDS = ("iid_linear", "switching_linear", "iid_quadratic", "switching_quadratic", "iid_absdev")
+# loss kind -> the config keys it reads
+_LOSS_KEYS = {
+    "iid_linear": {"scale"},
+    "switching_linear": {"segments", "gain"},
+    "iid_quadratic": {"alpha", "spread"},
+    "switching_quadratic": {"segments", "alpha"},
+    "iid_absdev": {"scale"},
+}
 
 
 def _validate_loss_cfg(d: dict, T: int) -> dict:
-    _check_keys(d, "loss", ("kind",), ("scale", "gain", "alpha", "spread", "segments"))
+    _check_keys(d, "loss", ("kind",), set().union(*_LOSS_KEYS.values()))
     kind = d.get("kind")
-    if kind not in _LOSS_KINDS:
+    keys = _LOSS_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
         raise ConfigError(f"unknown loss kind {kind!r}")
+    extras = sorted(set(d) - {"kind"} - keys)
+    if extras:
+        raise ConfigError(f"keys {extras} do not apply to loss {kind!r}")
     for key in sorted(set(d) & {"scale", "gain", "alpha", "spread"}):
         _num(d, key, "loss")
     if kind.startswith("switching"):
@@ -189,7 +209,7 @@ def _validate_loss_cfg(d: dict, T: int) -> dict:
         total = 0
         for j, seg in enumerate(segs):
             length, target = seg if isinstance(seg, list) and len(seg) == 2 else (None, None)
-            if not (type(length) is int and length > 0 and isinstance(target, list) and all(map(_is_number, target))):
+            if not (type(length) is int and length > 0 and _is_numbers(target)):
                 raise ConfigError(f"loss.segments[{j}] must be [positive integer length, list of numbers]")
             total += length
         if total != T:
@@ -198,7 +218,7 @@ def _validate_loss_cfg(d: dict, T: int) -> dict:
 
 
 def build_schedule(d: dict, T: int, set_: FeasibleSet, rng: np.random.Generator) -> LossSchedule:
-    kind = d["kind"]
+    kind = _validate_loss_cfg(d, T)["kind"]
     n, R = set_.n, set_.R
     try:
         if kind == "iid_linear":
@@ -215,7 +235,6 @@ def build_schedule(d: dict, T: int, set_: FeasibleSet, rng: np.random.Generator)
             return make_iid_absdev_schedule(T, n, R, rng, scale=float(d.get("scale", 1.0)))
     except ValueError as e:
         raise ConfigError(f"bad loss config: {e}") from e
-    raise ConfigError(f"unknown loss kind {kind!r}")
 
 
 def _validate_learner_cfg(d: dict) -> dict:

@@ -575,7 +575,7 @@ def so_run(
             plays[t] = ytil
             losses[t] = value(i, ytil)
             g = subgrad(i, ytil)
-            gnorms[t] = np.linalg.norm(g)
+            gnorms[t] = math.sqrt(g.dot(g))
         proj = cip_so(set_, set_.r, delta, dp, ytil - eta * g, counters)
         projections.append(proj)
         ytil = proj.y

@@ -52,7 +52,7 @@ def pull_toward(y: Vector, g: Vector, Q: float, C: float) -> Vector:
     g = as_vector(g)
     if Q < 0:
         raise ValueError("Q must be nonnegative")
-    gn = float(np.linalg.norm(g))
+    gn = math.sqrt(g.dot(g))
     if not (C > 0):
         raise ValueError("C must be positive")
     if gn > C * (1.0 + 1e-12):
@@ -194,7 +194,7 @@ def cip_so(
 
     scale = 1.0 - delta_prime / r
     R = set_.R
-    nrm = float(np.linalg.norm(y_in))
+    nrm = math.sqrt(y_in.dot(y_in))
     y = y_in / max(1.0, nrm / R)
     gain = delta * (r - delta_prime)
     cap = math.ceil(10.0 * (R * R / (gain * gain) + 1.0))
@@ -222,7 +222,7 @@ def cip_so(
                 y0=np.array(y_in),
             )
         g = ans.g
-        gn = float(np.linalg.norm(g))
+        gn = math.sqrt(g.dot(g))
         if gn == 0.0:
             raise OracleContractError("separation oracle returned a zero normal", iterations=calls)
         y = pull_toward(y, g, gain * gn, gn)

@@ -11,6 +11,7 @@ from pfoco.geometry import (
     OracleCounters,
     Polytope,
     Simplex,
+    as_vector,
     exact_project,
     loo_query,
     simplex_project_sorted,
@@ -426,6 +427,37 @@ def test_dimension_mismatch_raises():
 def test_non_finite_input_raises():
     with pytest.raises(ValueError):
         Ball(2, 1.0).loo(np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_vector_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        as_vector([0.5, bad, 1.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_as_vector_accepts_entries_whose_squares_overflow():
+    # the sum of squares overflows to inf (NumPy warns), so the finiteness
+    # check must fall back to looking at the entries themselves
+    v = as_vector([1e200, -1e200])
+    assert v.dtype == np.float64 and v.tolist() == [1e200, -1e200]
+
+
+@pytest.mark.parametrize("squeezed", [False, True], ids=["set", "squeezed"])
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_separate_checks_its_point(kind, squeezed):
+    set_ = random_set(np.random.default_rng(5), kind)
+    if squeezed:
+        set_ = squeeze(set_, 0.6)
+    n = set_.n
+    for bad in (np.nan, np.inf):
+        point = np.zeros(n)
+        point[n - 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            set_.separate(point)
+    for length in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            set_.separate(np.zeros(length))
 
 
 def test_polytope_loo_vertices_exactly_feasible():

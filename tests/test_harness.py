@@ -128,6 +128,13 @@ def test_set_and_loss_values_are_validated_not_coerced():
             parse_config_dict(_base_config(**overrides))
     cfg = parse_config_dict(_base_config(set={**ball, "n": 2.0, "radius": 2}, loss={"kind": "iid_linear", "scale": 1}))
     assert cfg.set_cfg["n"] == 2.0
+    # build_schedule checks its dict as parse_config_dict does
+    for loss, message in (
+        ({"kind": "switching_linear", "segments": [[5, [True, "1"]], [5, [0, 1]]]}, r"loss.segments\[0\] must be"),
+        ({"kind": "iid_linear", "gain": 5.0}, r"keys \['gain'\] do not apply to loss 'iid_linear'"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            build_schedule(loss, 10, Ball(2, 1.0), np.random.default_rng(0))
 
 
 def test_segment_lengths_must_sum_to_horizon():
@@ -179,6 +186,15 @@ def test_build_set_covers_all_kinds():
     assert poly.r == pytest.approx(1.0)
     with pytest.raises(ConfigError, match="bad set config"):
         build_set({"kind": "box", "lower": [0.5, 0.5], "upper": [1.0, 1.0]})
+    # arrays are checked, not cast by NumPy
+    for key, bad in (
+        ("upper", {"kind": "box", "lower": [-1.0, -1.0], "upper": [True, 1.0]}),
+        ("b", {"kind": "polytope", "A": [[1.0, 0.0], [-1.0, 0.0]], "b": [1.0, float("nan")]}),
+        ("A", {"kind": "polytope", "A": [[1.0, "0"], [-1.0, 0.0]], "b": [1.0, 1.0]}),
+        ("A", {"kind": "polytope", "A": [1.0, -1.0], "b": [1.0, 1.0]}),
+    ):
+        with pytest.raises(ConfigError, match=f"set.{key} must be a list of"):
+            build_set(bad)
 
 
 # ----------------------------------------------------------------------
@@ -619,6 +635,14 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
         ("n.json", {"set": {"kind": "ball", "n": 2.5, "radius": 1.0}}, "set.n must be an integer"),
         ("inf.json", {"set": {"kind": "ball", "n": float("inf"), "radius": 1.0}}, "set.n must be a finite number"),
         ("scale.json", {"loss": {"kind": "iid_linear", "scale": None}}, "loss.scale must be a number"),
+        # keys another loss kind reads would be ignored: they are refused
+        ("gain.json", {"loss": {"kind": "iid_linear", "gain": 5.0}}, "keys ['gain'] do not apply to loss 'iid_linear'"),
+        # set arrays are not cast: false/true and "1" would build the box [0, 1] x [-1, 1]
+        (
+            "box.json",
+            {"set": {"kind": "box", "lower": [False, -1], "upper": [True, "1"]}, "learner": {"kind": "ogd_wf"}},
+            "set.lower must be a list of finite numbers",
+        ),
     ):
         assert cli_main(["validate", _write_cfg(tmp_path, _base_config(**overrides), name)]) == 2
         assert message in capsys.readouterr().err

@@ -175,6 +175,10 @@ def test_cip_so_rejects_bad_parameters():
         cip_so(ball, r=2.0, delta=0.2, delta_prime=0.0, y0=y0)  # r beyond the set's
     with pytest.raises(ValueError):
         cip_so(ball, r=0.0, delta=0.2, delta_prime=0.0, y0=y0)
+    with pytest.raises(ValueError, match="non-finite"):
+        cip_so(ball, r=1.0, delta=0.2, delta_prime=0.0, y0=np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cip_so(ball, r=1.0, delta=0.2, delta_prime=0.0, y0=np.array([1.5, 0.0, 0.0]))
 
 
 def test_cip_so_contract_on_random_instances():
