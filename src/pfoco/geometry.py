@@ -27,8 +27,10 @@ Validation: every public oracle here (``loo``, ``separate``, ``project``
 and the ``*_many`` forms) and every projection in :mod:`pfoco.projection`
 checks its vector input once, on entry, and raises ``ValueError`` unless
 it is a 1-D float64 array (or rows of one) of the set's dimension with
-finite entries.  The learner loops call these same entry points; there
-is no unchecked path.  The per-vector check (:func:`as_vector`) is one
+finite entries.  The learner loops call these same entry points (the
+feasible stretches of :func:`pfoco.projection.cip_so_stretch` query
+each round's point through :func:`so_query` as well); there is no
+unchecked path.  The per-vector check (:func:`as_vector`) is one
 ``dot`` and a finiteness test of the result, about 1 us on an 8-vector;
 the entry-wise scan runs only when that sum of squares is not finite.
 

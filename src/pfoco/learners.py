@@ -22,7 +22,12 @@ and bandit feedback; a bandit run steps along the one-point estimate
 Every run returns a :class:`RunTrace` carrying plays, per-round losses,
 cumulative oracle counts, and the full diagnostics of every projection
 invocation, so tests can assert the per-invocation iteration ceilings
-and the global budget/regret bounds on real runs.
+and the global budget/regret bounds on real runs.  An SO run keeps
+them as columns (:class:`SoRecords`: each round's projection input and
+output, and its calls from ``so_cum``), and with full information on
+linear losses it takes each feasible stretch, a run of rounds whose
+projections accept their input with one oracle call, in one array pass
+(:func:`~pfoco.projection.cip_so_stretch`).
 
 Parameter builders (``*_params``) encode the step sizes, tolerances,
 and block lengths under which the guarantees hold, validate their
@@ -35,16 +40,18 @@ its run loop, and its governing regret and oracle-call bounds, which
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import time
+from collections.abc import Sequence
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .geometry import FeasibleSet, OracleCounters, exact_project, squeeze
 from .losses import LossSchedule, bandit_gradient_estimate, sample_unit_sphere
-from .projection import cip_loo, cip_so
+from .projection import SoProjection, cip_loo, cip_so, cip_so_stretch
 
 
 @dataclasses.dataclass
@@ -57,7 +64,7 @@ class RunTrace:
     so_cum: np.ndarray
     block_index: np.ndarray
     counters: OracleCounters
-    projections: list
+    projections: Sequence
     params: dict
     grad_norms: Optional[np.ndarray] = None
     seed: Optional[int] = None
@@ -66,6 +73,29 @@ class RunTrace:
     @property
     def T(self) -> int:
         return self.plays.shape[0]
+
+
+class SoRecords(Sequence):
+    """Read-only sequence of the :class:`~pfoco.projection.SoProjection`
+    of every round of an SO run, built when indexed or sliced from the
+    run's columns: each round's input and output point (``inputs``,
+    ``outputs``, (T, n) arrays) and its SO calls, the step of ``so_cum``."""
+
+    def __init__(self, inputs, outputs, so_cum, delta, delta_prime, r, set_R):
+        inputs.flags.writeable = outputs.flags.writeable = False
+        self.inputs, self.outputs = inputs, outputs
+        self._so_cum = so_cum
+        self._fixed = {"delta": delta, "delta_prime": delta_prime, "r": r, "set_R": set_R}
+
+    def __len__(self) -> int:
+        return len(self._so_cum)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[t] for t in range(*key.indices(len(self)))]
+        t = range(len(self))[key]  # IndexError past either end
+        calls = int(self._so_cum[t] - (self._so_cum[t - 1] if t else 0))
+        return SoProjection(y=self.outputs[t], so_calls=calls, y0=self.inputs[t], **self._fixed)
 
 
 @dataclasses.dataclass
@@ -547,24 +577,43 @@ def so_run(
     the decision points in (1 - delta'/r) K, so the delta'-sphere
     exploration never leaves the set, and steps along the one-point
     estimate.
+
+    With full information on linear losses the step is the same over a
+    run of equal rows, and a round whose projection accepts its input
+    with one oracle call plays that input next.  Such a feasible stretch
+    is one :func:`~pfoco.projection.cip_so_stretch` pass, with one
+    counted SO query per round.  A stretch starts where the run has two
+    rounds or more left and the first input needs no rescale (a run of
+    one round, or a rescaled input, gains nothing from it).  The round
+    that ends a stretch early (a rescale or a pull) and every other
+    round take :func:`~pfoco.projection.cip_so`, which goes on from the
+    refusal the stretch already has, so no point is queried twice.  The
+    trace records each round's projection input and output as columns
+    (:class:`SoRecords`).
     """
     t0 = time.perf_counter()
     bandit = _is_bandit(params, schedule, rng, so_run)
     T = params.T
-    n = set_.n
+    n, R = set_.n, set_.R
     delta, eta = params.delta, params.eta
     dp = params.delta_prime if bandit else 0.0  # exploration radius
     U = sample_unit_sphere(rng, n, T) if bandit else None
+    family, rows = schedule.family, schedule.rows
+    stretches = not bandit and family.kind == "linear"
+    # first round after each run of equal rows
+    ends = [*(np.flatnonzero(np.diff(rows)) + 1).tolist(), T]
     counters = OracleCounters()
     ytil = np.zeros(n)
     plays = np.empty((T, n))
     losses = np.empty(T)
     gnorms = None if bandit else np.empty(T)
     so_cum = np.empty(T, dtype=np.int64)
-    projections = []
-    value, subgrad, rows = schedule.family.value, schedule.family.subgrad, schedule.rows.tolist()
-    for t in range(T):
-        i = rows[t]
+    so_in = np.empty((T, n))
+    so_out = np.empty((T, n))
+    value, subgrad, row_list = family.value, family.subgrad, rows.tolist()
+    t = 0
+    while t < T:
+        i = row_list[t]
         if bandit:
             z = ytil + dp * U[t]
             plays[t] = z
@@ -572,14 +621,38 @@ def so_run(
             losses[t] = val
             g = bandit_gradient_estimate(val, U[t], n, dp)
         else:
+            g = subgrad(i, ytil)
+        step = eta * g
+        y_in = ytil - step
+        first = None
+        if stretches:
+            end = ends[bisect.bisect_right(ends, t)]
+            # a stretch spans two rounds or more, the first with no rescale
+            if end - t > 1 and math.sqrt(y_in.dot(y_in)) <= R:
+                before = counters.so_calls
+                k, first = cip_so_stretch(set_, set_.r, delta, dp, ytil, step, so_in[t:end], counters)
+                if k:
+                    s = slice(t, t + k)
+                    so_out[s] = so_in[s]
+                    plays[t] = ytil
+                    plays[t + 1 : t + k] = so_in[t : t + k - 1]
+                    losses[s] = family.values(rows[s], plays[s])
+                    gnorms[s] = math.sqrt(g.dot(g))
+                    so_cum[s] = np.arange(before + 1, before + k + 1)
+                    ytil = so_in[t + k - 1]
+                    t += k
+                    if t == end:
+                        continue
+                    y_in = so_in[t]  # the input of the round that ends the stretch
+        if not bandit:
             plays[t] = ytil
             losses[t] = value(i, ytil)
-            g = subgrad(i, ytil)
             gnorms[t] = math.sqrt(g.dot(g))
-        proj = cip_so(set_, set_.r, delta, dp, ytil - eta * g, counters)
-        projections.append(proj)
-        ytil = proj.y
+        so_in[t] = y_in
+        ytil = cip_so(set_, set_.r, delta, dp, y_in, counters, first=first).y
+        so_out[t] = ytil
         so_cum[t] = counters.so_calls
+        t += 1
     return RunTrace(
         plays=plays,
         losses=losses,
@@ -587,7 +660,7 @@ def so_run(
         so_cum=so_cum,
         block_index=np.arange(1, T + 1, dtype=np.int64),
         counters=counters,
-        projections=projections,
+        projections=SoRecords(so_in, so_out, so_cum, delta, dp, set_.r, R),
         params=params.to_dict(),
         grad_norms=gnorms,
         seed=seed,

@@ -14,6 +14,9 @@ certificate of proximity.  Two constructions:
   point inside (1 - delta_prime/r) K, repeatedly stepping against
   returned separators; each step shrinks the squared distance to every
   member of the doubly squeezed target set by delta^2 (r-delta_prime)^2.
+  :func:`cip_so_stretch` runs it over consecutive rounds that step by
+  one fixed vector, for as long as each round's input is accepted as it
+  is, in one array pass with one counted oracle query per round.
 
 Both loops carry proven iteration ceilings; implementations enforce a
 10x safety cap and raise :class:`~pfoco.geometry.OracleContractError`
@@ -35,6 +38,7 @@ from .geometry import (
     FeasibleSet,
     OracleContractError,
     OracleCounters,
+    SeparationAnswer,
     Vector,
     as_vector,
     so_query,
@@ -163,23 +167,8 @@ class SoProjection:
     y0: Vector
 
 
-def cip_so(
-    set_: FeasibleSet,
-    r: float,
-    delta: float,
-    delta_prime: float,
-    y0: Vector,
-    counters: Optional[OracleCounters] = None,
-) -> SoProjection:
-    """Infeasible projection of y0 via separation access only.
-
-    Queries the oracle at y / (1 - delta_prime/r); any separator there
-    carries margin delta*(r - delta_prime) over the doubly squeezed set
-    (1-delta)(1-delta_prime/r) K, so each pull strictly approaches all
-    of its members.  Returns y certified to lie in (1 - delta_prime/r) K
-    with ||y - z|| <= ||y0 - z|| for every z in the doubly squeezed set.
-    One oracle call per iteration, the final (feasible) answer included.
-    """
+def _so_input(set_: FeasibleSet, r: float, delta: float, delta_prime: float, y0: Vector) -> Vector:
+    """The checked input point of an SO projection with these parameters."""
     y_in = as_vector(y0)
     if y_in.shape != (set_.n,):
         raise ValueError("dimension mismatch")
@@ -191,38 +180,135 @@ def cip_so(
         raise ValueError("delta must lie in (0, 1)")
     if not (0.0 <= delta_prime < r):
         raise ValueError("delta_prime must lie in [0, r)")
+    return y_in
+
+
+def cip_so(
+    set_: FeasibleSet,
+    r: float,
+    delta: float,
+    delta_prime: float,
+    y0: Vector,
+    counters: Optional[OracleCounters] = None,
+    first: Optional[SeparationAnswer] = None,
+) -> SoProjection:
+    """Infeasible projection of y0 via separation access only.
+
+    Queries the oracle at y / (1 - delta_prime/r); any separator there
+    carries margin delta*(r - delta_prime) over the doubly squeezed set
+    (1-delta)(1-delta_prime/r) K, so each pull strictly approaches all
+    of its members.  Returns y certified to lie in (1 - delta_prime/r) K
+    with ||y - z|| <= ||y0 - z|| for every z in the doubly squeezed set.
+    One oracle call per iteration, the final (feasible) answer included.
+    The returned y may share memory with y0 when y0 needs neither the
+    rescale to the R-ball nor a pull.
+
+    ``first`` is the oracle's reply at the first query point, for a
+    caller that has already made (and charged) that query, as
+    :func:`cip_so_stretch` reports it: the loop goes on from that reply
+    instead of asking again, and counts it as its first call.
+    """
+    y_in = _so_input(set_, r, delta, delta_prime, y0)
+    if first is not None and not (
+        isinstance(first, SeparationAnswer) and (first.feasible or np.shape(first.g) == (set_.n,))
+    ):
+        raise ValueError("first must be a SeparationAnswer for a point of the set's dimension")
 
     scale = 1.0 - delta_prime / r
     R = set_.R
     nrm = math.sqrt(y_in.dot(y_in))
-    y = y_in / max(1.0, nrm / R)
+    # x / 1.0 == x: divide only when the rescale or the squeeze moves the point
+    y = y_in if nrm <= R else y_in / (nrm / R)
     gain = delta * (r - delta_prime)
-    cap = math.ceil(10.0 * (R * R / (gain * gain) + 1.0))
+    ceiling = R * R / (gain * gain) + 1.0
+    cap = math.ceil(10.0 * ceiling)
 
-    calls = 0
-    while True:
-        calls += 1
-        if calls > cap:
-            raise OracleContractError(
-                "separation pull loop exceeded 10x its certified ceiling",
-                ceiling=R * R / (gain * gain) + 1.0,
-                iterations=calls,
-                delta=delta,
-                delta_prime=delta_prime,
-            )
-        ans = so_query(set_, y / scale, counters)
-        if ans.feasible:
-            return SoProjection(
-                y=y,
-                so_calls=calls,
-                delta=delta,
-                delta_prime=delta_prime,
-                r=r,
-                set_R=R,
-                y0=np.array(y_in),
-            )
+    calls = 1
+    ans = so_query(set_, y if scale == 1.0 else y / scale, counters) if first is None else first
+    while not ans.feasible:
         g = ans.g
         gn = math.sqrt(g.dot(g))
         if gn == 0.0:
             raise OracleContractError("separation oracle returned a zero normal", iterations=calls)
         y = pull_toward(y, g, gain * gn, gn)
+        calls += 1
+        if calls > cap:
+            raise OracleContractError(
+                "separation pull loop exceeded 10x its certified ceiling",
+                ceiling=ceiling,
+                iterations=calls,
+                delta=delta,
+                delta_prime=delta_prime,
+            )
+        ans = so_query(set_, y if scale == 1.0 else y / scale, counters)
+    return SoProjection(
+        y=y,
+        so_calls=calls,
+        delta=delta,
+        delta_prime=delta_prime,
+        r=r,
+        set_R=R,
+        y0=np.array(y_in),
+    )
+
+
+# candidate rows per array pass of cip_so_stretch
+STRETCH_CHUNK = 32
+
+
+def cip_so_stretch(
+    set_: FeasibleSet,
+    r: float,
+    delta: float,
+    delta_prime: float,
+    y0: Vector,
+    step: Vector,
+    out: np.ndarray,
+    counters: Optional[OracleCounters] = None,
+) -> tuple[int, Optional[SeparationAnswer]]:
+    """:func:`cip_so` over a run of rounds that all step by ``step``.
+
+    Round k (from 0) projects y_k - step, where y_0 = y0 and y_{k+1} =
+    y_k - step for as long as cip_so returns its input unchanged after
+    one oracle call: the point needs no rescale (norm at most R) and the
+    oracle accepts it.  The candidates are made STRETCH_CHUNK at a time
+    by one ``np.subtract.accumulate``, so they round as a per-round loop
+    would, and written to the rows of ``out`` (shape (m, n)).  Each is
+    queried once, in order, through :func:`~pfoco.geometry.so_query` and
+    charged to ``counters``.
+
+    Returns (k, answer).  Rows 0..k-1 of ``out`` are accepted points,
+    each its round's input and output.  If k < m, row k holds round k's
+    input, which either needs the rescale (``answer`` is None; it was
+    not queried) or was refused, and ``answer`` is the refusal, from
+    which ``cip_so(..., out[k], counters, first=answer)`` finishes the
+    round without asking again.
+    """
+    y = _so_input(set_, r, delta, delta_prime, y0)
+    step = as_vector(step)
+    if step.shape != (set_.n,):
+        raise ValueError("dimension mismatch")
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.ndim == 2 and out.shape[1] == set_.n):
+        raise ValueError(f"out must be an (m, {set_.n}) float64 array")
+    scale = 1.0 - delta_prime / r
+    R = set_.R
+    m = out.shape[0]
+    buf = np.empty((min(STRETCH_CHUNK, m) + 1, set_.n))
+    buf[1:] = step
+    k = 0
+    while k < m:
+        c = min(STRETCH_CHUNK, m - k)
+        buf[0] = y
+        Y = out[k : k + c]
+        Y[:] = np.subtract.accumulate(buf[: c + 1])[1:]
+        unscaled = np.sqrt(np.vecdot(Y, Y)) <= R
+        stop = c if unscaled.all() else int(unscaled.argmin())
+        for j, q in enumerate(Y[:stop]):
+            ans = so_query(set_, q if scale == 1.0 else q / scale, counters)
+            if not ans.feasible:
+                return k + j, ans
+        if stop < c:
+            return k + stop, None
+        y = Y[c - 1]
+        k += c
+    return m, None

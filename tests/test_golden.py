@@ -14,6 +14,9 @@ projections pull (more SO calls than rounds).  ``loo_bogd_l1_iid_absdev``
 runs a learner on absolute-deviation losses (no comparator, so no regret
 check), and ``loo_bbgd_ball_iid_lin`` is a bandit blocked run with one
 loss per round whose projections leave their anchors.
+``so_ogd_l1_switch_lin_stretch`` has feasible stretches (rounds whose SO
+projection accepts its input with one call) longer than
+``STRETCH_CHUNK``, and each loss switch falls inside one.
 """
 
 import json

@@ -18,6 +18,8 @@ from pfoco.learners import (
     theoretical_bounds,
 )
 from pfoco.losses import (
+    LinearLosses,
+    LossSchedule,
     bandit_gradient_estimate,
     make_iid_absdev_schedule,
     make_iid_linear_schedule,
@@ -26,7 +28,7 @@ from pfoco.losses import (
     make_switching_quadratic_schedule,
     sample_unit_sphere,
 )
-from pfoco.projection import cip_loo
+from pfoco.projection import STRETCH_CHUNK, SoProjection, cip_loo, cip_so
 from support import check_cip_loo_record, check_cip_so_record
 
 
@@ -435,6 +437,126 @@ def test_so_bgd_round_mechanics():
     np.testing.assert_array_equal(trace.plays, again.plays)
     with pytest.raises(ValueError, match="so_bgd' needs an rng"):
         so_run(ball, sched, params)
+
+
+def _per_round_so_run(set_, schedule, params, rng=None):
+    """so_run one round at a time, with cip_so on every round: plays,
+    losses, gradient norms, cumulative SO counts, each projection's input
+    and output, and the counters.  With an rng it is the bandit loop
+    (so_bgd); its gradient norms are None."""
+    T, n = params.T, set_.n
+    bandit = rng is not None
+    dp = params.delta_prime if bandit else 0.0
+    U = sample_unit_sphere(rng, n, T) if bandit else None
+    family = schedule.family
+    counters = OracleCounters()
+    ytil = np.zeros(n)
+    plays, losses = np.empty((T, n)), np.empty(T)
+    gnorms = None if bandit else np.empty(T)
+    so_cum = np.empty(T, dtype=np.int64)
+    inputs, outputs = np.empty((T, n)), np.empty((T, n))
+    for t in range(T):
+        i = schedule.rows[t]
+        if bandit:
+            z = ytil + dp * U[t]
+            plays[t] = z
+            val = family.value(i, z)
+            losses[t] = val
+            g = bandit_gradient_estimate(val, U[t], n, dp)
+        else:
+            plays[t] = ytil
+            losses[t] = family.value(i, ytil)
+            g = family.subgrad(i, ytil)
+            gnorms[t] = np.linalg.norm(g)
+        y_in = ytil - params.eta * g
+        ytil = cip_so(set_, set_.r, params.delta, dp, y_in, counters).y
+        inputs[t], outputs[t] = y_in, ytil
+        so_cum[t] = counters.so_calls
+    return plays, losses, gnorms, so_cum, inputs, outputs, counters
+
+
+def _mixed_runs_on_the_ball(T):
+    # one-round runs (iid rows) first, then long runs of equal rows that
+    # carry the iterate from the interior across the sphere
+    lengths = [1] * 60 + [150, 1, 1, 120, 2, 1, 160, 1, 4]
+    assert sum(lengths) == T
+    C = sample_unit_sphere(np.random.default_rng(53), 3, len(lengths))
+    return LossSchedule(LinearLosses(C), np.repeat(np.arange(len(lengths)), lengths), [1], G_f=1.0, M=1.0)
+
+
+# on the l1 ball the switches at rounds 151 and 246 fall inside
+# feasible stretches, and the longest stretch (110 rounds) spans several
+# STRETCH_CHUNKs
+_SO_SEGMENTS = [(150, [1.0, -0.5, 0.2, 0.4]), (95, [-1.5, 0.3, 1.0, 0.1]), (170, [0.2, 2.0, -0.7, -0.3]), (85, [0.9, 0.4, -1.8, 0.6])]
+_SO_CASES = {
+    "l1_switching_linear": (L1Ball(4, 1.0), lambda: make_switching_linear_schedule(500, 4, 1.0, _SO_SEGMENTS), False),
+    "ball_linear_runs_and_iid": (Ball(3, 1.0), lambda: _mixed_runs_on_the_ball(500), False),
+    "l1_switching_quadratic": (L1Ball(4, 1.0), lambda: make_switching_quadratic_schedule(500, 4, 1.0, _SO_SEGMENTS), False),
+    # a large gain makes the bandit steps long enough to pull
+    "l1_switching_linear_bandit": (
+        L1Ball(4, 1.0),
+        lambda: make_switching_linear_schedule(500, 4, 1.0, _SO_SEGMENTS, gain=32.0),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SO_CASES.values()), ids=list(_SO_CASES))
+def test_so_run_equals_the_per_round_loop(case):
+    set_, make, bandit = case
+    sched = make()
+    if bandit:
+        params = so_bgd_params(set_, sched.M, sched.T, c=0.5, c_prime=0.1, G_f=sched.G_f)
+    else:
+        params = so_ogd_params(set_, sched.G_f, sched.T)
+    rng = (lambda: np.random.default_rng(9)) if bandit else (lambda: None)
+    trace = so_run(set_, sched, params, rng())
+    plays, losses, gnorms, so_cum, inputs, outputs, counters = _per_round_so_run(set_, sched, params, rng())
+    assert np.array_equal(trace.plays, plays)
+    assert np.array_equal(trace.losses, losses)
+    assert (trace.grad_norms is None) if gnorms is None else np.array_equal(trace.grad_norms, gnorms)
+    assert np.array_equal(trace.so_cum, so_cum)
+    assert trace.counters == counters
+    assert np.array_equal(trace.projections.inputs, inputs)
+    assert np.array_equal(trace.projections.outputs, outputs)
+    calls = np.diff(so_cum, prepend=0)
+    assert [rec.so_calls for rec in trace.projections] == calls.tolist()
+    # the projections pull on the l1 ball; on the ball the rescale is the projection
+    assert (calls.max() > 1) == isinstance(set_, L1Ball)
+    if sched.kind == "linear" and not bandit:
+        # the regime each case exists for: feasible stretches longer than a
+        # chunk, cut by a loss switch on the l1 ball and by the sphere on the ball
+        accepted = (calls == 1) & np.all(inputs == outputs, axis=1)
+        longest = max(len(run) for run in np.split(accepted, np.flatnonzero(np.diff(accepted)) + 1) if run[0])
+        assert longest > STRETCH_CHUNK
+        if isinstance(set_, L1Ball):
+            assert any(accepted[b - 2] and accepted[b - 1] for b in sched.boundaries[1:])
+        else:
+            assert np.any(np.linalg.norm(inputs, axis=1) > set_.R)
+
+
+def test_so_records_are_built_on_access_from_read_only_columns():
+    set_ = L1Ball(4, 1.0)
+    sched = make_switching_linear_schedule(500, 4, 1.0, _SO_SEGMENTS)
+    trace = so_run(set_, sched, so_ogd_params(set_, sched.G_f, sched.T))
+    recs = trace.projections
+    assert len(recs) == 500
+    last = recs[-1]
+    assert isinstance(last, SoProjection)
+    assert np.array_equal(last.y, recs.outputs[499]) and np.array_equal(last.y0, recs.inputs[499])
+    assert last.so_calls == trace.so_cum[499] - trace.so_cum[498]
+    assert recs[0].so_calls == trace.so_cum[0]
+    assert [r.so_calls for r in recs[10:20:3]] == [recs[t].so_calls for t in (10, 13, 16, 19)]
+    with pytest.raises(IndexError):
+        recs[500]
+    with pytest.raises(IndexError):
+        recs[-501]
+    with pytest.raises(ValueError):
+        recs.inputs[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        last.y[0] = 1.0
+    for rec in recs[::50]:
+        check_cip_so_record(rec, set_)
 
 
 def test_learners_reject_mismatched_horizon():
