@@ -447,11 +447,13 @@ class Polytope(FeasibleSet):
         self.n = A.shape[1]
         self.m = A.shape[0]
         self.r = float(np.min(self.b))
+        self._cols = np.arange(self.n, dtype=np.int32)
+        self._eye = np.eye(self.n)
         self._highs = self._build_lp()
         self.R = self._bounding_radius()
         # every member minimizes d = 0; answer with the -e_1 minimizer found
         # here, so the answer does not depend on later queries
-        self._zero_answer = self.loo(-np.eye(self.n)[0])
+        self._zero_answer = self.loo(-self._eye[0])
 
     def _build_lp(self) -> "highs._Highs":
         """One HiGHS model min c @ x s.t. A x <= b, x free, re-solved
@@ -480,7 +482,7 @@ class Polytope(FeasibleSet):
         column at 0, which gives one non-singular n x n system.
         """
         h = self._highs
-        h.changeColsCost(self.n, np.arange(self.n, dtype=np.int32), c)
+        h.changeColsCost(self.n, self._cols, c)
         h.run()
         status = h.getModelStatus()
         if status != highs.HighsModelStatus.kOptimal:
@@ -489,16 +491,19 @@ class Polytope(FeasibleSet):
         _, basic = h.getBasicVariables()
         tight = np.ones(self.m, dtype=bool)
         tight[-1 - basic[basic < 0]] = False
+        cols = basic[basic >= 0]
+        if cols.size == self.n:  # every column basic: exactly n rows tight
+            return np.linalg.solve(self.A[tight], self.b[tight])
         fixed = np.ones(self.n, dtype=bool)
-        fixed[basic[basic >= 0]] = False
-        lhs = np.concatenate([self.A[tight], np.eye(self.n)[fixed]])
+        fixed[cols] = False
+        lhs = np.concatenate([self.A[tight], self._eye[fixed]])
         rhs = np.concatenate([self.b[tight], np.zeros(int(fixed.sum()))])
         return np.linalg.solve(lhs, rhs)
 
     def _bounding_radius(self) -> float:
         lo = np.empty(self.n)
         hi = np.empty(self.n)
-        eye = np.eye(self.n)
+        eye = self._eye
         try:
             for i in range(self.n):
                 lo[i] = self._solve(eye[i])[i]

@@ -8,7 +8,10 @@ certificate of proximity.  Two constructions:
 
 * :func:`cip_loo` uses only the linear-optimization oracle.  It returns
   a pair (x, y) with x feasible and ||x - y||^2 <= 3*eps, alternating
-  early-stopped Frank-Wolfe runs with small pulls of y toward x.
+  early-stopped Frank-Wolfe runs with small pulls of y toward x.  Once a
+  run certifies separation, every later run is known to return x after
+  one LOO call, so those passes are implied: they pull y and cost no
+  call.
 
 * :func:`cip_so` uses only the separation oracle.  It returns a single
   point inside (1 - delta_prime/r) K, repeatedly stepping against
@@ -66,7 +69,13 @@ def pull_toward(y: Vector, g: Vector, Q: float, C: float) -> Vector:
 
 @dataclasses.dataclass
 class LooProjection:
-    """Result and diagnostics of one cip_loo invocation."""
+    """Result and diagnostics of one cip_loo invocation.
+
+    ``fw_iterations`` and ``anchor_dists`` hold one entry per outer pass;
+    an ``fw_iterations`` entry is the LOO calls of that pass's Frank-Wolfe
+    run, or 0 for an implied pass (one that follows a separating run and
+    spends no call).  ``loo_calls`` is their sum.
+    """
 
     x: Vector
     y: Vector
@@ -97,7 +106,11 @@ def cip_loo(
     Returns (x, y) with x feasible, ||x - y||^2 <= 3*eps, and
     ||y - z|| <= ||y0 - z|| for every member z.  Needs a feasible anchor
     x0; the step size of the pull stage is fixed once from the original
-    pair, gamma = 2*eps / ||x0 - y0||^2.
+    pair, gamma = 2*eps / ||x0 - y0||^2.  A Frank-Wolfe run is made on the
+    first pass and after each run that ends close; every pass after a run
+    that ends separated is implied, with x kept, 0 LOO calls and an
+    ``fw_iterations`` entry of 0.  x, y and the pass count are those of
+    the paper's loop, which runs Frank-Wolfe on every pass.
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
@@ -128,6 +141,16 @@ def cip_loo(
 
     gamma = 2.0 * eps / d2
     cap = 10 * math.ceil(cip_loo_outer_ceiling(d2, eps))
+    # A run that ends without being close has certified (x - y) @ (x - v)
+    # <= eps for v = LOO(x - y).  The pull makes the next query
+    # x - y' = (1 - gamma)(x - y): the LOO argmin is scale invariant, so v
+    # still answers it, and the gap is (1 - gamma) times the old one, still
+    # <= eps.  That run would return x after one LOO call, and so would every
+    # later one: each pass after a separating run is implied and costs none.
+    # ``separated`` follows the run's own dot-based close flag; where the norm
+    # test below disagrees with it in the last bit, x was never certified and
+    # the next pass runs Frank-Wolfe again.
+    separated = False
     k = 0
     while True:
         k += 1
@@ -139,10 +162,14 @@ def cip_loo(
                 eps=eps,
                 input_dist_sq=d2,
             )
-        inner = separating_hyperplane_fw(set_, x, y, eps, counters)
-        x = inner.point
-        result.fw_iterations.append(inner.iterations)
-        result.loo_calls += inner.iterations
+        if separated:
+            result.fw_iterations.append(0)
+        else:
+            inner = separating_hyperplane_fw(set_, x, y, eps, counters)
+            x = inner.point
+            separated = not inner.close
+            result.fw_iterations.append(inner.iterations)
+            result.loo_calls += inner.iterations
         dist = float(np.linalg.norm(x - y))
         result.anchor_dists.append(dist)
         if dist * dist > 3.0 * eps:

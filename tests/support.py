@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from pfoco.frankwolfe import separating_hyperplane_fw
 from pfoco.geometry import (
     Ball,
     Box,
@@ -15,6 +16,7 @@ from pfoco.geometry import (
     loo_query,
     squeeze,
 )
+from pfoco.projection import LooProjection
 
 SET_KINDS = ("ball", "box", "simplex", "l1", "polytope")
 INTERIOR_KINDS = ("ball", "box", "l1", "polytope")  # r > 0
@@ -92,6 +94,37 @@ def check_cip_loo_record(rec):
         d0 = math.sqrt(d2)
         for dist in rec.anchor_dists:
             assert dist <= d0 + 1e-9
+
+
+def cip_loo_literal(set_, x0, y0, eps, counters=None):
+    """The LOO-based projection as the paper states it: a separating-
+    hyperplane Frank-Wolfe run on every outer pass, none of them implied.
+    The reference that ``cip_loo`` must match bit for bit in x, y and its
+    pass count, at a higher LOO bill."""
+    x = np.array(x0, dtype=np.float64)
+    y_in = np.asarray(y0, dtype=np.float64)
+    d2 = float((x - y_in) @ (x - y_in))
+    y = y_in / max(1.0, float(np.linalg.norm(y_in)) / set_.R)
+    res = LooProjection(
+        x=x, y=y, outer_iterations=0, fw_iterations=[], anchor_dists=[],
+        loo_calls=0, eps=eps, set_R=set_.R, input_dist_sq=d2,
+    )
+    if d2 <= 3.0 * eps:
+        return res
+    gamma = 2.0 * eps / d2
+    k = 0
+    while True:
+        k += 1
+        inner = separating_hyperplane_fw(set_, x, y, eps, counters)
+        x = inner.point
+        res.fw_iterations.append(inner.iterations)
+        res.loo_calls += inner.iterations
+        dist = float(np.linalg.norm(x - y))
+        res.anchor_dists.append(dist)
+        if dist * dist <= 3.0 * eps:
+            res.x, res.y, res.outer_iterations = x, y, k
+            return res
+        y = y - gamma * (y - x)
 
 
 def check_cip_so_record(rec, set_):

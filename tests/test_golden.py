@@ -17,6 +17,10 @@ loss per round whose projections leave their anchors.
 ``so_ogd_l1_switch_lin_stretch`` has feasible stretches (rounds whose SO
 projection accepts its input with one call) longer than
 ``STRETCH_CHUNK``, and each loss switch falls inside one.
+``so_ogd_ball_switch_lin_rescale`` runs on the Euclidean ball, where the
+radial rescale is the projection: after each loss switch a feasible
+stretch crosses the ball and ends at the round whose input needs the
+rescale.
 """
 
 import json

@@ -29,7 +29,7 @@ from pfoco.losses import (
     sample_unit_sphere,
 )
 from pfoco.projection import STRETCH_CHUNK, SoProjection, cip_loo, cip_so
-from support import check_cip_loo_record, check_cip_so_record
+from support import check_cip_loo_record, check_cip_so_record, cip_loo_literal, make_polytope
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +355,22 @@ def test_loo_run_bandit_blocks_equal_the_per_round_loop(make, monkeypatch):
     params = dataclasses.replace(p, K=40, B=B, eta_m=np.full(B, 0.05), eps_m=np.full(B, p.eps))
     assert params.T % params.K != 0
     _assert_run_equals_per_round_loop(set_, sched, params, monkeypatch, play_seed=5)
+
+
+@pytest.mark.parametrize("kind", ["l1", "polytope"])
+def test_loo_run_equals_the_paper_literal_projection(kind, monkeypatch):
+    # implied pull-loop passes save LOO calls and change nothing else
+    set_ = L1Ball(3, 1.0) if kind == "l1" else make_polytope(np.random.default_rng(71), 3)
+    sched = make_switching_linear_schedule(250, 3, set_.R, _SEGMENTS, gain=2.0)
+    params = loo_bogd_params(set_, sched.G_f, sched.T, eta=0.05, eps=0.01, K=40)
+    trace = loo_run(set_, sched, params)
+    monkeypatch.setattr(learners, "cip_loo", cip_loo_literal)
+    ref = loo_run(set_, sched, params)
+    assert np.array_equal(trace.plays, ref.plays) and np.array_equal(trace.losses, ref.losses)
+    assert np.array_equal(trace.block_index, ref.block_index)
+    implied = sum(rec.fw_iterations.count(0) for rec in trace.projections)
+    assert implied > 0
+    assert trace.counters.loo_calls == ref.counters.loo_calls - implied
 
 
 def test_loo_bogd_strongly_convex_schedule_arrays():

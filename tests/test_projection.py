@@ -20,6 +20,7 @@ from support import (
     SET_KINDS,
     check_cip_loo_record,
     check_cip_so_record,
+    cip_loo_literal,
     random_set,
     sample_members,
 )
@@ -139,6 +140,38 @@ def test_cip_loo_pull_iterations_strictly_approach_the_set():
             assert after <= before - 4.0 * eps * eps / d2 + 1e-9
         else:
             pytest.fail("pull loop failed to finish in 200 passes")
+
+
+def test_cip_loo_matches_the_paper_literal_loop():
+    # cip_loo skips the Frank-Wolfe run of every pass after a separating
+    # one; the paper's loop runs it, pays one LOO call for it and gets x
+    # back unchanged.  Chains of projections (each anchored at the last
+    # one's x) also catch an implied pass that leaks into the next call.
+    rng = np.random.default_rng(67)
+    sets = [random_set(rng, kind) for kind in SET_KINDS for _ in range(3)]
+    sets += [squeeze(random_set(rng, kind), 0.7) for kind in ("l1", "polytope")]
+    implied = 0
+    for set_ in sets:
+        R = set_.R
+        x = sample_members(set_, rng, 1)[0]
+        for _ in range(4):
+            y0 = rng.standard_normal(set_.n) * rng.uniform(0.5, 2.0) * R
+            eps = rng.uniform(0.005, 0.05) * R * R
+            counters, ref_counters = OracleCounters(), OracleCounters()
+            res = cip_loo(set_, x, y0, eps, counters)
+            ref = cip_loo_literal(set_, x, y0, eps, ref_counters)
+            assert np.array_equal(res.x, ref.x) and np.array_equal(res.y, ref.y)
+            assert res.outer_iterations == ref.outer_iterations
+            assert res.anchor_dists == ref.anchor_dists
+            zeros = res.fw_iterations.count(0)
+            assert res.loo_calls == counters.loo_calls == ref.loo_calls - zeros
+            assert ref_counters.loo_calls == ref.loo_calls
+            for it, ref_it in zip(res.fw_iterations, ref.fw_iterations, strict=True):
+                assert it == ref_it or (it == 0 and ref_it == 1)
+            check_cip_loo_record(res)
+            implied += zeros
+            x = res.x
+    assert implied > 0
 
 
 # ----------------------------------------------------------------------
