@@ -523,31 +523,59 @@ def static_regret(
 
 
 _TRACE_HEADER = ["t", "x", "loss", "loo_calls_cum", "so_calls_cum", "block_index"]
-_TRACE_CHUNK = 1024  # rows per format call; bounds the Python objects alive at once
+_TRACE_CHUNK = 1024  # rows per chunk; bounds the Python objects alive at once
 
 
 def write_trace_csv(trace: RunTrace, path: str) -> None:
     """Columns: t, x (semicolon-joined, 17 significant digits), loss,
     loo_calls_cum, so_calls_cum, block_index; LF line endings.
 
-    Each chunk of rows is one ``%`` format of a repeated row template;
-    no field can hold a comma, quote or line break, so the bytes are
-    those a ``csv.writer`` would write."""
+    Rows go out in chunks of ``_TRACE_CHUNK``.  Within a chunk, a run of
+    two or more rows whose fields after t are bit-for-bit equal (a
+    blocked learner holds its point for a block) has that tail formatted
+    once, and each of its lines is t plus the tail; each stretch of
+    other rows is one ``%`` format of a repeated row template.  No field
+    can hold a comma, quote or line break, so the bytes are those a
+    ``csv.writer`` would write."""
     T, n = trace.plays.shape
-    row = "%d," + ";".join(["%.17g"] * n) + ",%.17g,%d,%d,%d\n"
+    tail = ";".join(["%.17g"] * n) + ",%.17g,%d,%d,%d\n"
+    row = "%d," + tail
+    counts = (trace.loo_cum, trace.so_cum, trace.block_index)
+    # same[t]: row t repeats row t - 1 after t.  Floats compare as bits:
+    # 0.0 == -0.0, but they print as 0 and -0.
+    plays, losses = trace.plays.view(np.uint64), trace.losses.view(np.uint64)
+    same = np.zeros(T, dtype=bool)
+    same[1:] = (plays[1:] == plays[:-1]).all(axis=1) & (losses[1:] == losses[:-1])
+    for c in counts:
+        same[1:] &= c[1:] == c[:-1]
+    same[::_TRACE_CHUNK] = False  # runs end at chunk edges
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_TRACE_HEADER) + "\n")
         for lo in range(0, T, _TRACE_CHUNK):
             hi = min(lo + _TRACE_CHUNK, T)
-            columns = (
-                range(lo + 1, hi + 1),
-                *trace.plays[lo:hi].T.tolist(),
-                trace.losses[lo:hi].tolist(),
-                trace.loo_cum[lo:hi].tolist(),
-                trace.so_cum[lo:hi].tolist(),
-                trace.block_index[lo:hi].tolist(),
+            first = lo + np.flatnonzero(~same[lo:hi])  # the first row of each run
+            length = np.diff(first, append=hi)
+            pick = slice(lo, hi) if len(first) == hi - lo else first  # no copy when no row repeats
+            columns = (  # t and the fields of each run's first row
+                (first + 1).tolist(),
+                *trace.plays[pick].T.tolist(),
+                trace.losses[pick].tolist(),
+                *(c[pick].tolist() for c in counts),
             )
-            fh.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*columns))))
+            a = 0  # runs before a are written
+            runs = np.flatnonzero(length > 1)
+            for k, count in zip(runs.tolist(), length[runs].tolist()):
+                fh.write(_format_runs(row, columns, a, k))
+                t = columns[0][k]
+                line_end = "," + tail % tuple(c[k] for c in columns[1:])
+                fh.write(line_end.join(map(str, range(t, t + count))) + line_end)
+                a = k + 1
+            fh.write(_format_runs(row, columns, a, len(first)))
+
+
+def _format_runs(row: str, columns: tuple, a: int, b: int) -> str:
+    """Runs a..b-1 of a chunk, one row each, in one ``%`` format."""
+    return (row * (b - a)) % tuple(itertools.chain.from_iterable(itertools.islice(zip(*columns), a, b)))
 
 
 def read_trace_csv(path: str) -> RunTrace:

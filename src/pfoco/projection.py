@@ -170,10 +170,11 @@ def cip_loo(
             separated = not inner.close
             result.fw_iterations.append(inner.iterations)
             result.loo_calls += inner.iterations
-        dist = float(np.linalg.norm(x - y))
+        d = x - y
+        dist = math.sqrt(d.dot(d))
         result.anchor_dists.append(dist)
         if dist * dist > 3.0 * eps:
-            y = y - gamma * (y - x)
+            y = y + gamma * d
         else:
             result.x = x
             result.y = y

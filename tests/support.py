@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: random instances, member sampling,
-and per-invocation budget checks applied to recorded projection calls."""
+per-invocation budget checks applied to recorded projection calls, and
+the literal references that fast paths are compared against."""
 
+import csv
 import math
 
 import numpy as np
@@ -125,6 +127,25 @@ def cip_loo_literal(set_, x0, y0, eps, counters=None):
             res.x, res.y, res.outer_iterations = x, y, k
             return res
         y = y - gamma * (y - x)
+
+
+def csv_writer_trace(trace, path):
+    """The trace file as ``csv.writer`` writes it, one formatted row at a
+    time: the reference that ``write_trace_csv`` must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["t", "x", "loss", "loo_calls_cum", "so_calls_cum", "block_index"])
+        for t in range(trace.T):
+            w.writerow(
+                [
+                    t + 1,
+                    ";".join(format(v, ".17g") for v in trace.plays[t]),
+                    format(trace.losses[t], ".17g"),
+                    int(trace.loo_cum[t]),
+                    int(trace.so_cum[t]),
+                    int(trace.block_index[t]),
+                ]
+            )
 
 
 def check_cip_so_record(rec, set_):

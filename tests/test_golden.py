@@ -20,7 +20,12 @@ projection accepts its input with one call) longer than
 ``so_ogd_ball_switch_lin_rescale`` runs on the Euclidean ball, where the
 radial rescale is the projection: after each loss switch a feasible
 stretch crosses the ball and ends at the round whose input needs the
-rescale.
+rescale.  ``loo_bogd_l1_switch_lin_midblock`` switches its loss inside
+three of its 40-round blocks, so a block's rows split into runs that end
+mid-block.
+
+Each golden trace is also written by ``write_trace_csv`` and compared
+byte for byte with the ``csv.writer`` reference.
 """
 
 import json
@@ -29,8 +34,8 @@ import os
 import numpy as np
 import pytest
 
-from pfoco.harness import parse_config_dict, run_one
-from support import check_cip_so_record
+from pfoco.harness import parse_config_dict, run_one, write_trace_csv
+from support import check_cip_so_record, csv_writer_trace
 
 with open(os.path.join(os.path.dirname(__file__), "golden_runs.json")) as _fh:
     GOLDEN = json.load(_fh)
@@ -38,7 +43,7 @@ GOLDEN_BY_NAME = {c["name"]: c for c in GOLDEN}
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
-def test_golden_run(case):
+def test_golden_run(case, tmp_path):
     cfg = parse_config_dict(case["config"])
     trace, _, _, summary = run_one(cfg, cfg.seeds[0])
     want = case["expect"]
@@ -52,6 +57,10 @@ def test_golden_run(case):
     assert float(trace.losses.sum()) == pytest.approx(want["losses_sum"], rel=1e-9, abs=1e-12)
     if cfg.learner_cfg["kind"].startswith("loo_"):
         assert any(rec.outer_iterations > 0 for rec in trace.projections)
+    fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+    write_trace_csv(trace, str(fast))
+    csv_writer_trace(trace, str(reference))
+    assert fast.read_bytes() == reference.read_bytes()
 
 
 def test_golden_bandit_so_run_pulls_within_its_ceilings():

@@ -1,6 +1,5 @@
 """Config validation, regret evaluators, interval policies, trace files, CLI."""
 
-import csv
 import json
 import math
 import os
@@ -27,10 +26,10 @@ from pfoco.harness import (
     strided_intervals,
     write_trace_csv,
 )
-from pfoco.learners import ogd_wf_run
+from pfoco.learners import RunTrace, ogd_wf_run
 from pfoco.losses import make_iid_absdev_schedule, make_iid_linear_schedule, make_iid_quadratic_schedule
 
-from support import SET_KINDS, random_set, sample_members
+from support import SET_KINDS, csv_writer_trace, random_set, sample_members
 
 
 def _base_config(**overrides):
@@ -455,28 +454,8 @@ def test_trace_csv_round_trip_is_exact(tmp_path):
     assert raw.splitlines()[0] == b"t,x,loss,loo_calls_cum,so_calls_cum,block_index"
 
 
-def _csv_writer_trace(trace, path):
-    """The trace file as ``csv.writer`` writes it, one formatted row at a time."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "x", "loss", "loo_calls_cum", "so_calls_cum", "block_index"])
-        for t in range(trace.T):
-            w.writerow(
-                [
-                    t + 1,
-                    ";".join(format(v, ".17g") for v in trace.plays[t]),
-                    format(trace.losses[t], ".17g"),
-                    int(trace.loo_cum[t]),
-                    int(trace.so_cum[t]),
-                    int(trace.block_index[t]),
-                ]
-            )
-
-
-@pytest.mark.parametrize("T, n", [(40, 3), (2100, 1)])  # 2100 rows span three 1024-row chunks
-def test_trace_writer_bytes_equal_csv_writer(tmp_path, T, n):
-    from pfoco.learners import RunTrace
-
+def _random_trace(T, n):
+    """Every row distinct, with signed zeros, subnormals and extremes."""
     rng = np.random.default_rng(31)
     special = np.array([-0.0, 1e-300, -1e-300, 5e-324, 0.1 + 0.2, 2.0 / 3.0, -1.2345678901234567e-5, 1e300, 7.0])
     plays = rng.standard_normal((T, n)) * 10.0 ** rng.integers(-20, 20, (T, n))
@@ -484,14 +463,82 @@ def test_trace_writer_bytes_equal_csv_writer(tmp_path, T, n):
     losses = rng.standard_normal(T)
     losses[: special.size] = special
     counts = np.cumsum(rng.integers(0, 4, T)).astype(np.int64)
-    trace = RunTrace(plays, losses, counts, 2 * counts, np.arange(T, dtype=np.int64) // 7 + 1, None, [], {})
+    return RunTrace(plays, losses, counts, 2 * counts, np.arange(T, dtype=np.int64) // 7 + 1, None, [], {})
+
+
+def _runs_trace(lengths, n):
+    """Rows repeat in runs of the given lengths; neighbouring runs differ in every field."""
+    rng = np.random.default_rng(32)
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    counts = np.cumsum(rng.integers(1, 4, len(lengths)))[run]
+    return RunTrace(
+        rng.standard_normal((len(lengths), n))[run],
+        rng.standard_normal(len(lengths))[run],
+        counts,
+        2 * counts,
+        run + 1,
+        None,
+        [],
+        {},
+    )
+
+
+def _signed_zero_flip():
+    """One run under ==, whose play and loss turn from 0.0 to -0.0 mid-run."""
+    trace = _runs_trace([2000], 2)
+    trace.plays[:, 0] = 0.0
+    trace.plays[700:, 0] = -0.0
+    trace.losses[:1500] = 0.0
+    trace.losses[1500:] = -0.0
+    return trace
+
+
+def _only_loss_changes():
+    trace = _runs_trace([300], 3)
+    trace.losses[:] = np.repeat(np.random.default_rng(33).standard_normal(30), 10)
+    return trace
+
+
+def _only_counts_change():
+    trace = _runs_trace([1200], 2)
+    trace.loo_cum[100:] += 1
+    trace.so_cum[1030:] += 2
+    trace.block_index[1100:] += 1
+    return trace
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: _random_trace(40, 3), id="40-3"),
+        pytest.param(lambda: _random_trace(2100, 1), id="2100-1"),  # spans three 1024-row chunks
+        # runs of 100 and 1500 rows cross the chunk boundaries at 1024, 2048 and 3072
+        pytest.param(lambda: _runs_trace([1000, 100, 1, 1, 2, 1, 900, 1500, 3], 2), id="runs-across-chunks"),
+        pytest.param(_signed_zero_flip, id="signed-zero-flip"),
+        pytest.param(_only_loss_changes, id="only-loss-changes"),
+        pytest.param(_only_counts_change, id="only-counts-change"),
+        pytest.param(lambda: _runs_trace([1], 4), id="T1"),
+        pytest.param(lambda: _runs_trace([3000], 5), id="all-rows-equal"),
+    ],
+)
+def test_trace_writer_bytes_equal_csv_writer(tmp_path, make):
+    trace = make()
     fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
     write_trace_csv(trace, str(fast))
-    _csv_writer_trace(trace, str(reference))
+    csv_writer_trace(trace, str(reference))
     assert fast.read_bytes() == reference.read_bytes()
-    assert fast.read_bytes().splitlines()[1].startswith(b"1,-0")  # the sign of -0.0 survives
     back = read_trace_csv(str(fast))
-    assert np.array_equal(back.plays, plays) and np.array_equal(back.losses, losses)
+    assert back.plays.tobytes() == trace.plays.tobytes() and back.losses.tobytes() == trace.losses.tobytes()
+
+
+def test_trace_writer_keeps_signed_zeros_inside_runs(tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace_csv(_signed_zero_flip(), str(path))
+    lines = path.read_bytes().splitlines()
+    assert lines[700].startswith(b"700,0;") and lines[701].startswith(b"701,-0;")
+    assert lines[1500].split(b",")[2] == b"0" and lines[1501].split(b",")[2] == b"-0"
+    write_trace_csv(_random_trace(40, 3), str(path))
+    assert path.read_bytes().splitlines()[1].startswith(b"1,-0")
 
 
 def test_same_seed_means_byte_identical_traces(tmp_path):
