@@ -34,6 +34,10 @@ unchecked path.  The per-vector check (:func:`as_vector`) is one
 ``dot`` and a finiteness test of the result, about 1 us on an 8-vector;
 the entry-wise scan runs only when that sum of squares is not finite.
 
+Dependencies: the closed-form sets use NumPy alone.  The polytope's LOO
+is an LP on SciPy's bundled HiGHS, imported when the first
+:class:`Polytope` is built, so importing this module loads no SciPy.
+
 Tie-breaking: closed-form sets resolve ties toward the lowest coordinate
 index.  The polytope's answer is a function of the LP solver's optimal
 basis; on directions with tied optima that basis can depend on earlier
@@ -50,7 +54,6 @@ from typing import Optional, TypeAlias
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize._highspy import _core as highs
 
 Vector: TypeAlias = NDArray[np.float64]
 
@@ -425,6 +428,8 @@ class Polytope(FeasibleSet):
     query changes only the objective and restarts from the last optimal
     basis.  Boundedness is verified (and the circumradius bound R
     computed) by 2n coordinate-range LPs on that model at construction.
+    HiGHS is loaded when the first polytope is built, after its input
+    checks; closed-form sets never load it.
     """
 
     #: dual-gap certificate threshold for project()
@@ -455,9 +460,12 @@ class Polytope(FeasibleSet):
         # here, so the answer does not depend on later queries
         self._zero_answer = self.loo(-self._eye[0])
 
-    def _build_lp(self) -> "highs._Highs":
+    def _build_lp(self):
         """One HiGHS model min c @ x s.t. A x <= b, x free, re-solved
         from its previous basis after each change of c."""
+        from scipy.optimize._highspy import _core as highs
+
+        self._optimal = highs.HighsModelStatus.kOptimal
         m, n, inf = self.m, self.n, highs.kHighsInf
         h = highs._Highs()
         h.setOptionValue("output_flag", False)
@@ -485,7 +493,7 @@ class Polytope(FeasibleSet):
         h.changeColsCost(self.n, self._cols, c)
         h.run()
         status = h.getModelStatus()
-        if status != highs.HighsModelStatus.kOptimal:
+        if status != self._optimal:
             raise RuntimeError(f"LP solve failed with status {h.modelStatusToString(status)}")
         # basic variable k >= 0 is column k, k < 0 is row -1 - k
         _, basic = h.getBasicVariables()

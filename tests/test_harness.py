@@ -753,3 +753,77 @@ def test_cli_entry_point_installed():
     # argparse prints help and exits 0
     assert res.returncode == 0
     assert "run" in res.stdout and "regret" in res.stdout and "validate" in res.stdout
+
+
+_COLD_IMPORT_SCRIPT = """
+import sys
+
+import numpy as np
+
+import pfoco
+from pfoco.cli import main
+from pfoco.geometry import Box, Polytope
+from pfoco.harness import build_set, parse_config_dict, run_one
+
+
+def optimize_loaded():
+    return [m for m in sys.modules if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+
+
+for cfg in (
+    {"kind": "ball", "n": 3, "radius": 1.0},
+    {"kind": "box", "lower": [-1.0, -0.5], "upper": [1.0, 2.0]},
+    {"kind": "simplex", "n": 3},
+    {"kind": "l1", "n": 4, "radius": 1.0},
+):
+    build_set(cfg)
+segments = [[60, [1.0, 0.5, -0.3]], [60, [-0.4, -1.0, 0.6]]]
+for learner in ({"kind": "so_ogd"}, {"kind": "loo_bogd", "eps": 0.05, "K": 10}):
+    cfg = parse_config_dict({
+        "T": 120, "seeds": [0], "set": {"kind": "l1", "n": 3, "radius": 1.0},
+        "loss": {"kind": "switching_linear", "segments": segments}, "learner": learner,
+    })
+    assert run_one(cfg, 0)[3]["observed"]["adaptive_regret"] >= 0.0
+assert not optimize_loaded(), optimize_loaded()[:3]
+
+# invalid polytopes fail on their input checks, before HiGHS is loaded
+A = np.vstack([np.eye(2), -np.eye(2)])
+for bad_A, bad_b, message in (
+    (A, [1.0, 1.0, 1.0, -0.5], "origin must be strictly interior"),
+    (np.vstack([A, [0.0, 0.0]]), [1.0] * 5, "zero rows"),
+    (np.where(A == 1.0, np.inf, A), [1.0] * 4, "non-finite"),
+):
+    try:
+        Polytope(bad_A, bad_b)
+    except ValueError as e:
+        assert message in str(e), e
+    else:
+        raise AssertionError(message)
+assert main(["validate", sys.argv[1]]) == 2
+assert not optimize_loaded(), optimize_loaded()[:3]
+
+lower, upper = np.array([-1.0, -0.5, -2.0]), np.array([1.0, 2.0, 0.5])
+poly = Polytope(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([upper, -lower]))
+box = Box(lower, upper)
+for d in ([1.0, -2.0, 0.5], [-1.0, 1.0, -3.0], [0.3, 0.7, 1.1]):
+    assert np.array_equal(poly.loo(np.array(d)), box.loo(np.array(d))), d
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_cold_import_loads_highs_only_with_the_first_polytope(tmp_path):
+    """A fresh interpreter runs closed-form sets without ``scipy.optimize``
+    and rejects invalid polytopes before loading it; the first valid
+    polytope loads HiGHS and answers as the equal box does."""
+    bad = tmp_path / "bad_polytope.json"
+    bad.write_text(
+        json.dumps(
+            _base_config(set={"kind": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [1, 1, 1, -0.5]})
+        )
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORT_SCRIPT, str(bad)],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
