@@ -35,8 +35,13 @@ unchecked path.  The per-vector check (:func:`as_vector`) is one
 the entry-wise scan runs only when that sum of squares is not finite.
 
 Dependencies: the closed-form sets use NumPy alone.  The polytope's LOO
-is an LP on SciPy's bundled HiGHS, imported when the first
+is an LP on SciPy's bundled HiGHS, loaded when the first
 :class:`Polytope` is built, so importing this module loads no SciPy.
+Even then only HiGHS's extension module is loaded, never all of
+``scipy.optimize``: a fresh-interpreter polytope set-up (``import
+pfoco``, parse, build a 60-face polytope in R^10) took 0.82 s with
+``scipy.optimize`` and 0.27 s without it (raw medians of 12 pairs on a
+2-core VM; an l1-ball set-up took 0.25 s).
 
 Tie-breaking: closed-form sets resolve ties toward the lowest coordinate
 index.  The polytope's answer is a function of the LP solver's optimal
@@ -49,7 +54,11 @@ run builds its own set.
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import Optional, TypeAlias
 
 import numpy as np
@@ -418,6 +427,31 @@ class L1Ball(FeasibleSet):
         return X
 
 
+def _load_highs():
+    """SciPy's bundled HiGHS extension, ``scipy.optimize._highspy._core``,
+    loaded without ``scipy/optimize/__init__.py`` (linalg, sparse, fft,
+    linprog and more, about 0.3-0.6 s cold, for a 10 ms extension).
+
+    ``import scipy`` runs SciPy's own start-up.  The module goes into
+    ``sys.modules`` under its full name, so a later ``import
+    scipy.optimize`` reuses this instance, and one already loaded there
+    is returned as it is.
+    """
+    import scipy
+
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = [os.path.join(p, "optimize", "_highspy") for p in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(name, path)
+    if spec is None:
+        raise ImportError(f"HiGHS extension {name} not found in {path} (scipy {scipy.__version__})")
+    highs = importlib.util.module_from_spec(spec)
+    sys.modules[name] = highs
+    spec.loader.exec_module(highs)
+    return highs
+
+
 class Polytope(FeasibleSet):
     """Bounded intersection of halfspaces {x : A x <= b} with 0 interior.
 
@@ -429,7 +463,9 @@ class Polytope(FeasibleSet):
     basis.  Boundedness is verified (and the circumradius bound R
     computed) by 2n coordinate-range LPs on that model at construction.
     HiGHS is loaded when the first polytope is built, after its input
-    checks; closed-form sets never load it.
+    checks; closed-form sets never load it.  Only its extension module,
+    ``scipy.optimize._highspy._core``, is loaded (see :func:`_load_highs`),
+    which takes a polytope's cold set-up from about 0.8 s to 0.27 s.
     """
 
     #: dual-gap certificate threshold for project()
@@ -463,8 +499,7 @@ class Polytope(FeasibleSet):
     def _build_lp(self):
         """One HiGHS model min c @ x s.t. A x <= b, x free, re-solved
         from its previous basis after each change of c."""
-        from scipy.optimize._highspy import _core as highs
-
+        highs = _load_highs()
         self._optimal = highs.HighsModelStatus.kOptimal
         m, n, inf = self.m, self.n, highs.kHighsInf
         h = highs._Highs()

@@ -803,18 +803,35 @@ assert main(["validate", sys.argv[1]]) == 2
 assert not optimize_loaded(), optimize_loaded()[:3]
 
 lower, upper = np.array([-1.0, -0.5, -2.0]), np.array([1.0, 2.0, 0.5])
-poly = Polytope(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([upper, -lower]))
 box = Box(lower, upper)
-for d in ([1.0, -2.0, 0.5], [-1.0, 1.0, -3.0], [0.3, 0.7, 1.1]):
-    assert np.array_equal(poly.loo(np.array(d)), box.loo(np.array(d))), d
-assert "scipy.optimize" in sys.modules
+
+
+def check_box_polytope():
+    poly = Polytope(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([upper, -lower]))
+    for d in ([1.0, -2.0, 0.5], [-1.0, 1.0, -3.0], [0.3, 0.7, 1.1]):
+        assert np.array_equal(poly.loo(np.array(d)), box.loo(np.array(d))), d
+
+
+check_box_polytope()
+# the first polytope loads HiGHS's extension alone, not scipy.optimize
+highs = sys.modules["scipy.optimize._highspy._core"]
+assert "scipy.optimize" not in sys.modules
+
+# a later scipy.optimize import reuses that extension and still solves
+from scipy.optimize import linprog
+
+lp = linprog([1.0, 1.0], A_ub=-np.eye(2), b_ub=[1.0, 2.0], bounds=(None, None), method="highs")
+assert lp.status == 0 and np.array_equal(lp.x, [-1.0, -2.0]), lp
+check_box_polytope()
+assert sys.modules["scipy.optimize._highspy._core"] is highs
 """
 
 
 def test_cold_import_loads_highs_only_with_the_first_polytope(tmp_path):
     """A fresh interpreter runs closed-form sets without ``scipy.optimize``
     and rejects invalid polytopes before loading it; the first valid
-    polytope loads HiGHS and answers as the equal box does."""
+    polytope loads HiGHS's extension alone and answers as the equal box
+    does, and a later ``scipy.optimize`` import shares that extension."""
     bad = tmp_path / "bad_polytope.json"
     bad.write_text(
         json.dumps(
@@ -827,3 +844,38 @@ def test_cold_import_loads_highs_only_with_the_first_polytope(tmp_path):
         text=True,
     )
     assert res.returncode == 0, res.stderr
+
+
+_MISSING_HIGHS_SCRIPT = """
+import sys
+
+import numpy as np
+import scipy
+
+from pfoco.geometry import Polytope
+
+scipy.__path__ = [sys.argv[1]]
+try:
+    Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+except ImportError as e:
+    print(e)
+else:
+    raise AssertionError("Polytope built without HiGHS")
+"""
+
+
+def test_polytope_without_highs_names_where_it_looked(tmp_path):
+    """A SciPy without the HiGHS extension fails the first polytope with
+    an ``ImportError`` naming the searched directory and SciPy's version."""
+    import scipy
+
+    res = subprocess.run(
+        [sys.executable, "-c", _MISSING_HIGHS_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    message = res.stdout.strip()
+    assert "scipy.optimize._highspy._core not found" in message, message
+    assert os.path.join(str(tmp_path), "optimize", "_highspy") in message, message
+    assert f"scipy {scipy.__version__}" in message, message
