@@ -77,14 +77,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError as e:
         raise ConfigError(f"bad --seeds list {text!r}") from e
+    if not seeds:
+        raise ConfigError(f"--seeds {text!r} names no seed")
+    return seeds
 
 
 def _cmd_run(args) -> int:
     cfg = parse_config_file(args.config)
-    seeds = _parse_seeds(args.seeds) if args.seeds else cfg.seeds
+    seeds = cfg.seeds if args.seeds is None else _parse_seeds(args.seeds)
     out_dir = resolve_out_dir(args.out, cfg)
     for seed in seeds:
         trace, _, _, summary = run_one(cfg, seed)

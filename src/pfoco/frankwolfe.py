@@ -6,7 +6,8 @@ Two entry points:
 
 * :func:`frank_wolfe_min_distance` runs classic Frank-Wolfe with exact
   line search until the duality-gap certificate drops below a threshold
-  (used for high-accuracy reference solves and comparators).  The gap
+  (a high-accuracy reference solve, used by the tests; the comparators
+  use ``loo_many``/``project_many``).  The gap
   after i update steps decays like O(R^2 / i), and for every iterate
   the gap upper-bounds the primal suboptimality, so the certificate is
   trustworthy without knowing the optimum.

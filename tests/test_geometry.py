@@ -198,6 +198,43 @@ def test_polytope_projection_when_a_dykstra_cycle_repeats_its_point():
         assert float((y - x) @ (z - x)) <= 1e-9
 
 
+def _cut_cube():
+    """[-1, 1]^3 cut by x + y <= 2 and x + y + z <= 3, faces that touch
+    the cube only at its edge x = y = 1 and its corner (1, 1, 1)."""
+    A = np.vstack([np.eye(3), -np.eye(3), [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    return Polytope(A, np.array([1.0] * 6 + [2.0, 3.0]))
+
+
+@pytest.mark.parametrize(
+    "y, want, active",
+    [([3.0, 3.0, 0.0], [1.0, 1.0, 0.0], 3), ([3.0, 3.0, 3.0], [1.0, 1.0, 1.0], 5)],
+)
+def test_polytope_projection_onto_degenerate_faces(y, want, active):
+    # more faces are active at the answer than its face dimension needs
+    # (5 faces at a corner in R^3): the multipliers are not unique
+    poly = _cut_cube()
+    y = np.array(y)
+    x = poly.project(y)
+    assert np.max(np.abs(x - want)) <= 1e-12
+    assert int(np.sum(np.abs(poly.A @ np.array(want) - poly.b) <= 1e-15)) == active
+    assert poly.contains(x)
+    v = poly.loo(x - y)
+    assert float((x - v) @ (x - y)) <= Polytope.PROJECT_GAP_TOL
+
+
+def test_polytope_projection_refuses_a_wrong_solver_answer(monkeypatch):
+    # with no face chosen the answer is y shrunk toward the origin, which
+    # is not the projection here; the dual-gap certificate must catch it
+    import scipy.optimize
+
+    poly = _cut_cube()
+    y = np.array([3.0, 0.5, -2.0])
+    np.testing.assert_allclose(poly.project(y), [1.0, 0.5, -1.0], atol=1e-12)
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda E, e: (np.zeros(E.shape[1]), 1.0))
+    with pytest.raises(RuntimeError, match="failed to certify"):
+        poly.project(y)
+
+
 def test_polytope_axis_directions_on_box_faces():
     # +-e_i on a polytope with box faces has a whole face of optima
     # (dual degenerate); the answer must still be an optimal member

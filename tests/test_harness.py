@@ -645,6 +645,17 @@ def test_cli_run_and_regret_agree(tmp_path, capsys):
     assert _static_regret_printed(capsys) == pytest.approx(summary1["observed"]["static_regret"], rel=1e-9, abs=1e-9)
 
 
+def test_cli_run_refuses_a_seeds_list_without_a_seed(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _base_config(T=30, seeds=[0]))
+    out = tmp_path / "out"
+    for text in (",", "", " , ,"):
+        assert cli_main(["run", cfg_path, "--seeds", text, "--out", str(out)]) == 2
+        assert "names no seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(["run", cfg_path, "--seeds", "3,", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["cfg_seed3.csv", "cfg_seed3.summary.json"]
+
+
 def _static_regret_printed(capsys) -> float:
     lines = capsys.readouterr().out.strip().splitlines()
     static_line = [ln for ln in lines if ln.startswith("static regret")][0]
@@ -810,12 +821,19 @@ def check_box_polytope():
     poly = Polytope(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([upper, -lower]))
     for d in ([1.0, -2.0, 0.5], [-1.0, 1.0, -3.0], [0.3, 0.7, 1.1]):
         assert np.array_equal(poly.loo(np.array(d)), box.loo(np.array(d))), d
+    return poly
 
 
-check_box_polytope()
+poly = check_box_polytope()
 # the first polytope loads HiGHS's extension alone, not scipy.optimize
 highs = sys.modules["scipy.optimize._highspy._core"]
 assert "scipy.optimize" not in sys.modules
+
+# the first projection loads scipy.optimize (for its nnls) and clips as the box does
+for y in ([3.0, -1.0, 0.2], [-4.0, 5.0, -6.0], [0.5, 2.5, 1.0]):
+    y = np.array(y)
+    assert np.max(np.abs(poly.project(y) - box.project(y))) <= 1e-12, y
+assert "scipy.optimize" in sys.modules
 
 # a later scipy.optimize import reuses that extension and still solves
 from scipy.optimize import linprog
@@ -831,7 +849,8 @@ def test_cold_import_loads_highs_only_with_the_first_polytope(tmp_path):
     """A fresh interpreter runs closed-form sets without ``scipy.optimize``
     and rejects invalid polytopes before loading it; the first valid
     polytope loads HiGHS's extension alone and answers as the equal box
-    does, and a later ``scipy.optimize`` import shares that extension."""
+    does, its first projection loads ``scipy.optimize`` (for ``nnls``),
+    and that import shares HiGHS's extension."""
     bad = tmp_path / "bad_polytope.json"
     bad.write_text(
         json.dumps(
