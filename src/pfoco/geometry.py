@@ -11,6 +11,8 @@ Algorithms touch a set only through three operations:
 * ``loo(d)``      -- linear optimization: a minimizer of ``d @ v`` over K,
   a vertex wherever the optimum is unique.
 * ``separate(y)`` -- membership test, or a hyperplane separating y from K.
+  A (k, n) block is answered in row order: the reply for its first
+  refused row, or ``FEASIBLE`` when K holds every row.
 * ``project(y)``  -- exact Euclidean projection.  A reference aid for
   tests, comparators and the exact-projection baseline ``ogd_wf``; it is
   never charged against oracle budgets.
@@ -28,12 +30,13 @@ Validation: every public oracle here (``loo``, ``separate``, ``project``
 and the ``*_many`` forms) and every projection in :mod:`pfoco.projection`
 checks its vector input once, on entry, and raises ``ValueError`` unless
 it is a 1-D float64 array (or rows of one) of the set's dimension with
-finite entries.  The learner loops call these same entry points (the
-feasible stretches of :func:`pfoco.projection.cip_so_stretch` query
-each round's point through :func:`so_query` as well); there is no
-unchecked path.  The per-vector check (:func:`as_vector`) is one
-``dot`` and a finiteness test of the result, about 1 us on an 8-vector;
-the entry-wise scan runs only when that sum of squares is not finite.
+finite entries.  The learner loops call these same entry points: the
+feasible stretches of :func:`pfoco.projection.cip_so_stretch` send each
+chunk of rounds as one block through :func:`so_query`, checked as a
+whole; there is no unchecked path.  The per-vector check
+(:func:`as_vector`) is one ``dot`` and a finiteness test of the result,
+about 1 us on an 8-vector; the entry-wise scan runs only when that sum
+of squares is not finite.
 
 Dependencies: the closed-form sets use NumPy alone.  The polytope's LOO
 is an LP on SciPy's bundled HiGHS, loaded when the first
@@ -88,6 +91,13 @@ def as_vector(x) -> Vector:
     return v
 
 
+def _is_block(point) -> bool:
+    """Whether a separation query is a (k, n) block of points.  On an
+    array this reads ``ndim`` directly: ``np.ndim`` costs about 0.4 us, a
+    tenth of a 1-D query."""
+    return point.ndim == 2 if isinstance(point, np.ndarray) else np.ndim(point) == 2
+
+
 @dataclasses.dataclass
 class OracleCounters:
     """Running totals of charged oracle calls."""
@@ -116,11 +126,13 @@ class SeparationAnswer:
 
     When ``feasible`` is False, ``g`` satisfies ``(y - z) @ g > 0`` for
     every z in K, i.e. the hyperplane through the query's violated face
-    strictly separates y from the set.
+    strictly separates y from the set.  ``row`` is the index of the
+    refused row y in a block query (0 for a single point).
     """
 
     feasible: bool
     g: Optional[Vector] = None
+    row: int = 0
 
 
 # the one "feasible" reply, shared by every set (the answer is frozen)
@@ -156,6 +168,15 @@ class FeasibleSet:
         raise NotImplementedError
 
     def separate(self, point: Vector) -> SeparationAnswer:
+        """Membership of ``point``, or a hyperplane separating it from K.
+
+        A (k, n) block is answered as its rows asked one at a time, in
+        order, up to the first refusal: that row's reply, its index in
+        ``row``, or ``FEASIBLE`` when every row is in K.  Each row's
+        reply has the bits of the 1-D call on it.  A vectorized block
+        path may evaluate the rows after the first refusal too; their
+        replies are never used.
+        """
         raise NotImplementedError
 
     def project(self, point: Vector) -> Vector:
@@ -170,6 +191,17 @@ class FeasibleSet:
         return self._rowwise(self.project, points)
 
     # -- helpers --------------------------------------------------------
+    def _first_refusal(self, point, separate_one) -> SeparationAnswer:
+        """``separate`` by a 1-D rule ``separate_one`` taking a checked
+        vector, looped over the rows of a block."""
+        if not _is_block(point):
+            return separate_one(self._check_dim(point))
+        for i, y in enumerate(self._check_rows(point)):
+            ans = separate_one(y)
+            if not ans.feasible:
+                return SeparationAnswer(False, ans.g, i)
+        return FEASIBLE
+
     def _rowwise(self, oracle, rows) -> np.ndarray:
         M = self._check_rows(rows)
         out = np.empty_like(M)
@@ -221,7 +253,9 @@ class Ball(FeasibleSet):
         return (-self.R / nrm) * d
 
     def separate(self, point: Vector) -> SeparationAnswer:
-        y = self._check_dim(point)
+        return self._first_refusal(point, self._separate_one)
+
+    def _separate_one(self, y: Vector) -> SeparationAnswer:
         if math.sqrt(y.dot(y)) <= self.R + self._tol():
             return FEASIBLE
         return SeparationAnswer(False, y.copy())
@@ -275,10 +309,21 @@ class Box(FeasibleSet):
         return np.where(d > 0.0, self.lower, self.upper).astype(np.float64)
 
     def separate(self, point: Vector) -> SeparationAnswer:
+        if _is_block(point):
+            Y = self._check_rows(point)
+            # elementwise, and a row's max is its argmax entry: each row
+            # is refused exactly when a 1-D query on it is
+            V = np.concatenate([Y - self.upper, self.lower - Y], axis=1)
+            refused = V.max(axis=1) > self._tol()
+            if not refused.any():
+                return FEASIBLE
+            i = int(refused.argmax())
+            return self._answer(V[i], i)
         y = self._check_dim(point)
-        over = y - self.upper
-        under = self.lower - y
-        viol = np.concatenate([over, under])
+        return self._answer(np.concatenate([y - self.upper, self.lower - y]))
+
+    def _answer(self, viol: Vector, row: int = 0) -> SeparationAnswer:
+        """The reply for a point's face violations [y - upper, lower - y]."""
         j = int(np.argmax(viol))
         if viol[j] <= self._tol():
             return FEASIBLE
@@ -287,7 +332,7 @@ class Box(FeasibleSet):
             g[j] = 1.0  # above the upper face
         else:
             g[j - self.n] = -1.0  # below the lower face
-        return SeparationAnswer(False, g)
+        return SeparationAnswer(False, g, row)
 
     def project(self, point: Vector) -> Vector:
         y = self._check_dim(point)
@@ -342,7 +387,9 @@ class Simplex(FeasibleSet):
         return v
 
     def separate(self, point: Vector) -> SeparationAnswer:
-        y = self._check_dim(point)
+        return self._first_refusal(point, self._separate_one)
+
+    def _separate_one(self, y: Vector) -> SeparationAnswer:
         tol = self._tol()
         # candidate violations, all in distance units
         j = int(np.argmin(y))
@@ -398,8 +445,17 @@ class L1Ball(FeasibleSet):
         return v
 
     def separate(self, point: Vector) -> SeparationAnswer:
+        bound = self.R + self._tol()
+        if _is_block(point):
+            Y = self._check_rows(point)
+            # each contiguous row is summed pairwise, as the 1-D sum is
+            refused = np.abs(Y).sum(axis=1) > bound
+            if not refused.any():
+                return FEASIBLE
+            i = int(refused.argmax())
+            return SeparationAnswer(False, np.sign(Y[i]), i)
         y = self._check_dim(point)
-        if float(np.abs(y).sum()) <= self.R + self._tol():
+        if float(np.abs(y).sum()) <= bound:
             return FEASIBLE
         # z @ sign(y) <= ||z||_1 <= R < ||y||_1 = y @ sign(y) for all z in K
         return SeparationAnswer(False, np.sign(y))
@@ -472,7 +528,8 @@ class Polytope(FeasibleSet):
     ``scipy.optimize.nnls`` (see :meth:`project`).
     """
 
-    #: dual-gap certificate threshold for project()
+    #: dual-gap certificate threshold for project(), in units of
+    #: max(1, ||x - y||) * R: the gap's rounding grows with both
     PROJECT_GAP_TOL = 1e-10
 
     def __init__(self, A, b):
@@ -576,7 +633,9 @@ class Polytope(FeasibleSet):
         return v
 
     def separate(self, point: Vector) -> SeparationAnswer:
-        y = self._check_dim(point)
+        return self._first_refusal(point, self._separate_one)
+
+    def _separate_one(self, y: Vector) -> SeparationAnswer:
         viol = self.A @ y - self.b
         j = int(np.argmax(viol))
         if viol[j] <= self._tol():
@@ -587,23 +646,30 @@ class Polytope(FeasibleSet):
         """Least-distance solve, certified by a dual-gap check.
 
         With z = x - y, the projection minimizes ||z|| s.t. A z <= b - A y.
-        The u >= 0 minimizing ||E u - e_{n+1}||, E = [-A^T; (A y - b)^T],
-        picks the faces with u > 0 (Lawson & Hanson, *Solving Least
-        Squares Problems*, ch. 23); x is y projected onto them by
-        ``lstsq`` (which also covers more than n faces), shrunk into K.
-        A second ``lstsq`` pass from that x puts it on the faces to
-        rounding (from points up to 100 away, dual gaps up to 9e-11 after
-        one pass, 3e-14 after two).  x is accepted only if the gap certificate (x - v) @ (x - y)
-        with v = loo(x - y) is at most PROJECT_GAP_TOL.  ``nnls`` is
-        imported here, so only a process's first projection loads
-        ``scipy.optimize``.
+        The u >= 0 minimizing ||E u - e_{n+1}||, E = [-A^T; h^T] with
+        h = (A y - b) / max|A y - b|, picks the faces with u > 0 (Lawson &
+        Hanson, *Solving Least Squares Problems*, ch. 23).  Scaling h
+        changes no face in exact arithmetic; unscaled, a point 10^5 R out
+        gives E a row 10^5 times the others, and ``nnls`` chose wrong faces
+        for about 1 point in 200 there.  x is y projected onto the chosen
+        faces by ``lstsq`` (which also covers more than n faces), shrunk
+        into K.  A second ``lstsq`` pass from that x puts it on the faces
+        to rounding (from points up to 100 away, dual gaps up to 9e-11
+        after one pass, 3e-14 after two).  x is accepted only if the gap
+        certificate (x - v) @ (x - y) with v = loo(x - y) is at most
+        PROJECT_GAP_TOL * max(1, ||x - y||) * R.  The rounding in that
+        product grows with ||x - y|| and ||x - v|| <= 2R, so a tolerance
+        fixed in absolute terms refused points about 10^5 R out on
+        rounding alone.  ``nnls`` is imported here, so only a process's
+        first projection loads ``scipy.optimize``.
         """
         from scipy.optimize import nnls
 
         y = self._check_dim(point)
         if self.separate(y).feasible:
             return y.copy()
-        E = np.vstack([-self.A.T, self.A @ y - self.b])
+        h = self.A @ y - self.b
+        E = np.vstack([-self.A.T, h / np.abs(h).max()])
         e = np.zeros(self.n + 1)
         e[-1] = 1.0
         faces = nnls(E, e)[0] > 0.0
@@ -614,10 +680,11 @@ class Polytope(FeasibleSet):
         scale = float(np.max(self.A @ x / self.b))
         if scale > 1.0:
             x = x / scale
-        v = self.loo(x - y)
-        gap = float((x - v) @ (x - y))
-        if gap > self.PROJECT_GAP_TOL:
-            raise RuntimeError(f"projection failed to certify: dual gap {gap:.3g} above tolerance")
+        d = x - y
+        gap = float((x - self.loo(d)) @ d)
+        tol = self.PROJECT_GAP_TOL * max(1.0, math.sqrt(d.dot(d))) * self.R
+        if gap > tol:
+            raise RuntimeError(f"projection failed to certify: dual gap {gap:.3g} above tolerance {tol:.3g}")
         return x
 
 
@@ -651,7 +718,8 @@ class SqueezedSetView(FeasibleSet):
         return self.factor * self.base.loo(d)
 
     def separate(self, point: Vector) -> SeparationAnswer:
-        y = self._check_dim(point)
+        # a block goes to the base as one block: the division is elementwise
+        y = self._check_rows(point) if _is_block(point) else self._check_dim(point)
         return self.base.separate(y / self.factor)
 
     def project(self, point: Vector) -> Vector:
@@ -677,10 +745,22 @@ def loo_query(set_: FeasibleSet, direction: Vector, counters: Optional[OracleCou
 
 
 def so_query(set_: FeasibleSet, point: Vector, counters: Optional[OracleCounters] = None) -> SeparationAnswer:
-    """Separation oracle call, charged to ``counters``."""
+    """Separation oracle call, charged to ``counters``.
+
+    A (k, n) block of points is one ``separate`` call on the block (see
+    :meth:`FeasibleSet.separate`), charged exactly what k calls made in
+    row order and stopped at the first refusal would be: ``row + 1``
+    calls on a refusal, k when every row is accepted.  Rows after the
+    refusal may be evaluated in the same array operation, but they are
+    never counted or used.
+    """
+    ans = set_.separate(point)
     if counters is not None:
-        counters.so_calls += 1
-    return set_.separate(point)
+        if not ans.feasible:
+            counters.so_calls += ans.row + 1
+        else:
+            counters.so_calls += len(point) if _is_block(point) else 1
+    return ans
 
 
 def exact_project(set_: FeasibleSet, point: Vector) -> Vector:

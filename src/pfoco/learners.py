@@ -581,15 +581,16 @@ def so_run(
     With full information on linear losses the step is the same over a
     run of equal rows, and a round whose projection accepts its input
     with one oracle call plays that input next.  Such a feasible stretch
-    is one :func:`~pfoco.projection.cip_so_stretch` pass, with one
-    counted SO query per round.  A stretch starts where the run has two
-    rounds or more left and the first input needs no rescale (a run of
-    one round, or a rescaled input, gains nothing from it).  The round
-    that ends a stretch early (a rescale or a pull) and every other
-    round take :func:`~pfoco.projection.cip_so`, which goes on from the
-    refusal the stretch already has, so no point is queried twice.  The
-    trace records each round's projection input and output as columns
-    (:class:`SoRecords`).
+    is one :func:`~pfoco.projection.cip_so_stretch` pass, which asks the
+    oracle about each chunk of rounds in one block query and is charged
+    one SO call per round asked, as a per-round loop is.  A stretch
+    starts where the run has two rounds or more left and the first input
+    needs no rescale (a run of one round, or a rescaled input, gains
+    nothing from it).  The round that ends a stretch early (a rescale or
+    a pull) and every other round take :func:`~pfoco.projection.cip_so`,
+    which goes on from the refusal the stretch already has, so no point
+    is queried twice.  The trace records each round's projection input
+    and output as columns (:class:`SoRecords`).
     """
     t0 = time.perf_counter()
     bandit = _is_bandit(params, schedule, rng, so_run)

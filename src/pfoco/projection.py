@@ -19,7 +19,9 @@ certificate of proximity.  Two constructions:
   member of the doubly squeezed target set by delta^2 (r-delta_prime)^2.
   :func:`cip_so_stretch` runs it over consecutive rounds that step by
   one fixed vector, for as long as each round's input is accepted as it
-  is, in one array pass with one counted oracle query per round.
+  is: it builds the rounds' points in array passes and asks the oracle
+  about each pass's points in one block query, charged one call per
+  round up to the first refusal.
 
 Both loops carry proven iteration ceilings; implementations enforce a
 10x safety cap and raise :class:`~pfoco.geometry.OracleContractError`
@@ -301,9 +303,11 @@ def cip_so_stretch(
     one oracle call: the point needs no rescale (norm at most R) and the
     oracle accepts it.  The candidates are made STRETCH_CHUNK at a time
     by one ``np.subtract.accumulate``, so they round as a per-round loop
-    would, and written to the rows of ``out`` (shape (m, n)).  Each is
-    queried once, in order, through :func:`~pfoco.geometry.so_query` and
-    charged to ``counters``.
+    would, and written to the rows of ``out`` (shape (m, n)).  The
+    chunk's points that need no rescale go to the oracle as one block
+    through :func:`~pfoco.geometry.so_query`, which answers them in order
+    up to the first refusal and charges ``counters`` one call per round
+    so asked, as querying them one at a time would.
 
     Returns (k, answer).  Rows 0..k-1 of ``out`` are accepted points,
     each its round's input and output.  If k < m, row k holds round k's
@@ -331,10 +335,11 @@ def cip_so_stretch(
         Y[:] = np.subtract.accumulate(buf[: c + 1])[1:]
         unscaled = np.sqrt(np.vecdot(Y, Y)) <= R
         stop = c if unscaled.all() else int(unscaled.argmin())
-        for j, q in enumerate(Y[:stop]):
-            ans = so_query(set_, q if scale == 1.0 else q / scale, counters)
+        if stop:
+            Q = Y[:stop]
+            ans = so_query(set_, Q if scale == 1.0 else Q / scale, counters)
             if not ans.feasible:
-                return k + j, ans
+                return k + ans.row, ans
         if stop < c:
             return k + stop, None
         y = Y[c - 1]

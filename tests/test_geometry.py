@@ -235,6 +235,39 @@ def test_polytope_projection_refuses_a_wrong_solver_answer(monkeypatch):
         poly.project(y)
 
 
+def test_polytope_projects_points_far_outside():
+    # the certificate's rounding grows with ||x - y||: a tolerance fixed in
+    # absolute terms refused some of these points, and nnls with an
+    # unscaled constraint row chose wrong faces for others
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        n = int(rng.integers(2, 10))
+        poly = make_polytope(rng, n, extra=int(rng.integers(4, 60)))
+        for _ in range(5):
+            u = rng.standard_normal(n)
+            y = 1e5 * poly.R * u / np.linalg.norm(u)
+            x = poly.project(y)
+            assert poly.contains(x)
+            # obtuse at x toward every member, to the certificate's scale
+            d = float(np.linalg.norm(y - x))
+            z = sample_members(poly, rng, 20)
+            assert np.max((z - x) @ (y - x)) <= Polytope.PROJECT_GAP_TOL * d * poly.R
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
+def test_polytope_projection_refuses_a_point_moved_off_its_face(far, monkeypatch):
+    # y is outside the face x_0 <= 1 alone; an answer moved 1e-6 inside K,
+    # off that face, has dual gap about 1e-6 ||x - y||, above the
+    # tolerance 1e-10 max(1, ||x - y||) R both 1e-3 and 1.7e5 out
+    poly = _cut_cube()
+    y = np.array([1e5 * poly.R if far else 1.001, 0.2, 0.1])
+    np.testing.assert_allclose(poly.project(y), [1.0, 0.2, 0.1], rtol=0.0, atol=1e-12)
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda A, r, rcond: (lstsq(A, r, rcond=rcond)[0] + 1e-6 * A.sum(axis=0),))
+    with pytest.raises(RuntimeError, match="failed to certify"):
+        poly.project(y)
+
+
 def test_polytope_axis_directions_on_box_faces():
     # +-e_i on a polytope with box faces has a whole face of optima
     # (dual degenerate); the answer must still be an optimal member
@@ -428,6 +461,89 @@ def test_batched_oracles_check_their_input():
         for oracle in (ball.loo_many, ball.project_many, poly.loo_many):
             with pytest.raises(ValueError):
                 oracle(bad)
+
+
+def _block_by_rows(set_, rows):
+    """so_query's block answer asked one row at a time: the index and
+    separator of the first refused row (None, None if there is none) and
+    the calls charged."""
+    counters = OracleCounters()
+    for i, y in enumerate(rows):
+        ans = so_query(set_, y, counters)
+        assert ans.row == 0
+        if not ans.feasible:
+            return i, ans.g, counters.so_calls
+    return None, None, counters.so_calls
+
+
+def _rim(set_, u):
+    """Points c + t u from the set's centre c at the last t that a 1-D
+    query accepts and one ulp of t either side (on the ball and the l1
+    ball with u = e_0, t = R + tol exactly), found by bisection."""
+    c = set_.center
+    lo, hi = 0.0, 4.0 * set_.R
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if set_.contains(c + mid * u) else (lo, mid)
+    return np.stack([c + t * u for t in (np.nextafter(lo, 0.0), lo, hi)])
+
+
+def _separation_blocks(rng, set_):
+    """Blocks of accepted rows with refusals placed first, last and at
+    random, rows on the membership boundary and one ulp either side, and
+    an empty block."""
+    n = set_.n
+    inside = sample_members(set_, rng, 12)
+    if set_.r > 0:
+        inside = 0.5 * inside
+    outside = rng.standard_normal((6, n)) * 2.0 * set_.R
+    u = rng.standard_normal(n)  # a rim with every entry nonzero, where the summation order shows
+    rims = [_rim(set_, np.eye(n)[0]), _rim(set_, u / np.linalg.norm(u))]
+    blocks = [np.zeros((0, n)), inside, np.vstack([outside[:1], inside]), np.vstack([inside, outside[:1]]), *rims]
+    blocks += [np.vstack([inside, rim[i:]]) for rim in rims for i in range(3)]
+    for _ in range(4):
+        mixed = np.vstack([inside, outside[: rng.integers(1, 7)], *rims])
+        blocks.append(mixed[rng.permutation(len(mixed))])
+    return blocks
+
+
+@pytest.mark.parametrize("squeezed", [False, True], ids=["set", "squeezed"])
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_block_separation_equals_row_by_row(kind, squeezed):
+    refused_at = set()
+    for seed in range(4):
+        set_ = random_set(np.random.default_rng([seed, 3]), kind)
+        if squeezed:
+            set_ = squeeze(set_, 0.6)
+        for rows in _separation_blocks(np.random.default_rng([seed, 4]), set_):
+            i, g, calls = _block_by_rows(set_, rows)
+            counters = OracleCounters()
+            block = so_query(set_, rows, counters)
+            assert counters.so_calls == calls
+            for ans in (block, set_.separate(rows)):
+                assert ans.feasible == (i is None)
+                if i is not None:
+                    refused_at.add("first" if i == 0 else "last" if i == len(rows) - 1 else "inside")
+                    assert ans.row == i and ans.g.dtype == np.float64 and ans.g.tobytes() == g.tobytes()
+    assert refused_at == {"first", "inside", "last"}
+
+
+@pytest.mark.parametrize("squeezed", [False, True], ids=["set", "squeezed"])
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_block_separation_checks_its_input(kind, squeezed):
+    set_ = random_set(np.random.default_rng(6), kind)
+    if squeezed:
+        set_ = squeeze(set_, 0.6)
+    n = set_.n
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = np.zeros((3, n))
+        rows[2, n - 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            set_.separate(rows)
+    for width in (n - 1, n + 1):
+        counters = OracleCounters()
+        with pytest.raises(ValueError, match="array"):
+            so_query(set_, np.zeros((2, width)), counters)
+        assert counters.so_calls == 0
 
 
 # ----------------------------------------------------------------------
