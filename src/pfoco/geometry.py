@@ -219,7 +219,8 @@ class FeasibleSet:
         return M
 
     def contains(self, point: Vector) -> bool:
-        return self.separate(point).feasible
+        # one point only: separate() would also take a block
+        return self.separate(self._check_dim(point)).feasible
 
     def _tol(self) -> float:
         return MEMBERSHIP_RTOL * max(self.R, 1.0)
@@ -309,21 +310,12 @@ class Box(FeasibleSet):
         return np.where(d > 0.0, self.lower, self.upper).astype(np.float64)
 
     def separate(self, point: Vector) -> SeparationAnswer:
-        if _is_block(point):
-            Y = self._check_rows(point)
-            # elementwise, and a row's max is its argmax entry: each row
-            # is refused exactly when a 1-D query on it is
-            V = np.concatenate([Y - self.upper, self.lower - Y], axis=1)
-            refused = V.max(axis=1) > self._tol()
-            if not refused.any():
-                return FEASIBLE
-            i = int(refused.argmax())
-            return self._answer(V[i], i)
-        y = self._check_dim(point)
-        return self._answer(np.concatenate([y - self.upper, self.lower - y]))
+        return self._first_refusal(point, self._separate_one)
 
-    def _answer(self, viol: Vector, row: int = 0) -> SeparationAnswer:
-        """The reply for a point's face violations [y - upper, lower - y]."""
+    def _separate_one(self, y: Vector) -> SeparationAnswer:
+        over = y - self.upper
+        under = self.lower - y
+        viol = np.concatenate([over, under])
         j = int(np.argmax(viol))
         if viol[j] <= self._tol():
             return FEASIBLE
@@ -332,7 +324,7 @@ class Box(FeasibleSet):
             g[j] = 1.0  # above the upper face
         else:
             g[j - self.n] = -1.0  # below the lower face
-        return SeparationAnswer(False, g, row)
+        return SeparationAnswer(False, g)
 
     def project(self, point: Vector) -> Vector:
         y = self._check_dim(point)
@@ -747,19 +739,23 @@ def loo_query(set_: FeasibleSet, direction: Vector, counters: Optional[OracleCou
 def so_query(set_: FeasibleSet, point: Vector, counters: Optional[OracleCounters] = None) -> SeparationAnswer:
     """Separation oracle call, charged to ``counters``.
 
-    A (k, n) block of points is one ``separate`` call on the block (see
-    :meth:`FeasibleSet.separate`), charged exactly what k calls made in
-    row order and stopped at the first refusal would be: ``row + 1``
-    calls on a refusal, k when every row is accepted.  Rows after the
-    refusal may be evaluated in the same array operation, but they are
-    never counted or used.
+    A single point is charged one call before it is asked, as
+    :func:`loo_query` charges, so a point refused by the input check
+    still costs one.  A (k, n) block of points is one ``separate`` call
+    on the block (see :meth:`FeasibleSet.separate`), charged after it
+    returns exactly what k calls made in row order and stopped at the
+    first refusal would be: ``row + 1`` calls on a refusal, k when every
+    row is accepted.  Rows after the refusal may be evaluated in the same
+    array operation, but they are never counted or used.  A block that
+    fails the input check is charged nothing.
     """
+    if counters is None:
+        return set_.separate(point)
+    if not _is_block(point):
+        counters.so_calls += 1
+        return set_.separate(point)
     ans = set_.separate(point)
-    if counters is not None:
-        if not ans.feasible:
-            counters.so_calls += ans.row + 1
-        else:
-            counters.so_calls += len(point) if _is_block(point) else 1
+    counters.so_calls += len(point) if ans.feasible else ans.row + 1
     return ans
 
 

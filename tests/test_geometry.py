@@ -544,6 +544,13 @@ def test_block_separation_checks_its_input(kind, squeezed):
         with pytest.raises(ValueError, match="array"):
             so_query(set_, np.zeros((2, width)), counters)
         assert counters.so_calls == 0
+        # a single point is charged before its check, as loo_query charges
+        with pytest.raises(ValueError, match="dimension"):
+            so_query(set_, np.zeros(width), counters)
+        assert counters.so_calls == 1
+    # contains() answers one point: a block is refused, not taken as "every row"
+    with pytest.raises(ValueError, match="1-D"):
+        set_.contains(np.zeros((2, n)))
 
 
 # ----------------------------------------------------------------------
