@@ -10,8 +10,8 @@ Subcommands:
   -- re-score a written trace against the certified comparators.  The
   seed comes from the trace's sibling ``.summary.json``, else from a
   config that lists exactly one seed; ``--seed`` may repeat it but not
-  contradict it.  The trace's loss column must equal f_t(x_t) of the
-  rebuilt schedule at its plays.
+  contradict it.  Every play must lie in K, and the trace's loss column
+  must equal f_t(x_t) of the rebuilt schedule at its plays.
 * ``pfoco validate CONFIG`` -- parse and resolve a config without
   running it.
 
@@ -31,8 +31,7 @@ import numpy as np
 from .geometry import OracleContractError
 from .harness import (
     ConfigError,
-    build_schedule,
-    build_set,
+    build_instance,
     intervals_from_cfg,
     interval_regret_report,
     learner_params,
@@ -41,7 +40,6 @@ from .harness import (
     read_trace_csv,
     resolve_out_dir,
     run_one,
-    static_regret,
     trace_basename,
     write_run_outputs,
 )
@@ -109,10 +107,10 @@ def _cmd_regret(args) -> int:
     trace = read_trace_csv(args.trace)
     if trace.T != cfg.T:
         raise ConfigError(f"trace has {trace.T} rounds but config.T = {cfg.T}")
-    seed = _trace_seed(args.trace, args.seed, cfg)
-    ss_sched, _ = np.random.SeedSequence(seed).spawn(2)
-    set_ = build_set(cfg.set_cfg)
-    schedule = build_schedule(cfg.loss_cfg, cfg.T, set_, np.random.default_rng(ss_sched))
+    set_, schedule, _ = build_instance(cfg, _trace_seed(args.trace, args.seed, cfg))
+    answer = set_.separate(trace.plays)
+    if not answer.feasible:
+        raise ConfigError(f"trace play at round {answer.row + 1} is outside the feasible set")
     _check_loss_column(trace, schedule)
 
     if args.intervals in (None, "strided", "exhaustive"):
@@ -121,9 +119,8 @@ def _cmd_regret(args) -> int:
     else:
         intervals = read_intervals_file(args.intervals, cfg.T)
 
-    sr = static_regret(trace, schedule, set_)
     report = interval_regret_report(trace, schedule, set_, intervals)
-    print(f"static regret [1, {cfg.T}]: {sr.regret:.10g} (comparator: {sr.certificate.method})")
+    print(f"static regret [1, {cfg.T}]: {report.static_regret:.10g} (comparator: {report.method})")
     print(
         f"adaptive regret over {report.n_intervals} intervals: {report.max_regret:.10g} "
         f"at [{report.argmax[0]}, {report.argmax[1]}]"
@@ -175,9 +172,7 @@ def _trace_seed(trace_path: str, given, cfg) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = parse_config_file(args.config)
-    set_ = build_set(cfg.set_cfg)
-    ss_sched, _ = np.random.SeedSequence(cfg.seeds[0]).spawn(2)
-    schedule = build_schedule(cfg.loss_cfg, cfg.T, set_, np.random.default_rng(ss_sched))
+    set_, schedule, _ = build_instance(cfg, cfg.seeds[0])
     kind = cfg.learner_cfg["kind"]
     print(f"ok: T={cfg.T} seeds={cfg.seeds} set={cfg.set_cfg['kind']} (n={set_.n}, R={set_.R:.6g}, r={set_.r:.6g})")
     print(f"ok: loss={schedule.kind} G_f={schedule.G_f:.6g} M={schedule.M:.6g}")

@@ -2,13 +2,15 @@
 
 A JSON config fully determines an experiment up to the seed list; the
 same (config, seed) pair always reproduces byte-identical trace CSVs.
-Schedules and play randomness draw from two independent streams spawned
-from the seed, so the loss sequence is oblivious to the learner's
-randomness by construction.
+:func:`build_instance` is the one place a seed becomes a run's set,
+schedule and play stream: schedules and play randomness draw from two
+independent streams spawned from the seed, so the loss sequence is
+oblivious to the learner's randomness by construction.
 
-Regret is evaluated against certified comparators only, all intervals
-of a report in one batched scan (``loo_many``/``project_many``, one
-answer per interval):
+Regret is evaluated against certified comparators only.  One
+:func:`interval_regret_report` scores a run: the caller's intervals and
+then [1, T] (the static regret) in one batched scan
+(``loo_many``/``project_many``, one answer per interval):
 
 * all-linear schedules: interval sums of coefficients via prefix sums,
   one (uncharged) LOO answer per interval -- exact minimizer.
@@ -104,7 +106,6 @@ class ExperimentConfig:
     learner_cfg: dict
     intervals_cfg: Optional[dict]
     out_dir: Optional[str]
-    raw: dict
 
 
 def parse_config_dict(raw: dict) -> ExperimentConfig:
@@ -120,7 +121,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("config.out_dir must be a string")
-    return ExperimentConfig(T, list(seeds), set_cfg, loss_cfg, learner_cfg, intervals_cfg, out_dir, raw)
+    return ExperimentConfig(T, list(seeds), set_cfg, loss_cfg, learner_cfg, intervals_cfg, out_dir)
 
 
 def _read_json(path: str, what: str):
@@ -272,11 +273,18 @@ def run_learner(
     schedule: LossSchedule,
     T: int,
     play_rng: Optional[np.random.Generator],
-    seed: Optional[int] = None,
 ) -> RunTrace:
     """Build theorem-default parameters (with config overrides) and run."""
     params = learner_params(learner_cfg, set_, schedule, T)
-    return LEARNERS[learner_cfg["kind"]].run(set_, schedule, params, play_rng, seed)
+    return LEARNERS[learner_cfg["kind"]].run(set_, schedule, params, play_rng)
+
+
+def build_instance(cfg: ExperimentConfig, seed: int) -> tuple[FeasibleSet, LossSchedule, np.random.Generator]:
+    """The set, the loss schedule and the play stream of a seeded run."""
+    ss_sched, ss_play = np.random.SeedSequence(seed).spawn(2)
+    set_ = build_set(cfg.set_cfg)
+    schedule = build_schedule(cfg.loss_cfg, cfg.T, set_, np.random.default_rng(ss_sched))
+    return set_, schedule, np.random.default_rng(ss_play)
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +315,7 @@ def _validate_interval_pairs(pairs, T: int):
     if not isinstance(pairs, list) or not pairs:
         raise ConfigError("intervals must be a non-empty list of [start, end] pairs")
     for p in pairs:
-        if not (isinstance(p, list) and len(p) == 2 and all(isinstance(v, int) for v in p)):
+        if not (isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)):
             raise ConfigError("intervals must be [start, end] integer pairs")
         s, e = p
         if not (1 <= s <= e <= T):
@@ -371,26 +379,13 @@ def intervals_from_cfg(d: Optional[dict], T: int, boundaries: Optional[list[int]
 # regret evaluation
 
 
-@dataclasses.dataclass(frozen=True)
-class ComparatorCertificate:
-    method: str
-    gap: float
-    tol: float
-
-
-@dataclasses.dataclass(frozen=True)
-class IntervalRegret:
-    start: int
-    end: int
-    regret: float
-    certificate: ComparatorCertificate
-
-
 @dataclasses.dataclass
 class RegretReport:
-    """Per-interval regrets as columns, one entry per scored interval in
-    input order; ``argmax`` is the first interval of maximal regret."""
+    """Regret on [1, T] and per-interval regrets as columns, one entry per
+    scored interval in input order; ``argmax`` is the first interval of
+    maximal regret."""
 
+    static_regret: float
     max_regret: float
     argmax: tuple[int, int]
     starts: np.ndarray
@@ -403,13 +398,6 @@ class RegretReport:
     @property
     def n_intervals(self) -> int:
         return len(self.regrets)
-
-    @property
-    def intervals(self) -> list[IntervalRegret]:
-        return [
-            IntervalRegret(int(s), int(e), float(r), ComparatorCertificate(self.method, float(g), self.tol))
-            for s, e, r, g in zip(self.starts, self.ends, self.regrets, self.gaps)
-        ]
 
 
 def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -433,7 +421,8 @@ class _LinearComparator:
 
     def best_many(self, S: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Optimal values and certificate gaps on the intervals [S[i], E[i]]."""
-        csum = self.prefix[E] - self.prefix[S - 1]
+        csum = self.prefix[E]
+        csum -= self.prefix[S - 1]  # in place: one (k, n) temporary fewer
         V = self.set_.loo_many(csum)
         return _rowdot(csum, V), np.zeros(len(S))
 
@@ -490,7 +479,12 @@ def interval_regret_report(
     comparator_tol: Optional[float] = None,
 ) -> RegretReport:
     """Regret of the played sequence on each interval, vs the certified
-    interval minimizer."""
+    interval minimizer, and on [1, T].
+
+    [1, T] is scored as one more row after the caller's intervals in the
+    same scan, so a failed certificate names the first failing interval
+    of the caller's; the columns and the maximum cover the caller's
+    intervals only."""
     if not len(intervals):
         raise ValueError("no intervals to score")
     pairs = np.asarray(intervals)
@@ -503,19 +497,12 @@ def interval_regret_report(
         raise ValueError(f"interval [{s}, {e}] out of range")
     comp = _comparator(set_, schedule, comparator_tol)
     played_prefix = _prefix(trace.losses)
-    opt, gaps = comp.best_many(S, E)
-    regrets = played_prefix[E] - played_prefix[S - 1] - opt
+    S_all, E_all = np.append(S, 1), np.append(E, trace.T)
+    opt, gaps = comp.best_many(S_all, E_all)
+    regrets = played_prefix[E_all] - played_prefix[S_all - 1] - opt
+    static, regrets, gaps = float(regrets[-1]), regrets[:-1], gaps[:-1]
     i = int(np.argmax(regrets))
-    return RegretReport(float(regrets[i]), (int(S[i]), int(E[i])), S, E, regrets, comp.method, gaps, comp.tol)
-
-
-def static_regret(
-    trace: RunTrace,
-    schedule: LossSchedule,
-    set_: FeasibleSet,
-    comparator_tol: Optional[float] = None,
-) -> IntervalRegret:
-    return interval_regret_report(trace, schedule, set_, [(1, trace.T)], comparator_tol).intervals[0]
+    return RegretReport(static, float(regrets[i]), (int(S[i]), int(E[i])), S, E, regrets, comp.method, gaps, comp.tol)
 
 
 # ----------------------------------------------------------------------
@@ -583,8 +570,14 @@ def read_trace_csv(path: str) -> RunTrace:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != _TRACE_HEADER:
         raise ValueError(f"not a trace CSV (expected header {_TRACE_HEADER})")
-    T = len(rows) - 1
-    plays = np.array([[float(v) for v in row[1].split(";")] for row in rows[1:]])
+    xs = []
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(_TRACE_HEADER):
+            raise ValueError(f"{path} line {line}: {len(row)} fields, expected {len(_TRACE_HEADER)}")
+        xs.append(row[1].split(";"))
+        if len(xs[-1]) != len(xs[0]):
+            raise ValueError(f"{path} line {line}: x has {len(xs[-1])} coordinates, line 2 has {len(xs[0])}")
+    plays = np.array([[float(v) for v in x] for x in xs])
     return RunTrace(
         plays=plays,
         losses=np.array([float(r[2]) for r in rows[1:]]),
@@ -603,11 +596,8 @@ def read_trace_csv(path: str) -> RunTrace:
 
 def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunTrace, LossSchedule, FeasibleSet, dict]:
     """One seeded run plus its summary dict."""
-    root = np.random.SeedSequence(seed)
-    ss_sched, ss_play = root.spawn(2)
-    set_ = build_set(cfg.set_cfg)
-    schedule = build_schedule(cfg.loss_cfg, cfg.T, set_, np.random.default_rng(ss_sched))
-    trace = run_learner(cfg.learner_cfg, set_, schedule, cfg.T, np.random.default_rng(ss_play), seed=seed)
+    set_, schedule, play_rng = build_instance(cfg, seed)
+    trace = run_learner(cfg.learner_cfg, set_, schedule, cfg.T, play_rng)
 
     kind = cfg.learner_cfg["kind"]
     entry = LEARNERS[kind]
@@ -635,16 +625,15 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunTrace, LossSchedule, F
         summary["checks"] = {}
 
     if schedule.kind in ("linear", "quadratic"):
-        sr = static_regret(trace, schedule, set_)
-        summary["observed"]["static_regret"] = sr.regret
         intervals = intervals_from_cfg(cfg.intervals_cfg, cfg.T, schedule.boundaries)
         report = interval_regret_report(trace, schedule, set_, intervals)
+        summary["observed"]["static_regret"] = report.static_regret
         summary["observed"]["adaptive_regret"] = report.max_regret
         summary["observed"]["adaptive_argmax"] = list(report.argmax)
         summary["observed"]["n_intervals"] = report.n_intervals
         if summary["bounds"] is not None:
             scope = summary["bound_scope"]
-            measured = sr.regret if scope == "static" else report.max_regret
+            measured = report.static_regret if scope == "static" else report.max_regret
             summary["checks"]["regret_within_bound"] = bool(measured <= summary["bounds"]["regret"])
     else:
         summary["observed"]["static_regret"] = None

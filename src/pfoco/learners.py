@@ -67,7 +67,6 @@ class RunTrace:
     projections: Sequence
     params: dict
     grad_norms: Optional[np.ndarray] = None
-    seed: Optional[int] = None
     wall_time: float = 0.0
 
     @property
@@ -233,6 +232,8 @@ def loo_bbgd_params(
     Plays live on the (1 - delta/r)-squeezed set so the exploration
     sphere of radius delta = c * T^(-1/4) never leaves the original.
     """
+    if T < 1:
+        raise ValueError("needs T >= 1")
     R, r, n = set_.R, set_.r, set_.n
     if not (r > 0):
         raise ValueError("needs an interior margin r > 0")
@@ -273,6 +274,8 @@ def so_ogd_params(
     c: Optional[float] = None,
 ) -> LearnerParams:
     """Per-round SO learner, full information."""
+    if T < 1:
+        raise ValueError("needs T >= 1")
     R, r = set_.R, set_.r
     if not (r > 0):
         raise ValueError("needs an interior margin r > 0")
@@ -309,6 +312,8 @@ def so_bgd_params(
     G_f: float = 0.0,
 ) -> LearnerParams:
     """Per-round SO learner with one-point bandit feedback."""
+    if T < 1:
+        raise ValueError("needs T >= 1")
     R, r, n = set_.R, set_.r, set_.n
     if not (r > 0):
         raise ValueError("needs an interior margin r > 0")
@@ -424,7 +429,6 @@ def ogd_wf_run(
     schedule: LossSchedule,
     etas: Union[float, np.ndarray],
     rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
 ) -> RunTrace:
     """Online gradient descent with the exact projection from the set's
     center; ``etas`` is a scalar or a length-T array of step sizes, and
@@ -459,7 +463,6 @@ def ogd_wf_run(
         projections=[],
         params={"kind": "ogd_wf", "T": T, "etas": eta_arr.tolist() if T <= 64 else float(eta_arr[0])},
         grad_norms=gnorms,
-        seed=seed,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -482,7 +485,6 @@ def loo_run(
     schedule: LossSchedule,
     params: LearnerParams,
     rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
 ) -> RunTrace:
     """Blocked OGD with LOO-based infeasible projections.
 
@@ -558,7 +560,6 @@ def loo_run(
         projections=projections,
         params=params.to_dict(),
         grad_norms=gnorms,
-        seed=seed,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -568,7 +569,6 @@ def so_run(
     schedule: LossSchedule,
     params: LearnerParams,
     rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
 ) -> RunTrace:
     """Per-round OGD with separation-based infeasible projections.
 
@@ -664,7 +664,6 @@ def so_run(
         projections=SoRecords(so_in, so_out, so_cum, delta, dp, set_.r, R),
         params=params.to_dict(),
         grad_norms=gnorms,
-        seed=seed,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -716,7 +715,7 @@ class LearnerKind:
 
     ``keys`` are the config keys it accepts besides ``kind``; ``required``
     maps those without a default to a description.  ``build(cfg, set_,
-    schedule, T)`` gives what ``run(set_, schedule, params, rng, seed)``
+    schedule, T)`` gives what ``run(set_, schedule, params, rng)``
     takes.  ``bounds(params)`` is (regret in the sense of ``scope``,
     calls to ``oracle``); all three are None without a guarantee.
     """

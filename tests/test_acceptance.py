@@ -29,7 +29,6 @@ from pfoco.harness import (
     interval_regret_report,
     parse_config_dict,
     run_one,
-    static_regret,
     strided_intervals,
     write_trace_csv,
 )
@@ -120,7 +119,7 @@ def _blocked_loo_result():
         ss_sched, _ = np.random.SeedSequence(8404).spawn(2)
         sched = make_iid_linear_schedule(T_BIG, 2, set_.R, np.random.default_rng(ss_sched))
         params = loo_bogd_params(set_, sched.G_f, T_BIG)
-        trace = loo_run(set_, sched, params, seed=8404)
+        trace = loo_run(set_, sched, params)
         report = interval_regret_report(trace, sched, set_, strided_intervals(T_BIG, sched.boundaries))
         _CACHE["bogd"] = (trace, sched, set_, params, report, time.perf_counter() - t0)
     return _CACHE["bogd"]
@@ -133,8 +132,8 @@ def _strongly_convex_result():
         ss_sched, _ = np.random.SeedSequence(8505).spawn(2)
         sched = make_iid_quadratic_schedule(T_BIG, 2, set_.R, np.random.default_rng(ss_sched), alpha=1.0, spread=0.2)
         params = loo_bogd_sc_params(set_, sched.G_f, T_BIG, alpha=1.0)
-        trace = loo_run(set_, sched, params, seed=8505)
-        sr = static_regret(trace, sched, set_)
+        trace = loo_run(set_, sched, params)
+        sr = interval_regret_report(trace, sched, set_, [(1, T_BIG)]).static_regret
         _CACHE["sc"] = (trace, sched, set_, params, sr, time.perf_counter() - t0)
     return _CACHE["sc"]
 
@@ -146,7 +145,7 @@ def _separation_ogd_result():
         ss_sched, _ = np.random.SeedSequence(8606).spawn(2)
         sched = make_iid_linear_schedule(T_BIG, 2, set_.R, np.random.default_rng(ss_sched))
         params = so_ogd_params(set_, sched.G_f, T_BIG, c=4.0)
-        trace = so_run(set_, sched, params, seed=8606)
+        trace = so_run(set_, sched, params)
         report = interval_regret_report(trace, sched, set_, strided_intervals(T_BIG, sched.boundaries))
         _CACHE["so_ogd"] = (trace, sched, set_, params, report, time.perf_counter() - t0)
     return _CACHE["so_ogd"]
@@ -269,11 +268,11 @@ def test_a05_strongly_convex_run():
         * (1.0 + (2.0 / 3.0) * math.log(math.sqrt(T) * G / (alpha * R)))
     )
     assert abs(bound - theoretical_bounds(params)["regret"]) <= 1e-9 * bound
-    assert sr.regret <= bound
+    assert sr <= bound
     assert trace.counters.loo_calls <= 0.94 * T
     elapsed = build_s + time.perf_counter() - t0
     print(
-        f"\n[strongly-convex] static regret {sr.regret:.2f} <= {bound:.0f}, "
+        f"\n[strongly-convex] static regret {sr:.2f} <= {bound:.0f}, "
         f"loo calls {trace.counters.loo_calls} <= {0.94 * T:.0f}, G_f = {G:.4f}, {elapsed:.1f}s (budget 60s)"
     )
     assert elapsed < 60.0
@@ -335,13 +334,13 @@ def test_a07_bandit_feasibility_and_budgets():
                 sched = _drifting_linear_schedule(T, 2, R, sched_rng, drift_scale=0.85)
             if name == "loo_bbgd":
                 params = loo_bbgd_params(set_, sched.M, T, c=5.0, G_f=sched.G_f)
-                trace = loo_run(set_, sched, params, np.random.default_rng(ss_play), seed=seed)
+                trace = loo_run(set_, sched, params, np.random.default_rng(ss_play))
                 calls.append(trace.counters.loo_calls)
                 for rec in trace.projections:
                     check_cip_loo_record(rec)
             else:
                 params = so_bgd_params(set_, sched.M, T, G_f=sched.G_f)
-                trace = so_run(set_, sched, params, np.random.default_rng(ss_play), seed=seed)
+                trace = so_run(set_, sched, params, np.random.default_rng(ss_play))
                 calls.append(trace.counters.so_calls)
                 assert trace.counters.so_calls <= so_display_gate
                 for rec in trace.projections:

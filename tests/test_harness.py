@@ -13,6 +13,7 @@ from pfoco.cli import main as cli_main
 from pfoco.geometry import Ball, L1Ball, exact_project
 from pfoco.harness import (
     ConfigError,
+    build_instance,
     build_schedule,
     build_set,
     exhaustive_intervals,
@@ -22,7 +23,6 @@ from pfoco.harness import (
     read_trace_csv,
     resolve_out_dir,
     run_one,
-    static_regret,
     strided_intervals,
     write_trace_csv,
 )
@@ -151,6 +151,10 @@ def test_interval_config_validation():
         parse_config_dict(_base_config(intervals={"policy": "list", "intervals": []}))
     with pytest.raises(ConfigError, match="does not apply to policy"):
         parse_config_dict(_base_config(intervals={"policy": "list", "intervals": [[1, 4]], "extra": [[1, 2]]}))
+    # true would be read as 1
+    for intervals in ({"policy": "list", "intervals": [[True, 2]]}, {"policy": "strided", "extra": [[1, True]]}):
+        with pytest.raises(ConfigError, match="integer pairs"):
+            parse_config_dict(_base_config(intervals=intervals))
     with pytest.raises(ConfigError, match="limited to T <= 512"):
         parse_config_dict(_base_config(T=600, intervals={"policy": "exhaustive"}))
 
@@ -261,15 +265,14 @@ def test_linear_interval_regret_matches_direct_sum():
     schedule = make_iid_linear_schedule(40, 3, set_.R, rng)
     trace = _played_trace(set_, schedule, rng)
     report = interval_regret_report(trace, schedule, set_, exhaustive_intervals(40))
-    by_pair = {(r.start, r.end): r for r in report.intervals}
+    by_pair = dict(zip(zip(report.starts.tolist(), report.ends.tolist()), report.regrets.tolist()))
     for s, e in [(1, 40), (5, 5), (13, 29), (40, 40), (2, 39)]:
         csum = np.sum(schedule.family.C[schedule.rows[s - 1 : e]], axis=0)
         comp = float(csum @ set_.loo(csum))
         direct = sum(schedule.family.value(schedule.rows[t - 1], trace.plays[t - 1]) for t in range(s, e + 1))
-        r = by_pair[(s, e)]
-        assert r.regret == pytest.approx(direct - comp, abs=1e-9)
-        assert r.certificate.method == "loo_exact"
-    assert report.max_regret == max(r.regret for r in report.intervals)
+        assert by_pair[(s, e)] == pytest.approx(direct - comp, abs=1e-9)
+    assert report.method == "loo_exact"
+    assert report.max_regret == max(report.regrets)
     with pytest.raises(ValueError, match="no intervals"):
         interval_regret_report(trace, schedule, set_, [])
 
@@ -318,11 +321,11 @@ def test_batched_report_matches_per_interval_scan(kind, loss):
         report = interval_regret_report(trace, schedule, set_, intervals)
         ref = _reference_scan(trace, schedule, twin, intervals)
         assert report.n_intervals == len(intervals)
-        assert [(r.start, r.end) for r in report.intervals] == intervals
+        assert list(zip(report.starts.tolist(), report.ends.tolist())) == intervals
         assert report.regrets.tolist() == pytest.approx([r[2] for r in ref], rel=1e-12, abs=1e-12)
         assert report.gaps.tolist() == pytest.approx([r[3] for r in ref], rel=1e-12, abs=1e-12)
         method = "loo_exact" if loss == "linear" else "projected_quadratic"
-        assert {r.certificate.method for r in report.intervals} == {method}
+        assert report.method == method
         first_max = int(np.argmax(report.regrets))
         assert report.max_regret == report.regrets[first_max] == max(report.regrets)
         assert report.argmax == intervals[first_max]
@@ -366,11 +369,11 @@ def test_linear_comparator_beats_sampled_points():
     trace = _played_trace(set_, schedule, rng)
     members = sample_members(set_, rng, 50)
     for s, e in [(1, 30), (10, 20)]:
-        r = interval_regret_report(trace, schedule, set_, [(s, e)]).intervals[0]
+        regret = interval_regret_report(trace, schedule, set_, [(s, e)]).regrets[0]
         played = float(np.sum(trace.losses[s - 1 : e]))
         for z in members:
             at_z = sum(schedule.family.value(schedule.rows[t - 1], z) for t in range(s, e + 1))
-            assert played - at_z <= r.regret + 1e-9
+            assert played - at_z <= regret + 1e-9
 
 
 def test_quadratic_comparator_certified_and_consistent():
@@ -380,18 +383,18 @@ def test_quadratic_comparator_certified_and_consistent():
     trace = _played_trace(set_, schedule, rng)
     report = interval_regret_report(trace, schedule, set_, [(1, 25), (7, 19), (4, 4)])
     members = sample_members(set_, rng, 60)
-    for r in report.intervals:
-        assert r.certificate.method == "projected_quadratic"
-        assert 0.0 <= r.certificate.gap <= r.certificate.tol
-        played = float(np.sum(trace.losses[r.start - 1 : r.end]))
-        comp = played - r.regret
+    assert report.method == "projected_quadratic"
+    for start, end, regret, gap in zip(report.starts, report.ends, report.regrets, report.gaps):
+        assert 0.0 <= gap <= report.tol
+        played = float(np.sum(trace.losses[start - 1 : end]))
+        comp = played - regret
         direct_at = lambda z: sum(  # noqa: E731
-            schedule.family.value(schedule.rows[t - 1], z) for t in range(r.start, r.end + 1)
+            schedule.family.value(schedule.rows[t - 1], z) for t in range(start, end + 1)
         )
         # the certified value is attained by an actual feasible point
         alpha, B = schedule.family.alpha, schedule.family.B[schedule.rows]
-        w = np.sum(alpha * B[r.start - 1 : r.end], axis=0)
-        x_star = exact_project(set_, w / (alpha * (r.end - r.start + 1)))
+        w = np.sum(alpha * B[start - 1 : end], axis=0)
+        x_star = exact_project(set_, w / (alpha * (end - start + 1)))
         assert direct_at(x_star) == pytest.approx(comp, rel=1e-10, abs=1e-10)
         for z in members:
             assert comp <= direct_at(z) + 1e-8
@@ -403,17 +406,32 @@ def test_absdev_schedule_has_no_certified_comparator():
     schedule = make_iid_absdev_schedule(20, 2, set_.R, rng)
     trace = _played_trace(set_, schedule, rng)
     with pytest.raises(ValueError, match="no certified comparator"):
-        static_regret(trace, schedule, set_)
+        interval_regret_report(trace, schedule, set_, [(1, 20)])
 
 
 def test_static_regret_equals_full_interval():
-    rng = np.random.default_rng(5)
-    set_ = Ball(2, 1.0)
-    schedule = make_iid_linear_schedule(32, 2, set_.R, rng)
-    trace = _played_trace(set_, schedule, rng)
-    sr = static_regret(trace, schedule, set_)
-    full = interval_regret_report(trace, schedule, set_, [(1, 32)]).intervals[0]
-    assert sr == full
+    # the [1, T] row of a report's scan rounds as a scan of [1, T] alone,
+    # whether or not the caller's intervals hold [1, T] too
+    T = 32
+    for kind in SET_KINDS:
+        for loss in ("linear", "quadratic"):
+            # twin sets: the polytope's answer on tied optima depends on its query history
+            set_, twin = (random_set(np.random.default_rng([5, 1]), kind) for _ in range(2))
+            rng = np.random.default_rng([5, 2])
+            if loss == "linear":
+                schedule = make_iid_linear_schedule(T, set_.n, set_.R, rng)
+            else:
+                schedule = make_iid_quadratic_schedule(T, set_.n, set_.R, rng, alpha=1.5, spread=2.0 * set_.R)
+            trace = _played_trace(set_, schedule, rng)
+            full = interval_regret_report(trace, schedule, twin, [(1, T)])
+            assert full.static_regret == full.regrets[0] == full.max_regret
+            without = strided_intervals(T)[1:]
+            for intervals in (without, [(1, T)] + without):
+                report = interval_regret_report(trace, schedule, set_, intervals)
+                assert report.static_regret == full.static_regret, (kind, loss)
+                assert report.n_intervals == len(intervals)
+                if intervals[0] == (1, T):
+                    assert report.regrets[0] == full.static_regret
 
 
 def test_strided_max_never_exceeds_exhaustive_max():
@@ -734,6 +752,40 @@ def test_cli_regret_checks_the_loss_column(tmp_path, capsys):
     assert "trace loss at round 2 " in capsys.readouterr().err
 
 
+def test_cli_regret_refuses_plays_outside_the_set(tmp_path, capsys):
+    cfg = _base_config(T=4)
+    cfg_path = _write_cfg(tmp_path, cfg)
+    out = str(tmp_path / "out")
+    assert cli_main(["run", cfg_path, "--out", out]) == 0
+    capsys.readouterr()
+    # every play moved to -10 c_t, far outside the unit ball, with the
+    # losses it incurs: the loss column checks out, the plays do not
+    trace_path = os.path.join(out, "cfg_seed0.csv")
+    trace = read_trace_csv(trace_path)
+    set_, schedule, _ = build_instance(parse_config_dict(cfg), 0)
+    trace.plays = -10.0 * schedule.family.C[schedule.rows]
+    trace.losses = schedule.family.values(schedule.rows, trace.plays)
+    assert not set_.contains(trace.plays[0])
+    write_trace_csv(trace, trace_path)
+    assert cli_main(["regret", trace_path, cfg_path]) == 2
+    assert "trace play at round 1 is outside the feasible set" in capsys.readouterr().err
+
+
+def test_read_trace_csv_names_a_malformed_line(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _base_config(T=2))
+    path = tmp_path / "trace.csv"
+    header = "t,x,loss,loo_calls_cum,so_calls_cum,block_index\n"
+    for body, message in (
+        ("1,0;0,0,0,1,1\n2,0;0\n", "line 3: 2 fields, expected 6"),
+        ("1,0;0,0,0,1,1\n2,0;0;0,0,0,2,2\n", "line 3: x has 3 coordinates, line 2 has 2"),
+    ):
+        path.write_text(header + body)
+        with pytest.raises(ValueError, match=message):
+            read_trace_csv(str(path))
+        assert cli_main(["regret", str(path), cfg_path]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_cli_intervals_file_and_missing_config(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, _base_config(T=30, seeds=[0]))
     out = str(tmp_path / "out")
@@ -746,7 +798,7 @@ def test_cli_intervals_file_and_missing_config(tmp_path, capsys):
     assert "over 2 intervals" in capsys.readouterr().out
     assert cli_main(["regret", trace_path, cfg_path, "--intervals", str(tmp_path / "missing.json")]) == 2
     assert "intervals file not found" in capsys.readouterr().err
-    for text, message in (("[[1.9, 3]]", "integer pairs"), ("[]", "non-empty list")):
+    for text, message in (("[[1.9, 3]]", "integer pairs"), ("[[true, 3]]", "integer pairs"), ("[]", "non-empty list")):
         iv_path.write_text(text)
         assert cli_main(["regret", trace_path, cfg_path, "--intervals", str(iv_path)]) == 2
         assert message in capsys.readouterr().err

@@ -104,6 +104,19 @@ def test_so_bgd_parameters_and_constraints():
         so_bgd_params(ball, 1.0, 10000, c_prime=6.0)
 
 
+def test_parameter_builders_need_a_horizon():
+    ball = Ball(2, 1.0)
+    for build in (
+        lambda T: loo_bogd_params(ball, 1.0, T),
+        lambda T: loo_bbgd_params(ball, 1.0, T, c=0.5),
+        lambda T: so_ogd_params(ball, 1.0, T),
+        lambda T: so_bgd_params(ball, 1.0, T),
+    ):
+        for T in (0, -3):
+            with pytest.raises(ValueError, match=r"needs T >= 1"):
+                build(T)
+
+
 def test_reference_bounds_reproduce_hand_values():
     ball = Ball(2, 1.0)
     b = theoretical_bounds(so_ogd_params(ball, 1.0, 10000, c=4.0))
