@@ -19,9 +19,12 @@ Algorithms touch a set only through three operations:
 
 ``loo_many(D)`` and ``project_many(Y)`` answer one query per row of a
 (k, n) array, for comparator scans.  The closed-form sets answer all
-rows in one vectorized pass with the tie rules of ``loo``/``project``;
-other sets (the polytope) loop over ``loo``/``project``.  Neither is a
-learner's oracle call.
+rows in one vectorized pass with the tie rules of ``loo``/``project``.
+The polytope answers ``loo_many`` with one vectorized primal simplex
+pass over the rows and certifies each row's optimal vertex; the rows it
+cannot certify (ties, zero rows, degenerate vertices) go to ``loo``, and
+every row has the bits ``loo`` gives it.  Its ``project_many`` loops
+over ``project``.  Neither is a learner's oracle call.
 
 Use the module-level wrappers :func:`loo_query` and :func:`so_query`
 when a call should be charged to an :class:`OracleCounters`.
@@ -50,10 +53,13 @@ pfoco``, parse, build a 60-face polytope in R^10) took 0.82 s with
 
 Tie-breaking: closed-form sets resolve ties toward the lowest coordinate
 index.  The polytope's answer is a function of the LP solver's optimal
-basis; on directions with tied optima that basis can depend on earlier
-queries to the same ``Polytope``, so only a fresh set repeats such an
-answer.  Traces stay byte-deterministic per (config, seed) because each
-run builds its own set.
+basis.  Each solve restarts from the basis the previous one left, so on
+directions with tied optima the answer can depend on earlier queries to
+the same ``Polytope``, and only a fresh set repeats such an answer.
+``loo_many`` leaves each tied row the basis a row-by-row loop over
+``loo`` would, so its tied answers repeat that loop's.  Traces stay
+byte-deterministic per (config, seed) because each run builds its own
+set.
 """
 
 from __future__ import annotations
@@ -512,6 +518,9 @@ class Polytope(FeasibleSet):
     query changes only the objective and restarts from the last optimal
     basis.  Boundedness is verified (and the circumradius bound R
     computed) by 2n coordinate-range LPs on that model at construction.
+    A block of LOO queries (``loo_many``) runs one vectorized primal
+    simplex pass in NumPy from a vertex found at construction without an
+    LP; only the rows it cannot certify reach HiGHS.
     HiGHS is loaded when the first polytope is built, after its input
     checks; closed-form sets never load it.  Only its extension module,
     ``scipy.optimize._highspy._core``, is loaded (see :func:`_load_highs`),
@@ -523,6 +532,13 @@ class Polytope(FeasibleSet):
     #: dual-gap certificate threshold for project(), in units of
     #: max(1, ||x - y||) * R: the gap's rounding grows with both
     PROJECT_GAP_TOL = 1e-10
+    #: loo_many: certificate margin of a block row's multipliers (in units
+    #: of max|d|) and of its slack rows (in units of R)
+    CERT_RTOL = 1e-9
+    #: loo_many: simplex pivots per row before it goes to HiGHS
+    PIVOT_CAP = 200
+    #: loo_many: rows per simplex pass, which bounds its (k, n, n) state
+    BLOCK_ROWS = 4096
 
     def __init__(self, A, b):
         A = np.ascontiguousarray(A, dtype=np.float64)
@@ -543,11 +559,13 @@ class Polytope(FeasibleSet):
         self.r = float(np.min(self.b))
         self._cols = np.arange(self.n, dtype=np.int32)
         self._eye = np.eye(self.n)
+        self._pending: Optional[Vector] = None  # a row loo_many answered without HiGHS
         self._highs = self._build_lp()
         self.R = self._bounding_radius()
         # every member minimizes d = 0; answer with the -e_1 minimizer found
         # here, so the answer does not depend on later queries
         self._zero_answer = self.loo(-self._eye[0])
+        self._start = self._start_vertex()
 
     def _build_lp(self):
         """One HiGHS model min c @ x s.t. A x <= b, x free, re-solved
@@ -576,9 +594,21 @@ class Polytope(FeasibleSet):
         the last bits; the basic solution does not.  Every non-basic row
         sits on its face (its only finite bound) and every non-basic free
         column at 0, which gives one non-singular n x n system.
+
+        A row that ``loo_many`` left pending is solved first, so the
+        warm start is the one a row-by-row loop would have given.
         """
+        if self._pending is not None:
+            pending, self._pending = self._pending, None
+            self._solve(pending)
         h = self._highs
         h.changeColsCost(self.n, self._cols, c)
+        # restart from the basis alone: HiGHS also keeps its factorization
+        # and pricing state between solves, and on tied optima that state,
+        # a function of every earlier query, can pick the answer
+        basis = h.getBasis()
+        h.clearSolver()
+        h.setBasis(basis)
         h.run()
         status = h.getModelStatus()
         if status != self._optimal:
@@ -589,7 +619,7 @@ class Polytope(FeasibleSet):
         tight[-1 - basic[basic < 0]] = False
         cols = basic[basic >= 0]
         if cols.size == self.n:  # every column basic: exactly n rows tight
-            return np.linalg.solve(self.A[tight], self.b[tight])
+            return self._vertices(np.flatnonzero(tight)[None])[0]
         fixed = np.ones(self.n, dtype=bool)
         fixed[cols] = False
         lhs = np.concatenate([self.A[tight], self._eye[fixed]])
@@ -615,14 +645,149 @@ class Polytope(FeasibleSet):
         d = self._check_dim(direction)
         if not np.any(d):
             return self._zero_answer.copy()
-        v = self._solve(d)
-        # pull the basic solution inside, to within a few ulp: max(A v - b)
-        # can stay ~2e-16 above 0, which the 1e-12*R membership tolerance
-        # covers.  Shrinking toward the interior origin costs ~1 ulp
-        scale = float(np.max(self.A @ v / self.b))
-        if scale > 1.0:
-            v = v / scale
-        return v
+        return self._inside(self._solve(d)[None])[0]
+
+    def loo_many(self, directions) -> np.ndarray:
+        """``loo`` of every row, bit for bit, mostly without HiGHS.
+
+        Each block of up to ``BLOCK_ROWS`` rows runs one primal simplex
+        pass (:meth:`_simplex_pass`) from the vertex basis fixed at
+        construction.  A row is certified from a fresh factorization of
+        its final tight rows: every multiplier above ``CERT_RTOL *
+        max|d|`` and every other row's slack above ``CERT_RTOL * R``.
+        Its optimum is then a unique, nondegenerate vertex, so HiGHS's
+        optimal basis has exactly those tight rows, and the answer comes
+        from the vertex solve and the pull inside that ``loo`` uses.
+
+        The other rows (ties, zero rows, degenerate vertices, rows at the
+        pivot cap) are asked of ``loo`` in row order.  A certified row
+        just before one of them, or last in D, is left pending: the next
+        HiGHS solve on this set solves it first (see :meth:`_solve`), so
+        the model holds the basis a row-by-row loop would leave.  Every
+        solve restarts from that basis alone, so tied answers repeat the
+        loop's too.
+        """
+        D = self._check_rows(directions)
+        out = np.empty_like(D)
+        done = np.zeros(len(D), dtype=bool)
+        for lo in range(0, len(D), self.BLOCK_ROWS):
+            block = D[lo : lo + self.BLOCK_ROWS]
+            rows, V = self._certified(block, *self._simplex_pass(block))
+            out[lo + rows] = V
+            done[lo + rows] = True
+        for i in np.flatnonzero(~done).tolist():
+            if i and done[i - 1]:
+                self._pending = D[i - 1].copy()
+            out[i] = self.loo(D[i])
+        if len(D) and done[-1]:
+            self._pending = D[-1].copy()
+        return out
+
+    def _start_vertex(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A vertex of K as (its n tight rows, their inverse, every row's
+        slack there), found without an LP: from the origin, n times, walk
+        along a direction orthogonal to the rows met so far to the first
+        row it meets.  K is bounded, so one of +-d meets a row."""
+        x = np.zeros(self.n)
+        rows: list[int] = []
+        for _ in range(self.n):
+            d = self._eye[0]
+            if rows:  # the longest column of the projector onto the rows' null space
+                M = self.A[rows]
+                P = self._eye - M.T @ np.linalg.solve(M @ M.T, M)
+                d = P[:, np.argmax(np.einsum("ij,ij->j", P, P))]
+            ad = self.A @ d
+            ad[rows] = 0.0
+            if not np.any(ad > 0.0):
+                d, ad = -d, -ad
+            hit = np.flatnonzero(ad > 0.0)
+            steps = (self.b[hit] - self.A[hit] @ x) / ad[hit]
+            j = int(np.argmin(steps))
+            x = x + steps[j] * d
+            rows.append(int(hit[j]))
+        tight = np.array(rows)
+        slack = self.b - self.A @ np.linalg.solve(self.A[tight], self.b[tight])
+        slack[tight] = 0.0
+        return tight, np.linalg.inv(self.A[tight]), slack
+
+    def _simplex_pass(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Primal simplex on min d @ x over K for every row d of D at once,
+        each from the start vertex.  A vertex is a list T of n tight rows
+        with inverse B = A_T^-1, and its multipliers are -B^T d.  While
+        one is below ``-CERT_RTOL * max|d|``, the most negative one's
+        row p is released: the vertex moves along -B e_p to the first
+        slack row it meets (the ratio test), that row takes p's place,
+        and B is updated by one rank-one (Sherman-Morrison) step.
+
+        Returns the indices of the rows that stopped, with no clearly
+        negative multiplier, and their tight rows.  Rows still pivoting
+        after ``PIVOT_CAP`` pivots, or on an unbounded step, are left out.
+        """
+        A = self.A
+        start, start_inv, start_slack = self._start
+        k = len(D)
+        idx, C = np.arange(k), D
+        T, Binv, slack = np.tile(start, (k, 1)), np.tile(start_inv, (k, 1, 1)), np.tile(start_slack, (k, 1))
+        tol = self.CERT_RTOL * np.abs(D).max(axis=1)
+        r = np.arange(k)
+        stopped = [(idx[:0], T[:0])]
+        for pivots in range(self.PIVOT_CAP + 1):
+            mu = np.matmul(C[:, None], Binv)[:, 0]  # minus the multipliers
+            p = mu.argmax(axis=1)
+            opt = mu[r, p] <= tol
+            if opt.any():
+                stopped.append((idx[opt], T[opt]))
+            if pivots == self.PIVOT_CAP or opt.all():
+                break
+            col = Binv[r, :, p]  # the vertex moves along -col
+            ag = col @ A.T
+            down = ag < -1e-12 * np.abs(col).max(axis=1)[:, None]  # rows the move approaches
+            down[r[:, None], T] = False
+            ratio = np.where(down, slack, np.inf) / np.where(down, -ag, 1.0)
+            enter = ratio.argmin(axis=1)
+            step = ratio[r, enter]
+            go = ~opt & (step < np.inf)
+            if not go.all():
+                idx, C, T, Binv, slack, tol, p, col, ag, enter, step = (
+                    a[go] for a in (idx, C, T, Binv, slack, tol, p, col, ag, enter, step)
+                )
+                r = r[: len(idx)]
+            slack += step[:, None] * ag
+            slack[r, enter] = 0.0
+            w = np.matmul(A[enter][:, None], Binv)[:, 0]  # the entering row against each column of B
+            col /= w[r, p][:, None]
+            Binv -= col[:, :, None] * w[:, None, :]
+            Binv[r, :, p] = col
+            T[r, p] = enter
+        return np.concatenate([i for i, _ in stopped]), np.concatenate([t for _, t in stopped])
+
+    def _certified(self, D: np.ndarray, rows: np.ndarray, tight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows whose tight sets certify a unique, nondegenerate
+        optimum (see :meth:`loo_many`), and their ``loo`` answers."""
+        C = D[rows]
+        tight = np.sort(tight, axis=1)  # ascending, as _solve reads a basis
+        V = self._vertices(tight)
+        lam = np.linalg.solve(self.A[tight].transpose(0, 2, 1), -C[..., None])[..., 0]
+        slack = self.b - V @ self.A.T
+        slack[np.arange(len(rows))[:, None], tight] = np.inf
+        ok = (lam.min(axis=1) > self.CERT_RTOL * np.abs(C).max(axis=1)) & (slack.min(axis=1) > self.CERT_RTOL * self.R)
+        return rows[ok], self._inside(V[ok])
+
+    def _vertices(self, tight: np.ndarray) -> np.ndarray:
+        """The point on the n rows of each row of ``tight`` (ascending row
+        indices), one LAPACK solve each, as a single ``solve`` makes."""
+        return np.linalg.solve(self.A[tight], self.b[tight][..., None])[..., 0]
+
+    def _inside(self, V: np.ndarray) -> np.ndarray:
+        """Each row of V pulled inside to within a few ulp, in place:
+        max(A v - b) can stay ~2e-16 above 0, which the 1e-12*R membership
+        tolerance covers.  Shrinking toward the interior origin costs ~1
+        ulp.  The stacked product is one gemv per row, as ``A @ v``; one
+        (k, n) @ (n, m) product would round differently."""
+        scale = (np.matmul(self.A, V[..., None])[..., 0] / self.b).max(axis=1)
+        out = scale > 1.0
+        V[out] /= scale[out, None]
+        return V
 
     def separate(self, point: Vector) -> SeparationAnswer:
         return self._first_refusal(point, self._separate_one)

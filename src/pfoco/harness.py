@@ -570,20 +570,26 @@ def read_trace_csv(path: str) -> RunTrace:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != _TRACE_HEADER:
         raise ValueError(f"not a trace CSV (expected header {_TRACE_HEADER})")
-    xs = []
+    plays, losses, counts = [], [], []
     for line, row in enumerate(rows[1:], start=2):
         if len(row) != len(_TRACE_HEADER):
             raise ValueError(f"{path} line {line}: {len(row)} fields, expected {len(_TRACE_HEADER)}")
-        xs.append(row[1].split(";"))
-        if len(xs[-1]) != len(xs[0]):
-            raise ValueError(f"{path} line {line}: x has {len(xs[-1])} coordinates, line 2 has {len(xs[0])}")
-    plays = np.array([[float(v) for v in x] for x in xs])
+        x = row[1].split(";")
+        if plays and len(x) != len(plays[0]):
+            raise ValueError(f"{path} line {line}: x has {len(x)} coordinates, line 2 has {len(plays[0])}")
+        try:
+            plays.append([float(v) for v in x])
+            losses.append(float(row[2]))
+            counts.append([int(v) for v in row[3:]])
+        except ValueError as e:
+            raise ValueError(f"{path} line {line}: {e}") from None
+    loo_cum, so_cum, block_index = np.array(counts, dtype=np.int64).reshape(-1, 3).T.copy()
     return RunTrace(
-        plays=plays,
-        losses=np.array([float(r[2]) for r in rows[1:]]),
-        loo_cum=np.array([int(r[3]) for r in rows[1:]], dtype=np.int64),
-        so_cum=np.array([int(r[4]) for r in rows[1:]], dtype=np.int64),
-        block_index=np.array([int(r[5]) for r in rows[1:]], dtype=np.int64),
+        plays=np.array(plays),
+        losses=np.array(losses),
+        loo_cum=loo_cum,
+        so_cum=so_cum,
+        block_index=block_index,
         counters=None,
         projections=[],
         params={},

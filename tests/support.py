@@ -40,6 +40,14 @@ def make_polytope(rng, n, extra=4):
     return Polytope(np.stack(rows), np.array(offs))
 
 
+def make_cut_cube(rng, n, m):
+    """The benchmark's LP-bound polytope: the cube |x_i| <= 1 cut by
+    m - 2n random unit halfspaces a @ x <= b with b in [0.6, 1.0]."""
+    cuts = rng.standard_normal((m - 2 * n, n))
+    A = np.concatenate([np.eye(n), -np.eye(n), cuts / np.linalg.norm(cuts, axis=1)[:, None]])
+    return Polytope(A, np.concatenate([np.ones(2 * n), rng.uniform(0.6, 1.0, m - 2 * n)]))
+
+
 def random_set(rng, kind):
     if kind == "ball":
         return Ball(int(rng.integers(2, 8)), rng.uniform(0.3, 3.0))

@@ -21,6 +21,7 @@ from pfoco.geometry import (
 from support import (
     SET_KINDS,
     assert_separator_valid,
+    make_cut_cube,
     make_polytope,
     random_set,
     sample_members,
@@ -451,6 +452,60 @@ def test_batched_oracles_equal_row_by_row(kind, squeezed):
                 np.testing.assert_allclose(many, one, rtol=1e-15, atol=0.0)
             else:
                 np.testing.assert_array_equal(many, one)
+
+
+def _interval_sums(rng, n, k=120, T=60):
+    """Sums of random loss coefficients over k random intervals of [1, T],
+    as a linear comparator asks them."""
+    prefix = np.concatenate([np.zeros((1, n)), np.cumsum(rng.standard_normal((T, n)), axis=0)])
+    s = rng.integers(0, T, k)
+    e = rng.integers(s + 1, T + 1)
+    return prefix[e] - prefix[s]
+
+
+def _loo_many_solves(poly, D):
+    """loo_many's answer and the HiGHS solves (``_solve`` calls) it made."""
+    solve, calls = poly._solve, []
+
+    def counted(c):
+        calls.append(c)
+        return solve(c)
+
+    poly._solve = counted
+    try:
+        return poly.loo_many(D), len(calls)
+    finally:
+        del poly._solve
+
+
+def test_polytope_loo_many_takes_the_block_path():
+    """Rows with a unique, nondegenerate optimum never reach HiGHS; tied
+    and zero rows do, and answer as a row-by-row loop on a twin, which
+    a tied query after the block repeats too."""
+    for seed in range(4):
+        for make in (
+            lambda rng: make_polytope(rng, int(rng.integers(2, 7)), extra=int(rng.integers(2, 12))),
+            lambda rng: make_cut_cube(rng, 10, 60),
+        ):
+            poly, twin = (make(np.random.default_rng([seed, 3])) for _ in range(2))
+            poly.BLOCK_ROWS = 32  # several simplex passes per call
+            D = _interval_sums(np.random.default_rng([seed, 4]), poly.n)
+            # axis directions on the box faces have a whole face of optima
+            eye, zero = np.eye(poly.n), np.zeros((2, poly.n))
+            tied = np.concatenate([eye[:2], D[:5], -eye, zero, D[5:8], eye[2:], D[8:10]])
+            for block, fall_back in ((D, False), (tied, True)):
+                many, solves = _loo_many_solves(poly, block)
+                assert solves >= 1 if fall_back else solves == 0
+                np.testing.assert_array_equal(many, [twin.loo(d) for d in block])
+                np.testing.assert_array_equal(poly.loo(eye[0]), twin.loo(eye[0]))
+    # into the normal cone of the corner (1, 1, 1) where five faces meet:
+    # a unique optimum, but a degenerate vertex, so every row goes to HiGHS
+    poly, twin = _cut_cube(), _cut_cube()
+    active = np.abs(poly.A @ np.ones(3) - poly.b) <= 1e-15
+    D = -np.random.default_rng(5).uniform(0.1, 1.0, (40, 5)) @ poly.A[active]
+    many, solves = _loo_many_solves(poly, D)
+    assert solves == len(D)
+    np.testing.assert_array_equal(many, [twin.loo(d) for d in D])
 
 
 def test_batched_oracles_check_their_input():

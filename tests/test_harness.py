@@ -1,8 +1,10 @@
 """Config validation, regret evaluators, interval policies, trace files, CLI."""
 
+import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from pfoco.cli import main as cli_main
-from pfoco.geometry import Ball, L1Ball, exact_project
+from pfoco.geometry import Ball, FeasibleSet, L1Ball, exact_project, squeeze
 from pfoco.harness import (
     ConfigError,
     build_instance,
@@ -27,9 +29,15 @@ from pfoco.harness import (
     write_trace_csv,
 )
 from pfoco.learners import RunTrace, ogd_wf_run
-from pfoco.losses import make_iid_absdev_schedule, make_iid_linear_schedule, make_iid_quadratic_schedule
+from pfoco.losses import (
+    make_iid_absdev_schedule,
+    make_iid_linear_schedule,
+    make_iid_quadratic_schedule,
+    make_switching_linear_schedule,
+    make_switching_quadratic_schedule,
+)
 
-from support import SET_KINDS, csv_writer_trace, random_set, sample_members
+from support import SET_KINDS, csv_writer_trace, make_cut_cube, make_polytope, random_set, sample_members
 
 
 def _base_config(**overrides):
@@ -434,6 +442,40 @@ def test_static_regret_equals_full_interval():
                     assert report.regrets[0] == full.static_regret
 
 
+@pytest.mark.parametrize("loss", ["linear", "quadratic"])
+def test_polytope_report_equals_row_by_row_twin(loss):
+    """The polytope's block loo_many scores a run bit for bit as a twin
+    that asks HiGHS row by row, on the set and on a squeezed view; and a
+    fresh polytope re-scores it to the same maximum as the set that
+    played it, as the benchmark's output check requires."""
+    T, lengths = 96, [30, 20, 26, 20]
+    for seed in range(3):
+        for make in (lambda rng: make_polytope(rng, 4, extra=8), lambda rng: make_cut_cube(rng, 10, 60)):
+            played, block, twin = (make(np.random.default_rng([seed, 7])) for _ in range(3))
+            twin.loo_many = functools.partial(FeasibleSet.loo_many, twin)
+            rng = np.random.default_rng([seed, 8])
+            # quadratic targets outside K, so the projections and their gap rows do work
+            scale = 1.0 if loss == "linear" else 2.0 * played.R
+            segments = [(k, scale * rng.standard_normal(played.n)) for k in lengths]
+            if loss == "linear":
+                schedule = make_switching_linear_schedule(T, played.n, played.R, segments)
+            else:
+                schedule = make_switching_quadratic_schedule(T, played.n, played.R, segments, alpha=1.5)
+            trace = _played_trace(played, schedule, rng)
+            intervals = strided_intervals(T, schedule.boundaries)
+            for factor in (1.0, 0.7):
+                got, want = (
+                    interval_regret_report(trace, schedule, squeeze(s, factor), intervals) for s in (block, twin)
+                )
+                np.testing.assert_array_equal(got.regrets, want.regrets)
+                np.testing.assert_array_equal(got.gaps, want.gaps)
+                for field in ("static_regret", "max_regret", "argmax"):
+                    assert getattr(got, field) == getattr(want, field)
+            fresh = make(np.random.default_rng([seed, 7]))
+            rescored = [interval_regret_report(trace, schedule, s, intervals).max_regret for s in (played, fresh)]
+            assert rescored[0] == rescored[1]
+
+
 def test_strided_max_never_exceeds_exhaustive_max():
     rng = np.random.default_rng(17)
     set_ = Ball(2, 1.0)
@@ -778,9 +820,12 @@ def test_read_trace_csv_names_a_malformed_line(tmp_path, capsys):
     for body, message in (
         ("1,0;0,0,0,1,1\n2,0;0\n", "line 3: 2 fields, expected 6"),
         ("1,0;0,0,0,1,1\n2,0;0;0,0,0,2,2\n", "line 3: x has 3 coordinates, line 2 has 2"),
+        ("1,0;0,abc,0,1,1\n2,0;0,0,0,2,2\n", "line 2: could not convert string to float: 'abc'"),
+        ("1,0;0,0,0,1,1\n2,0;0,0,0,x,2\n", "line 3: invalid literal for int() with base 10: 'x'"),
+        ("1,0;0,0,0,1,1\n2,0;y,0,0,2,2\n", "line 3: could not convert string to float: 'y'"),
     ):
         path.write_text(header + body)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_trace_csv(str(path))
         assert cli_main(["regret", str(path), cfg_path]) == 2
         assert message in capsys.readouterr().err
