@@ -1,24 +1,13 @@
-"""Frank-Wolfe routines for nearest-point problems over an LOO set.
+"""Frank-Wolfe on the squared distance to a point, over an LOO set.
 
-Everything here minimizes the 1-smooth objective f(x) = 0.5 * ||x - y||^2
-over a feasible set accessed through its linear-optimization oracle.
-Two entry points:
-
-* :func:`frank_wolfe_min_distance` runs classic Frank-Wolfe with exact
-  line search until the duality-gap certificate drops below a threshold
-  (a high-accuracy reference solve, used by the tests; the comparators
-  use ``loo_many``/``project_many``).  The gap
-  after i update steps decays like O(R^2 / i), and for every iterate
-  the gap upper-bounds the primal suboptimality, so the certificate is
-  trustworthy without knowing the optimum.
-
-* :func:`separating_hyperplane_fw` runs the same iteration but stops as
-  soon as it can hand its caller something useful for building an
-  infeasible projection: either the current iterate is provably within
-  3*eps of y in squared distance ("close"), or the vector y - x
-  separates y from the whole set with margin 2*eps.  It terminates
-  within ceil(27 R^2 / eps - 2) iterations, at one LOO call per
-  iteration (the final check included).
+:func:`separating_hyperplane_fw` minimizes the 1-smooth objective
+f(x) = 0.5 * ||x - y||^2 over a feasible set accessed through its
+linear-optimization oracle, with exact line search, and stops as soon
+as it can hand its caller something useful for building an infeasible
+projection: either the current iterate is provably within 3*eps of y in
+squared distance ("close"), or the vector y - x separates y from the
+whole set with margin 2*eps.  It terminates within ceil(27 R^2 / eps -
+2) iterations, at one LOO call per iteration (the final check included).
 """
 
 from __future__ import annotations
@@ -49,61 +38,6 @@ def exact_line_search_quadratic(x: Vector, v: Vector, y: Vector) -> float:
         return 0.0
     sigma = float((y - x) @ d) / dd
     return min(1.0, max(0.0, sigma))
-
-
-@dataclasses.dataclass
-class FWState:
-    """Terminal state of a Frank-Wolfe solve.
-
-    ``iterations`` counts update steps taken; the LOO bill is
-    ``iterations + 1`` (one certificate evaluation per visited iterate).
-    ``history`` (when recorded) holds one (value, gap) pair per visited
-    iterate, index i corresponding to the iterate after i updates.
-    """
-
-    x: Vector
-    iterations: int
-    v: Vector
-    sigma: float
-    gap: float
-    converged: bool
-    history: Optional[list[tuple[float, float]]] = None
-
-
-def frank_wolfe_min_distance(
-    set_: FeasibleSet,
-    x0: Vector,
-    y: Vector,
-    gap_tol: float,
-    max_iters: int,
-    counters: Optional[OracleCounters] = None,
-    record_history: bool = False,
-) -> FWState:
-    """Minimize 0.5*||x - y||^2 over the set from a feasible start.
-
-    Stops when the gap certificate max_v (x - v) @ (x - y) falls to
-    ``gap_tol`` or after ``max_iters`` update steps, whichever is first;
-    the returned state says which through ``converged``.
-    """
-    if gap_tol < 0:
-        raise ValueError("gap_tol must be nonnegative")
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
-    x = np.array(x0, dtype=np.float64)
-    history: Optional[list[tuple[float, float]]] = [] if record_history else None
-    sigma = 0.0
-    for i in range(max_iters + 1):
-        v = loo_query(set_, x - y, counters)
-        gap = float((x - v) @ (x - y))
-        if history is not None:
-            history.append((0.5 * float((x - y) @ (x - y)), gap))
-        if gap <= gap_tol:
-            return FWState(x=x, iterations=i, v=v, sigma=sigma, gap=gap, converged=True, history=history)
-        if i == max_iters:
-            return FWState(x=x, iterations=i, v=v, sigma=sigma, gap=gap, converged=False, history=history)
-        sigma = exact_line_search_quadratic(x, v, y)
-        x = x + sigma * (v - x)
-    raise AssertionError("unreachable")
 
 
 @dataclasses.dataclass

@@ -20,11 +20,12 @@ Algorithms touch a set only through three operations:
 ``loo_many(D)`` and ``project_many(Y)`` answer one query per row of a
 (k, n) array, for comparator scans.  The closed-form sets answer all
 rows in one vectorized pass with the tie rules of ``loo``/``project``.
-The polytope answers ``loo_many`` with one vectorized primal simplex
-pass over the rows and certifies each row's optimal vertex; the rows it
-cannot certify (ties, zero rows, degenerate vertices) go to ``loo``, and
-every row has the bits ``loo`` gives it.  Its ``project_many`` loops
-over ``project``.  Neither is a learner's oracle call.
+The polytope answers ``loo`` by a primal simplex in NumPy and
+``loo_many`` by one vectorized pass of it over the rows, and certifies
+each optimal vertex; what neither can certify (ties, zero rows,
+degenerate vertices) goes to HiGHS, and every row has the bits HiGHS
+gives it.  Its ``project_many`` loops over ``project``.  Neither batched
+form is a learner's oracle call.
 
 Use the module-level wrappers :func:`loo_query` and :func:`so_query`
 when a call should be charged to an :class:`OracleCounters`.
@@ -42,7 +43,7 @@ about 1 us on an 8-vector; the entry-wise scan runs only when that sum
 of squares is not finite.
 
 Dependencies: the closed-form sets use NumPy alone.  The polytope's LOO
-is an LP on SciPy's bundled HiGHS, loaded when the first
+falls back to an LP on SciPy's bundled HiGHS, loaded when the first
 :class:`Polytope` is built, so importing this module loads no SciPy.
 Even then only HiGHS's extension module is loaded, never all of
 ``scipy.optimize`` (the first exact projection imports it for ``nnls``,
@@ -55,11 +56,12 @@ Tie-breaking: closed-form sets resolve ties toward the lowest coordinate
 index.  The polytope's answer is a function of the LP solver's optimal
 basis.  Each solve restarts from the basis the previous one left, so on
 directions with tied optima the answer can depend on earlier queries to
-the same ``Polytope``, and only a fresh set repeats such an answer.
-``loo_many`` leaves each tied row the basis a row-by-row loop over
-``loo`` would, so its tied answers repeat that loop's.  Traces stay
-byte-deterministic per (config, seed) because each run builds its own
-set.
+the same ``Polytope``, and only a fresh set repeats such an answer.  A
+certified answer, made without HiGHS, is left pending and solved first
+by the next LP, so ``loo`` and ``loo_many`` leave each tied row the
+basis a HiGHS-only loop over the same queries would, and their tied
+answers repeat that loop's.  Traces stay byte-deterministic per
+(config, seed) because each run builds its own set.
 """
 
 from __future__ import annotations
@@ -514,13 +516,16 @@ class Polytope(FeasibleSet):
     Rows are normalized at construction so each ``a_i`` is a unit vector;
     then constraint violations are Euclidean distances, ``r = min_i b_i``,
     and the separation oracle returns the unit normal of the most
-    violated face.  The LOO runs on one HiGHS model per polytope: each
-    query changes only the objective and restarts from the last optimal
-    basis.  Boundedness is verified (and the circumradius bound R
-    computed) by 2n coordinate-range LPs on that model at construction.
-    A block of LOO queries (``loo_many``) runs one vectorized primal
-    simplex pass in NumPy from a vertex found at construction without an
-    LP; only the rows it cannot certify reach HiGHS.
+    violated face.  The LOO is a primal simplex in NumPy: ``loo`` runs
+    a 1-D loop and ``loo_many`` one vectorized pass over a block, each
+    row from the nearest vertex in a table of certified vertices (a
+    vertex found at construction without an LP, then each vertex ``loo``
+    certifies).  Only the queries neither can certify (ties, zero
+    directions, degenerate vertices) reach the one HiGHS model kept per
+    polytope, where a query changes only the objective and restarts from
+    the last optimal basis.  Boundedness is verified (and the
+    circumradius bound R computed) by 2n coordinate-range LPs on that
+    model at construction.
     HiGHS is loaded when the first polytope is built, after its input
     checks; closed-form sets never load it.  Only its extension module,
     ``scipy.optimize._highspy._core``, is loaded (see :func:`_load_highs`),
@@ -532,13 +537,16 @@ class Polytope(FeasibleSet):
     #: dual-gap certificate threshold for project(), in units of
     #: max(1, ||x - y||) * R: the gap's rounding grows with both
     PROJECT_GAP_TOL = 1e-10
-    #: loo_many: certificate margin of a block row's multipliers (in units
-    #: of max|d|) and of its slack rows (in units of R)
+    #: simplex LOO: certificate margin of a row's multipliers (in units of
+    #: max|d|) and of its slack rows (in units of R)
     CERT_RTOL = 1e-9
-    #: loo_many: simplex pivots per row before it goes to HiGHS
+    #: simplex LOO: pivots per row before it goes to HiGHS
     PIVOT_CAP = 200
     #: loo_many: rows per simplex pass, which bounds its (k, n, n) state
     BLOCK_ROWS = 4096
+    #: simplex LOO: certified start vertices kept, about 1.4 kB each at
+    #: n = 10, m = 60; once full, the table keeps the vertices it holds
+    TABLE_ROWS = 256
 
     def __init__(self, A, b):
         A = np.ascontiguousarray(A, dtype=np.float64)
@@ -559,13 +567,23 @@ class Polytope(FeasibleSet):
         self.r = float(np.min(self.b))
         self._cols = np.arange(self.n, dtype=np.int32)
         self._eye = np.eye(self.n)
-        self._pending: Optional[Vector] = None  # a row loo_many answered without HiGHS
+        self._pending: Optional[Vector] = None  # the last row answered without HiGHS
         self._highs = self._build_lp()
         self.R = self._bounding_radius()
         # every member minimizes d = 0; answer with the -e_1 minimizer found
         # here, so the answer does not depend on later queries
-        self._zero_answer = self.loo(-self._eye[0])
-        self._start = self._start_vertex()
+        self._zero_answer = self._lp_answer(-self._eye[0])
+        # the start table, filled in order: row i is a vertex's sorted
+        # tight rows, their inverse, every row's slack and the vertex;
+        # _keys holds the tight rows of each filled row as bytes
+        self._keys: set[bytes] = set()
+        cap = self.TABLE_ROWS
+        self._tab_T = np.empty((cap, self.n), dtype=np.intp)
+        self._tab_B = np.empty((cap, self.n, self.n))
+        self._tab_S = np.empty((cap, self.m))
+        self._tab_V = np.empty((cap, self.n))
+        tight = self._start_vertex()
+        self._remember(tight, *self._vertex_row(tight))
 
     def _build_lp(self):
         """One HiGHS model min c @ x s.t. A x <= b, x free, re-solved
@@ -641,8 +659,22 @@ class Polytope(FeasibleSet):
     def loo(self, direction: Vector) -> Vector:
         """A minimizer of ``direction @ v`` over K: a vertex, except on
         tied optima where a non-basic free column can leave the answer
-        inside the optimal face."""
+        inside the optimal face.
+
+        A nonzero direction first runs :meth:`_warm_loo`, a 1-D primal
+        simplex from the nearest vertex of the start table.  Its answer
+        is certified as :meth:`loo_many` certifies a block row, and has
+        the bits HiGHS's answer would; it is left pending (see
+        :meth:`_solve`) and its vertex joins the table.  Zero directions,
+        ties, degenerate vertices, the pivot cap and unbounded steps are
+        solved by HiGHS.
+        """
         d = self._check_dim(direction)
+        v = self._warm_loo(d) if np.any(d) else None
+        return self._lp_answer(d) if v is None else v
+
+    def _lp_answer(self, d: Vector) -> Vector:
+        """``loo(d)`` from HiGHS alone (the fixed answer when d = 0)."""
         if not np.any(d):
             return self._zero_answer.copy()
         return self._inside(self._solve(d)[None])[0]
@@ -651,21 +683,22 @@ class Polytope(FeasibleSet):
         """``loo`` of every row, bit for bit, mostly without HiGHS.
 
         Each block of up to ``BLOCK_ROWS`` rows runs one primal simplex
-        pass (:meth:`_simplex_pass`) from the vertex basis fixed at
-        construction.  A row is certified from a fresh factorization of
-        its final tight rows: every multiplier above ``CERT_RTOL *
-        max|d|`` and every other row's slack above ``CERT_RTOL * R``.
-        Its optimum is then a unique, nondegenerate vertex, so HiGHS's
-        optimal basis has exactly those tight rows, and the answer comes
-        from the vertex solve and the pull inside that ``loo`` uses.
+        pass (:meth:`_simplex_pass`), each row from the start table's
+        vertex with the lowest ``d @ v``.  A row is certified from a fresh
+        factorization of its final tight rows: every multiplier above
+        ``CERT_RTOL * max|d|`` and every other row's slack above
+        ``CERT_RTOL * R``.  Its optimum is then a unique, nondegenerate
+        vertex, so HiGHS's optimal basis has exactly those tight rows, and
+        the answer comes from the vertex solve and the pull inside that
+        HiGHS's answer goes through.
 
         The other rows (ties, zero rows, degenerate vertices, rows at the
-        pivot cap) are asked of ``loo`` in row order.  A certified row
-        just before one of them, or last in D, is left pending: the next
-        HiGHS solve on this set solves it first (see :meth:`_solve`), so
-        the model holds the basis a row-by-row loop would leave.  Every
-        solve restarts from that basis alone, so tied answers repeat the
-        loop's too.
+        pivot cap) are asked of HiGHS in row order.  A certified row just
+        before one of them, or last in D, is left pending: the next HiGHS
+        solve on this set solves it first (see :meth:`_solve`), so the
+        model holds the basis a row-by-row loop would leave.  Every solve
+        restarts from that basis alone, so tied answers repeat the loop's
+        too.  The block's vertices do not join the start table.
         """
         D = self._check_rows(directions)
         out = np.empty_like(D)
@@ -678,16 +711,16 @@ class Polytope(FeasibleSet):
         for i in np.flatnonzero(~done).tolist():
             if i and done[i - 1]:
                 self._pending = D[i - 1].copy()
-            out[i] = self.loo(D[i])
+            out[i] = self._lp_answer(D[i])
         if len(D) and done[-1]:
             self._pending = D[-1].copy()
         return out
 
-    def _start_vertex(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A vertex of K as (its n tight rows, their inverse, every row's
-        slack there), found without an LP: from the origin, n times, walk
-        along a direction orthogonal to the rows met so far to the first
-        row it meets.  K is bounded, so one of +-d meets a row."""
+    def _start_vertex(self) -> np.ndarray:
+        """The sorted n tight rows of a vertex of K, found without an LP:
+        from the origin, n times, walk along a direction orthogonal to
+        the rows met so far to the first row it meets.  K is bounded, so
+        one of +-d meets a row."""
         x = np.zeros(self.n)
         rows: list[int] = []
         for _ in range(self.n):
@@ -705,29 +738,88 @@ class Polytope(FeasibleSet):
             j = int(np.argmin(steps))
             x = x + steps[j] * d
             rows.append(int(hit[j]))
-        tight = np.array(rows)
-        slack = self.b - self.A @ np.linalg.solve(self.A[tight], self.b[tight])
+        return np.sort(rows)
+
+    def _vertex_row(self, tight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A start-table row at the vertex on the sorted rows ``tight``:
+        their fresh inverse, every row's slack (0 on ``tight``) and the
+        vertex, from the solve HiGHS's answer goes through."""
+        v = self._vertices(tight[None])[0]
+        slack = self.b - self.A @ v
         slack[tight] = 0.0
-        return tight, np.linalg.inv(self.A[tight]), slack
+        return np.linalg.inv(self.A[tight]), slack, v
+
+    def _remember(self, tight: np.ndarray, Binv: np.ndarray, slack: np.ndarray, v: Vector) -> None:
+        """Add a vertex to the start table, once per tight set, while
+        the table has room."""
+        key, k = tight.tobytes(), len(self._keys)
+        if k < self.TABLE_ROWS and key not in self._keys:
+            self._keys.add(key)
+            self._tab_T[k], self._tab_B[k], self._tab_S[k], self._tab_V[k] = tight, Binv, slack, v
+
+    def _warm_loo(self, d: Vector) -> Optional[Vector]:
+        """``loo(d)`` for a nonzero d by :meth:`_simplex_pass`'s pivot and
+        ratio rules on one row, from the start table's vertex with the
+        lowest ``d @ v``; None unless :meth:`_certified`'s certificate
+        holds at the vertex it stops at (from a fresh inverse of its tight
+        rows) within ``PIVOT_CAP`` pivots."""
+        A = self.A
+        j = int(np.argmin(self._tab_V[: len(self._keys)] @ d))
+        T, Binv, slack = self._tab_T[j].copy(), self._tab_B[j].copy(), self._tab_S[j].copy()
+        tol = self.CERT_RTOL * np.abs(d).max()
+        for pivots in range(self.PIVOT_CAP + 1):
+            mu = d @ Binv  # minus the multipliers
+            p = int(mu.argmax())
+            if mu[p] <= tol:
+                break
+            if pivots == self.PIVOT_CAP:
+                return None
+            col = Binv[:, p].copy()  # the vertex moves along -col
+            ag = A @ col
+            down = ag < -1e-12 * np.abs(col).max()  # rows the move approaches
+            down[T] = False
+            hit = down.nonzero()[0]
+            if not hit.size:
+                return None
+            ratio = slack[hit] / -ag[hit]
+            i = int(ratio.argmin())
+            enter = hit[i]
+            slack += ratio[i] * ag
+            slack[enter] = 0.0
+            w = A[enter] @ Binv  # the entering row against each column of B
+            col /= w[p]
+            Binv -= col[:, None] * w
+            Binv[:, p] = col
+            T[p] = enter
+        tight = np.sort(T)  # ascending, as _solve reads a basis
+        Binv, slack, v = self._vertex_row(tight)
+        slack[tight] = np.inf
+        if (d @ Binv).max() >= -tol or slack.min() <= self.CERT_RTOL * self.R:
+            return None
+        slack[tight] = 0.0
+        self._remember(tight, Binv, slack, v)
+        self._pending = d.copy()
+        return self._inside(v[None])[0]
 
     def _simplex_pass(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Primal simplex on min d @ x over K for every row d of D at once,
-        each from the start vertex.  A vertex is a list T of n tight rows
-        with inverse B = A_T^-1, and its multipliers are -B^T d.  While
-        one is below ``-CERT_RTOL * max|d|``, the most negative one's
-        row p is released: the vertex moves along -B e_p to the first
-        slack row it meets (the ratio test), that row takes p's place,
-        and B is updated by one rank-one (Sherman-Morrison) step.
+        each from the start table's vertex with the lowest ``d @ v``.  A
+        vertex is a list T of n tight rows with inverse B = A_T^-1, and
+        its multipliers are -B^T d.  While one is below ``-CERT_RTOL *
+        max|d|``, the most negative one's row p is released: the vertex
+        moves along -B e_p to the first slack row it meets (the ratio
+        test), that row takes p's place, and B is updated by one rank-one
+        (Sherman-Morrison) step.
 
         Returns the indices of the rows that stopped, with no clearly
         negative multiplier, and their tight rows.  Rows still pivoting
         after ``PIVOT_CAP`` pivots, or on an unbounded step, are left out.
         """
         A = self.A
-        start, start_inv, start_slack = self._start
         k = len(D)
         idx, C = np.arange(k), D
-        T, Binv, slack = np.tile(start, (k, 1)), np.tile(start_inv, (k, 1, 1)), np.tile(start_slack, (k, 1))
+        j = (D @ self._tab_V[: len(self._keys)].T).argmin(axis=1)
+        T, Binv, slack = self._tab_T[j], self._tab_B[j], self._tab_S[j]
         tol = self.CERT_RTOL * np.abs(D).max(axis=1)
         r = np.arange(k)
         stopped = [(idx[:0], T[:0])]
@@ -838,7 +930,9 @@ class Polytope(FeasibleSet):
         if scale > 1.0:
             x = x / scale
         d = x - y
-        gap = float((x - self.loo(d)) @ d)
+        # d is normal to the face x lies on, so unless x is a vertex the
+        # LOO is a tie that the warm simplex would only reach to give up
+        gap = float((x - self._lp_answer(d)) @ d)
         tol = self.PROJECT_GAP_TOL * max(1.0, math.sqrt(d.dot(d))) * self.R
         if gap > tol:
             raise RuntimeError(f"projection failed to certify: dual gap {gap:.3g} above tolerance {tol:.3g}")
@@ -922,11 +1016,6 @@ def so_query(set_: FeasibleSet, point: Vector, counters: Optional[OracleCounters
     ans = set_.separate(point)
     counters.so_calls += len(point) if ans.feasible else ans.row + 1
     return ans
-
-
-def exact_project(set_: FeasibleSet, point: Vector) -> Vector:
-    """Euclidean projection. Reference aid; never charged to budgets."""
-    return set_.project(point)
 
 
 def squeeze(set_: FeasibleSet, factor: float) -> FeasibleSet:

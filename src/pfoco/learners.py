@@ -49,7 +49,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .geometry import FeasibleSet, OracleCounters, exact_project, squeeze
+from .geometry import FeasibleSet, OracleCounters, squeeze
 from .losses import LossSchedule, bandit_gradient_estimate, sample_unit_sphere
 from .projection import SoProjection, cip_loo, cip_so, cip_so_stretch
 
@@ -451,7 +451,7 @@ def ogd_wf_run(
         g = subgrad(i, x)
         losses[t] = val
         gnorms[t] = np.linalg.norm(g)
-        x = exact_project(set_, x - eta_arr[t] * g)
+        x = set_.project(x - eta_arr[t] * g)
     zeros = np.zeros(T, dtype=np.int64)
     return RunTrace(
         plays=plays,

@@ -180,18 +180,6 @@ def bandit_gradient_estimate(value: float, u: Vector, n: int, delta: float) -> V
     return (n / delta) * value * np.asarray(u, dtype=np.float64)
 
 
-def smoothed_value_mc(family, i: int, x: Vector, delta: float, samples: int, rng) -> tuple[float, float]:
-    """Monte-Carlo estimate of row i's delta-ball-smoothed value at x.
-
-    Returns (estimate, standard error).
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    U = sample_unit_ball(rng, family.shape[1], samples)
-    vals = family.values(i, np.asarray(x) + delta * U)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(samples))
-
-
 # ----------------------------------------------------------------------
 # schedules
 

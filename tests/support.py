@@ -3,21 +3,23 @@ per-invocation budget checks applied to recorded projection calls, and
 the literal references that fast paths are compared against."""
 
 import csv
+import dataclasses
 import math
+from typing import Optional
 
 import numpy as np
 
-from pfoco.frankwolfe import separating_hyperplane_fw
+from pfoco.frankwolfe import exact_line_search_quadratic, separating_hyperplane_fw
 from pfoco.geometry import (
     Ball,
     Box,
     L1Ball,
     Polytope,
     Simplex,
-    exact_project,
     loo_query,
     squeeze,
 )
+from pfoco.losses import sample_unit_ball
 from pfoco.projection import LooProjection
 
 SET_KINDS = ("ball", "box", "simplex", "l1", "polytope")
@@ -38,6 +40,17 @@ def make_polytope(rng, n, extra=4):
         rows.append(a)
         offs.append(rng.uniform(0.4, 1.8))
     return Polytope(np.stack(rows), np.array(offs))
+
+
+def loo_highs_reference(P, D):
+    """Every row of D answered by HiGHS alone, in row order, on the
+    polytope P: ``_solve`` and the pull inside for a nonzero row, the
+    fixed answer for a zero row.  Pass a twin that no other query
+    touches, so the model's basis is the one a HiGHS-only loop leaves."""
+    out = np.empty_like(D)
+    for i, d in enumerate(D):
+        out[i] = P._inside(P._solve(d)[None])[0] if np.any(d) else P._zero_answer
+    return out
 
 
 def make_cut_cube(rng, n, m):
@@ -162,10 +175,58 @@ def check_cip_so_record(rec, set_):
     delta, dp, r = rec.delta, rec.delta_prime, rec.r
     target = squeeze(set_, (1.0 - delta) * (1.0 - dp / r))
     gain = delta * delta * (r - dp) * (r - dp)
-    d0 = np.linalg.norm(rec.y0 - exact_project(target, rec.y0))
-    dret = np.linalg.norm(rec.y - exact_project(target, rec.y))
+    d0 = np.linalg.norm(rec.y0 - target.project(rec.y0))
+    dret = np.linalg.norm(rec.y - target.project(rec.y))
     bound = (d0 * d0 - dret * dret) / gain + 1.0
     assert rec.so_calls <= bound + 1e-6, f"SO calls {rec.so_calls} exceed {bound}"
+
+
+@dataclasses.dataclass
+class FWState:
+    """Terminal state of a Frank-Wolfe solve.
+
+    ``iterations`` counts update steps taken; the LOO bill is
+    ``iterations + 1`` (one certificate evaluation per visited iterate).
+    ``history`` (when recorded) holds one (value, gap) pair per visited
+    iterate, index i corresponding to the iterate after i updates.
+    """
+
+    x: np.ndarray
+    iterations: int
+    v: np.ndarray
+    sigma: float
+    gap: float
+    converged: bool
+    history: Optional[list] = None
+
+
+def frank_wolfe_min_distance(set_, x0, y, gap_tol, max_iters, counters=None, record_history=False):
+    """Classic Frank-Wolfe with exact line search on 0.5*||x - y||^2 from
+    a feasible start: the high-accuracy reference solve.
+
+    Stops when the gap certificate max_v (x - v) @ (x - y) falls to
+    ``gap_tol`` or after ``max_iters`` update steps, whichever is first;
+    the returned state says which through ``converged``.  The gap after
+    i update steps decays like O(R^2 / i) and upper-bounds the primal
+    suboptimality of every iterate.
+    """
+    if gap_tol < 0:
+        raise ValueError("gap_tol must be nonnegative")
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
+    x = np.array(x0, dtype=np.float64)
+    history = [] if record_history else None
+    sigma = 0.0
+    for i in range(max_iters + 1):
+        v = loo_query(set_, x - y, counters)
+        gap = float((x - v) @ (x - y))
+        if history is not None:
+            history.append((0.5 * float((x - y) @ (x - y)), gap))
+        if gap <= gap_tol or i == max_iters:
+            return FWState(x=x, iterations=i, v=v, sigma=sigma, gap=gap, converged=gap <= gap_tol, history=history)
+        sigma = exact_line_search_quadratic(x, v, y)
+        x = x + sigma * (v - x)
+    raise AssertionError("unreachable")
 
 
 def min_over_set_linear(set_, c, counters=None):
@@ -190,14 +251,22 @@ def estimate_gradient_mc(family, i, x, delta, samples, rng):
     return G.mean(axis=0), G.std(axis=0, ddof=1) / math.sqrt(samples)
 
 
+def smoothed_value_mc(family, i, x, delta, samples, rng):
+    """Monte-Carlo estimate of loss row i's delta-ball-smoothed value at x,
+    as (estimate, standard error)."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+    U = sample_unit_ball(rng, family.shape[1], samples)
+    vals = family.values(i, np.asarray(x) + delta * U)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(samples))
+
+
 def smoothed_fd_gradient(family, i, x, delta, h, samples, seed):
     """Central finite differences of loss row i's MC-smoothed value.
 
     Common random numbers: both sides of each difference reuse the same
     sample stream, so the smoothing noise cancels and only the bias of
     the difference quotient remains."""
-    from pfoco.losses import smoothed_value_mc
-
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(family.shape[1])
     for k in range(family.shape[1]):

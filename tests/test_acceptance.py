@@ -15,13 +15,12 @@ import time
 
 import numpy as np
 
-from pfoco.frankwolfe import frank_wolfe_min_distance
+from pfoco.frankwolfe import separating_hyperplane_fw
 from pfoco.geometry import (
     MEMBERSHIP_RTOL,
     Ball,
     L1Ball,
     OracleCounters,
-    exact_project,
     squeeze,
 )
 from pfoco.harness import (
@@ -61,6 +60,7 @@ from support import (
     check_cip_loo_record,
     check_cip_so_record,
     estimate_gradient_mc,
+    frank_wolfe_min_distance,
     random_set,
     sample_members,
     smoothed_fd_gradient,
@@ -221,7 +221,7 @@ def test_a03_frank_wolfe_rates():
             y = d * (rng.uniform(0.2, 1.5) * set_.R / np.linalg.norm(d))
             x0 = set_.loo(rng.standard_normal(set_.n))
             state = frank_wolfe_min_distance(set_, x0, y, gap_tol=0.0, max_iters=50, record_history=True)
-            f_star = 0.5 * float(np.sum((exact_project(set_, y) - y) ** 2))
+            f_star = 0.5 * float(np.sum((set_.project(y) - y) ** 2))
             for i, (val, gap) in enumerate(state.history):
                 h = val - f_star
                 assert h <= 2.0 * (2.0 * set_.R) ** 2 / (i + 2) + 1e-12
@@ -230,6 +230,39 @@ def test_a03_frank_wolfe_rates():
     elapsed = time.perf_counter() - t0
     print(f"\n[fw-rates] {count} instances, {elapsed:.1f}s (budget 10s)")
     assert count == 50
+    assert elapsed < 10.0
+
+
+def test_a03_separation_run_rates():
+    # the same rate on the Frank-Wolfe run the LOO learners make: at the
+    # i-th LOO call of separating_hyperplane_fw (the iterate after i
+    # updates) the primal gap is at most 2(2R)^2/(i+2) and the certificate
+    # (x - y) @ (x - v) never undershoots it; 50 random instances, the
+    # polytope among them, each run read off the directions x - y it asks
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(8304)
+    count = steps = 0
+    for kind, reps in (("ball", 13), ("box", 13), ("simplex", 12), ("polytope", 12)):
+        for _ in range(reps):
+            set_ = random_set(rng, kind)
+            d = rng.standard_normal(set_.n)
+            y = d * (rng.uniform(0.2, 1.5) * set_.R / np.linalg.norm(d))
+            x0 = set_.loo(rng.standard_normal(set_.n))
+            f_star = 0.5 * float(np.sum((set_.project(y) - y) ** 2))
+            calls, loo = [], set_.loo
+            set_.loo = lambda c: calls.append((c, v := loo(c))) or v
+            res = separating_hyperplane_fw(set_, x0, y, 0.002 * set_.R**2)
+            assert res.iterations == len(calls)
+            for i, (c, v) in enumerate(calls):  # c = x_i - y
+                h = 0.5 * float(c @ c) - f_star
+                assert h <= 2.0 * (2.0 * set_.R) ** 2 / (i + 2) + 1e-12
+                assert float(c @ (c + y - v)) >= h - 1e-9
+            count += 1
+            steps += len(calls)
+    elapsed = time.perf_counter() - t0
+    print(f"\n[fw-separation-rates] {count} instances, {steps} iterates, {elapsed:.1f}s (budget 10s)")
+    assert count == 50
+    assert steps >= 500
     assert elapsed < 10.0
 
 

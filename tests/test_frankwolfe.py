@@ -3,12 +3,11 @@ import pytest
 
 from pfoco.frankwolfe import (
     exact_line_search_quadratic,
-    frank_wolfe_min_distance,
     fw_stop_ceiling,
     separating_hyperplane_fw,
 )
-from pfoco.geometry import Ball, OracleCounters, exact_project, loo_query
-from support import SET_KINDS, random_set, sample_members
+from pfoco.geometry import Ball, OracleCounters, loo_query
+from support import SET_KINDS, frank_wolfe_min_distance, random_set, sample_members
 
 
 def test_line_search_closed_form():
@@ -48,7 +47,7 @@ def test_min_distance_rate_and_weak_duality():
             y = rng.standard_normal(set_.n) * 1.5 * set_.R
             x0 = set_.loo(rng.standard_normal(set_.n))
             state = frank_wolfe_min_distance(set_, x0, y, gap_tol=0.0, max_iters=60, record_history=True)
-            f_star = 0.5 * float(np.sum((exact_project(set_, y) - y) ** 2))
+            f_star = 0.5 * float(np.sum((set_.project(y) - y) ** 2))
             values = [h[0] for h in state.history]
             gaps = [h[1] for h in state.history]
             for i, (val, gap) in enumerate(zip(values, gaps)):

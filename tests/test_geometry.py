@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from pfoco.frankwolfe import separating_hyperplane_fw
 from pfoco.geometry import (
     Ball,
     Box,
@@ -12,15 +13,18 @@ from pfoco.geometry import (
     Polytope,
     Simplex,
     as_vector,
-    exact_project,
     loo_query,
     simplex_project_sorted,
     so_query,
     squeeze,
 )
+from pfoco.harness import strided_intervals
+from pfoco.learners import loo_bogd_params, loo_run
+from pfoco.losses import make_switching_linear_schedule
 from support import (
     SET_KINDS,
     assert_separator_valid,
+    loo_highs_reference,
     make_cut_cube,
     make_polytope,
     random_set,
@@ -396,7 +400,7 @@ def test_squeezed_membership_distance():
         for delta in (0.05, 0.3):
             view = squeeze(set_, 1.0 - delta)
             for z in sample_members(set_, rng, 20):
-                d = np.linalg.norm(z - exact_project(view, z))
+                d = np.linalg.norm(z - view.project(z))
                 assert d <= set_.R * delta + 1e-9
 
 
@@ -463,8 +467,8 @@ def _interval_sums(rng, n, k=120, T=60):
     return prefix[e] - prefix[s]
 
 
-def _loo_many_solves(poly, D):
-    """loo_many's answer and the HiGHS solves (``_solve`` calls) it made."""
+def _solves(poly, ask):
+    """``ask(poly)`` and the HiGHS solves (``_solve`` calls) it made."""
     solve, calls = poly._solve, []
 
     def counted(c):
@@ -473,9 +477,99 @@ def _loo_many_solves(poly, D):
 
     poly._solve = counted
     try:
-        return poly.loo_many(D), len(calls)
+        return ask(poly), len(calls)
     finally:
         del poly._solve
+
+
+def _loo_many_solves(poly, D):
+    """loo_many's answer and the HiGHS solves it made."""
+    return _solves(poly, lambda p: p.loo_many(D))
+
+
+def _loo_solves(poly, D):
+    """``loo`` of every row of D in order, and the HiGHS solves it made."""
+    return _solves(poly, lambda p: np.array([p.loo(d) for d in D]))
+
+
+def _fw_directions(poly, rng, runs=6):
+    """The LOO directions of separating-hyperplane Frank-Wolfe runs on
+    poly, toward points outside and inside it, and poly's answers."""
+    asked, loo = [], poly.loo
+    poly.loo = lambda d: asked.append((d, v := loo(d))) or v
+    try:
+        for _ in range(runs):
+            y = rng.standard_normal(poly.n) * rng.uniform(0.3, 2.0) * poly.R / np.sqrt(poly.n)
+            separating_hyperplane_fw(poly, poly.loo(rng.standard_normal(poly.n)), y, 1e-3 * poly.R**2)
+    finally:
+        del poly.loo
+    return np.array([d for d, _ in asked]), np.array([v for _, v in asked])
+
+
+def _mixed_rows(rng, n, k=24):
+    """Certified, tied and zero directions interleaved.  Each axis
+    direction, a tie on a box face, follows a generic row whose vertex
+    lies on that face, so its HiGHS answer hangs on the basis that row
+    left; rounded rows tie on faces too."""
+    eye, rows = np.eye(n), []
+    for _ in range(k):
+        e = rng.choice([-1.0, 1.0]) * eye[rng.integers(n)]
+        rows += [5.0 * e + rng.standard_normal(n), e]
+        if rng.random() < 0.3:
+            rows.append(np.zeros(n))
+        if rng.random() < 0.3:
+            rows.append(np.round(rng.standard_normal(n)))
+    return np.array(rows)
+
+
+def test_polytope_loo_gives_the_highs_bits():
+    """A single ``loo`` call answers a unique, nondegenerate optimum by
+    its warm simplex, without HiGHS, and every other direction on HiGHS
+    after the pending row; each answer has the bits of a HiGHS-only loop
+    on a twin."""
+    for seed in range(4):
+        for make in (
+            lambda rng: make_polytope(rng, int(rng.integers(2, 9)), extra=int(rng.integers(2, 40))),
+            lambda rng: make_cut_cube(rng, 10, 60),
+        ):
+            poly, twin = (make(np.random.default_rng([seed, 5])) for _ in range(2))
+            rng = np.random.default_rng([seed, 6])
+            D = rng.standard_normal((40, poly.n)) * rng.uniform(0.01, 100.0, (40, 1))
+            answers, solves = _loo_solves(poly, D)
+            assert solves == 0
+            np.testing.assert_array_equal(answers, loo_highs_reference(twin, D))
+            # a learner's sequence, each direction made from the answers
+            # before it; near the end of a run x - y can be normal to an
+            # edge of optima, a tie
+            D, answers = _fw_directions(poly, rng)
+            assert len(D) > 20 and len(poly._keys) > 1
+            np.testing.assert_array_equal(answers, loo_highs_reference(twin, D))
+        # box faces, alone and cut: axis and rounded rows tie and fall back
+        for extra in (0, 3):
+            poly, twin = (make_polytope(np.random.default_rng([seed, 7]), 4 + seed, extra=extra) for _ in range(2))
+            D = _mixed_rows(np.random.default_rng([seed, 8]), poly.n)
+            answers, solves = _loo_solves(poly, D)
+            assert solves > 0
+            np.testing.assert_array_equal(answers, loo_highs_reference(twin, D))
+            np.testing.assert_array_equal(poly.loo_many(D), loo_highs_reference(twin, D))
+
+
+def test_polytope_loo_many_after_a_learner_run():
+    """A learner's warm LOO calls fill the start table and leave rows
+    pending; a comparator scan after them answers as one on a fresh set
+    and as HiGHS alone (a re-score on a fresh polytope relies on it)."""
+    poly, fresh, twin = (make_cut_cube(np.random.default_rng(61), 10, 60) for _ in range(3))
+    rng = np.random.default_rng(62)
+    T = 200
+    sched = make_switching_linear_schedule(T, 10, poly.R, [(20, rng.standard_normal(10)) for _ in range(10)])
+    trace = loo_run(poly, sched, loo_bogd_params(poly, sched.G_f, T, eps=0.08, K=20))
+    assert trace.counters.loo_calls > 50 and len(poly._keys) > 10
+    prefix = np.concatenate([np.zeros((1, 10)), np.cumsum(sched.family.C[sched.rows], axis=0)])
+    S, E = np.array(strided_intervals(T, sched.boundaries)).T
+    D = prefix[E] - prefix[S - 1]
+    many = poly.loo_many(D)
+    np.testing.assert_array_equal(many, fresh.loo_many(D))
+    np.testing.assert_array_equal(many, loo_highs_reference(twin, D))
 
 
 def test_polytope_loo_many_takes_the_block_path():
@@ -496,8 +590,8 @@ def test_polytope_loo_many_takes_the_block_path():
             for block, fall_back in ((D, False), (tied, True)):
                 many, solves = _loo_many_solves(poly, block)
                 assert solves >= 1 if fall_back else solves == 0
-                np.testing.assert_array_equal(many, [twin.loo(d) for d in block])
-                np.testing.assert_array_equal(poly.loo(eye[0]), twin.loo(eye[0]))
+                np.testing.assert_array_equal(many, loo_highs_reference(twin, block))
+                np.testing.assert_array_equal(poly.loo(eye[0]), loo_highs_reference(twin, eye[:1])[0])
     # into the normal cone of the corner (1, 1, 1) where five faces meet:
     # a unique optimum, but a degenerate vertex, so every row goes to HiGHS
     poly, twin = _cut_cube(), _cut_cube()
@@ -505,7 +599,7 @@ def test_polytope_loo_many_takes_the_block_path():
     D = -np.random.default_rng(5).uniform(0.1, 1.0, (40, 5)) @ poly.A[active]
     many, solves = _loo_many_solves(poly, D)
     assert solves == len(D)
-    np.testing.assert_array_equal(many, [twin.loo(d) for d in D])
+    np.testing.assert_array_equal(many, loo_highs_reference(twin, D))
 
 
 def test_batched_oracles_check_their_input():
@@ -618,7 +712,7 @@ def test_counters_charge_loo_and_so_but_not_project():
     loo_query(ball, np.array([1.0, 0.0]), counters)
     so_query(ball, np.array([3.0, 0.0]), counters)
     so_query(ball, np.array([0.1, 0.0]), counters)
-    exact_project(ball, np.array([5.0, 0.0]))
+    ball.project(np.array([5.0, 0.0]))
     assert counters.loo_calls == 1
     assert counters.so_calls == 2
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pfoco.cli import main as cli_main
-from pfoco.geometry import Ball, FeasibleSet, L1Ball, exact_project, squeeze
+from pfoco.geometry import Ball, FeasibleSet, L1Ball, squeeze
 from pfoco.harness import (
     ConfigError,
     build_instance,
@@ -402,7 +402,7 @@ def test_quadratic_comparator_certified_and_consistent():
         # the certified value is attained by an actual feasible point
         alpha, B = schedule.family.alpha, schedule.family.B[schedule.rows]
         w = np.sum(alpha * B[start - 1 : end], axis=0)
-        x_star = exact_project(set_, w / (alpha * (end - start + 1)))
+        x_star = set_.project(w / (alpha * (end - start + 1)))
         assert direct_at(x_star) == pytest.approx(comp, rel=1e-10, abs=1e-10)
         for z in members:
             assert comp <= direct_at(z) + 1e-8

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pfoco import learners
-from pfoco.geometry import Ball, Box, L1Ball, OracleCounters, exact_project, squeeze
+from pfoco.geometry import Ball, Box, L1Ball, OracleCounters, squeeze
 from pfoco.learners import (
     loo_bbgd_params,
     loo_bogd_params,
@@ -172,7 +172,7 @@ def test_ogd_baseline_strongly_convex_step_schedule():
     sched = make_iid_quadratic_schedule(T, 2, ball.R, rng, alpha=alpha, spread=0.2)
     etas = 1.0 / (alpha * np.arange(1, T + 1))
     trace = ogd_wf_run(ball, sched, etas)
-    x_star = exact_project(ball, sched.family.B[sched.rows].mean(axis=0))
+    x_star = ball.project(sched.family.B[sched.rows].mean(axis=0))
     opt = sum(sched.family.value(i, x_star) for i in sched.rows)
     regret = float(trace.losses.sum() - opt)
     bound = float(np.sum(trace.grad_norms**2 / (2.0 * alpha * np.arange(1, T + 1))))

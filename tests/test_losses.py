@@ -15,12 +15,12 @@ from pfoco.losses import (
     make_switching_quadratic_schedule,
     sample_unit_ball,
     sample_unit_sphere,
-    smoothed_value_mc,
 )
 from support import (
     block_sum_moment_bounds,
     block_sum_moment_samples,
     estimate_gradient_mc,
+    smoothed_value_mc,
 )
 
 

@@ -10,7 +10,6 @@ from pfoco.geometry import (
     OracleCounters,
     L1Ball,
     SeparationAnswer,
-    exact_project,
     so_query,
     squeeze,
 )
@@ -134,9 +133,9 @@ def test_cip_loo_pull_iterations_strictly_approach_the_set():
             x = inner.point
             if float(np.sum((x - y) ** 2)) <= 3 * eps:
                 break
-            before = np.sum((exact_project(set_, y) - y) ** 2)
+            before = np.sum((set_.project(y) - y) ** 2)
             y = y - gamma * (y - x)
-            after = np.sum((exact_project(set_, y) - y) ** 2)
+            after = np.sum((set_.project(y) - y) ** 2)
             assert after <= before - 4.0 * eps * eps / d2 + 1e-9
         else:
             pytest.fail("pull loop failed to finish in 200 passes")
@@ -366,9 +365,9 @@ def test_cip_so_every_pull_approaches_the_squeezed_target():
             break
         g = ans.g
         gn = np.linalg.norm(g)
-        before = np.sum((exact_project(target, y) - y) ** 2)
+        before = np.sum((target.project(y) - y) ** 2)
         y = pull_toward(y, g, gain * gn, gn)
-        after = np.sum((exact_project(target, y) - y) ** 2)
+        after = np.sum((target.project(y) - y) ** 2)
         assert after <= before - gain * gain + 1e-9
     else:
         pytest.fail("pull sequence failed to reach the squeezed set")
