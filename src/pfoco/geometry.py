@@ -23,9 +23,10 @@ rows in one vectorized pass with the tie rules of ``loo``/``project``.
 The polytope answers ``loo`` by a primal simplex in NumPy and
 ``loo_many`` by one vectorized pass of it over the rows, and certifies
 each optimal vertex; what neither can certify (ties, zero rows,
-degenerate vertices) goes to HiGHS, and every row has the bits HiGHS
-gives it.  Its ``project_many`` loops over ``project``.  Neither batched
-form is a learner's oracle call.
+degenerate vertices) is settled by the same 1-D simplex under Bland's
+rule, and every row has the bits ``loo`` gives it.  Its
+``project_many`` loops over ``project``.  Neither batched form is a
+learner's oracle call.
 
 Use the module-level wrappers :func:`loo_query` and :func:`so_query`
 when a call should be charged to an :class:`OracleCounters`.
@@ -42,36 +43,24 @@ whole; there is no unchecked path.  The per-vector check
 about 1 us on an 8-vector; the entry-wise scan runs only when that sum
 of squares is not finite.
 
-Dependencies: the closed-form sets use NumPy alone.  The polytope's LOO
-falls back to an LP on SciPy's bundled HiGHS, loaded when the first
-:class:`Polytope` is built, so importing this module loads no SciPy.
-Even then only HiGHS's extension module is loaded, never all of
-``scipy.optimize`` (the first exact projection imports it for ``nnls``,
-about 0.5 s once per process): a fresh-interpreter polytope set-up (``import
-pfoco``, parse, build a 60-face polytope in R^10) took 0.82 s with
-``scipy.optimize`` and 0.27 s without it (raw medians of 12 pairs on a
-2-core VM; an l1-ball set-up took 0.25 s).
+Dependencies: the sets, the polytope's LOO included, use NumPy alone,
+so importing this module, building a polytope and asking its LOO load
+no SciPy.  The polytope's exact projection imports
+``scipy.optimize.nnls`` on its first call (about 0.5 s once per
+process).
 
 Tie-breaking: closed-form sets resolve ties toward the lowest coordinate
-index.  The polytope's answer is a function of the LP solver's optimal
-basis.  Each solve restarts from the basis the previous one left, so on
-directions with tied optima the answer can depend on earlier queries to
-the same ``Polytope``, and only a fresh set repeats such an answer.  A
-certified answer, made without HiGHS, is left pending and solved first
-by the next LP, so ``loo`` and ``loo_many`` leave each tied row the
-basis a HiGHS-only loop over the same queries would, and their tied
-answers repeat that loop's.  Traces stay byte-deterministic per
-(config, seed) because each run builds its own set.
+index.  The polytope's answer is a function of the direction alone: a
+certified answer is the unique optimal vertex, and any other direction
+is settled by a Bland walk from the vertex found at construction, so
+no earlier query to the same ``Polytope`` can change an answer.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import importlib.machinery
-import importlib.util
+import itertools
 import math
-import os
-import sys
 from typing import Optional, TypeAlias
 
 import numpy as np
@@ -485,53 +474,23 @@ class L1Ball(FeasibleSet):
         return X
 
 
-def _load_highs():
-    """SciPy's bundled HiGHS extension, ``scipy.optimize._highspy._core``,
-    loaded without ``scipy/optimize/__init__.py`` (linalg, sparse, fft,
-    linprog and more, about 0.3-0.6 s cold, for a 10 ms extension).
-
-    ``import scipy`` runs SciPy's own start-up.  The module goes into
-    ``sys.modules`` under its full name, so a later ``import
-    scipy.optimize`` reuses this instance, and one already loaded there
-    is returned as it is.
-    """
-    import scipy
-
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    path = [os.path.join(p, "optimize", "_highspy") for p in scipy.__path__]
-    spec = importlib.machinery.PathFinder.find_spec(name, path)
-    if spec is None:
-        raise ImportError(f"HiGHS extension {name} not found in {path} (scipy {scipy.__version__})")
-    highs = importlib.util.module_from_spec(spec)
-    sys.modules[name] = highs
-    spec.loader.exec_module(highs)
-    return highs
-
-
 class Polytope(FeasibleSet):
     """Bounded intersection of halfspaces {x : A x <= b} with 0 interior.
 
     Rows are normalized at construction so each ``a_i`` is a unit vector;
     then constraint violations are Euclidean distances, ``r = min_i b_i``,
     and the separation oracle returns the unit normal of the most
-    violated face.  The LOO is a primal simplex in NumPy: ``loo`` runs
-    a 1-D loop and ``loo_many`` one vectorized pass over a block, each
-    row from the nearest vertex in a table of certified vertices (a
-    vertex found at construction without an LP, then each vertex ``loo``
-    certifies).  Only the queries neither can certify (ties, zero
-    directions, degenerate vertices) reach the one HiGHS model kept per
-    polytope, where a query changes only the objective and restarts from
-    the last optimal basis.  Boundedness is verified (and the
-    circumradius bound R computed) by 2n coordinate-range LPs on that
-    model at construction.
-    HiGHS is loaded when the first polytope is built, after its input
-    checks; closed-form sets never load it.  Only its extension module,
-    ``scipy.optimize._highspy._core``, is loaded (see :func:`_load_highs`),
-    which takes a polytope's cold set-up from about 0.8 s to 0.27 s.
-    The exact projection is one least-distance solve by
-    ``scipy.optimize.nnls`` (see :meth:`project`).
+    violated face.  The LOO is a primal simplex in NumPy, with no LP
+    solver: ``loo`` runs a 1-D walk and ``loo_many`` one vectorized pass
+    over a block, each row from the nearest vertex in a table of
+    certified vertices (a vertex found at construction, then each vertex
+    ``loo`` certifies).  What neither can certify (ties, zero directions,
+    degenerate vertices) is settled by the 1-D walk under Bland's rule
+    from the construction vertex (see :meth:`_walk`).  Boundedness is
+    verified, and the circumradius bound R computed, by one pass over
+    the 2n directions +-e_i at construction.  The exact projection is
+    one least-distance solve by ``scipy.optimize.nnls`` (see
+    :meth:`project`), the polytope's only use of SciPy.
     """
 
     #: dual-gap certificate threshold for project(), in units of
@@ -540,7 +499,7 @@ class Polytope(FeasibleSet):
     #: simplex LOO: certificate margin of a row's multipliers (in units of
     #: max|d|) and of its slack rows (in units of R)
     CERT_RTOL = 1e-9
-    #: simplex LOO: pivots per row before it goes to HiGHS
+    #: simplex LOO: pivots per row before the row is settled
     PIVOT_CAP = 200
     #: loo_many: rows per simplex pass, which bounds its (k, n, n) state
     BLOCK_ROWS = 4096
@@ -565,17 +524,11 @@ class Polytope(FeasibleSet):
         self.n = A.shape[1]
         self.m = A.shape[0]
         self.r = float(np.min(self.b))
-        self._cols = np.arange(self.n, dtype=np.int32)
         self._eye = np.eye(self.n)
-        self._pending: Optional[Vector] = None  # the last row answered without HiGHS
-        self._highs = self._build_lp()
-        self.R = self._bounding_radius()
-        # every member minimizes d = 0; answer with the -e_1 minimizer found
-        # here, so the answer does not depend on later queries
-        self._zero_answer = self._lp_answer(-self._eye[0])
         # the start table, filled in order: row i is a vertex's sorted
         # tight rows, their inverse, every row's slack and the vertex;
-        # _keys holds the tight rows of each filled row as bytes
+        # _keys holds the tight rows of each filled row as bytes.  Row 0,
+        # the construction vertex, starts every settle walk.
         self._keys: set[bytes] = set()
         cap = self.TABLE_ROWS
         self._tab_T = np.empty((cap, self.n), dtype=np.intp)
@@ -584,103 +537,40 @@ class Polytope(FeasibleSet):
         self._tab_V = np.empty((cap, self.n))
         tight = self._start_vertex()
         self._remember(tight, *self._vertex_row(tight))
-
-    def _build_lp(self):
-        """One HiGHS model min c @ x s.t. A x <= b, x free, re-solved
-        from its previous basis after each change of c."""
-        highs = _load_highs()
-        self._optimal = highs.HighsModelStatus.kOptimal
-        m, n, inf = self.m, self.n, highs.kHighsInf
-        h = highs._Highs()
-        h.setOptionValue("output_flag", False)
-        h.setOptionValue("presolve", "off")
-        h.setOptionValue("simplex_strategy", 4)  # primal simplex keeps the old basis feasible
-        starts = np.arange(0, m * n, n, dtype=np.int32)
-        columns = np.tile(np.arange(n, dtype=np.int32), m)
-        added = (
-            h.addVars(n, np.full(n, -inf), np.full(n, inf)),
-            h.addRows(m, np.full(m, -inf), self.b, m * n, starts, columns, self.A.ravel()),
-        )
-        if highs.HighsStatus.kError in added:
-            raise ValueError("HiGHS rejected the polytope LP")
-        return h
-
-    def _solve(self, c: Vector) -> Vector:
-        """Minimizer of c @ x over K read from the optimal basis.
-
-        The solver's own primal values depend on the warm-start path in
-        the last bits; the basic solution does not.  Every non-basic row
-        sits on its face (its only finite bound) and every non-basic free
-        column at 0, which gives one non-singular n x n system.
-
-        A row that ``loo_many`` left pending is solved first, so the
-        warm start is the one a row-by-row loop would have given.
-        """
-        if self._pending is not None:
-            pending, self._pending = self._pending, None
-            self._solve(pending)
-        h = self._highs
-        h.changeColsCost(self.n, self._cols, c)
-        # restart from the basis alone: HiGHS also keeps its factorization
-        # and pricing state between solves, and on tied optima that state,
-        # a function of every earlier query, can pick the answer
-        basis = h.getBasis()
-        h.clearSolver()
-        h.setBasis(basis)
-        h.run()
-        status = h.getModelStatus()
-        if status != self._optimal:
-            raise RuntimeError(f"LP solve failed with status {h.modelStatusToString(status)}")
-        # basic variable k >= 0 is column k, k < 0 is row -1 - k
-        _, basic = h.getBasicVariables()
-        tight = np.ones(self.m, dtype=bool)
-        tight[-1 - basic[basic < 0]] = False
-        cols = basic[basic >= 0]
-        if cols.size == self.n:  # every column basic: exactly n rows tight
-            return self._vertices(np.flatnonzero(tight)[None])[0]
-        fixed = np.ones(self.n, dtype=bool)
-        fixed[cols] = False
-        lhs = np.concatenate([self.A[tight], self._eye[fixed]])
-        rhs = np.concatenate([self.b[tight], np.zeros(int(fixed.sum()))])
-        return np.linalg.solve(lhs, rhs)
+        self.R = self._bounding_radius()
 
     def _bounding_radius(self) -> float:
-        lo = np.empty(self.n)
-        hi = np.empty(self.n)
-        eye = self._eye
-        try:
-            for i in range(self.n):
-                lo[i] = self._solve(eye[i])[i]
-                hi[i] = self._solve(-eye[i])[i]
-        except RuntimeError as e:
-            raise ValueError("polytope is unbounded or numerically degenerate") from e
+        """sqrt(sum_i max(lo_i^2, hi_i^2)) over the range [lo_i, hi_i] of
+        each coordinate on K: one simplex pass over the 2n directions
+        +-e_i, the rows it leaves out settled, each coordinate read off
+        the vertex solve.  An unbounded K raises ``ValueError``."""
+        n = self.n
+        E = np.concatenate([self._eye, -self._eye])
+        rows, stopped = self._simplex_pass(E)
+        tight = np.empty((2 * n, n), dtype=np.intp)
+        tight[rows] = stopped
+        for i in np.setdiff1d(np.arange(2 * n), rows).tolist():
+            tight[i] = self._walk(E[i], 0, bland=True)
+        V = self._vertices(np.sort(tight, axis=1))
+        lo, hi = V[:n].diagonal(), V[n:].diagonal()
         return float(np.sqrt(np.sum(np.maximum(lo**2, hi**2))))
 
     def loo(self, direction: Vector) -> Vector:
-        """A minimizer of ``direction @ v`` over K: a vertex, except on
-        tied optima where a non-basic free column can leave the answer
-        inside the optimal face.
+        """A vertex minimizing ``direction @ v`` over K, pulled inside to
+        within a few ulp; a function of the direction alone.
 
         A nonzero direction first runs :meth:`_warm_loo`, a 1-D primal
-        simplex from the nearest vertex of the start table.  Its answer
-        is certified as :meth:`loo_many` certifies a block row, and has
-        the bits HiGHS's answer would; it is left pending (see
-        :meth:`_solve`) and its vertex joins the table.  Zero directions,
-        ties, degenerate vertices, the pivot cap and unbounded steps are
-        solved by HiGHS.
+        simplex from the nearest vertex of the start table, whose answer
+        is certified as :meth:`loo_many` certifies a block row; its vertex
+        joins the table.  Zero directions, ties, degenerate vertices, the
+        pivot cap and unbounded steps are settled (see :meth:`_settled`).
         """
         d = self._check_dim(direction)
         v = self._warm_loo(d) if np.any(d) else None
-        return self._lp_answer(d) if v is None else v
-
-    def _lp_answer(self, d: Vector) -> Vector:
-        """``loo(d)`` from HiGHS alone (the fixed answer when d = 0)."""
-        if not np.any(d):
-            return self._zero_answer.copy()
-        return self._inside(self._solve(d)[None])[0]
+        return self._settled(d[None])[0] if v is None else v
 
     def loo_many(self, directions) -> np.ndarray:
-        """``loo`` of every row, bit for bit, mostly without HiGHS.
+        """``loo`` of every row, bit for bit.
 
         Each block of up to ``BLOCK_ROWS`` rows runs one primal simplex
         pass (:meth:`_simplex_pass`), each row from the start table's
@@ -688,17 +578,11 @@ class Polytope(FeasibleSet):
         factorization of its final tight rows: every multiplier above
         ``CERT_RTOL * max|d|`` and every other row's slack above
         ``CERT_RTOL * R``.  Its optimum is then a unique, nondegenerate
-        vertex, so HiGHS's optimal basis has exactly those tight rows, and
-        the answer comes from the vertex solve and the pull inside that
-        HiGHS's answer goes through.
-
-        The other rows (ties, zero rows, degenerate vertices, rows at the
-        pivot cap) are asked of HiGHS in row order.  A certified row just
-        before one of them, or last in D, is left pending: the next HiGHS
-        solve on this set solves it first (see :meth:`_solve`), so the
-        model holds the basis a row-by-row loop would leave.  Every solve
-        restarts from that basis alone, so tied answers repeat the loop's
-        too.  The block's vertices do not join the start table.
+        vertex with exactly those tight rows, so the answer (the vertex
+        solve and the pull inside) is the one ``loo`` certifies.  The
+        other rows (ties, zero rows, degenerate vertices, rows at the
+        pivot cap) are settled, as ``loo`` settles them.  The block's
+        vertices do not join the start table.
         """
         D = self._check_rows(directions)
         out = np.empty_like(D)
@@ -708,19 +592,23 @@ class Polytope(FeasibleSet):
             rows, V = self._certified(block, *self._simplex_pass(block))
             out[lo + rows] = V
             done[lo + rows] = True
-        for i in np.flatnonzero(~done).tolist():
-            if i and done[i - 1]:
-                self._pending = D[i - 1].copy()
-            out[i] = self._lp_answer(D[i])
-        if len(D) and done[-1]:
-            self._pending = D[-1].copy()
+        if not done.all():
+            out[~done] = self._settled(D[~done])
         return out
+
+    def _settled(self, D: np.ndarray) -> np.ndarray:
+        """``loo`` of each row of D without a certificate: the vertex where
+        a Bland walk from the construction vertex stops (see
+        :meth:`_walk`), pulled inside.  A zero row stops at once, at the
+        construction vertex."""
+        tight = np.array([np.sort(self._walk(d, 0, bland=True)) for d in D])
+        return self._inside(self._vertices(tight))
 
     def _start_vertex(self) -> np.ndarray:
         """The sorted n tight rows of a vertex of K, found without an LP:
         from the origin, n times, walk along a direction orthogonal to
-        the rows met so far to the first row it meets.  K is bounded, so
-        one of +-d meets a row."""
+        the rows met so far to the first row it meets.  When neither of
+        +-d meets a row, that line lies in K, which is then unbounded."""
         x = np.zeros(self.n)
         rows: list[int] = []
         for _ in range(self.n):
@@ -734,6 +622,8 @@ class Polytope(FeasibleSet):
             if not np.any(ad > 0.0):
                 d, ad = -d, -ad
             hit = np.flatnonzero(ad > 0.0)
+            if not hit.size:
+                raise ValueError("polytope is unbounded: it contains a line")
             steps = (self.b[hit] - self.A[hit] @ x) / ad[hit]
             j = int(np.argmin(steps))
             x = x + steps[j] * d
@@ -743,7 +633,7 @@ class Polytope(FeasibleSet):
     def _vertex_row(self, tight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A start-table row at the vertex on the sorted rows ``tight``:
         their fresh inverse, every row's slack (0 on ``tight``) and the
-        vertex, from the solve HiGHS's answer goes through."""
+        vertex, from the solve every answer goes through."""
         v = self._vertices(tight[None])[0]
         slack = self.b - self.A @ v
         slack[tight] = 0.0
@@ -758,31 +648,69 @@ class Polytope(FeasibleSet):
             self._tab_T[k], self._tab_B[k], self._tab_S[k], self._tab_V[k] = tight, Binv, slack, v
 
     def _warm_loo(self, d: Vector) -> Optional[Vector]:
-        """``loo(d)`` for a nonzero d by :meth:`_simplex_pass`'s pivot and
-        ratio rules on one row, from the start table's vertex with the
-        lowest ``d @ v``; None unless :meth:`_certified`'s certificate
-        holds at the vertex it stops at (from a fresh inverse of its tight
-        rows) within ``PIVOT_CAP`` pivots."""
+        """``loo(d)`` for a nonzero d by a warm :meth:`_walk` from the
+        start table's vertex with the lowest ``d @ v``; None unless
+        :meth:`_certified`'s certificate holds at the vertex it stops at
+        (from a fresh inverse of its tight rows)."""
+        T = self._walk(d, int(np.argmin(self._tab_V[: len(self._keys)] @ d)), bland=False)
+        if T is None:
+            return None
+        tight = np.sort(T)
+        Binv, slack, v = self._vertex_row(tight)
+        slack[tight] = np.inf
+        if (d @ Binv).max() >= -self.CERT_RTOL * np.abs(d).max() or slack.min() <= self.CERT_RTOL * self.R:
+            return None
+        slack[tight] = 0.0
+        self._remember(tight, Binv, slack, v)
+        return self._inside(v[None])[0]
+
+    def _walk(self, d: Vector, j: int, bland: bool) -> Optional[np.ndarray]:
+        """The n tight rows (unsorted) of the vertex where a 1-D primal
+        simplex on min d @ x stops, from start-table row j, with
+        :meth:`_simplex_pass`'s ratio test: it stops once no multiplier
+        is below ``-CERT_RTOL * max|d|``.
+
+        Warm (``bland`` false): the most negative multiplier's row leaves;
+        None after ``PIVOT_CAP`` pivots or on an unbounded step.  Settle
+        (``bland`` true): the lowest-indexed row with a negative
+        multiplier leaves, and a ratio tie enters the lowest-indexed row
+        (Bland, *Math. Oper. Res.* 1977), which cannot cycle; so the walk
+        has no cap, and the vertex it stops at depends on d and K alone.
+        An unbounded step raises ``ValueError``, and a vertex visited
+        twice (a cycle that only rounding could cause) ``RuntimeError``.
+        """
         A = self.A
-        j = int(np.argmin(self._tab_V[: len(self._keys)] @ d))
         T, Binv, slack = self._tab_T[j].copy(), self._tab_B[j].copy(), self._tab_S[j].copy()
         tol = self.CERT_RTOL * np.abs(d).max()
-        for pivots in range(self.PIVOT_CAP + 1):
+        seen: set[bytes] = set()
+        for pivots in itertools.count():
             mu = d @ Binv  # minus the multipliers
-            p = int(mu.argmax())
-            if mu[p] <= tol:
-                break
-            if pivots == self.PIVOT_CAP:
-                return None
+            if bland:
+                out = (mu > tol).nonzero()[0]
+                if not out.size:
+                    return T
+                p = out[T[out].argmin()]
+                key = np.sort(T).tobytes()
+                if key in seen:
+                    raise RuntimeError("simplex LOO cycled: the polytope is numerically degenerate")
+                seen.add(key)
+            else:
+                p = int(mu.argmax())
+                if mu[p] <= tol:
+                    return T
+                if pivots == self.PIVOT_CAP:
+                    return None
             col = Binv[:, p].copy()  # the vertex moves along -col
             ag = A @ col
             down = ag < -1e-12 * np.abs(col).max()  # rows the move approaches
             down[T] = False
             hit = down.nonzero()[0]
             if not hit.size:
+                if bland:
+                    raise ValueError("polytope is unbounded: a simplex step meets no face")
                 return None
             ratio = slack[hit] / -ag[hit]
-            i = int(ratio.argmin())
+            i = int(ratio.argmin())  # the lowest-indexed row of a tie
             enter = hit[i]
             slack += ratio[i] * ag
             slack[enter] = 0.0
@@ -791,15 +719,6 @@ class Polytope(FeasibleSet):
             Binv -= col[:, None] * w
             Binv[:, p] = col
             T[p] = enter
-        tight = np.sort(T)  # ascending, as _solve reads a basis
-        Binv, slack, v = self._vertex_row(tight)
-        slack[tight] = np.inf
-        if (d @ Binv).max() >= -tol or slack.min() <= self.CERT_RTOL * self.R:
-            return None
-        slack[tight] = 0.0
-        self._remember(tight, Binv, slack, v)
-        self._pending = d.copy()
-        return self._inside(v[None])[0]
 
     def _simplex_pass(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Primal simplex on min d @ x over K for every row d of D at once,
@@ -857,7 +776,7 @@ class Polytope(FeasibleSet):
         """The rows whose tight sets certify a unique, nondegenerate
         optimum (see :meth:`loo_many`), and their ``loo`` answers."""
         C = D[rows]
-        tight = np.sort(tight, axis=1)  # ascending, as _solve reads a basis
+        tight = np.sort(tight, axis=1)  # ascending, as every answer's vertex solve takes them
         V = self._vertices(tight)
         lam = np.linalg.solve(self.A[tight].transpose(0, 2, 1), -C[..., None])[..., 0]
         slack = self.b - V @ self.A.T
@@ -932,7 +851,7 @@ class Polytope(FeasibleSet):
         d = x - y
         # d is normal to the face x lies on, so unless x is a vertex the
         # LOO is a tie that the warm simplex would only reach to give up
-        gap = float((x - self._lp_answer(d)) @ d)
+        gap = float((x - self._settled(d[None])[0]) @ d)
         tol = self.PROJECT_GAP_TOL * max(1.0, math.sqrt(d.dot(d))) * self.R
         if gap > tol:
             raise RuntimeError(f"projection failed to certify: dual gap {gap:.3g} above tolerance {tol:.3g}")

@@ -42,14 +42,26 @@ def make_polytope(rng, n, extra=4):
     return Polytope(np.stack(rows), np.array(offs))
 
 
-def loo_highs_reference(P, D):
-    """Every row of D answered by HiGHS alone, in row order, on the
-    polytope P: ``_solve`` and the pull inside for a nonzero row, the
-    fixed answer for a zero row.  Pass a twin that no other query
-    touches, so the model's basis is the one a HiGHS-only loop leaves."""
+def loo_reference(P, D):
+    """Every row of D answered through a fresh LP on the polytope P:
+    ``scipy.optimize.linprog`` (HiGHS) finds an optimal vertex, and its n
+    tight rows (least slack first; dependent rows fail the solve) go
+    through ``P._inside(P._vertices(tight))``, the vertex solve and pull
+    inside that every ``loo`` answer goes through.  On a row with a
+    unique, nondegenerate optimum this is ``loo``'s answer bit for bit;
+    on a tie it is one optimal vertex among several.  A zero row is
+    answered by linprog's point itself."""
+    from scipy.optimize import linprog
+
     out = np.empty_like(D)
     for i, d in enumerate(D):
-        out[i] = P._inside(P._solve(d)[None])[0] if np.any(d) else P._zero_answer
+        res = linprog(d, A_ub=P.A, b_ub=P.b, bounds=(None, None), method="highs")
+        assert res.status == 0, res.message
+        if not np.any(d):
+            out[i] = res.x
+            continue
+        tight = np.sort(np.argsort(res.ineqlin.residual, kind="stable")[: P.n])
+        out[i] = P._inside(P._vertices(tight[None]))[0]
     return out
 
 

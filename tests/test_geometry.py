@@ -24,7 +24,7 @@ from pfoco.losses import make_switching_linear_schedule
 from support import (
     SET_KINDS,
     assert_separator_valid,
-    loo_highs_reference,
+    loo_reference,
     make_cut_cube,
     make_polytope,
     random_set,
@@ -123,8 +123,17 @@ def test_polytope_normalization_and_margin():
 
 
 def test_polytope_rejects_unbounded():
-    with pytest.raises(ValueError):
-        Polytope(np.array([[1.0, 0.0]]), np.array([1.0]))
+    """An unbounded polytope is refused by name, with no LP solver: one
+    that contains a line by the walk to its construction vertex, one
+    with a vertex by the simplex pass over +-e_i."""
+    for A, b in (
+        ([[1.0, 0.0]], [1.0]),  # a half-plane: the walk
+        ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, 1.0]),  # a slab in R^3: the walk
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),  # the cone x, y <= 1: the pass
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [1.0, 1.0, 1.0]),  # a half-strip: the pass
+    ):
+        with pytest.raises(ValueError, match="unbounded"):
+            Polytope(np.array(A), np.array(b))
 
 
 def test_polytope_rejects_origin_outside():
@@ -171,12 +180,32 @@ def test_polytope_loo_matches_linprog_reference():
 
 
 def test_polytope_loo_independent_of_query_history():
-    poly, fresh = (make_polytope(np.random.default_rng(43), 6, extra=20) for _ in range(2))
-    rng = np.random.default_rng(44)
-    d = rng.standard_normal(6)
-    for other in rng.standard_normal((50, 6)):
-        poly.loo(other)
-    np.testing.assert_array_equal(poly.loo(d), fresh.loo(d))
+    """Every answer, tied or not, is the one a fresh polytope gives: on a
+    box with cuts, each +-e_i (a whole face of optima) asked in shuffled
+    order, and certified, tied and zero rows after 50 random queries,
+    by ``loo`` and by ``loo_many``; and every direction into the normal
+    cone of the cut cube's five-face corner settles to that corner."""
+    for seed in range(20):
+        def make():
+            return make_polytope(np.random.default_rng([seed, 9]), 2 + seed % 6, extra=3)
+
+        poly = make()
+        rng = np.random.default_rng([seed, 10])
+        eye = np.eye(poly.n)
+        for d in np.concatenate([eye, -eye])[rng.permutation(2 * poly.n)]:
+            np.testing.assert_array_equal(poly.loo(d), make().loo(d))
+        for d in rng.standard_normal((50, poly.n)):
+            poly.loo(d)
+        D = _mixed_rows(rng, poly.n)
+        answers = np.array([poly.loo(d) for d in D])
+        fresh = make()
+        np.testing.assert_array_equal(answers, np.array([fresh.loo(d) for d in D[::-1]])[::-1])
+        np.testing.assert_array_equal(poly.loo_many(D), answers)
+    poly = _cut_cube()
+    active = np.abs(poly.A @ np.ones(3) - poly.b) <= 1e-15
+    D = -np.random.default_rng(6).uniform(0.1, 1.0, (40, 5)) @ poly.A[active]
+    for V in (poly.loo_many(D), np.array([poly.loo(d) for d in D])):
+        assert np.max(np.abs(V - 1.0)) <= 1e-12
 
 
 def test_polytope_loo_zero_direction_is_fixed():
@@ -442,8 +471,8 @@ def _batch_rows(rng, set_, k=40):
 @pytest.mark.parametrize("kind", SET_KINDS)
 def test_batched_oracles_equal_row_by_row(kind, squeezed):
     for seed in range(4):
-        # twin sets: the polytope's answer on tied optima depends on its
-        # query history, so each side queries a fresh copy in the same order
+        # twin sets, so that neither side's queries fill the other's
+        # start table
         batch, single = (random_set(np.random.default_rng([seed, 1]), kind) for _ in range(2))
         if squeezed:
             batch, single = squeeze(batch, 0.6), squeeze(single, 0.6)
@@ -467,32 +496,46 @@ def _interval_sums(rng, n, k=120, T=60):
     return prefix[e] - prefix[s]
 
 
-def _solves(poly, ask):
-    """``ask(poly)`` and the HiGHS solves (``_solve`` calls) it made."""
-    solve, calls = poly._solve, []
+def _settles(poly, ask):
+    """``ask(poly)`` and the rows it settled (``_settled`` calls): the
+    directions no certificate held for."""
+    settle, rows = poly._settled, []
 
-    def counted(c):
-        calls.append(c)
-        return solve(c)
+    def counted(D):
+        rows.extend(D)
+        return settle(D)
 
-    poly._solve = counted
+    poly._settled = counted
     try:
-        return ask(poly), len(calls)
+        return ask(poly), np.array(rows).reshape(-1, poly.n)
     finally:
-        del poly._solve
+        del poly._settled
 
 
-def _loo_many_solves(poly, D):
-    """loo_many's answer and the HiGHS solves it made."""
-    return _solves(poly, lambda p: p.loo_many(D))
+def _loo_many_settles(poly, D):
+    """loo_many's answer and the rows it settled."""
+    return _settles(poly, lambda p: p.loo_many(D))
 
 
-def _loo_solves(poly, D):
-    """``loo`` of every row of D in order, and the HiGHS solves it made."""
-    return _solves(poly, lambda p: np.array([p.loo(d) for d in D]))
+def _loo_settles(poly, D):
+    """``loo`` of every row of D in order, and the rows it settled."""
+    return _settles(poly, lambda p: np.array([p.loo(d) for d in D]))
 
 
-def _fw_directions(poly, rng, runs=6):
+def _assert_reference_answers(poly, D, answers, settled):
+    """Certified rows (those not in ``settled``) have the bits of
+    :func:`loo_reference`; settled rows (ties, zero rows, degenerate
+    vertices) are members with its value, to 1e-12 R ||d||."""
+    ref = loo_reference(poly, D)
+    keys = {row.tobytes() for row in settled}
+    tied = np.array([row.tobytes() in keys for row in D], dtype=bool)
+    np.testing.assert_array_equal(answers[~tied], ref[~tied])
+    for d, v, w in zip(D[tied], answers[tied], ref[tied]):
+        assert poly.contains(v)
+        assert abs(d @ v - d @ w) <= 1e-12 * poly.R * np.linalg.norm(d)
+
+
+def _fw_directions(poly, rng, runs=2):
     """The LOO directions of separating-hyperplane Frank-Wolfe runs on
     poly, toward points outside and inside it, and poly's answers."""
     asked, loo = [], poly.loo
@@ -509,8 +552,8 @@ def _fw_directions(poly, rng, runs=6):
 def _mixed_rows(rng, n, k=24):
     """Certified, tied and zero directions interleaved.  Each axis
     direction, a tie on a box face, follows a generic row whose vertex
-    lies on that face, so its HiGHS answer hangs on the basis that row
-    left; rounded rows tie on faces too."""
+    lies on that face, where a walk from that vertex would stop at once;
+    rounded rows tie on faces too."""
     eye, rows = np.eye(n), []
     for _ in range(k):
         e = rng.choice([-1.0, 1.0]) * eye[rng.integers(n)]
@@ -522,43 +565,42 @@ def _mixed_rows(rng, n, k=24):
     return np.array(rows)
 
 
-def test_polytope_loo_gives_the_highs_bits():
+def test_polytope_loo_gives_the_reference_answers():
     """A single ``loo`` call answers a unique, nondegenerate optimum by
-    its warm simplex, without HiGHS, and every other direction on HiGHS
-    after the pending row; each answer has the bits of a HiGHS-only loop
-    on a twin."""
+    its warm simplex with the bits of a fresh LP's vertex, and settles
+    every other direction to a member with the LP's value."""
     for seed in range(4):
         for make in (
             lambda rng: make_polytope(rng, int(rng.integers(2, 9)), extra=int(rng.integers(2, 40))),
             lambda rng: make_cut_cube(rng, 10, 60),
         ):
-            poly, twin = (make(np.random.default_rng([seed, 5])) for _ in range(2))
+            poly = make(np.random.default_rng([seed, 5]))
             rng = np.random.default_rng([seed, 6])
             D = rng.standard_normal((40, poly.n)) * rng.uniform(0.01, 100.0, (40, 1))
-            answers, solves = _loo_solves(poly, D)
-            assert solves == 0
-            np.testing.assert_array_equal(answers, loo_highs_reference(twin, D))
+            answers, settled = _loo_settles(poly, D)
+            assert len(settled) == 0
+            np.testing.assert_array_equal(answers, loo_reference(poly, D))
             # a learner's sequence, each direction made from the answers
             # before it; near the end of a run x - y can be normal to an
             # edge of optima, a tie
-            D, answers = _fw_directions(poly, rng)
-            assert len(D) > 20 and len(poly._keys) > 1
-            np.testing.assert_array_equal(answers, loo_highs_reference(twin, D))
-        # box faces, alone and cut: axis and rounded rows tie and fall back
+            (D, answers), settled = _settles(poly, lambda p: _fw_directions(p, rng))
+            assert len(D) > 10 and len(poly._keys) > 1 and len(settled) <= 0.05 * len(D)
+            _assert_reference_answers(poly, D, answers, settled)
+        # box faces, alone and cut: axis and rounded rows tie and are settled
         for extra in (0, 3):
-            poly, twin = (make_polytope(np.random.default_rng([seed, 7]), 4 + seed, extra=extra) for _ in range(2))
+            poly = make_polytope(np.random.default_rng([seed, 7]), 4 + seed, extra=extra)
             D = _mixed_rows(np.random.default_rng([seed, 8]), poly.n)
-            answers, solves = _loo_solves(poly, D)
-            assert solves > 0
-            np.testing.assert_array_equal(answers, loo_highs_reference(twin, D))
-            np.testing.assert_array_equal(poly.loo_many(D), loo_highs_reference(twin, D))
+            answers, settled = _loo_settles(poly, D)
+            assert len(settled) > 0
+            _assert_reference_answers(poly, D, answers, settled)
+            np.testing.assert_array_equal(poly.loo_many(D), answers)
 
 
 def test_polytope_loo_many_after_a_learner_run():
-    """A learner's warm LOO calls fill the start table and leave rows
-    pending; a comparator scan after them answers as one on a fresh set
-    and as HiGHS alone (a re-score on a fresh polytope relies on it)."""
-    poly, fresh, twin = (make_cut_cube(np.random.default_rng(61), 10, 60) for _ in range(3))
+    """A learner's warm LOO calls fill the start table; a comparator scan
+    after them settles nothing and answers as one on a fresh set and as
+    a fresh LP (a re-score on a fresh polytope relies on it)."""
+    poly, fresh = (make_cut_cube(np.random.default_rng(61), 10, 60) for _ in range(2))
     rng = np.random.default_rng(62)
     T = 200
     sched = make_switching_linear_schedule(T, 10, poly.R, [(20, rng.standard_normal(10)) for _ in range(10)])
@@ -567,39 +609,40 @@ def test_polytope_loo_many_after_a_learner_run():
     prefix = np.concatenate([np.zeros((1, 10)), np.cumsum(sched.family.C[sched.rows], axis=0)])
     S, E = np.array(strided_intervals(T, sched.boundaries)).T
     D = prefix[E] - prefix[S - 1]
-    many = poly.loo_many(D)
+    many, settled = _loo_many_settles(poly, D)
+    assert len(settled) == 0
     np.testing.assert_array_equal(many, fresh.loo_many(D))
-    np.testing.assert_array_equal(many, loo_highs_reference(twin, D))
+    np.testing.assert_array_equal(many, loo_reference(poly, D))
 
 
 def test_polytope_loo_many_takes_the_block_path():
-    """Rows with a unique, nondegenerate optimum never reach HiGHS; tied
-    and zero rows do, and answer as a row-by-row loop on a twin, which
-    a tied query after the block repeats too."""
+    """Rows with a unique, nondegenerate optimum are certified by the
+    block pass; tied and zero rows are settled, to members with a fresh
+    LP's value, and a tied query after the block repeats its answer."""
     for seed in range(4):
         for make in (
             lambda rng: make_polytope(rng, int(rng.integers(2, 7)), extra=int(rng.integers(2, 12))),
             lambda rng: make_cut_cube(rng, 10, 60),
         ):
-            poly, twin = (make(np.random.default_rng([seed, 3])) for _ in range(2))
+            poly = make(np.random.default_rng([seed, 3]))
             poly.BLOCK_ROWS = 32  # several simplex passes per call
-            D = _interval_sums(np.random.default_rng([seed, 4]), poly.n)
+            D = _interval_sums(np.random.default_rng([seed, 4]), poly.n, k=80)
             # axis directions on the box faces have a whole face of optima
             eye, zero = np.eye(poly.n), np.zeros((2, poly.n))
             tied = np.concatenate([eye[:2], D[:5], -eye, zero, D[5:8], eye[2:], D[8:10]])
-            for block, fall_back in ((D, False), (tied, True)):
-                many, solves = _loo_many_solves(poly, block)
-                assert solves >= 1 if fall_back else solves == 0
-                np.testing.assert_array_equal(many, loo_highs_reference(twin, block))
-                np.testing.assert_array_equal(poly.loo(eye[0]), loo_highs_reference(twin, eye[:1])[0])
+            for block, ties in ((D, False), (tied, True)):
+                many, settled = _loo_many_settles(poly, block)
+                assert len(settled) >= 1 if ties else len(settled) == 0
+                _assert_reference_answers(poly, block, many, settled)
+            np.testing.assert_array_equal(poly.loo(eye[0]), many[0])
     # into the normal cone of the corner (1, 1, 1) where five faces meet:
-    # a unique optimum, but a degenerate vertex, so every row goes to HiGHS
-    poly, twin = _cut_cube(), _cut_cube()
+    # a unique optimum, but a degenerate vertex, so every row is settled
+    poly = _cut_cube()
     active = np.abs(poly.A @ np.ones(3) - poly.b) <= 1e-15
     D = -np.random.default_rng(5).uniform(0.1, 1.0, (40, 5)) @ poly.A[active]
-    many, solves = _loo_many_solves(poly, D)
-    assert solves == len(D)
-    np.testing.assert_array_equal(many, loo_highs_reference(twin, D))
+    many, settled = _loo_many_settles(poly, D)
+    assert len(settled) == len(D)
+    _assert_reference_answers(poly, D, many, settled)
 
 
 def test_batched_oracles_check_their_input():

@@ -445,7 +445,7 @@ def test_static_regret_equals_full_interval():
 @pytest.mark.parametrize("loss", ["linear", "quadratic"])
 def test_polytope_report_equals_row_by_row_twin(loss):
     """The polytope's block loo_many scores a run bit for bit as a twin
-    that asks HiGHS row by row, on the set and on a squeezed view; and a
+    that asks ``loo`` row by row, on the set and on a squeezed view; and a
     fresh polytope re-scores it to the same maximum as the set that
     played it, as the benchmark's output check requires."""
     T, lengths = 96, [30, 20, 26, 20]
@@ -874,8 +874,8 @@ from pfoco.geometry import Box, Polytope
 from pfoco.harness import build_set, parse_config_dict, run_one
 
 
-def optimize_loaded():
-    return [m for m in sys.modules if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+def scipy_loaded():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 
 
 for cfg in (
@@ -892,9 +892,9 @@ for learner in ({"kind": "so_ogd"}, {"kind": "loo_bogd", "eps": 0.05, "K": 10}):
         "loss": {"kind": "switching_linear", "segments": segments}, "learner": learner,
     })
     assert run_one(cfg, 0)[3]["observed"]["adaptive_regret"] >= 0.0
-assert not optimize_loaded(), optimize_loaded()[:3]
+assert not scipy_loaded(), scipy_loaded()[:3]
 
-# invalid polytopes fail on their input checks, before HiGHS is loaded
+# invalid polytopes still fail on their input checks
 A = np.vstack([np.eye(2), -np.eye(2)])
 for bad_A, bad_b, message in (
     (A, [1.0, 1.0, 1.0, -0.5], "origin must be strictly interior"),
@@ -908,46 +908,31 @@ for bad_A, bad_b, message in (
     else:
         raise AssertionError(message)
 assert main(["validate", sys.argv[1]]) == 2
-assert not optimize_loaded(), optimize_loaded()[:3]
 
+# a polytope build, loo and loo_many answer as the equal box does
 lower, upper = np.array([-1.0, -0.5, -2.0]), np.array([1.0, 2.0, 0.5])
 box = Box(lower, upper)
-
-
-def check_box_polytope():
-    poly = Polytope(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([upper, -lower]))
-    for d in ([1.0, -2.0, 0.5], [-1.0, 1.0, -3.0], [0.3, 0.7, 1.1]):
-        assert np.array_equal(poly.loo(np.array(d)), box.loo(np.array(d))), d
-    return poly
-
-
-poly = check_box_polytope()
-# the first polytope loads HiGHS's extension alone, not scipy.optimize
-highs = sys.modules["scipy.optimize._highspy._core"]
-assert "scipy.optimize" not in sys.modules
+poly = Polytope(np.vstack([np.eye(3), -np.eye(3)]), np.concatenate([upper, -lower]))
+D = np.array([[1.0, -2.0, 0.5], [-1.0, 1.0, -3.0], [0.3, 0.7, 1.1]])
+for d in D:
+    assert np.array_equal(poly.loo(d), box.loo(d)), d
+assert np.array_equal(poly.loo_many(D), box.loo_many(D))
+assert not scipy_loaded(), scipy_loaded()[:3]
 
 # the first projection loads scipy.optimize (for its nnls) and clips as the box does
 for y in ([3.0, -1.0, 0.2], [-4.0, 5.0, -6.0], [0.5, 2.5, 1.0]):
     y = np.array(y)
     assert np.max(np.abs(poly.project(y) - box.project(y))) <= 1e-12, y
 assert "scipy.optimize" in sys.modules
-
-# a later scipy.optimize import reuses that extension and still solves
-from scipy.optimize import linprog
-
-lp = linprog([1.0, 1.0], A_ub=-np.eye(2), b_ub=[1.0, 2.0], bounds=(None, None), method="highs")
-assert lp.status == 0 and np.array_equal(lp.x, [-1.0, -2.0]), lp
-check_box_polytope()
-assert sys.modules["scipy.optimize._highspy._core"] is highs
 """
 
 
-def test_cold_import_loads_highs_only_with_the_first_polytope(tmp_path):
-    """A fresh interpreter runs closed-form sets without ``scipy.optimize``
-    and rejects invalid polytopes before loading it; the first valid
-    polytope loads HiGHS's extension alone and answers as the equal box
-    does, its first projection loads ``scipy.optimize`` (for ``nnls``),
-    and that import shares HiGHS's extension."""
+def test_cold_import_loads_scipy_only_with_the_first_projection(tmp_path):
+    """A fresh interpreter runs closed-form sets, rejects invalid
+    polytopes, and builds a polytope and answers its ``loo`` and
+    ``loo_many`` as the equal box does, all without loading any SciPy
+    module; the first projection loads ``scipy.optimize`` (for
+    ``nnls``)."""
     bad = tmp_path / "bad_polytope.json"
     bad.write_text(
         json.dumps(
@@ -960,38 +945,3 @@ def test_cold_import_loads_highs_only_with_the_first_polytope(tmp_path):
         text=True,
     )
     assert res.returncode == 0, res.stderr
-
-
-_MISSING_HIGHS_SCRIPT = """
-import sys
-
-import numpy as np
-import scipy
-
-from pfoco.geometry import Polytope
-
-scipy.__path__ = [sys.argv[1]]
-try:
-    Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
-except ImportError as e:
-    print(e)
-else:
-    raise AssertionError("Polytope built without HiGHS")
-"""
-
-
-def test_polytope_without_highs_names_where_it_looked(tmp_path):
-    """A SciPy without the HiGHS extension fails the first polytope with
-    an ``ImportError`` naming the searched directory and SciPy's version."""
-    import scipy
-
-    res = subprocess.run(
-        [sys.executable, "-c", _MISSING_HIGHS_SCRIPT, str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert res.returncode == 0, res.stderr
-    message = res.stdout.strip()
-    assert "scipy.optimize._highspy._core not found" in message, message
-    assert os.path.join(str(tmp_path), "optimize", "_highspy") in message, message
-    assert f"scipy {scipy.__version__}" in message, message
