@@ -676,8 +676,8 @@ class Polytope(FeasibleSet):
         multiplier leaves, and a ratio tie enters the lowest-indexed row
         (Bland, *Math. Oper. Res.* 1977), which cannot cycle; so the walk
         has no cap, and the vertex it stops at depends on d and K alone.
-        An unbounded step raises ``ValueError``, and a vertex visited
-        twice (a cycle that only rounding could cause) ``RuntimeError``.
+        An unbounded step, or a vertex visited twice (a cycle only
+        rounding could cause: K is numerically degenerate), raises ``ValueError``.
         """
         A = self.A
         T, Binv, slack = self._tab_T[j].copy(), self._tab_B[j].copy(), self._tab_S[j].copy()
@@ -692,7 +692,7 @@ class Polytope(FeasibleSet):
                 p = out[T[out].argmin()]
                 key = np.sort(T).tobytes()
                 if key in seen:
-                    raise RuntimeError("simplex LOO cycled: the polytope is numerically degenerate")
+                    raise ValueError("polytope is numerically degenerate: the simplex LOO cycled")
                 seen.add(key)
             else:
                 p = int(mu.argmax())

@@ -43,25 +43,41 @@ def make_polytope(rng, n, extra=4):
 
 
 def loo_reference(P, D):
-    """Every row of D answered through a fresh LP on the polytope P:
-    ``scipy.optimize.linprog`` (HiGHS) finds an optimal vertex, and its n
-    tight rows (least slack first; dependent rows fail the solve) go
-    through ``P._inside(P._vertices(tight))``, the vertex solve and pull
-    inside that every ``loo`` answer goes through.  On a row with a
-    unique, nondegenerate optimum this is ``loo``'s answer bit for bit;
-    on a tie it is one optimal vertex among several.  A zero row is
-    answered by linprog's point itself."""
-    from scipy.optimize import linprog
+    """Every row of D answered by an LP solver on the polytope P: one
+    HiGHS model of min d @ x s.t. A x <= b (SciPy's bundled extension,
+    the solver behind ``linprog(method="highs")``) re-solved after each
+    change of d.  When every column is basic, the n non-basic rows of
+    the optimal basis go through ``P._inside(P._vertices(tight))``, the
+    vertex solve and pull inside that every ``loo`` answer goes through;
+    otherwise (a free column left at 0, as on a zero row) the answer is
+    the solver's point.  On a row with a unique, nondegenerate optimum
+    this is ``loo``'s answer bit for bit; on a tie it is one optimal
+    vertex among several, which may depend on the rows before it.
+    Reusing the model makes a row about 0.7 ms on a 60-face cut cube in
+    R^10, against 3.3 ms for a fresh ``linprog``."""
+    from scipy.optimize._highspy import _core as highs
 
+    m, n, inf = P.m, P.n, highs.kHighsInf
+    h = highs._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("presolve", "off")
+    h.addVars(n, np.full(n, -inf), np.full(n, inf))
+    starts = np.arange(0, m * n, n, dtype=np.int32)
+    h.addRows(m, np.full(m, -inf), P.b, m * n, starts, np.tile(np.arange(n, dtype=np.int32), m), P.A.ravel())
+    cols = np.arange(n, dtype=np.int32)
     out = np.empty_like(D)
     for i, d in enumerate(D):
-        res = linprog(d, A_ub=P.A, b_ub=P.b, bounds=(None, None), method="highs")
-        assert res.status == 0, res.message
-        if not np.any(d):
-            out[i] = res.x
+        h.changeColsCost(n, cols, d)
+        h.run()
+        status = h.getModelStatus()
+        assert status == highs.HighsModelStatus.kOptimal, h.modelStatusToString(status)
+        _, basic = h.getBasicVariables()  # k >= 0 is column k, k < 0 is row -1 - k
+        if np.count_nonzero(basic >= 0) < n:
+            out[i] = h.getSolution().col_value
             continue
-        tight = np.sort(np.argsort(res.ineqlin.residual, kind="stable")[: P.n])
-        out[i] = P._inside(P._vertices(tight[None]))[0]
+        tight = np.ones(m, dtype=bool)
+        tight[-1 - basic[basic < 0]] = False
+        out[i] = P._inside(P._vertices(np.flatnonzero(tight)[None]))[0]
     return out
 
 

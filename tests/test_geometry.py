@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 from pfoco.frankwolfe import separating_hyperplane_fw
 from pfoco.geometry import (
@@ -160,20 +159,13 @@ def test_polytope_loo_matches_box_loo():
     np.testing.assert_allclose(poly.loo(d), box.loo(d), atol=1e-9)
 
 
-def _linprog_loo(poly, d):
-    """Reference LOO: a fresh LP per query."""
-    res = linprog(d, A_ub=poly.A, b_ub=poly.b, bounds=(None, None), method="highs")
-    assert res.status == 0
-    return res.x
-
-
 def test_polytope_loo_matches_linprog_reference():
     rng = np.random.default_rng(41)
     for _ in range(12):
         poly = make_polytope(rng, int(rng.integers(2, 9)), extra=int(rng.integers(2, 40)))
-        for d in rng.standard_normal((25, poly.n)) * rng.uniform(0.01, 100.0):
+        D = rng.standard_normal((25, poly.n)) * rng.uniform(0.01, 100.0)
+        for d, ref in zip(D, loo_reference(poly, D)):
             v = poly.loo(d)
-            ref = _linprog_loo(poly, d)
             assert abs(float(d @ v) - float(d @ ref)) <= 1e-12 * poly.R * np.linalg.norm(d)
             assert poly.contains(v)
             assert np.max(poly.A @ v - poly.b) <= poly._tol()
@@ -307,13 +299,12 @@ def test_polytope_axis_directions_on_box_faces():
     # (dual degenerate); the answer must still be an optimal member
     rng = np.random.default_rng(53)
     for poly in (make_polytope(rng, 4, extra=0), make_polytope(rng, 5, extra=6)):
-        for i in range(poly.n):
-            for sign in (1.0, -1.0):
-                d = np.zeros(poly.n)
-                d[i] = sign
-                v = poly.loo(d)
-                assert poly.contains(v)
-                assert abs(float(d @ v) - float(d @ _linprog_loo(poly, d))) <= 1e-12 * poly.R
+        eye = np.eye(poly.n)
+        D = np.concatenate([eye, -eye])
+        for d, ref in zip(D, loo_reference(poly, D)):
+            v = poly.loo(d)
+            assert poly.contains(v)
+            assert abs(float(d @ v) - float(d @ ref)) <= 1e-12 * poly.R
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +526,7 @@ def _assert_reference_answers(poly, D, answers, settled):
         assert abs(d @ v - d @ w) <= 1e-12 * poly.R * np.linalg.norm(d)
 
 
-def _fw_directions(poly, rng, runs=2):
+def _fw_directions(poly, rng, runs=6):
     """The LOO directions of separating-hyperplane Frank-Wolfe runs on
     poly, toward points outside and inside it, and poly's answers."""
     asked, loo = [], poly.loo
@@ -567,7 +558,7 @@ def _mixed_rows(rng, n, k=24):
 
 def test_polytope_loo_gives_the_reference_answers():
     """A single ``loo`` call answers a unique, nondegenerate optimum by
-    its warm simplex with the bits of a fresh LP's vertex, and settles
+    its warm simplex with the bits of an LP solver's vertex, and settles
     every other direction to a member with the LP's value."""
     for seed in range(4):
         for make in (
@@ -584,7 +575,7 @@ def test_polytope_loo_gives_the_reference_answers():
             # before it; near the end of a run x - y can be normal to an
             # edge of optima, a tie
             (D, answers), settled = _settles(poly, lambda p: _fw_directions(p, rng))
-            assert len(D) > 10 and len(poly._keys) > 1 and len(settled) <= 0.05 * len(D)
+            assert len(D) > 20 and len(poly._keys) > 1 and len(settled) <= 0.05 * len(D)
             _assert_reference_answers(poly, D, answers, settled)
         # box faces, alone and cut: axis and rounded rows tie and are settled
         for extra in (0, 3):
@@ -599,7 +590,7 @@ def test_polytope_loo_gives_the_reference_answers():
 def test_polytope_loo_many_after_a_learner_run():
     """A learner's warm LOO calls fill the start table; a comparator scan
     after them settles nothing and answers as one on a fresh set and as
-    a fresh LP (a re-score on a fresh polytope relies on it)."""
+    an LP solver (a re-score on a fresh polytope relies on it)."""
     poly, fresh = (make_cut_cube(np.random.default_rng(61), 10, 60) for _ in range(2))
     rng = np.random.default_rng(62)
     T = 200
@@ -617,8 +608,8 @@ def test_polytope_loo_many_after_a_learner_run():
 
 def test_polytope_loo_many_takes_the_block_path():
     """Rows with a unique, nondegenerate optimum are certified by the
-    block pass; tied and zero rows are settled, to members with a fresh
-    LP's value, and a tied query after the block repeats its answer."""
+    block pass; tied and zero rows are settled, to members with an LP
+    solver's value, and a tied query after the block repeats its answer."""
     for seed in range(4):
         for make in (
             lambda rng: make_polytope(rng, int(rng.integers(2, 7)), extra=int(rng.integers(2, 12))),
@@ -626,7 +617,7 @@ def test_polytope_loo_many_takes_the_block_path():
         ):
             poly = make(np.random.default_rng([seed, 3]))
             poly.BLOCK_ROWS = 32  # several simplex passes per call
-            D = _interval_sums(np.random.default_rng([seed, 4]), poly.n, k=80)
+            D = _interval_sums(np.random.default_rng([seed, 4]), poly.n)
             # axis directions on the box faces have a whole face of optima
             eye, zero = np.eye(poly.n), np.zeros((2, poly.n))
             tied = np.concatenate([eye[:2], D[:5], -eye, zero, D[5:8], eye[2:], D[8:10]])
