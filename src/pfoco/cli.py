@@ -15,8 +15,9 @@ Subcommands:
 * ``pfoco validate CONFIG`` -- parse and resolve a config without
   running it.
 
-Exit codes: 0 success, 2 invalid configuration or parameters, 3 oracle
-contract violation (an oracle budget ceiling was exceeded at runtime).
+Exit codes: 0 success, 2 invalid configuration or parameters, or a file
+that cannot be read or written, 3 oracle contract violation (an oracle
+budget ceiling was exceeded at runtime).
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OracleContractError as e:

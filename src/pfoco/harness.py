@@ -35,6 +35,8 @@ import itertools
 import json
 import math
 import os
+import shutil
+import tempfile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -511,6 +513,9 @@ def interval_regret_report(
 
 _TRACE_HEADER = ["t", "x", "loss", "loo_calls_cum", "so_calls_cum", "block_index"]
 _TRACE_CHUNK = 1024  # rows per chunk; bounds the Python objects alive at once
+# Formatted rows from which a forked child formats half a trace: fork and
+# reap cost 1-3.5 ms, a formatted row about 9 us.
+_TRACE_SPLIT_ROWS = 2048
 
 
 def write_trace_csv(trace: RunTrace, path: str) -> None:
@@ -523,41 +528,106 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
     once, and each of its lines is t plus the tail; each stretch of
     other rows is one ``%`` format of a repeated row template.  No field
     can hold a comma, quote or line break, so the bytes are those a
-    ``csv.writer`` would write."""
-    T, n = trace.plays.shape
-    tail = ";".join(["%.17g"] * n) + ",%.17g,%d,%d,%d\n"
-    row = "%d," + tail
-    counts = (trace.loo_cum, trace.so_cum, trace.block_index)
+    ``csv.writer`` would write.
+
+    When at least ``_TRACE_SPLIT_ROWS`` rows are formatted one by one,
+    ``os.fork`` exists and the process may run on two or more CPUs, a
+    forked child formats the chunks after the edge that halves those
+    rows while this process formats the ones before it; the file's bytes
+    are the same either way."""
+    T = trace.T
     # same[t]: row t repeats row t - 1 after t.  Floats compare as bits:
     # 0.0 == -0.0, but they print as 0 and -0.
     plays, losses = trace.plays.view(np.uint64), trace.losses.view(np.uint64)
     same = np.zeros(T, dtype=bool)
     same[1:] = (plays[1:] == plays[:-1]).all(axis=1) & (losses[1:] == losses[:-1])
-    for c in counts:
+    for c in (trace.loo_cum, trace.so_cum, trace.block_index):
         same[1:] &= c[1:] == c[:-1]
     same[::_TRACE_CHUNK] = False  # runs end at chunk edges
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_TRACE_HEADER) + "\n")
-        for lo in range(0, T, _TRACE_CHUNK):
-            hi = min(lo + _TRACE_CHUNK, T)
-            first = lo + np.flatnonzero(~same[lo:hi])  # the first row of each run
-            length = np.diff(first, append=hi)
-            pick = slice(lo, hi) if len(first) == hi - lo else first  # no copy when no row repeats
-            columns = (  # t and the fields of each run's first row
-                (first + 1).tolist(),
-                *trace.plays[pick].T.tolist(),
-                trace.losses[pick].tolist(),
-                *(c[pick].tolist() for c in counts),
+        split = _split_row(same)
+        if split is None:
+            _write_chunks(trace, same, 0, T, fh.write)
+        else:
+            _write_halves(trace, same, split, fh, path)
+
+
+def _split_row(same: np.ndarray) -> Optional[int]:
+    """The chunk edge that halves the rows formatted one by one, or None
+    when the trace stays in this process."""
+    formatted = np.cumsum(~same)
+    if formatted[-1] < _TRACE_SPLIT_ROWS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    if len(os.sched_getaffinity(0)) < 2:
+        return None
+    edges = np.arange(_TRACE_CHUNK, len(same), _TRACE_CHUNK)
+    return int(edges[np.argmin(np.abs(2 * formatted[edges - 1] - formatted[-1]))])
+
+
+def _write_halves(trace: RunTrace, same: np.ndarray, split: int, fh, path: str) -> None:
+    """Rows from ``split`` on are formatted by a forked child into an
+    anonymous temporary file beside ``path`` while this process writes
+    the rows before it to ``fh``; the child's text is then appended.
+
+    The child only formats and writes its file.  It prints, logs and
+    calls no BLAS routine (a fork of a process with threads must not
+    wait on their locks), and it leaves through ``os._exit``, so no exit
+    handler runs and no inherited buffer is flushed twice."""
+    fh.flush()  # the child inherits no unwritten bytes
+    with tempfile.TemporaryFile("w+", newline="", dir=os.path.dirname(os.path.abspath(path))) as part:
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: format every row here
+            _write_chunks(trace, same, 0, trace.T, fh.write)
+            return
+        if pid == 0:
+            status = 1
+            try:
+                _write_chunks(trace, same, split, trace.T, part.write)
+                part.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            _write_chunks(trace, same, 0, split, fh.write)
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if status:
+            raise OSError(
+                f"{path}: the process formatting rows {split + 1}-{trace.T} "
+                f"exited with status {os.waitstatus_to_exitcode(status)}"
             )
-            a = 0  # runs before a are written
-            runs = np.flatnonzero(length > 1)
-            for k, count in zip(runs.tolist(), length[runs].tolist()):
-                fh.write(_format_runs(row, columns, a, k))
-                t = columns[0][k]
-                line_end = "," + tail % tuple(c[k] for c in columns[1:])
-                fh.write(line_end.join(map(str, range(t, t + count))) + line_end)
-                a = k + 1
-            fh.write(_format_runs(row, columns, a, len(first)))
+        part.seek(0)
+        shutil.copyfileobj(part, fh)
+
+
+def _write_chunks(trace: RunTrace, same: np.ndarray, start: int, stop: int, write) -> None:
+    """Rows ``start``..``stop - 1`` (``start`` on a chunk edge), one
+    chunk at a time, through ``write``."""
+    tail = ";".join(["%.17g"] * trace.plays.shape[1]) + ",%.17g,%d,%d,%d\n"
+    row = "%d," + tail
+    counts = (trace.loo_cum, trace.so_cum, trace.block_index)
+    for lo in range(start, stop, _TRACE_CHUNK):
+        hi = min(lo + _TRACE_CHUNK, stop)
+        first = lo + np.flatnonzero(~same[lo:hi])  # the first row of each run
+        length = np.diff(first, append=hi)
+        pick = slice(lo, hi) if len(first) == hi - lo else first  # no copy when no row repeats
+        columns = (  # t and the fields of each run's first row
+            (first + 1).tolist(),
+            *trace.plays[pick].T.tolist(),
+            trace.losses[pick].tolist(),
+            *(c[pick].tolist() for c in counts),
+        )
+        a = 0  # runs before a are written
+        runs = np.flatnonzero(length > 1)
+        for k, count in zip(runs.tolist(), length[runs].tolist()):
+            write(_format_runs(row, columns, a, k))
+            t = columns[0][k]
+            line_end = "," + tail % tuple(c[k] for c in columns[1:])
+            write(line_end.join(map(str, range(t, t + count))) + line_end)
+            a = k + 1
+        write(_format_runs(row, columns, a, len(first)))
 
 
 def _format_runs(row: str, columns: tuple, a: int, b: int) -> str:

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from pfoco import harness
 from pfoco.cli import main as cli_main
 from pfoco.geometry import Ball, FeasibleSet, L1Ball, squeeze
 from pfoco.harness import (
@@ -543,13 +544,14 @@ def _runs_trace(lengths, n):
     )
 
 
-def _signed_zero_flip():
-    """One run under ==, whose play and loss turn from 0.0 to -0.0 mid-run."""
-    trace = _runs_trace([2000], 2)
+def _signed_zero_flip(lead=0):
+    """One run under ==, whose play and loss turn from 0.0 to -0.0 mid-run,
+    after ``lead`` rows that each differ from the one before."""
+    trace = _runs_trace([1] * lead + [2000], 2)
     trace.plays[:, 0] = 0.0
-    trace.plays[700:, 0] = -0.0
-    trace.losses[:1500] = 0.0
-    trace.losses[1500:] = -0.0
+    trace.plays[lead + 700 :, 0] = -0.0
+    trace.losses[lead : lead + 1500] = 0.0
+    trace.losses[lead + 1500 :] = -0.0
     return trace
 
 
@@ -568,27 +570,79 @@ def _only_counts_change():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, splits",
     [
-        pytest.param(lambda: _random_trace(40, 3), id="40-3"),
-        pytest.param(lambda: _random_trace(2100, 1), id="2100-1"),  # spans three 1024-row chunks
+        pytest.param(lambda: _random_trace(40, 3), False, id="40-3"),
+        pytest.param(lambda: _random_trace(2100, 1), True, id="2100-1"),  # spans three 1024-row chunks
         # runs of 100 and 1500 rows cross the chunk boundaries at 1024, 2048 and 3072
-        pytest.param(lambda: _runs_trace([1000, 100, 1, 1, 2, 1, 900, 1500, 3], 2), id="runs-across-chunks"),
-        pytest.param(_signed_zero_flip, id="signed-zero-flip"),
-        pytest.param(_only_loss_changes, id="only-loss-changes"),
-        pytest.param(_only_counts_change, id="only-counts-change"),
-        pytest.param(lambda: _runs_trace([1], 4), id="T1"),
-        pytest.param(lambda: _runs_trace([3000], 5), id="all-rows-equal"),
+        pytest.param(lambda: _runs_trace([1000, 100, 1, 1, 2, 1, 900, 1500, 3], 2), False, id="runs-across-chunks"),
+        pytest.param(_signed_zero_flip, False, id="signed-zero-flip"),
+        pytest.param(_only_loss_changes, False, id="only-loss-changes"),
+        pytest.param(_only_counts_change, False, id="only-counts-change"),
+        pytest.param(lambda: _runs_trace([1], 4), False, id="T1"),
+        pytest.param(lambda: _runs_trace([3000], 5), False, id="all-rows-equal"),
+        # the sep_l1_switch shape: 10^4 rounds of n = 8, every row formatted
+        pytest.param(lambda: _random_trace(10_000, 8), True, id="10000-8"),
+        # 5,004 formatted rows; the split edge at 4096 falls inside the 3,000-row run
+        pytest.param(lambda: _runs_trace([1] * 2500 + [3000] + [1] * 2500, 2), True, id="run-across-split"),
+        # the split edge is 1024, so both flips are written by the child
+        pytest.param(lambda: _signed_zero_flip(lead=3000), True, id="signed-zero-flip-split"),
     ],
 )
-def test_trace_writer_bytes_equal_csv_writer(tmp_path, make):
+def test_trace_writer_bytes_equal_csv_writer(tmp_path, monkeypatch, make, splits):
     trace = make()
-    fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    out = tmp_path / "out"
+    out.mkdir()
+    fast, reference = out / "fast.csv", tmp_path / "reference.csv"
     write_trace_csv(trace, str(fast))
+    assert len(forks) == splits
+    with pytest.raises(ChildProcessError):  # no child is left, reaped or not
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(out) == ["fast.csv"]
     csv_writer_trace(trace, str(reference))
     assert fast.read_bytes() == reference.read_bytes()
     back = read_trace_csv(str(fast))
     assert back.plays.tobytes() == trace.plays.tobytes() and back.losses.tobytes() == trace.losses.tobytes()
+
+
+def test_trace_writer_stays_serial_without_a_second_cpu_or_process(tmp_path, monkeypatch):
+    trace = _random_trace(10_000, 8)
+    reference = tmp_path / "reference.csv"
+    csv_writer_trace(trace, str(reference))
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for cpus, tried in (({0}, 0), ({0, 1}, 1)):  # one CPU: no fork; a failed fork: this process formats every row
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        path = tmp_path / f"{len(cpus)}cpu.csv"
+        write_trace_csv(trace, str(path))
+        assert len(forks) == tried
+        assert path.read_bytes() == reference.read_bytes()
+
+
+def test_trace_writer_reports_a_failed_child(tmp_path, monkeypatch):
+    chunks = harness._write_chunks
+
+    def fails_past_the_split(trace, same, start, stop, write):
+        if start > 0:
+            raise RuntimeError("formatting failed")
+        chunks(trace, same, start, stop, write)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "_write_chunks", fails_past_the_split)
+    path = tmp_path / "t.csv"
+    with pytest.raises(OSError, match=re.escape(str(path)) + r".*exited with status 1$"):
+        write_trace_csv(_random_trace(10_000, 8), str(path))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["t.csv"]
 
 
 def test_trace_writer_keeps_signed_zeros_inside_runs(tmp_path):
@@ -714,6 +768,16 @@ def test_cli_run_refuses_a_seeds_list_without_a_seed(tmp_path, capsys):
     assert not out.exists()
     assert cli_main(["run", cfg_path, "--seeds", "3,", "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == ["cfg_seed3.csv", "cfg_seed3.summary.json"]
+
+
+def test_cli_run_reports_an_unwritable_out_dir(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _base_config(T=30, seeds=[0]))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    assert cli_main(["run", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and out in err[0], err
 
 
 def _static_regret_printed(capsys) -> float:
