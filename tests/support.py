@@ -197,6 +197,32 @@ def csv_writer_trace(trace, path):
             )
 
 
+def strided_intervals_literal(T, boundaries=None, extra=None):
+    """The strided interval family built pair by pair as a set of tuples
+    and sorted: the reference that ``strided_intervals`` must match row
+    for row."""
+    out = set()
+    L = T
+    while True:
+        stride = max(1, math.ceil(L / 4))
+        s = 1
+        while s + L - 1 <= T:
+            out.add((s, s + L - 1))
+            s += stride
+        out.add((T - L + 1, T))
+        if L == 1 or math.ceil(L / 2) < 8:
+            break
+        L = math.ceil(L / 2)
+    if boundaries:
+        marks = sorted({b for b in boundaries if 1 <= b <= T} | {T + 1})
+        for i, s in enumerate(marks[:-1]):
+            for e_next in marks[i + 1 :]:
+                out.add((s, e_next - 1))
+    for s, e in extra or []:
+        out.add((int(s), int(e)))
+    return sorted(out)
+
+
 def check_cip_so_record(rec, set_):
     """Per-invocation certified ceiling for the SO-based projection,
     measured against exact projections onto the doubly squeezed set."""

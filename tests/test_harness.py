@@ -23,10 +23,12 @@ from pfoco.harness import (
     interval_regret_report,
     intervals_from_cfg,
     parse_config_dict,
+    read_intervals_file,
     read_trace_csv,
     resolve_out_dir,
     run_one,
     strided_intervals,
+    write_run_outputs,
     write_trace_csv,
 )
 from pfoco.learners import RunTrace, ogd_wf_run
@@ -38,7 +40,15 @@ from pfoco.losses import (
     make_switching_quadratic_schedule,
 )
 
-from support import SET_KINDS, csv_writer_trace, make_cut_cube, make_polytope, random_set, sample_members
+from support import (
+    SET_KINDS,
+    csv_writer_trace,
+    make_cut_cube,
+    make_polytope,
+    random_set,
+    sample_members,
+    strided_intervals_literal,
+)
 
 
 def _base_config(**overrides):
@@ -213,9 +223,16 @@ def test_build_set_covers_all_kinds():
 # interval policies
 
 
+def _pairs(rows):
+    """The (k, 2) int64 rows of an interval policy as a list of
+    (start, end) tuples."""
+    assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == 2
+    return list(map(tuple, rows.tolist()))
+
+
 def test_strided_intervals_shape():
     T = 128
-    iv = strided_intervals(T)
+    iv = _pairs(strided_intervals(T))
     assert (1, T) in iv
     assert all(1 <= s <= e <= T for s, e in iv)
     assert len(iv) == len(set(iv))
@@ -234,24 +251,71 @@ def test_strided_intervals_shape():
 
 
 def test_strided_intervals_tiny_horizon_and_extras():
-    assert strided_intervals(5) == [(1, 5)]
-    iv = strided_intervals(64, boundaries=[1, 21], extra=[[3, 7]])
+    assert _pairs(strided_intervals(5)) == [(1, 5)]
+    iv = _pairs(strided_intervals(64, boundaries=[1, 21], extra=[[3, 7]]))
     assert (1, 20) in iv and (21, 64) in iv and (1, 64) in iv
     assert (3, 7) in iv
 
 
+def _rows(pairs):
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
 def test_exhaustive_intervals_count_and_limit():
     T = 24
-    iv = exhaustive_intervals(T)
+    iv = _pairs(exhaustive_intervals(T))
     assert len(iv) == T * (T + 1) // 2
     assert len(set(iv)) == len(iv)
+    for T in (1, 2, 7, 24, 64, 512):
+        got = exhaustive_intervals(T)
+        assert got.dtype == np.int64 and got.shape == (T * (T + 1) // 2, 2)
+        assert np.array_equal(got, _rows([(s, e) for s in range(1, T + 1) for e in range(s, T + 1)]))
     with pytest.raises(ValueError, match="limited to"):
         exhaustive_intervals(513)
 
 
-def test_intervals_from_cfg_list_policy():
+def test_intervals_from_cfg_list_policy(tmp_path):
     got = intervals_from_cfg({"policy": "list", "intervals": [[4, 9], [1, 3], [4, 9]]}, 16)
-    assert got == [(1, 3), (4, 9)]
+    assert _pairs(got) == [(1, 3), (4, 9)]
+    # the list policy and an intervals file sort and de-duplicate alike
+    rng = np.random.default_rng(3)
+    T = 50
+    pairs = [[int(s), int(rng.integers(s, T + 1))] for s in rng.integers(1, T + 1, size=40)]
+    pairs += pairs[::3]
+    want = _rows(sorted({tuple(p) for p in pairs}))
+    path = tmp_path / "iv.json"
+    path.write_text(json.dumps(pairs))
+    for got in (intervals_from_cfg({"policy": "list", "intervals": pairs}, T), read_intervals_file(str(path), T)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("T", [*range(1, 18), 31, 64, 100, 127, 999, 2000, 4096, 10_000])
+def test_strided_intervals_equal_the_set_of_tuples_reference(T):
+    rng = np.random.default_rng(T)
+    generated = strided_intervals_literal(T)
+    marks = rng.integers(-2, T + 4, size=12).tolist()
+    cases = (
+        (None, None),
+        ([1, T + 1], None),  # both ends of [1, T + 1]
+        (marks + marks[:5], None),  # duplicated, and some out of range
+        (sorted(marks, reverse=True) + [1, T + 1, 0, T + 2], None),
+        # extras that repeat generated and boundary pairs, and each other
+        ([1, T // 2 + 1], [list(p) for p in generated[:: len(generated) // 4 or 1]] + [[1, T // 2 or 1], [1, T]] * 2),
+        (marks, [[int(s), int(s) + int(rng.integers(0, T - s + 1))] for s in rng.integers(1, T + 1, size=6)]),
+    )
+    for boundaries, extra in cases:
+        got = strided_intervals(T, boundaries, extra)
+        want = strided_intervals_literal(T, boundaries, extra)
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert np.array_equal(got, _rows(want)), (boundaries, extra)
+
+
+def test_strided_intervals_refuse_an_extra_outside_the_horizon():
+    # the packed key s * (T + 2) + e of [1, 14] is that of [2, 2] at T = 10:
+    # an unchecked pair would alias onto a real one
+    for extra, bad in (([[3, 4], [6, 5]], (6, 5)), ([[0, 3]], (0, 3)), ([[3, 11]], (3, 11)), ([[1, 14]], (1, 14))):
+        with pytest.raises(ValueError, match=rf"interval \[{bad[0]}, {bad[1]}\] out of range for T = 10"):
+            strided_intervals(10, [1, 5], extra)
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +390,9 @@ def test_batched_report_matches_per_interval_scan(kind, loss):
         else:  # targets mostly outside the set, so the projections do work
             schedule = make_iid_quadratic_schedule(T, set_.n, set_.R, rng, alpha=1.5, spread=2.0 * set_.R)
         trace = _played_trace(set_, schedule, rng)
-        intervals = strided_intervals(T, [1, 9, 17])[::-1]
-        report = interval_regret_report(trace, schedule, set_, intervals)
+        rows = strided_intervals(T, [1, 9, 17])[::-1]
+        intervals = _pairs(rows)
+        report = interval_regret_report(trace, schedule, set_, rows)
         ref = _reference_scan(trace, schedule, twin, intervals)
         assert report.n_intervals == len(intervals)
         assert list(zip(report.starts.tolist(), report.ends.tolist())) == intervals
@@ -349,7 +414,7 @@ def test_certificate_failure_names_the_first_failing_interval():
     gaps = interval_regret_report(trace, schedule, set_, intervals).gaps
     # a tolerance that the first interval meets but a later one does not
     order = np.argsort(gaps, kind="stable")
-    intervals = [intervals[i] for i in order]
+    intervals = _pairs(intervals[order])
     gaps = gaps[order]
     assert gaps[0] < gaps[-1]
     first_failing = intervals[int(np.flatnonzero(gaps > gaps[0])[0])]
@@ -434,7 +499,7 @@ def test_static_regret_equals_full_interval():
             trace = _played_trace(set_, schedule, rng)
             full = interval_regret_report(trace, schedule, twin, [(1, T)])
             assert full.static_regret == full.regrets[0] == full.max_regret
-            without = strided_intervals(T)[1:]
+            without = _pairs(strided_intervals(T))[1:]
             for intervals in (without, [(1, T)] + without):
                 report = interval_regret_report(trace, schedule, set_, intervals)
                 assert report.static_regret == full.static_regret, (kind, loss)
@@ -485,7 +550,7 @@ def test_strided_max_never_exceeds_exhaustive_max():
     strided = interval_regret_report(trace, schedule, set_, strided_intervals(96))
     exhaustive = interval_regret_report(trace, schedule, set_, exhaustive_intervals(96))
     assert strided.max_regret <= exhaustive.max_regret + 1e-12
-    assert set(strided_intervals(96)) <= set(exhaustive_intervals(96))
+    assert set(_pairs(strided_intervals(96))) <= set(_pairs(exhaustive_intervals(96)))
 
 
 # ----------------------------------------------------------------------
@@ -635,14 +700,27 @@ def test_trace_writer_reports_a_failed_child(tmp_path, monkeypatch):
             raise RuntimeError("formatting failed")
         chunks(trace, same, start, stop, write)
 
+    # an earlier run's files, which the failed write must leave as they were
+    earlier = write_run_outputs(str(tmp_path), "t", _random_trace(40, 3), {"seed": 0})
+    before = [open(p, "rb").read() for p in earlier]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(harness, "_write_chunks", fails_past_the_split)
     path = tmp_path / "t.csv"
     with pytest.raises(OSError, match=re.escape(str(path)) + r".*exited with status 1$"):
-        write_trace_csv(_random_trace(10_000, 8), str(path))
+        write_run_outputs(str(tmp_path), "t", _random_trace(10_000, 8), {"seed": 1})
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert os.listdir(tmp_path) == ["t.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.summary.json"]  # no partial file
+    assert [open(p, "rb").read() for p in earlier] == before
+
+
+def test_failed_summary_write_leaves_the_earlier_summary(tmp_path):
+    _, summary_path = write_run_outputs(str(tmp_path), "t", _random_trace(40, 3), {"seed": 0})
+    before = open(summary_path, "rb").read()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_run_outputs(str(tmp_path), "t", _random_trace(40, 3), {"seed": object()})
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.summary.json"]
+    assert open(summary_path, "rb").read() == before
 
 
 def test_trace_writer_keeps_signed_zeros_inside_runs(tmp_path):
