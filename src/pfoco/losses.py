@@ -200,9 +200,12 @@ class LossSchedule:
     M: float
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.intp)
-        if self.rows.ndim != 1 or not self.rows.size:
+        rows = np.asarray(self.rows)
+        if rows.ndim != 1 or not rows.size:
             raise ValueError("rows must be a non-empty 1-D array of family rows")
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"rows must be an integer array, not {rows.dtype}")
+        self.rows = rows.astype(np.intp, copy=False)
         k = self.family.shape[0]
         if self.rows.min() < 0 or self.rows.max() >= k:
             raise ValueError(f"rows index outside the {k}-row loss family")

@@ -263,21 +263,45 @@ def test_polytope_projection_refuses_a_wrong_solver_answer(monkeypatch):
 
 def test_polytope_projects_points_far_outside():
     # the certificate's rounding grows with ||x - y||: a tolerance fixed in
-    # absolute terms refused some of these points, and nnls with an
-    # unscaled constraint row chose wrong faces for others
-    rng = np.random.default_rng(41)
-    for _ in range(30):
-        n = int(rng.integers(2, 10))
-        poly = make_polytope(rng, n, extra=int(rng.integers(4, 60)))
-        for _ in range(5):
-            u = rng.standard_normal(n)
-            y = 1e5 * poly.R * u / np.linalg.norm(u)
-            x = poly.project(y)
-            assert poly.contains(x)
-            # obtuse at x toward every member, to the certificate's scale
-            d = float(np.linalg.norm(y - x))
-            z = sample_members(poly, rng, 20)
-            assert np.max((z - x) @ (y - x)) <= Polytope.PROJECT_GAP_TOL * d * poly.R
+    # absolute terms refused some of these points, nnls with an unscaled
+    # constraint row chose wrong faces for others, and at 1e7 R the gap
+    # form 1/2 ||x - y||^2 + 1/2 ||A^T lam||^2 - lam @ (A y - b) refused
+    # 44 of the 150 on the rounding of its cancelling terms
+    for far in (1e5, 1e7):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            n = int(rng.integers(2, 10))
+            poly = make_polytope(rng, n, extra=int(rng.integers(4, 60)))
+            for _ in range(5):
+                u = rng.standard_normal(n)
+                y = far * poly.R * u / np.linalg.norm(u)
+                x = poly.project(y)
+                assert poly.contains(x)
+                # obtuse at x toward every member, to the certificate's scale
+                d = float(np.linalg.norm(y - x))
+                z = sample_members(poly, rng, 20)
+                assert np.max((z - x) @ (y - x)) <= Polytope.PROJECT_GAP_TOL * d * poly.R
+
+
+def test_polytope_project_asks_no_loo(monkeypatch):
+    # the KKT multipliers of the chosen faces certify each answer: no LOO
+    # is asked or settled, from points just outside a face or 1e5 R out
+    rng = np.random.default_rng(44)
+    poly = make_cut_cube(rng, 4, 24)
+
+    def refuse(_):
+        raise AssertionError("project asked the LOO")
+
+    monkeypatch.setattr(poly, "loo", refuse)
+    monkeypatch.setattr(poly, "loo_many", refuse)
+    u = rng.standard_normal((40, 4))
+    rim = u / np.max(u @ poly.A.T / poly.b, axis=1)[:, None]
+    far = 1e5 * poly.R * u / np.linalg.norm(u, axis=1)[:, None]
+    Y = np.concatenate([1.001 * rim, far])
+    assert not any(poly.contains(y) for y in Y)
+    X, settled = _settles(poly, lambda p: np.array([p.project(y) for y in Y]))
+    assert settled.shape == (0, 4)
+    assert all(poly.contains(x) for x in X)
 
 
 @pytest.mark.parametrize("far", [False, True], ids=["near", "far"])

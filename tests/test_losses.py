@@ -6,6 +6,7 @@ import pytest
 from pfoco.losses import (
     AbsDevLosses,
     LinearLosses,
+    LossSchedule,
     QuadraticLosses,
     bandit_gradient_estimate,
     make_iid_absdev_schedule,
@@ -203,6 +204,18 @@ def test_schedule_tables_hold_one_loss_per_segment():
             make_switching_linear_schedule(10, 2, 1.0, bad)
     with pytest.raises(ValueError, match="outside the 3-row loss family"):
         dataclasses.replace(sw, rows=np.array([0, 3]))
+
+
+def test_schedule_rows_must_be_integers():
+    # float rows were truncated: [0.7, 1.9, True] played rows [0, 1, 1]
+    family = LinearLosses(np.eye(2))
+    for rows in ([0.7, 1.9, True], [0.0, 1.0], [True, False]):
+        with pytest.raises(ValueError, match="integer array"):
+            LossSchedule(family, rows, [1], 1.0, 1.0)
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        LossSchedule(family, [], [1], 1.0, 1.0)
+    sched = LossSchedule(family, np.array([0, 1, 1], dtype=np.uint8), [1], 1.0, 1.0)
+    assert sched.rows.dtype == np.intp and sched.rows.tolist() == [0, 1, 1]
 
 
 def test_declared_bounds_are_the_row_maxima():
