@@ -33,6 +33,7 @@ from .geometry import OracleContractError
 from .harness import (
     ConfigError,
     build_instance,
+    check_seeds,
     intervals_from_cfg,
     interval_regret_report,
     learner_params,
@@ -81,6 +82,7 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"bad --seeds list {text!r}") from e
     if not seeds:
         raise ConfigError(f"--seeds {text!r} names no seed")
+    check_seeds(seeds, "--seeds")
     return seeds
 
 
@@ -150,6 +152,8 @@ def _trace_seed(trace_path: str, given, cfg) -> int:
     The trace's sibling summary, when there is one, also records the T,
     set and loss of its run: a trace scored against another config
     would get that config's numbers, so these must match."""
+    if given is not None:
+        check_seeds([given], "--seed")
     summary_path = os.path.splitext(trace_path)[0] + ".summary.json"
     if os.path.exists(summary_path):
         try:

@@ -36,12 +36,11 @@ and the ``*_many`` forms) and every projection in :mod:`pfoco.projection`
 checks its vector input once, on entry, and raises ``ValueError`` unless
 it is a 1-D float64 array (or rows of one) of the set's dimension with
 finite entries.  The learner loops call these same entry points: the
-feasible stretches of :func:`pfoco.projection.cip_so_stretch` send each
-chunk of rounds as one block through :func:`so_query`, checked as a
-whole; there is no unchecked path.  The per-vector check
-(:func:`as_vector`) is one ``dot`` and a finiteness test of the result,
-about 1 us on an 8-vector; the entry-wise scan runs only when that sum
-of squares is not finite.
+chunk pass of :func:`pfoco.learners.so_run` sends each chunk of rounds
+as one block through :func:`so_query`, checked as a whole; there is no
+unchecked path.  The per-vector check (:func:`as_vector`) is one
+``dot`` and a finiteness test of the result, about 1 us on an 8-vector;
+the entry-wise scan runs only when that sum of squares is not finite.
 
 Dependencies: the sets, the polytope's LOO included, use NumPy alone,
 so importing this module, building a polytope and asking its LOO load
@@ -211,7 +210,7 @@ class FeasibleSet:
         M = np.ascontiguousarray(rows, dtype=np.float64)
         if M.ndim != 2 or M.shape[1] != self.n:
             raise ValueError(f"expected a (k, {self.n}) array, got shape {M.shape}")
-        if not np.all(np.isfinite(M)):
+        if not np.isfinite(M).all():
             raise ValueError("array has non-finite entries")
         return M
 

@@ -111,12 +111,25 @@ class ExperimentConfig:
     out_dir: Optional[str]
 
 
+def check_seeds(seeds: list[int], where: str) -> None:
+    """Refuse a negative seed (``SeedSequence`` takes none) and a seed
+    listed twice (its second run would overwrite the first's outputs)."""
+    seen = set()
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"{where}: seed {seed} is negative; seeds must be non-negative integers")
+        if seed in seen:
+            raise ConfigError(f"{where}: seed {seed} is listed twice")
+        seen.add(seed)
+
+
 def parse_config_dict(raw: dict) -> ExperimentConfig:
     _check_keys(raw, "config", ("T", "set", "loss", "learner"), ("seeds", "intervals", "out_dir"))
     T = _int(raw, "T", "config", minimum=1)
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or any(isinstance(s, bool) or not isinstance(s, int) for s in seeds):
         raise ConfigError("config.seeds must be a non-empty list of integers")
+    check_seeds(seeds, "config.seeds")
     set_cfg = _validate_set_cfg(raw["set"])
     loss_cfg = _validate_loss_cfg(raw["loss"], T)
     learner_cfg = _validate_learner_cfg(raw["learner"])

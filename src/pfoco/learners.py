@@ -24,10 +24,11 @@ cumulative oracle counts, and the full diagnostics of every projection
 invocation, so tests can assert the per-invocation iteration ceilings
 and the global budget/regret bounds on real runs.  An SO run keeps
 them as columns (:class:`SoRecords`: each round's projection input and
-output, and its calls from ``so_cum``), and with full information on
-linear losses it takes each feasible stretch, a run of rounds whose
-projections accept their input with one oracle call, in one array pass
-(:func:`~pfoco.projection.cip_so_stretch`).
+output, and its calls from ``so_cum``).  With full information on
+linear losses it takes the run in chunks of rounds: their inputs are
+built by array operations and asked about in block queries, and only a
+round that is refused or needs the rescale enters
+:func:`~pfoco.projection.cip_so`.
 
 Parameter builders (``*_params``) encode the step sizes, tolerances,
 and block lengths under which the guarantees hold, validate their
@@ -40,7 +41,6 @@ its run loop, and its governing regret and oracle-call bounds, which
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 import time
@@ -49,9 +49,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .geometry import FeasibleSet, OracleCounters, squeeze
+from . import projection  # so_query is looked up on the module, where perfbench/tracing.py wraps it
+from .geometry import FEASIBLE, FeasibleSet, OracleCounters, squeeze
 from .losses import LossSchedule, bandit_gradient_estimate, sample_unit_sphere
-from .projection import SoProjection, cip_loo, cip_so, cip_so_stretch
+from .projection import SoProjection, _so_input, cip_loo, cip_so
+
+# rounds per chunk of so_run's pass on linear losses
+STRETCH_CHUNK = 32
 
 
 @dataclasses.dataclass
@@ -578,82 +582,93 @@ def so_run(
     exploration never leaves the set, and steps along the one-point
     estimate.
 
-    With full information on linear losses the step is the same over a
-    run of equal rows, and a round whose projection accepts its input
-    with one oracle call plays that input next.  Such a feasible stretch
-    is one :func:`~pfoco.projection.cip_so_stretch` pass, which asks the
-    oracle about each chunk of rounds in one block query and is charged
-    one SO call per round asked, as a per-round loop is.  A stretch
-    starts where the run has two rounds or more left and the first input
-    needs no rescale (a run of one round, or a rescaled input, gains
-    nothing from it).  The round that ends a stretch early (a rescale or
-    a pull) and every other round take :func:`~pfoco.projection.cip_so`,
-    which goes on from the refusal the stretch already has, so no point
-    is queried twice.  The trace records each round's projection input
-    and output as columns (:class:`SoRecords`).
+    With full information on linear losses a round's step does not
+    depend on its point, so every step is known before the run, and a
+    round whose projection accepts its input with one oracle call plays
+    that input next.  The run is then one pass in chunks of
+    STRETCH_CHUNK rounds, which may cross loss switches: one
+    ``np.subtract.accumulate`` of the chunk's steps from the current
+    point makes each round's input as if every earlier round of the
+    chunk accepted its own, rounded as a per-round loop rounds it.  The
+    inputs before the first that needs the rescale to the R-ball go to
+    the oracle as one block query through
+    :func:`~pfoco.projection.so_query`, charged one SO call per round
+    asked, as a per-round loop is, and each accepted input is its
+    round's output.  The round that ends a chunk early (refused, or in
+    need of the rescale) takes :func:`~pfoco.projection.cip_so`, which
+    goes on from the refusal the block already has, so no point is
+    queried twice; the next chunk starts from that round's output.
+    Bandit runs and runs on other losses take cip_so on every round.
+
+    The trace records each round's projection input and output as
+    columns (:class:`SoRecords`).  With full information the loop
+    writes only those and each round's SO calls: the plays are the
+    previous outputs, and the losses are one ``values`` call over them.
     """
     t0 = time.perf_counter()
     bandit = _is_bandit(params, schedule, rng, so_run)
     T = params.T
-    n, R = set_.n, set_.R
+    n, R, r = set_.n, set_.R, set_.r
     delta, eta = params.delta, params.eta
     dp = params.delta_prime if bandit else 0.0  # exploration radius
-    U = sample_unit_sphere(rng, n, T) if bandit else None
     family, rows = schedule.family, schedule.rows
-    stretches = not bandit and family.kind == "linear"
-    # first round after each run of equal rows
-    ends = [*(np.flatnonzero(np.diff(rows)) + 1).tolist(), T]
     counters = OracleCounters()
-    ytil = np.zeros(n)
+    ytil = _so_input(set_, r, delta, dp, np.zeros(n))  # checks the parameters once per run
+    calls = np.ones(T, dtype=np.int64)  # SO calls of each round
+    so_in, so_out = np.empty((T, n)), np.empty((T, n))
     plays = np.empty((T, n))
-    losses = np.empty(T)
+    losses = np.empty(T) if bandit else None  # full information: one values call after the loop
     gnorms = None if bandit else np.empty(T)
-    so_cum = np.empty(T, dtype=np.int64)
-    so_in = np.empty((T, n))
-    so_out = np.empty((T, n))
-    value, subgrad, row_list = family.value, family.subgrad, rows.tolist()
-    t = 0
-    while t < T:
-        i = row_list[t]
-        if bandit:
-            z = ytil + dp * U[t]
-            plays[t] = z
-            val = value(i, z)
-            losses[t] = val
-            g = bandit_gradient_estimate(val, U[t], n, dp)
-        else:
-            g = subgrad(i, ytil)
-        step = eta * g
-        y_in = ytil - step
-        first = None
-        if stretches:
-            end = ends[bisect.bisect_right(ends, t)]
-            # a stretch spans two rounds or more, the first with no rescale
-            if end - t > 1 and math.sqrt(y_in.dot(y_in)) <= R:
-                before = counters.so_calls
-                k, first = cip_so_stretch(set_, set_.r, delta, dp, ytil, step, so_in[t:end], counters)
-                if k:
-                    s = slice(t, t + k)
-                    so_out[s] = so_in[s]
-                    plays[t] = ytil
-                    plays[t + 1 : t + k] = so_in[t : t + k - 1]
-                    losses[s] = family.values(rows[s], plays[s])
-                    gnorms[s] = math.sqrt(g.dot(g))
-                    so_cum[s] = np.arange(before + 1, before + k + 1)
-                    ytil = so_in[t + k - 1]
-                    t += k
-                    if t == end:
-                        continue
-                    y_in = so_in[t]  # the input of the round that ends the stretch
-        if not bandit:
-            plays[t] = ytil
-            losses[t] = value(i, ytil)
-            gnorms[t] = math.sqrt(g.dot(g))
-        so_in[t] = y_in
-        ytil = cip_so(set_, set_.r, delta, dp, y_in, counters, first=first).y
-        so_out[t] = ytil
-        so_cum[t] = counters.so_calls
-        t += 1
+    if not bandit and family.kind == "linear":
+        # each round's step, as eta * subgrad rounds it: a linear loss's
+        # subgradient does not depend on the point
+        steps = eta * family.C[rows]
+        gnorms[:] = np.sqrt(np.vecdot(family.C, family.C))[rows]
+        t = 0
+        while t < T:
+            Y = so_in[t : t + STRETCH_CHUNK]
+            c = len(Y)
+            Y[:] = steps[t : t + c]
+            Y[0] = ytil - Y[0]
+            np.subtract.accumulate(Y, out=Y)  # row j: the input of round t + j if rounds t..t+j-1 accept theirs
+            unscaled = np.sqrt(np.vecdot(Y, Y)) <= R
+            stop = c if unscaled.all() else int(unscaled.argmin())
+            ans = projection.so_query(set_, Y[:stop], counters) if stop else FEASIBLE
+            k = stop if ans.feasible else ans.row
+            so_out[t : t + k] = Y[:k]
+            t += k
+            if k == c:
+                ytil = Y[c - 1]
+                continue
+            # round t is refused, or (ans feasible) its input needs the rescale
+            res = cip_so(set_, r, delta, dp, so_in[t], counters, first=None if ans.feasible else ans)
+            ytil = so_out[t] = res.y
+            calls[t] = res.so_calls
+            t += 1
+    else:
+        U = sample_unit_sphere(rng, n, T) if bandit else None
+        value, subgrad, row_list = family.value, family.subgrad, rows.tolist()
+        for t in range(T):
+            i = row_list[t]
+            if bandit:
+                z = ytil + dp * U[t]
+                plays[t] = z
+                val = value(i, z)
+                losses[t] = val
+                g = bandit_gradient_estimate(val, U[t], n, dp)
+            else:
+                g = subgrad(i, ytil)
+                gnorms[t] = math.sqrt(g.dot(g))
+            so_in[t] = y_in = ytil - eta * g
+            res = cip_so(set_, r, delta, dp, y_in, counters)
+            ytil = so_out[t] = res.y
+            calls[t] = res.so_calls
+    if not bandit:
+        # each round plays the previous round's output, from the origin
+        plays[0] = 0.0
+        plays[1:] = so_out[:-1]
+        losses = family.values(rows, plays)
+    so_cum = np.cumsum(calls)
     return RunTrace(
         plays=plays,
         losses=losses,
@@ -661,7 +676,7 @@ def so_run(
         so_cum=so_cum,
         block_index=np.arange(1, T + 1, dtype=np.int64),
         counters=counters,
-        projections=SoRecords(so_in, so_out, so_cum, delta, dp, set_.r, R),
+        projections=SoRecords(so_in, so_out, so_cum, delta, dp, r, R),
         params=params.to_dict(),
         grad_norms=gnorms,
         wall_time=time.perf_counter() - t0,

@@ -17,11 +17,9 @@ certificate of proximity.  Two constructions:
   point inside (1 - delta_prime/r) K, repeatedly stepping against
   returned separators; each step shrinks the squared distance to every
   member of the doubly squeezed target set by delta^2 (r-delta_prime)^2.
-  :func:`cip_so_stretch` runs it over consecutive rounds that step by
-  one fixed vector, for as long as each round's input is accepted as it
-  is: it builds the rounds' points in array passes and asks the oracle
-  about each pass's points in one block query, charged one call per
-  round up to the first refusal.
+  A caller that has already asked the oracle about the first query
+  point, in a block query over several rounds, passes that reply as
+  ``first`` and is not charged for it twice.
 
 Both loops carry proven iteration ceilings; implementations enforce a
 10x safety cap and raise :class:`~pfoco.geometry.OracleContractError`
@@ -234,9 +232,9 @@ def cip_so(
     rescale to the R-ball nor a pull.
 
     ``first`` is the oracle's reply at the first query point, for a
-    caller that has already made (and charged) that query, as
-    :func:`cip_so_stretch` reports it: the loop goes on from that reply
-    instead of asking again, and counts it as its first call.
+    caller that has already made (and charged) that query, as the chunk
+    pass of :func:`pfoco.learners.so_run` does: the loop goes on from
+    that reply instead of asking again, and counts it as its first call.
     """
     y_in = _so_input(set_, r, delta, delta_prime, y0)
     if first is not None and not (
@@ -260,7 +258,9 @@ def cip_so(
         gn = math.sqrt(g.dot(g))
         if gn == 0.0:
             raise OracleContractError("separation oracle returned a zero normal", iterations=calls)
-        y = pull_toward(y, g, gain * gn, gn)
+        # pull_toward's step; its preconditions hold by construction
+        # (Q = gain * gn >= 0 and C = gn = ||g|| > 0)
+        y = y - ((gain * gn) / (gn * gn)) * g
         calls += 1
         if calls > cap:
             raise OracleContractError(
@@ -280,68 +280,3 @@ def cip_so(
         set_R=R,
         y0=np.array(y_in),
     )
-
-
-# candidate rows per array pass of cip_so_stretch
-STRETCH_CHUNK = 32
-
-
-def cip_so_stretch(
-    set_: FeasibleSet,
-    r: float,
-    delta: float,
-    delta_prime: float,
-    y0: Vector,
-    step: Vector,
-    out: np.ndarray,
-    counters: Optional[OracleCounters] = None,
-) -> tuple[int, Optional[SeparationAnswer]]:
-    """:func:`cip_so` over a run of rounds that all step by ``step``.
-
-    Round k (from 0) projects y_k - step, where y_0 = y0 and y_{k+1} =
-    y_k - step for as long as cip_so returns its input unchanged after
-    one oracle call: the point needs no rescale (norm at most R) and the
-    oracle accepts it.  The candidates are made STRETCH_CHUNK at a time
-    by one ``np.subtract.accumulate``, so they round as a per-round loop
-    would, and written to the rows of ``out`` (shape (m, n)).  The
-    chunk's points that need no rescale go to the oracle as one block
-    through :func:`~pfoco.geometry.so_query`, which answers them in order
-    up to the first refusal and charges ``counters`` one call per round
-    so asked, as querying them one at a time would.
-
-    Returns (k, answer).  Rows 0..k-1 of ``out`` are accepted points,
-    each its round's input and output.  If k < m, row k holds round k's
-    input, which either needs the rescale (``answer`` is None; it was
-    not queried) or was refused, and ``answer`` is the refusal, from
-    which ``cip_so(..., out[k], counters, first=answer)`` finishes the
-    round without asking again.
-    """
-    y = _so_input(set_, r, delta, delta_prime, y0)
-    step = as_vector(step)
-    if step.shape != (set_.n,):
-        raise ValueError("dimension mismatch")
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.ndim == 2 and out.shape[1] == set_.n):
-        raise ValueError(f"out must be an (m, {set_.n}) float64 array")
-    scale = 1.0 - delta_prime / r
-    R = set_.R
-    m = out.shape[0]
-    buf = np.empty((min(STRETCH_CHUNK, m) + 1, set_.n))
-    buf[1:] = step
-    k = 0
-    while k < m:
-        c = min(STRETCH_CHUNK, m - k)
-        buf[0] = y
-        Y = out[k : k + c]
-        Y[:] = np.subtract.accumulate(buf[: c + 1])[1:]
-        unscaled = np.sqrt(np.vecdot(Y, Y)) <= R
-        stop = c if unscaled.all() else int(unscaled.argmin())
-        if stop:
-            Q = Y[:stop]
-            ans = so_query(set_, Q if scale == 1.0 else Q / scale, counters)
-            if not ans.feasible:
-                return k + ans.row, ans
-        if stop < c:
-            return k + stop, None
-        y = Y[c - 1]
-        k += c
-    return m, None

@@ -19,8 +19,9 @@ from pfoco.geometry import (
     loo_query,
     squeeze,
 )
-from pfoco.losses import sample_unit_ball
-from pfoco.projection import LooProjection
+from pfoco.learners import so_ogd_params
+from pfoco.losses import LinearLosses, LossSchedule, sample_unit_ball
+from pfoco.projection import LooProjection, cip_so
 
 SET_KINDS = ("ball", "box", "simplex", "l1", "polytope")
 INTERIOR_KINDS = ("ball", "box", "l1", "polytope")  # r > 0
@@ -233,6 +234,22 @@ def check_cip_so_record(rec, set_):
     dret = np.linalg.norm(rec.y - target.project(rec.y))
     bound = (d0 * d0 - dret * dret) / gain + 1.0
     assert rec.so_calls <= bound + 1e-6, f"SO calls {rec.so_calls} exceed {bound}"
+
+
+def record_outward_schedule(set_, T, c=None):
+    """The play-dependent loss c_t = -sign(x_t)/sqrt(n) (sign(0) taken
+    as 1), which pushes each play outward, recorded against ``so_ogd``
+    as an ordinary schedule: one ``LinearLosses`` row per round.  The
+    learner is deterministic, so ``so_run`` with ``so_ogd_params(set_,
+    1.0, T, c)`` on the recorded schedule plays the recorded points."""
+    n = set_.n
+    params = so_ogd_params(set_, 1.0, T, c=c)
+    C = np.empty((T, n))
+    x = np.zeros(n)
+    for t in range(T):
+        C[t] = np.where(x < 0.0, 1.0, -1.0) / math.sqrt(n)
+        x = cip_so(set_, set_.r, params.delta, 0.0, x - params.eta * C[t]).y
+    return LossSchedule(LinearLosses(C), np.arange(T), [1], G_f=1.0, M=set_.R)
 
 
 @dataclasses.dataclass

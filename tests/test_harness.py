@@ -848,6 +848,25 @@ def test_cli_run_refuses_a_seeds_list_without_a_seed(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["cfg_seed3.csv", "cfg_seed3.summary.json"]
 
 
+def test_negative_and_repeated_seeds_are_refused_by_name(tmp_path, capsys):
+    for seeds, why in (([-3], "seed -3 is negative"), ([1, 4, 1], "seed 1 is listed twice")):
+        with pytest.raises(ConfigError, match=f"config.seeds: {why}"):
+            parse_config_dict(_base_config(seeds=seeds))
+        assert cli_main(["validate", _write_cfg(tmp_path, _base_config(T=30, seeds=seeds))]) == 2
+        assert why in capsys.readouterr().err
+    cfg_path = _write_cfg(tmp_path, _base_config(T=30, seeds=[0]))
+    out = tmp_path / "out"
+    for text, why in (("0,0", "--seeds: seed 0 is listed twice"), ("2,-1", "--seeds: seed -1 is negative")):
+        assert cli_main(["run", cfg_path, "--seeds", text, "--out", str(out)]) == 2
+        assert why in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(["run", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    trace_path = str(out / "cfg_seed0.csv")
+    assert cli_main(["regret", trace_path, cfg_path, "--seed", "-2"]) == 2
+    assert "--seed: seed -2 is negative" in capsys.readouterr().err
+
+
 def test_cli_run_reports_an_unwritable_out_dir(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, _base_config(T=30, seeds=[0]))
     blocker = tmp_path / "file"

@@ -7,6 +7,7 @@ import pytest
 from pfoco import learners
 from pfoco.geometry import Ball, Box, L1Ball, OracleCounters, squeeze
 from pfoco.learners import (
+    STRETCH_CHUNK,
     loo_bbgd_params,
     loo_bogd_params,
     loo_bogd_sc_params,
@@ -28,8 +29,16 @@ from pfoco.losses import (
     make_switching_quadratic_schedule,
     sample_unit_sphere,
 )
-from pfoco.projection import STRETCH_CHUNK, SoProjection, cip_loo, cip_so
-from support import check_cip_loo_record, check_cip_so_record, cip_loo_literal, make_polytope
+from pfoco.projection import SoProjection, cip_loo, cip_so
+from support import (
+    INTERIOR_KINDS,
+    check_cip_loo_record,
+    check_cip_so_record,
+    cip_loo_literal,
+    make_polytope,
+    random_set,
+    record_outward_schedule,
+)
 
 
 # ----------------------------------------------------------------------
@@ -513,31 +522,112 @@ def _mixed_runs_on_the_ball(T):
     return LossSchedule(LinearLosses(C), np.repeat(np.arange(len(lengths)), lengths), [1], G_f=1.0, M=1.0)
 
 
+def _chunk_regimes(schedule, calls, inputs, outputs, R):
+    """The regimes of so_run's chunk pass that a full-information linear
+    run meets, read off its SO columns: chunks start at round 0, after a
+    chunk of STRETCH_CHUNK accepted rounds and after the round that ends
+    a chunk early (refused, or in need of the rescale)."""
+    accepted = (calls == 1) & np.all(inputs == outputs, axis=1)
+    rescaled = np.linalg.norm(inputs, axis=1) > R
+    starts, t = [], 0
+    while t < len(calls):
+        starts.append(t)
+        run = accepted[t : t + STRETCH_CHUNK]
+        t += len(run) if run.all() else int(run.argmin()) + 1
+    starts = np.array(starts)
+    last = starts[1:] - 1  # the last round of each chunk but the run's last
+    switches = np.flatnonzero(np.diff(schedule.rows)) + 1
+    ends = np.append(starts[1:], len(calls))
+    found = {
+        "full_chunk": bool(np.any((ends - starts == STRETCH_CHUNK) & accepted[ends - 1])),
+        "refused_first_row": bool(np.any(~accepted[starts] & ~rescaled[starts])),
+        "rescale_first_row": bool(np.any(rescaled[starts])),
+        "rescale_stop": bool(np.any(rescaled[last] & (last > starts[:-1]))),
+        "refused_later_row": bool(np.any(~accepted[last] & ~rescaled[last] & (last > starts[:-1]))),
+        "one_round_segment": bool(np.any(np.diff(np.concatenate(([0], switches, [len(calls)]))) == 1)),
+        "switch_on_chunk_edge": bool(np.intersect1d(switches, starts).size),
+        "switch_inside_chunk": bool(np.any(accepted[switches - 1] & accepted[switches] & ~np.isin(switches, starts))),
+    }
+    return {name for name, hit in found.items() if hit}
+
+
+def _pull_heavy():
+    # the two segments of the smoke_so_pull CI config; at c = 0.05 most
+    # rounds pull, some of them more than ten times
+    segments = [(200, [1.0, 0.5, -0.3, 0.2]), (200, [-0.4, -1.0, 0.6, 0.3])]
+    return make_switching_linear_schedule(400, 4, 1.0, segments)
+
+
 # on the l1 ball the switches at rounds 151 and 246 fall inside
 # feasible stretches, and the longest stretch (110 rounds) spans several
 # STRETCH_CHUNKs
 _SO_SEGMENTS = [(150, [1.0, -0.5, 0.2, 0.4]), (95, [-1.5, 0.3, 1.0, 0.1]), (170, [0.2, 2.0, -0.7, -0.3]), (85, [0.9, 0.4, -1.8, 0.6])]
+# name: (set, schedule builder, bandit, c (None: the default), the chunk
+# regimes the case must meet (full-information linear cases))
 _SO_CASES = {
-    "l1_switching_linear": (L1Ball(4, 1.0), lambda: make_switching_linear_schedule(500, 4, 1.0, _SO_SEGMENTS), False),
-    "ball_linear_runs_and_iid": (Ball(3, 1.0), lambda: _mixed_runs_on_the_ball(500), False),
-    "l1_switching_quadratic": (L1Ball(4, 1.0), lambda: make_switching_quadratic_schedule(500, 4, 1.0, _SO_SEGMENTS), False),
+    "l1_switching_linear": (
+        L1Ball(4, 1.0),
+        lambda: make_switching_linear_schedule(500, 4, 1.0, _SO_SEGMENTS),
+        False,
+        None,
+        {"full_chunk", "refused_first_row", "refused_later_row", "switch_inside_chunk"},
+    ),
+    "ball_linear_runs_and_iid": (
+        Ball(3, 1.0),
+        lambda: _mixed_runs_on_the_ball(500),
+        False,
+        None,
+        {"full_chunk", "rescale_stop", "one_round_segment", "switch_on_chunk_edge"},
+    ),
+    "l1_pull_heavy": (L1Ball(4, 1.0), _pull_heavy, False, 0.05, {"refused_first_row", "rescale_first_row"}),
+    # every round has its own row, so every segment is one round
+    "l1_outward_recorded": (
+        L1Ball(4, 1.0),
+        lambda: record_outward_schedule(L1Ball(4, 1.0), 300, c=0.2),
+        False,
+        0.2,
+        {"one_round_segment", "refused_first_row", "switch_inside_chunk"},
+    ),
+    "l1_switching_quadratic": (
+        L1Ball(4, 1.0),
+        lambda: make_switching_quadratic_schedule(500, 4, 1.0, _SO_SEGMENTS),
+        False,
+        None,
+        set(),
+    ),
     # a large gain makes the bandit steps long enough to pull
     "l1_switching_linear_bandit": (
         L1Ball(4, 1.0),
         lambda: make_switching_linear_schedule(500, 4, 1.0, _SO_SEGMENTS, gain=32.0),
         True,
+        0.5,
+        set(),
     ),
 }
 
 
+def test_so_cases_cover_every_chunk_regime():
+    covered = set().union(*(case[-1] for case in _SO_CASES.values()))
+    assert covered == {
+        "full_chunk",
+        "refused_first_row",
+        "refused_later_row",
+        "rescale_first_row",
+        "rescale_stop",
+        "one_round_segment",
+        "switch_on_chunk_edge",
+        "switch_inside_chunk",
+    }
+
+
 @pytest.mark.parametrize("case", list(_SO_CASES.values()), ids=list(_SO_CASES))
 def test_so_run_equals_the_per_round_loop(case):
-    set_, make, bandit = case
+    set_, make, bandit, c, regimes = case
     sched = make()
     if bandit:
-        params = so_bgd_params(set_, sched.M, sched.T, c=0.5, c_prime=0.1, G_f=sched.G_f)
+        params = so_bgd_params(set_, sched.M, sched.T, c=c, c_prime=0.1, G_f=sched.G_f)
     else:
-        params = so_ogd_params(set_, sched.G_f, sched.T)
+        params = so_ogd_params(set_, sched.G_f, sched.T, c=c)
     rng = (lambda: np.random.default_rng(9)) if bandit else (lambda: None)
     trace = so_run(set_, sched, params, rng())
     plays, losses, gnorms, so_cum, inputs, outputs, counters = _per_round_so_run(set_, sched, params, rng())
@@ -553,15 +643,47 @@ def test_so_run_equals_the_per_round_loop(case):
     # the projections pull on the l1 ball; on the ball the rescale is the projection
     assert (calls.max() > 1) == isinstance(set_, L1Ball)
     if sched.kind == "linear" and not bandit:
-        # the regime each case exists for: feasible stretches longer than a
-        # chunk, cut by a loss switch on the l1 ball and by the sphere on the ball
-        accepted = (calls == 1) & np.all(inputs == outputs, axis=1)
-        longest = max(len(run) for run in np.split(accepted, np.flatnonzero(np.diff(accepted)) + 1) if run[0])
-        assert longest > STRETCH_CHUNK
-        if isinstance(set_, L1Ball):
-            assert any(accepted[b - 2] and accepted[b - 1] for b in sched.boundaries[1:])
-        else:
-            assert np.any(np.linalg.norm(inputs, axis=1) > set_.R)
+        assert _chunk_regimes(sched, calls, inputs, outputs, set_.R) >= regimes
+
+
+@pytest.mark.parametrize("kind", INTERIOR_KINDS)
+def test_so_run_equals_the_per_round_loop_on_random_sets(kind):
+    """The chunk pass against one cip_so per round on random sets of
+    each kind, under switching linear losses with steps of R/20 and of
+    R/1e4, so that chunks end at a refusal or the rescale and run full."""
+    rng = np.random.default_rng(79)
+    stops = set()
+    for _ in range(6):
+        set_ = random_set(rng, kind)
+        n, T = set_.n, 2 * STRETCH_CHUNK + 40
+        segments = [(STRETCH_CHUNK + 5, rng.standard_normal(n)), (STRETCH_CHUNK + 35, rng.standard_normal(n))]
+        sched = make_switching_linear_schedule(T, n, set_.R, segments)
+        params = so_ogd_params(set_, sched.G_f, T, c=float(rng.choice([0.05, 1.0])))
+        params = dataclasses.replace(params, eta=set_.R / rng.choice([20.0, 1e4]))
+        trace = so_run(set_, sched, params)
+        plays, losses, gnorms, so_cum, inputs, outputs, counters = _per_round_so_run(set_, sched, params)
+        assert np.array_equal(trace.plays, plays) and np.array_equal(trace.losses, losses)
+        assert np.array_equal(trace.grad_norms, gnorms) and np.array_equal(trace.so_cum, so_cum)
+        assert trace.counters == counters
+        assert np.array_equal(trace.projections.inputs, inputs)
+        assert np.array_equal(trace.projections.outputs, outputs)
+        stops |= _chunk_regimes(sched, np.diff(so_cum, prepend=0), inputs, outputs, set_.R)
+    assert "full_chunk" in stops
+    assert stops & {"refused_first_row", "refused_later_row", "rescale_first_row", "rescale_stop"}
+
+
+def test_so_run_checks_the_projection_parameters_once_per_run():
+    # steps this short never leave the ball, so no round calls cip_so
+    ball = Ball(2, 1.0)
+    sched = make_switching_linear_schedule(100, 2, 1.0, [(100, [1.0, 0.0])])
+    params = dataclasses.replace(so_ogd_params(ball, sched.G_f, 100), eta=1e-4)
+    assert so_run(ball, sched, params).counters.so_calls == 100
+    for bad in (dict(delta=0.0), dict(delta=1.0), dict(delta=float("nan"))):
+        with pytest.raises(ValueError, match="delta"):
+            so_run(ball, sched, dataclasses.replace(params, **bad))
+    bandit = so_bgd_params(ball, sched.M, 100, c=0.5, c_prime=0.1)
+    with pytest.raises(ValueError, match="delta_prime"):
+        so_run(ball, sched, dataclasses.replace(bandit, delta_prime=ball.r), np.random.default_rng(0))
 
 
 def test_so_records_are_built_on_access_from_read_only_columns():

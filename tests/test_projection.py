@@ -13,7 +13,7 @@ from pfoco.geometry import (
     so_query,
     squeeze,
 )
-from pfoco.projection import STRETCH_CHUNK, cip_loo, cip_so, cip_so_stretch, pull_toward
+from pfoco.projection import cip_loo, cip_so, pull_toward
 from support import (
     INTERIOR_KINDS,
     SET_KINDS,
@@ -249,83 +249,6 @@ def test_cip_so_rejects_a_bad_first_answer():
         cip_so(ball, 1.0, 0.2, 0.0, y0, first=(False, np.array([1.0, 0.0])))
     with pytest.raises(ValueError, match="first"):
         cip_so(ball, 1.0, 0.2, 0.0, y0, first=SeparationAnswer(False, np.array([1.0, 0.0, 0.0])))
-
-
-def _stretch_by_cip_so(set_, r, delta, delta_prime, y0, step, m):
-    """cip_so_stretch's answer, one cip_so round at a time: the accepted
-    points, the input of the round that ends the stretch (or None), and
-    the SO calls the stretch makes."""
-    scale = 1.0 - delta_prime / r
-    accepted, y = [], y0
-    for _ in range(m):
-        y_in = y - step
-        if math.sqrt(y_in.dot(y_in)) > set_.R:
-            return accepted, y_in, len(accepted)
-        counters = OracleCounters()
-        res = cip_so(set_, r, delta, delta_prime, y_in, counters)
-        if res.so_calls > 1 or not np.array_equal(res.y, y_in):
-            assert not set_.contains(y_in / scale)
-            return accepted, y_in, len(accepted) + 1
-        accepted.append(y_in)
-        y = y_in
-    return accepted, None, m
-
-
-@pytest.mark.parametrize("kind", INTERIOR_KINDS)
-def test_cip_so_stretch_equals_cip_so_round_by_round(kind):
-    rng = np.random.default_rng(79)
-    stops = set()
-    for _ in range(12):
-        set_ = random_set(rng, kind)
-        r = set_.r
-        delta, delta_prime = rng.uniform(0.05, 0.5), rng.choice([0.0, rng.uniform(0.0, 0.6) * r])
-        y0 = cip_so(set_, r, delta, delta_prime, rng.standard_normal(set_.n) * 0.3 * set_.R).y
-        m = 2 * STRETCH_CHUNK + 5
-        step = rng.standard_normal(set_.n) * set_.R / rng.choice([20.0, 1e4])
-        out = np.empty((m, set_.n))
-        counters = OracleCounters()
-        k, answer = cip_so_stretch(set_, r, delta, delta_prime, y0, step, out, counters)
-        accepted, ended, calls = _stretch_by_cip_so(set_, r, delta, delta_prime, y0, step, m)
-        assert k == len(accepted) and np.array_equal(out[:k], np.reshape(accepted, (k, set_.n)))
-        assert counters.so_calls == calls
-        if ended is None:
-            stops.add("end")
-            assert k == m and answer is None
-        else:
-            assert np.array_equal(out[k], ended)
-            if answer is None:
-                stops.add("rescale")
-                assert np.linalg.norm(ended) > set_.R
-            else:
-                stops.add("refusal")
-                assert not answer.feasible
-                assert np.array_equal(
-                    cip_so(set_, r, delta, delta_prime, ended, first=answer).y,
-                    cip_so(set_, r, delta, delta_prime, ended).y,
-                )
-    assert "end" in stops and len(stops) >= 2
-
-
-def test_cip_so_stretch_rejects_bad_parameters():
-    l1 = L1Ball(2, 1.0)
-    y0, step, out = np.zeros(2), np.array([0.01, 0.0]), np.empty((4, 2))
-    cases = [
-        dict(delta=0.0),
-        dict(delta_prime=0.8),  # delta_prime >= r
-        dict(r=2.0),  # r beyond the set's
-        dict(y0=np.array([np.nan, 0.0])),
-        dict(y0=np.zeros(3)),
-        dict(step=np.array([np.inf, 0.0])),
-        dict(step=np.zeros(3)),
-        dict(out=np.empty((4, 3))),
-        dict(out=np.empty(4)),
-        dict(out=np.empty((4, 2), dtype=np.float32)),
-        dict(out=[[0.0, 0.0]]),
-    ]
-    for bad in cases:
-        args = dict(r=l1.r, delta=0.2, delta_prime=0.0, y0=y0, step=step, out=out) | bad
-        with pytest.raises(ValueError):
-            cip_so_stretch(l1, **args)
 
 
 def test_cip_so_contract_on_random_instances():
