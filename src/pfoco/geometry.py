@@ -12,7 +12,10 @@ Algorithms touch a set only through three operations:
   a vertex wherever the optimum is unique.
 * ``separate(y)`` -- membership test, or a hyperplane separating y from K.
   A (k, n) block is answered in row order: the reply for its first
-  refused row, or ``FEASIBLE`` when K holds every row.
+  refused row, or ``FEASIBLE`` when K holds every row.  A single point
+  is a block of one: each set states its membership rule once, as one
+  vectorized test of every row of a block (``_refused``) and the normal
+  of one refused row (``_normal``).
 * ``project(y)``  -- exact Euclidean projection.  A reference aid for
   tests, comparators and the exact-projection baseline ``ogd_wf``; it is
   never charged against oracle budgets.
@@ -166,13 +169,30 @@ class FeasibleSet:
     def separate(self, point: Vector) -> SeparationAnswer:
         """Membership of ``point``, or a hyperplane separating it from K.
 
-        A (k, n) block is answered as its rows asked one at a time, in
-        order, up to the first refusal: that row's reply, its index in
-        ``row``, or ``FEASIBLE`` when every row is in K.  Each row's
-        reply has the bits of the 1-D call on it.  A vectorized block
-        path may evaluate the rows after the first refusal too; their
-        replies are never used.
+        A single point is a block of one.  A (k, n) block is answered as
+        its rows asked one at a time, in order, up to the first refusal:
+        that row's ``_normal``, its index in ``row``, or ``FEASIBLE`` when
+        every row is in K.  ``_refused`` tests every row in one array
+        operation, each row with the same bits alone or in a block, so
+        the rows after the first refusal are tested too; their replies
+        are never used.  Each concrete set binds this method in its own
+        namespace (``separate = FeasibleSet.separate``), where tracers
+        that wrap a class's own methods find it.
         """
+        Y = self._check_rows(point) if _is_block(point) else self._check_dim(point)[None]
+        # a list: ndarray.any() alone costs about what a 1-row test does
+        refused = self._refused(Y).tolist()
+        if True not in refused:
+            return FEASIBLE
+        i = refused.index(True)
+        return SeparationAnswer(False, self._normal(Y[i]), i)
+
+    def _refused(self, Y: np.ndarray) -> np.ndarray:
+        """Whether K refuses each row of a checked (k, n) block."""
+        raise NotImplementedError
+
+    def _normal(self, y: Vector) -> Vector:
+        """A new separating normal for a row y that K refuses."""
         raise NotImplementedError
 
     def project(self, point: Vector) -> Vector:
@@ -187,17 +207,6 @@ class FeasibleSet:
         return self._rowwise(self.project, points)
 
     # -- helpers --------------------------------------------------------
-    def _first_refusal(self, point, separate_one) -> SeparationAnswer:
-        """``separate`` by a 1-D rule ``separate_one`` taking a checked
-        vector, looped over the rows of a block."""
-        if not _is_block(point):
-            return separate_one(self._check_dim(point))
-        for i, y in enumerate(self._check_rows(point)):
-            ans = separate_one(y)
-            if not ans.feasible:
-                return SeparationAnswer(False, ans.g, i)
-        return FEASIBLE
-
     def _rowwise(self, oracle, rows) -> np.ndarray:
         M = self._check_rows(rows)
         out = np.empty_like(M)
@@ -249,13 +258,14 @@ class Ball(FeasibleSet):
             return v
         return (-self.R / nrm) * d
 
-    def separate(self, point: Vector) -> SeparationAnswer:
-        return self._first_refusal(point, self._separate_one)
+    separate = FeasibleSet.separate
 
-    def _separate_one(self, y: Vector) -> SeparationAnswer:
-        if math.sqrt(y.dot(y)) <= self.R + self._tol():
-            return FEASIBLE
-        return SeparationAnswer(False, y.copy())
+    def _refused(self, Y: np.ndarray) -> np.ndarray:
+        # each row's dot rounds as math.sqrt(y.dot(y)) does
+        return np.sqrt(np.vecdot(Y, Y)) > self.R + self._tol()
+
+    def _normal(self, y: Vector) -> Vector:
+        return y.copy()
 
     def project(self, point: Vector) -> Vector:
         y = self._check_dim(point)
@@ -305,22 +315,18 @@ class Box(FeasibleSet):
         # zero components go to the upper face (deterministic tie rule)
         return np.where(d > 0.0, self.lower, self.upper).astype(np.float64)
 
-    def separate(self, point: Vector) -> SeparationAnswer:
-        return self._first_refusal(point, self._separate_one)
+    separate = FeasibleSet.separate
 
-    def _separate_one(self, y: Vector) -> SeparationAnswer:
-        over = y - self.upper
-        under = self.lower - y
-        viol = np.concatenate([over, under])
-        j = int(np.argmax(viol))
-        if viol[j] <= self._tol():
-            return FEASIBLE
+    def _refused(self, Y: np.ndarray) -> np.ndarray:
+        return np.maximum(Y - self.upper, self.lower - Y).max(axis=1) > self._tol()
+
+    def _normal(self, y: Vector) -> Vector:
+        # the most violated face, the upper one first on a tie: +e_j
+        # above an upper face, -e_j below a lower one
+        j = int(np.argmax(np.concatenate([y - self.upper, self.lower - y])))
         g = np.zeros(self.n)
-        if j < self.n:
-            g[j] = 1.0  # above the upper face
-        else:
-            g[j - self.n] = -1.0  # below the lower face
-        return SeparationAnswer(False, g)
+        g[j % self.n] = 1.0 if j < self.n else -1.0
+        return g
 
     def project(self, point: Vector) -> Vector:
         y = self._check_dim(point)
@@ -374,27 +380,25 @@ class Simplex(FeasibleSet):
         v[j] = self.scale
         return v
 
-    def separate(self, point: Vector) -> SeparationAnswer:
-        return self._first_refusal(point, self._separate_one)
+    separate = FeasibleSet.separate
 
-    def _separate_one(self, y: Vector) -> SeparationAnswer:
-        tol = self._tol()
-        # candidate violations, all in distance units
+    def _refused(self, Y: np.ndarray) -> np.ndarray:
+        # violations in distance units: -x_j below a face x_j >= 0, and
+        # |sum(x) - scale| / sqrt(n) off the plane; contiguous rows are
+        # summed pairwise, as the 1-D sum is
+        off = np.abs(Y.sum(axis=1) - self.scale) / np.sqrt(self.n)
+        return np.maximum(-Y.min(axis=1), off) > self._tol()
+
+    def _normal(self, y: Vector) -> Vector:
         j = int(np.argmin(y))
-        neg = -float(y[j])
         total = float(np.sum(y)) - self.scale
         rt = np.sqrt(self.n)
-        worst = max(neg, total / rt, -total / rt)
-        if worst <= tol:
-            return FEASIBLE
         g = np.zeros(self.n)
-        if neg >= worst:
+        if -y[j] >= abs(total) / rt:  # the face is violated most, or tied
             g[j] = -1.0
-        elif total > 0:
-            g = np.full(self.n, 1.0 / rt)
         else:
-            g = np.full(self.n, -1.0 / rt)
-        return SeparationAnswer(False, g)
+            g[:] = math.copysign(1.0, total) / rt
+        return g
 
     def project(self, point: Vector) -> Vector:
         y = self._check_dim(point)
@@ -432,21 +436,15 @@ class L1Ball(FeasibleSet):
             v[j] = -self.R * np.sign(d[j])
         return v
 
-    def separate(self, point: Vector) -> SeparationAnswer:
-        bound = self.R + self._tol()
-        if _is_block(point):
-            Y = self._check_rows(point)
-            # each contiguous row is summed pairwise, as the 1-D sum is
-            refused = np.abs(Y).sum(axis=1) > bound
-            if not refused.any():
-                return FEASIBLE
-            i = int(refused.argmax())
-            return SeparationAnswer(False, np.sign(Y[i]), i)
-        y = self._check_dim(point)
-        if float(np.abs(y).sum()) <= bound:
-            return FEASIBLE
+    separate = FeasibleSet.separate
+
+    def _refused(self, Y: np.ndarray) -> np.ndarray:
+        # each contiguous row is summed pairwise, as the 1-D sum is
+        return np.abs(Y).sum(axis=1) > self.R + self._tol()
+
+    def _normal(self, y: Vector) -> Vector:
         # z @ sign(y) <= ||z||_1 <= R < ||y||_1 = y @ sign(y) for all z in K
-        return SeparationAnswer(False, np.sign(y))
+        return np.sign(y)
 
     def project(self, point: Vector) -> Vector:
         y = self._check_dim(point)
@@ -799,15 +797,14 @@ class Polytope(FeasibleSet):
         V[out] /= scale[out, None]
         return V
 
-    def separate(self, point: Vector) -> SeparationAnswer:
-        return self._first_refusal(point, self._separate_one)
+    separate = FeasibleSet.separate
 
-    def _separate_one(self, y: Vector) -> SeparationAnswer:
-        viol = self.A @ y - self.b
-        j = int(np.argmax(viol))
-        if viol[j] <= self._tol():
-            return FEASIBLE
-        return SeparationAnswer(False, self.A[j].copy())
+    def _refused(self, Y: np.ndarray) -> np.ndarray:
+        # one gemv per row, as A @ y; Y @ A.T would round differently
+        return (np.matmul(self.A, Y[..., None])[..., 0] - self.b).max(axis=1) > self._tol()
+
+    def _normal(self, y: Vector) -> Vector:
+        return self.A[int(np.argmax(self.A @ y - self.b))].copy()  # the most violated face
 
     def project(self, point: Vector) -> Vector:
         """Least-distance solve, certified by its own KKT multipliers.

@@ -139,7 +139,17 @@ def _clamp_block_length(value: float, T: int) -> int:
 
 
 def _blocks(T: int, K: int) -> int:
+    """Blocks of length K in T rounds; K must be in [1, T]."""
+    if not (1 <= K <= T):
+        raise ValueError("needs 1 <= K <= T")
     return math.ceil(T / K)
+
+
+def _positive(**values: float) -> None:
+    """Refuse, by name, the first value that is not positive."""
+    for name, v in values.items():
+        if not (v > 0):
+            raise ValueError(f"needs {name} > 0")
 
 
 # ----------------------------------------------------------------------
@@ -157,17 +167,13 @@ def loo_bogd_params(
     """Blocked LOO learner, general convex losses."""
     if T < 1:
         raise ValueError("needs T >= 1")
-    if not (schedule_G_f > 0):
-        raise ValueError("needs G_f > 0")
+    _positive(G_f=schedule_G_f)
     R = set_.R
     K = _clamp_block_length(5.0 * math.sqrt(T), T) if K is None else int(K)
-    if not (1 <= K <= T):
-        raise ValueError("needs 1 <= K <= T")
+    B = _blocks(T, K)
     eta = (R / schedule_G_f) * T ** (-0.75) if eta is None else float(eta)
     eps = 60.0 * R * R * T ** (-0.5) if eps is None else float(eps)
-    if not (eta > 0 and eps > 0):
-        raise ValueError("needs eta > 0 and eps > 0")
-    B = _blocks(T, K)
+    _positive(eta=eta, eps=eps)
     return LearnerParams(
         kind="loo_bogd",
         T=T,
@@ -197,10 +203,7 @@ def loo_bogd_sc_params(
     Tolerances shrink and step sizes decay per block; valid once the
     horizon dominates the conditioning: T >= 27*(alpha*R/G_f)^2.
     """
-    if not (alpha > 0):
-        raise ValueError("needs alpha > 0")
-    if not (schedule_G_f > 0):
-        raise ValueError("needs G_f > 0")
+    _positive(alpha=alpha, G_f=schedule_G_f)
     R = set_.R
     floor = 27.0 * (alpha * R / schedule_G_f) ** 2
     if T < floor:
@@ -241,10 +244,7 @@ def loo_bbgd_params(
     R, r, n = set_.R, set_.r, set_.n
     if not (r > 0):
         raise ValueError("needs an interior margin r > 0")
-    if not (schedule_M > 0):
-        raise ValueError("needs M > 0")
-    if not (c > 0):
-        raise ValueError("needs c > 0")
+    _positive(M=schedule_M, c=c)
     delta = c * T ** (-0.25)
     if not (delta < r):
         raise ValueError(f"needs c*T^(-1/4) < r: c = {c}, T = {T} gives delta = {delta:.6g} >= r = {r:.6g}")
@@ -283,12 +283,9 @@ def so_ogd_params(
     R, r = set_.R, set_.r
     if not (r > 0):
         raise ValueError("needs an interior margin r > 0")
-    if not (schedule_G_f > 0):
-        raise ValueError("needs G_f > 0")
     if c is None:
         c = 4.0 * R / r
-    if not (c > 0):
-        raise ValueError("needs c > 0")
+    _positive(G_f=schedule_G_f, c=c)
     delta = c * T ** (-0.5)
     if not (delta < 1.0):
         raise ValueError(f"needs c*T^(-1/2) < 1: c = {c}, T = {T} gives delta = {delta:.6g}")
@@ -321,12 +318,12 @@ def so_bgd_params(
     R, r, n = set_.R, set_.r, set_.n
     if not (r > 0):
         raise ValueError("needs an interior margin r > 0")
-    if not (schedule_M > 0):
-        raise ValueError("needs M > 0")
+    _positive(M=schedule_M)
     if c is None:
         c = 8.0 / r
     if c_prime is None:
         c_prime = math.sqrt(n * schedule_M)
+    _positive(c=c, c_prime=c_prime)
     delta = c * T ** (-0.25)
     delta_prime = c_prime * T ** (-0.25)
     if not (delta < 1.0):
@@ -443,6 +440,8 @@ def ogd_wf_run(
     eta_arr = np.full(T, float(etas)) if np.isscalar(etas) else np.asarray(etas, dtype=np.float64)
     if eta_arr.shape != (T,):
         raise ValueError("etas must be a scalar or a length-T array")
+    if not (np.isfinite(eta_arr).all() and (eta_arr > 0).all()):
+        raise ValueError("etas must be positive and finite")
     x = np.array(set_.center, dtype=np.float64)
     plays = np.empty((T, n))
     losses = np.empty(T)
@@ -693,10 +692,10 @@ def _opt_float(v) -> Optional[float]:
 
 def _ogd_wf_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> Union[float, np.ndarray]:
     """Step sizes 1/(alpha t) with ``alpha``, else ``eta``, else R/(G_f sqrt(T))."""
-    alpha = cfg.get("alpha")
+    _positive(**{k: cfg[k] for k in ("alpha", "eta") if cfg.get(k) is not None})
+    alpha, eta = cfg.get("alpha"), cfg.get("eta")
     if alpha is not None:
         return 1.0 / (float(alpha) * np.arange(1, T + 1))
-    eta = cfg.get("eta")
     return float(eta) if eta is not None else set_.R / (sched.G_f * math.sqrt(T))
 
 

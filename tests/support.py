@@ -11,11 +11,14 @@ import numpy as np
 
 from pfoco.frankwolfe import exact_line_search_quadratic, separating_hyperplane_fw
 from pfoco.geometry import (
+    FEASIBLE,
     Ball,
     Box,
     L1Ball,
     Polytope,
+    SeparationAnswer,
     Simplex,
+    SqueezedSetView,
     loo_query,
     squeeze,
 )
@@ -110,6 +113,68 @@ def sample_members(set_, rng, count, mix=8):
     verts = np.stack([set_.loo(rng.standard_normal(set_.n)) for _ in range(mix)])
     weights = rng.dirichlet(np.ones(mix), size=count)
     return weights @ verts
+
+
+def separate_reference(set_, y):
+    """``separate`` by each set's 1-D rule, looped over the rows of a
+    (k, n) block up to the first refusal: the rules as the sets stated
+    them one point at a time, the reference for the vectorized block
+    test.  A squeezed view asks its base at ``y / factor``."""
+    if isinstance(set_, SqueezedSetView):
+        return separate_reference(set_.base, np.asarray(y, dtype=np.float64) / set_.factor)
+    if np.ndim(y) == 2:
+        for i, row in enumerate(set_._check_rows(y)):
+            ans = separate_reference(set_, row)
+            if not ans.feasible:
+                return SeparationAnswer(False, ans.g, i)
+        return FEASIBLE
+    y = set_._check_dim(y)
+    if isinstance(set_, Ball):
+        if math.sqrt(y.dot(y)) <= set_.R + set_._tol():
+            return FEASIBLE
+        return SeparationAnswer(False, y.copy())
+    if isinstance(set_, Box):
+        over = y - set_.upper
+        under = set_.lower - y
+        viol = np.concatenate([over, under])
+        j = int(np.argmax(viol))
+        if viol[j] <= set_._tol():
+            return FEASIBLE
+        g = np.zeros(set_.n)
+        if j < set_.n:
+            g[j] = 1.0  # above the upper face
+        else:
+            g[j - set_.n] = -1.0  # below the lower face
+        return SeparationAnswer(False, g)
+    if isinstance(set_, Simplex):
+        tol = set_._tol()
+        # candidate violations, all in distance units
+        j = int(np.argmin(y))
+        neg = -float(y[j])
+        total = float(np.sum(y)) - set_.scale
+        rt = np.sqrt(set_.n)
+        worst = max(neg, total / rt, -total / rt)
+        if worst <= tol:
+            return FEASIBLE
+        g = np.zeros(set_.n)
+        if neg >= worst:
+            g[j] = -1.0
+        elif total > 0:
+            g = np.full(set_.n, 1.0 / rt)
+        else:
+            g = np.full(set_.n, -1.0 / rt)
+        return SeparationAnswer(False, g)
+    if isinstance(set_, L1Ball):
+        if float(np.abs(y).sum()) <= set_.R + set_._tol():
+            return FEASIBLE
+        return SeparationAnswer(False, np.sign(y))
+    if isinstance(set_, Polytope):
+        viol = set_.A @ y - set_.b
+        j = int(np.argmax(viol))
+        if viol[j] <= set_._tol():
+            return FEASIBLE
+        return SeparationAnswer(False, set_.A[j].copy())
+    raise TypeError(f"no reference separation rule for {type(set_).__name__}")
 
 
 def assert_separator_valid(set_, y, g, slack=1e-9):

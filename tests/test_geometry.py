@@ -11,6 +11,7 @@ from pfoco.geometry import (
     OracleCounters,
     Polytope,
     Simplex,
+    SqueezedSetView,
     as_vector,
     loo_query,
     simplex_project_sorted,
@@ -28,6 +29,7 @@ from support import (
     make_polytope,
     random_set,
     sample_members,
+    separate_reference,
 )
 
 
@@ -94,6 +96,17 @@ def test_ball_separator_is_the_point():
     ans = ball.separate(y)
     assert not ans.feasible
     np.testing.assert_array_equal(ans.g, y)
+    assert not np.shares_memory(ans.g, y)  # a new array: the caller may reuse y
+
+
+def test_simplex_separator_takes_the_face_on_a_tie():
+    # -y_0 = 0.5 below the face x_0 >= 0 and (sum(y) - 1) / sqrt(4) = 0.5
+    # off the plane: on the tie the face's normal is the separator
+    ans = Simplex(4, 1.0).separate(np.array([-0.5, 1.0, 0.5, 1.0]))
+    assert not ans.feasible
+    np.testing.assert_array_equal(ans.g, [-1.0, 0.0, 0.0, 0.0])
+    ans = Simplex(4, 1.0).separate(np.array([-0.25, 1.0, 0.5, 1.0]))
+    np.testing.assert_array_equal(ans.g, [0.5, 0.5, 0.5, 0.5])
 
 
 # ----------------------------------------------------------------------
@@ -713,25 +726,64 @@ def _separation_blocks(rng, set_):
     return blocks
 
 
+def _wide_sets(kind):
+    """Sets of dimension 8 and more, where NumPy's pairwise sums and
+    BLAS kernels take other paths than on the random sets' 2-7."""
+    rng = np.random.default_rng(61)
+    return {
+        "ball": lambda: [Ball(16, 1.3)],
+        "box": lambda: [Box(-rng.uniform(0.1, 2.0, 11), rng.uniform(0.1, 2.0, 11))],
+        "simplex": lambda: [Simplex(17, 1.5)],
+        "l1": lambda: [L1Ball(8, 1.0), L1Ball(23, 2.0)],
+        "polytope": lambda: [make_cut_cube(rng, 10, 60)],
+    }[kind]()
+
+
+def _assert_same_answer(ans, ref):
+    assert ans.feasible == ref.feasible
+    if not ref.feasible:
+        assert ans.row == ref.row and ans.g.dtype == np.float64 and ans.g.tobytes() == ref.g.tobytes()
+
+
 @pytest.mark.parametrize("squeezed", [False, True], ids=["set", "squeezed"])
 @pytest.mark.parametrize("kind", SET_KINDS)
 def test_block_separation_equals_row_by_row(kind, squeezed):
+    """Every block, and every row asked alone, gets the reply of the sets'
+    1-D rules (``separate_reference``): the same membership, refused row
+    and separator bytes, on rims one ulp either side of the boundary too;
+    and so_query charges a block what a row-by-row loop is charged."""
     refused_at = set()
-    for seed in range(4):
-        set_ = random_set(np.random.default_rng([seed, 3]), kind)
+    sets = [random_set(np.random.default_rng([seed, 3]), kind) for seed in range(4)] + _wide_sets(kind)
+    for seed, set_ in enumerate(sets):
         if squeezed:
             set_ = squeeze(set_, 0.6)
-        for rows in _separation_blocks(np.random.default_rng([seed, 4]), set_):
+        rng = np.random.default_rng([seed, 4])
+        blocks = _separation_blocks(rng, set_)
+        U = rng.standard_normal((8, set_.n))
+        blocks.append(np.vstack([_rim(set_, u / np.linalg.norm(u)) for u in U]))
+        for rows in blocks:
+            ref = separate_reference(set_, rows)
             i, g, calls = _block_by_rows(set_, rows)
+            assert ref.feasible == (i is None)
             counters = OracleCounters()
             block = so_query(set_, rows, counters)
             assert counters.so_calls == calls
             for ans in (block, set_.separate(rows)):
-                assert ans.feasible == (i is None)
+                _assert_same_answer(ans, ref)
                 if i is not None:
                     refused_at.add("first" if i == 0 else "last" if i == len(rows) - 1 else "inside")
-                    assert ans.row == i and ans.g.dtype == np.float64 and ans.g.tobytes() == g.tobytes()
+                    assert ans.g.tobytes() == g.tobytes()
+            for y in rows:
+                _assert_same_answer(set_.separate(y), separate_reference(set_, y))
+                assert set_.contains(y) == separate_reference(set_, y).feasible
     assert refused_at == {"first", "inside", "last"}
+
+
+def test_every_set_class_binds_its_own_separate():
+    # perfbench/tracing.py wraps only the methods in a class's own
+    # namespace; an inherited separate would leave its counts at 0
+    for cls in (Ball, Box, Simplex, L1Ball, Polytope, SqueezedSetView):
+        assert "separate" in vars(cls), cls.__name__
 
 
 @pytest.mark.parametrize("squeezed", [False, True], ids=["set", "squeezed"])

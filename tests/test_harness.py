@@ -867,6 +867,22 @@ def test_negative_and_repeated_seeds_are_refused_by_name(tmp_path, capsys):
     assert "--seed: seed -2 is negative" in capsys.readouterr().err
 
 
+def test_validate_refuses_learner_constants_out_of_range_by_name(tmp_path, capsys):
+    # each once crashed with a traceback or validated (and ran) as given
+    quad = {"kind": "iid_quadratic"}
+    for learner, loss, T, why in (
+        ({"kind": "so_bgd", "c": 1.0, "c_prime": 0}, None, 100, "needs c_prime > 0"),
+        ({"kind": "so_bgd", "c": -1.0}, None, 100, "needs c > 0"),
+        ({"kind": "loo_bogd_sc", "K": 5000}, quad, 1000, "needs 1 <= K <= T"),
+        ({"kind": "ogd_wf", "eta": -0.1}, None, 100, "needs eta > 0"),
+        ({"kind": "ogd_wf", "alpha": 0}, None, 100, "needs alpha > 0"),
+    ):
+        cfg = _base_config(T=T, learner=learner, **({"loss": loss} if loss else {}))
+        assert cli_main(["validate", _write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"learner parameters rejected: {why}" in err and "Traceback" not in err, err
+
+
 def test_cli_run_reports_an_unwritable_out_dir(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, _base_config(T=30, seeds=[0]))
     blocker = tmp_path / "file"

@@ -113,6 +113,31 @@ def test_so_bgd_parameters_and_constraints():
         so_bgd_params(ball, 1.0, 10000, c_prime=6.0)
 
 
+def test_so_bgd_refuses_non_positive_constants_by_name():
+    ball = Ball(2, 1.0)
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match=r"needs c > 0"):
+            so_bgd_params(ball, 1.0, 10000, c=c)
+        with pytest.raises(ValueError, match=r"needs c_prime > 0"):
+            so_bgd_params(ball, 1.0, 10000, c_prime=c)
+
+
+def test_loo_bogd_sc_refuses_a_block_length_outside_the_horizon():
+    ball = Ball(2, 1.0)
+    for K in (0, -3, 1001):
+        with pytest.raises(ValueError, match=r"needs 1 <= K <= T"):
+            loo_bogd_sc_params(ball, 1.0, 1000, alpha=1.0, K=K)
+    assert loo_bogd_sc_params(ball, 1.0, 1000, alpha=1.0, K=1000).B == 1
+
+
+def test_ogd_wf_run_refuses_steps_that_are_not_positive_and_finite():
+    ball = Ball(2, 1.0)
+    sched = make_iid_linear_schedule(5, 2, ball.R, np.random.default_rng(0))
+    for etas in (0.0, -0.1, np.inf, np.nan, np.array([0.1, 0.1, -0.1, 0.1, 0.1])):
+        with pytest.raises(ValueError, match="etas must be positive and finite"):
+            ogd_wf_run(ball, sched, etas)
+
+
 def test_parameter_builders_need_a_horizon():
     ball = Ball(2, 1.0)
     for build in (
