@@ -22,7 +22,9 @@ Algorithms touch a set only through three operations:
 
 ``loo_many(D)`` and ``project_many(Y)`` answer one query per row of a
 (k, n) array, for comparator scans.  The closed-form sets answer all
-rows in one vectorized pass with the tie rules of ``loo``/``project``.
+rows in one vectorized pass with the tie rules of ``loo``/``project``,
+each row with the bits the 1-D call gives it (the ball's row norms are
+``sqrt(vecdot)``, each rounded as ``sqrt(dot)`` of its row).
 The polytope answers ``loo`` by a primal simplex in NumPy and
 ``loo_many`` by one vectorized pass of it over the rows, and certifies
 each optimal vertex; what neither can certify (ties, zero rows,
@@ -40,10 +42,11 @@ checks its vector input once, on entry, and raises ``ValueError`` unless
 it is a 1-D float64 array (or rows of one) of the set's dimension with
 finite entries.  The learner loops call these same entry points: the
 chunk pass of :func:`pfoco.learners.so_run` sends each chunk of rounds
-as one block through :func:`so_query`, checked as a whole; there is no
-unchecked path.  The per-vector check (:func:`as_vector`) is one
-``dot`` and a finiteness test of the result, about 1 us on an 8-vector;
-the entry-wise scan runs only when that sum of squares is not finite.
+as one block through :func:`so_query`, checked as a whole, for every
+learner kind and feedback; there is no unchecked path.  The per-vector
+check (:func:`as_vector`) is one ``dot`` and a finiteness test of the
+result, about 1 us on an 8-vector; the entry-wise scan runs only when
+that sum of squares is not finite.
 
 Dependencies: the sets, the polytope's LOO included, use NumPy alone,
 so importing this module, building a polytope and asking its LOO load
@@ -276,7 +279,7 @@ class Ball(FeasibleSet):
 
     def loo_many(self, directions) -> np.ndarray:
         D = self._check_rows(directions)
-        nrm = np.linalg.norm(D, axis=1)
+        nrm = np.sqrt(np.vecdot(D, D))  # each row's norm rounds as in loo
         zero = nrm == 0.0
         V = (-self.R / np.where(zero, 1.0, nrm))[:, None] * D
         V[zero] = 0.0
@@ -285,7 +288,7 @@ class Ball(FeasibleSet):
 
     def project_many(self, points) -> np.ndarray:
         Y = self._check_rows(points)
-        nrm = np.linalg.norm(Y, axis=1)
+        nrm = np.sqrt(np.vecdot(Y, Y))  # each row's norm rounds as in project
         out = nrm > self.R
         X = Y.copy()
         X[out] = (self.R / nrm[out])[:, None] * Y[out]

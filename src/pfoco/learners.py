@@ -24,11 +24,10 @@ cumulative oracle counts, and the full diagnostics of every projection
 invocation, so tests can assert the per-invocation iteration ceilings
 and the global budget/regret bounds on real runs.  An SO run keeps
 them as columns (:class:`SoRecords`: each round's projection input and
-output, and its calls from ``so_cum``).  With full information on
-linear losses it takes the run in chunks of rounds: their inputs are
-built by array operations and asked about in block queries, and only a
-round that is refused or needs the rescale enters
-:func:`~pfoco.projection.cip_so`.
+output, and its calls from ``so_cum``).  It takes every run, of either
+feedback and any loss kind, in chunks of rounds whose inputs are asked
+about in block queries; only a round that is refused or needs the
+rescale enters :func:`~pfoco.projection.cip_so`.
 
 Parameter builders (``*_params``) encode the step sizes, tolerances,
 and block lengths under which the guarantees hold, validate their
@@ -54,7 +53,8 @@ from .geometry import FEASIBLE, FeasibleSet, OracleCounters, squeeze
 from .losses import LossSchedule, bandit_gradient_estimate, sample_unit_sphere
 from .projection import SoProjection, _so_input, cip_loo, cip_so
 
-# rounds per chunk of so_run's pass on linear losses
+# rounds per chunk of so_run's pass with known steps, and the longest
+# chunk with speculative ones
 STRETCH_CHUNK = 32
 
 
@@ -433,7 +433,9 @@ def ogd_wf_run(
 ) -> RunTrace:
     """Online gradient descent with the exact projection from the set's
     center; ``etas`` is a scalar or a length-T array of step sizes, and
-    ``rng`` is unused (it completes the run signature the learners share)."""
+    ``rng`` is unused (it completes the run signature the learners share).
+    ``params["etas"]`` lists every step when T <= 64; otherwise it is the
+    one step of a constant schedule, or the first and last of any other."""
     t0 = time.perf_counter()
     T = schedule.T
     n = set_.n
@@ -455,6 +457,12 @@ def ogd_wf_run(
         losses[t] = val
         gnorms[t] = np.linalg.norm(g)
         x = set_.project(x - eta_arr[t] * g)
+    if T <= 64:
+        recorded = eta_arr.tolist()
+    elif (eta_arr == eta_arr[0]).all():
+        recorded = float(eta_arr[0])
+    else:  # a schedule, by its ends
+        recorded = {"first": float(eta_arr[0]), "last": float(eta_arr[-1])}
     zeros = np.zeros(T, dtype=np.int64)
     return RunTrace(
         plays=plays,
@@ -464,7 +472,7 @@ def ogd_wf_run(
         block_index=np.arange(1, T + 1, dtype=np.int64),
         counters=OracleCounters(),
         projections=[],
-        params={"kind": "ogd_wf", "T": T, "etas": eta_arr.tolist() if T <= 64 else float(eta_arr[0])},
+        params={"kind": "ogd_wf", "T": T, "etas": recorded},
         grad_norms=gnorms,
         wall_time=time.perf_counter() - t0,
     )
@@ -581,28 +589,30 @@ def so_run(
     exploration never leaves the set, and steps along the one-point
     estimate.
 
-    With full information on linear losses a round's step does not
-    depend on its point, so every step is known before the run, and a
-    round whose projection accepts its input with one oracle call plays
-    that input next.  The run is then one pass in chunks of
-    STRETCH_CHUNK rounds, which may cross loss switches: one
-    ``np.subtract.accumulate`` of the chunk's steps from the current
-    point makes each round's input as if every earlier round of the
-    chunk accepted its own, rounded as a per-round loop rounds it.  The
-    inputs before the first that needs the rescale to the R-ball go to
-    the oracle as one block query through
-    :func:`~pfoco.projection.so_query`, charged one SO call per round
-    asked, as a per-round loop is, and each accepted input is its
-    round's output.  The round that ends a chunk early (refused, or in
+    A round whose projection accepts its input with one oracle call
+    plays that input next, so the run is one pass in chunks of rounds,
+    which may cross loss switches.  Row j of a chunk is the input of its
+    round if every earlier round of the chunk accepted its own, rounded
+    as a per-round loop rounds it.  With full information on linear
+    losses the steps do not depend on the point: they are known before
+    the run, and one ``np.subtract.accumulate`` makes a chunk of
+    STRETCH_CHUNK rows.  Otherwise the steps are speculative: a lean
+    loop makes each row from the one before (play, value and one-point
+    estimate, or subgradient and its norm), so after a chunk ends early
+    the next is one round long, doubling after each full chunk up to
+    STRETCH_CHUNK.  The rows before the first that needs the rescale to
+    the R-ball, divided by 1 - delta'/r, go to the oracle as one block
+    query through :func:`~pfoco.projection.so_query`, charged the SO
+    calls a per-round loop makes, and each accepted row is its round's
+    input and output.  The round that ends a chunk early (refused, or in
     need of the rescale) takes :func:`~pfoco.projection.cip_so`, which
-    goes on from the refusal the block already has, so no point is
-    queried twice; the next chunk starts from that round's output.
-    Bandit runs and runs on other losses take cip_so on every round.
+    goes on from the block's refusal, so no point is queried twice; the
+    rows after it are thrown away.
 
     The trace records each round's projection input and output as
-    columns (:class:`SoRecords`).  With full information the loop
-    writes only those and each round's SO calls: the plays are the
-    previous outputs, and the losses are one ``values`` call over them.
+    columns (:class:`SoRecords`).  With full information the plays are
+    the previous outputs and the losses one ``values`` call over them,
+    both filled after the loop.
     """
     t0 = time.perf_counter()
     bandit = _is_bandit(params, schedule, rng, so_run)
@@ -611,57 +621,61 @@ def so_run(
     delta, eta = params.delta, params.eta
     dp = params.delta_prime if bandit else 0.0  # exploration radius
     family, rows = schedule.family, schedule.rows
+    known = not bandit and family.kind == "linear"
     counters = OracleCounters()
     ytil = _so_input(set_, r, delta, dp, np.zeros(n))  # checks the parameters once per run
+    scale = 1.0 - dp / r
     calls = np.ones(T, dtype=np.int64)  # SO calls of each round
     so_in, so_out = np.empty((T, n)), np.empty((T, n))
     plays = np.empty((T, n))
     losses = np.empty(T) if bandit else None  # full information: one values call after the loop
     gnorms = None if bandit else np.empty(T)
-    if not bandit and family.kind == "linear":
+    if known:
         # each round's step, as eta * subgrad rounds it: a linear loss's
         # subgradient does not depend on the point
         steps = eta * family.C[rows]
         gnorms[:] = np.sqrt(np.vecdot(family.C, family.C))[rows]
-        t = 0
-        while t < T:
-            Y = so_in[t : t + STRETCH_CHUNK]
-            c = len(Y)
-            Y[:] = steps[t : t + c]
-            Y[0] = ytil - Y[0]
-            np.subtract.accumulate(Y, out=Y)  # row j: the input of round t + j if rounds t..t+j-1 accept theirs
-            unscaled = np.sqrt(np.vecdot(Y, Y)) <= R
-            stop = c if unscaled.all() else int(unscaled.argmin())
-            ans = projection.so_query(set_, Y[:stop], counters) if stop else FEASIBLE
-            k = stop if ans.feasible else ans.row
-            so_out[t : t + k] = Y[:k]
-            t += k
-            if k == c:
-                ytil = Y[c - 1]
-                continue
-            # round t is refused, or (ans feasible) its input needs the rescale
-            res = cip_so(set_, r, delta, dp, so_in[t], counters, first=None if ans.feasible else ans)
-            ytil = so_out[t] = res.y
-            calls[t] = res.so_calls
-            t += 1
     else:
         U = sample_unit_sphere(rng, n, T) if bandit else None
         value, subgrad, row_list = family.value, family.subgrad, rows.tolist()
-        for t in range(T):
-            i = row_list[t]
-            if bandit:
-                z = ytil + dp * U[t]
-                plays[t] = z
-                val = value(i, z)
-                losses[t] = val
-                g = bandit_gradient_estimate(val, U[t], n, dp)
-            else:
-                g = subgrad(i, ytil)
-                gnorms[t] = math.sqrt(g.dot(g))
-            so_in[t] = y_in = ytil - eta * g
-            res = cip_so(set_, r, delta, dp, y_in, counters)
-            ytil = so_out[t] = res.y
-            calls[t] = res.so_calls
+    size = STRETCH_CHUNK
+    t = 0
+    while t < T:
+        Y = so_in[t : t + size]
+        c = len(Y)
+        # row j: the input of round t + j if rounds t..t+j-1 accept theirs
+        if known:
+            Y[:] = steps[t : t + c]
+            Y[0] = ytil - Y[0]
+            np.subtract.accumulate(Y, out=Y)
+        else:
+            y = ytil
+            for s in range(t, t + c):
+                if bandit:
+                    z = plays[s] = y + dp * U[s]
+                    val = losses[s] = value(row_list[s], z)
+                    g = bandit_gradient_estimate(val, U[s], n, dp)
+                else:
+                    g = subgrad(row_list[s], y)
+                    gnorms[s] = math.sqrt(g.dot(g))
+                Y[s - t] = y = y - eta * g
+        # a list: ndarray.all() alone costs about what a 1-row chunk's test does
+        unscaled = (np.sqrt(np.vecdot(Y, Y)) <= R).tolist()
+        stop = unscaled.index(False) if False in unscaled else c
+        ans = projection.so_query(set_, Y[:stop] / scale if dp else Y[:stop], counters) if stop else FEASIBLE
+        k = stop if ans.feasible else ans.row
+        so_out[t : t + k] = Y[:k]
+        t += k
+        if k == c:
+            ytil = Y[c - 1]
+            size = min(2 * size, STRETCH_CHUNK)
+            continue
+        # round t is refused, or (ans feasible) its input needs the rescale
+        res = cip_so(set_, r, delta, dp, so_in[t], counters, first=None if ans.feasible else ans)
+        ytil = so_out[t] = res.y
+        calls[t] = res.so_calls
+        t += 1
+        size = STRETCH_CHUNK if known else 1
     if not bandit:
         # each round plays the previous round's output, from the origin
         plays[0] = 0.0

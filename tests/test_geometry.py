@@ -509,10 +509,7 @@ def test_batched_oracles_equal_row_by_row(kind, squeezed):
             many = getattr(batch, oracle + "_many")(rows)
             one = np.array([getattr(single, oracle)(row) for row in rows])
             assert many.shape == rows.shape
-            if kind == "ball":  # a norm is taken: the row norms may round differently
-                np.testing.assert_allclose(many, one, rtol=1e-15, atol=0.0)
-            else:
-                np.testing.assert_array_equal(many, one)
+            np.testing.assert_array_equal(many, one)
 
 
 def _interval_sums(rng, n, k=120, T=60):

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pfoco import learners
+from pfoco import learners, projection
 from pfoco.geometry import Ball, Box, L1Ball, OracleCounters, squeeze
+from pfoco.harness import run_learner
 from pfoco.learners import (
     STRETCH_CHUNK,
     loo_bbgd_params,
@@ -21,6 +22,7 @@ from pfoco.learners import (
 from pfoco.losses import (
     LinearLosses,
     LossSchedule,
+    QuadraticLosses,
     bandit_gradient_estimate,
     make_iid_absdev_schedule,
     make_iid_linear_schedule,
@@ -211,6 +213,19 @@ def test_ogd_baseline_strongly_convex_step_schedule():
     regret = float(trace.losses.sum() - opt)
     bound = float(np.sum(trace.grad_norms**2 / (2.0 * alpha * np.arange(1, T + 1))))
     assert regret <= bound + 1e-9
+
+
+def test_ogd_wf_records_a_step_schedule_by_its_first_and_last_step():
+    ball = Ball(2, 1.0)
+    for T in (64, 65):
+        sched = make_switching_linear_schedule(T, 2, 1.0, [(T, [1.0, 0.0])])
+        steps = 1.0 / np.arange(1, T + 1)  # alpha = 1
+        decaying = run_learner({"kind": "ogd_wf", "alpha": 1.0}, ball, sched, T, None).params["etas"]
+        constant = run_learner({"kind": "ogd_wf", "eta": 0.1}, ball, sched, T, None).params["etas"]
+        if T <= 64:
+            assert decaying == steps.tolist() and constant == [0.1] * T
+        else:
+            assert decaying == {"first": 1.0, "last": 1.0 / 65} and constant == 0.1
 
 
 # ----------------------------------------------------------------------
@@ -538,27 +553,39 @@ def _per_round_so_run(set_, schedule, params, rng=None):
     return plays, losses, gnorms, so_cum, inputs, outputs, counters
 
 
-def _mixed_runs_on_the_ball(T):
+def _mixed_runs_on_the_ball(T, quadratic=False):
     # one-round runs (iid rows) first, then long runs of equal rows that
-    # carry the iterate from the interior across the sphere
+    # carry the iterate from the interior across the sphere (linear), or
+    # toward targets of norm 2 outside it (quadratic)
     lengths = [1] * 60 + [150, 1, 1, 120, 2, 1, 160, 1, 4]
     assert sum(lengths) == T
     C = sample_unit_sphere(np.random.default_rng(53), 3, len(lengths))
-    return LossSchedule(LinearLosses(C), np.repeat(np.arange(len(lengths)), lengths), [1], G_f=1.0, M=1.0)
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    if quadratic:
+        family = QuadraticLosses(1.0, 2.0 * C)
+        return LossSchedule(family, rows, [1], *family.bounds(1.0))
+    return LossSchedule(LinearLosses(C), rows, [1], G_f=1.0, M=1.0)
 
 
-def _chunk_regimes(schedule, calls, inputs, outputs, R):
-    """The regimes of so_run's chunk pass that a full-information linear
-    run meets, read off its SO columns: chunks start at round 0, after a
-    chunk of STRETCH_CHUNK accepted rounds and after the round that ends
-    a chunk early (refused, or in need of the rescale)."""
+def _chunk_regimes(schedule, calls, inputs, outputs, R, known):
+    """The regimes of so_run's chunk pass that a run meets, read off its
+    SO columns, and the SO calls charged before each block query it
+    makes.  Chunks start at round 0, after a chunk whose every round is
+    accepted and after the round that ends a chunk early (refused, or in
+    need of the rescale).  Known steps take chunks of STRETCH_CHUNK
+    rounds; speculative steps take one round after an early end and
+    double the length after each full chunk, up to STRETCH_CHUNK.  A
+    chunk whose first input needs the rescale makes no block query."""
     accepted = (calls == 1) & np.all(inputs == outputs, axis=1)
-    rescaled = np.linalg.norm(inputs, axis=1) > R
-    starts, t = [], 0
+    rescaled = np.array([math.sqrt(y.dot(y)) > R for y in inputs])
+    starts, t, size = [], 0, STRETCH_CHUNK
     while t < len(calls):
         starts.append(t)
-        run = accepted[t : t + STRETCH_CHUNK]
-        t += len(run) if run.all() else int(run.argmin()) + 1
+        run = accepted[t : t + size]
+        full = run.all()
+        t += len(run) if full else int(run.argmin()) + 1
+        if not known:
+            size = min(2 * size, STRETCH_CHUNK) if full else 1
     starts = np.array(starts)
     last = starts[1:] - 1  # the last round of each chunk but the run's last
     switches = np.flatnonzero(np.diff(schedule.rows)) + 1
@@ -573,7 +600,22 @@ def _chunk_regimes(schedule, calls, inputs, outputs, R):
         "switch_on_chunk_edge": bool(np.intersect1d(switches, starts).size),
         "switch_inside_chunk": bool(np.any(accepted[switches - 1] & accepted[switches] & ~np.isin(switches, starts))),
     }
-    return {name for name, hit in found.items() if hit}
+    queried = np.cumsum(calls) - calls  # SO calls charged before each round
+    return {name for name, hit in found.items() if hit}, queried[starts[~rescaled[starts]]].tolist()
+
+
+def _so_run_recording_blocks(monkeypatch, *args):
+    """so_run, and the SO calls charged before each block query it made."""
+    asked, so_query = [], projection.so_query
+
+    def record(set_, point, counters=None):
+        if np.ndim(point) == 2:
+            asked.append(counters.so_calls)
+        return so_query(set_, point, counters)
+
+    with monkeypatch.context() as m:
+        m.setattr(projection, "so_query", record)
+        return so_run(*args), asked
 
 
 def _pull_heavy():
@@ -587,8 +629,18 @@ def _pull_heavy():
 # feasible stretches, and the longest stretch (110 rounds) spans several
 # STRETCH_CHUNKs
 _SO_SEGMENTS = [(150, [1.0, -0.5, 0.2, 0.4]), (95, [-1.5, 0.3, 1.0, 0.1]), (170, [0.2, 2.0, -0.7, -0.3]), (85, [0.9, 0.4, -1.8, 0.6])]
+_CHUNK_REGIMES = {
+    "full_chunk",
+    "refused_first_row",
+    "refused_later_row",
+    "rescale_first_row",
+    "rescale_stop",
+    "one_round_segment",
+    "switch_on_chunk_edge",
+    "switch_inside_chunk",
+}
 # name: (set, schedule builder, bandit, c (None: the default), the chunk
-# regimes the case must meet (full-information linear cases))
+# regimes the case must meet)
 _SO_CASES = {
     "l1_switching_linear": (
         L1Ball(4, 1.0),
@@ -618,7 +670,15 @@ _SO_CASES = {
         lambda: make_switching_quadratic_schedule(500, 4, 1.0, _SO_SEGMENTS),
         False,
         None,
-        set(),
+        {"full_chunk", "refused_later_row", "switch_inside_chunk"},
+    ),
+    # each long run reaches the sphere toward its target of norm 2
+    "ball_quadratic_runs_and_iid": (
+        Ball(3, 1.0),
+        lambda: _mixed_runs_on_the_ball(500, quadratic=True),
+        False,
+        None,
+        {"rescale_first_row", "rescale_stop", "one_round_segment", "switch_on_chunk_edge"},
     ),
     # a large gain makes the bandit steps long enough to pull
     "l1_switching_linear_bandit": (
@@ -626,27 +686,25 @@ _SO_CASES = {
         lambda: make_switching_linear_schedule(500, 4, 1.0, _SO_SEGMENTS, gain=32.0),
         True,
         0.5,
-        set(),
+        {"refused_first_row", "refused_later_row"},
     ),
 }
 
 
+def _known_steps(case) -> bool:
+    """Whether so_run knows a case's steps before the run."""
+    _, make, bandit, _, _ = case
+    return not bandit and make().kind == "linear"
+
+
 def test_so_cases_cover_every_chunk_regime():
-    covered = set().union(*(case[-1] for case in _SO_CASES.values()))
-    assert covered == {
-        "full_chunk",
-        "refused_first_row",
-        "refused_later_row",
-        "rescale_first_row",
-        "rescale_stop",
-        "one_round_segment",
-        "switch_on_chunk_edge",
-        "switch_inside_chunk",
-    }
+    for known in (True, False):
+        cases = [case for case in _SO_CASES.values() if _known_steps(case) == known]
+        assert set().union(*(case[-1] for case in cases)) == _CHUNK_REGIMES
 
 
 @pytest.mark.parametrize("case", list(_SO_CASES.values()), ids=list(_SO_CASES))
-def test_so_run_equals_the_per_round_loop(case):
+def test_so_run_equals_the_per_round_loop(case, monkeypatch):
     set_, make, bandit, c, regimes = case
     sched = make()
     if bandit:
@@ -654,7 +712,7 @@ def test_so_run_equals_the_per_round_loop(case):
     else:
         params = so_ogd_params(set_, sched.G_f, sched.T, c=c)
     rng = (lambda: np.random.default_rng(9)) if bandit else (lambda: None)
-    trace = so_run(set_, sched, params, rng())
+    trace, asked = _so_run_recording_blocks(monkeypatch, set_, sched, params, rng())
     plays, losses, gnorms, so_cum, inputs, outputs, counters = _per_round_so_run(set_, sched, params, rng())
     assert np.array_equal(trace.plays, plays)
     assert np.array_equal(trace.losses, losses)
@@ -667,34 +725,51 @@ def test_so_run_equals_the_per_round_loop(case):
     assert [rec.so_calls for rec in trace.projections] == calls.tolist()
     # the projections pull on the l1 ball; on the ball the rescale is the projection
     assert (calls.max() > 1) == isinstance(set_, L1Ball)
-    if sched.kind == "linear" and not bandit:
-        assert _chunk_regimes(sched, calls, inputs, outputs, set_.R) >= regimes
+    met, queried = _chunk_regimes(sched, calls, inputs, outputs, set_.R, _known_steps(case))
+    assert met >= regimes
+    assert asked == queried
 
 
 @pytest.mark.parametrize("kind", INTERIOR_KINDS)
-def test_so_run_equals_the_per_round_loop_on_random_sets(kind):
+def test_so_run_equals_the_per_round_loop_on_random_sets(kind, monkeypatch):
     """The chunk pass against one cip_so per round on random sets of
-    each kind, under switching linear losses with steps of R/20 and of
-    R/1e4, so that chunks end at a refusal or the rescale and run full."""
+    each kind, with known steps (full information, switching linear
+    losses) and speculative ones (switching quadratics with targets at
+    2R, and bandit feedback on the linear losses), all with steps of
+    R/20 or of R/1e4, so that chunks end at a refusal or the rescale and
+    run full."""
     rng = np.random.default_rng(79)
-    stops = set()
+    stops = {True: set(), False: set()}
     for _ in range(6):
         set_ = random_set(rng, kind)
         n, T = set_.n, 2 * STRETCH_CHUNK + 40
         segments = [(STRETCH_CHUNK + 5, rng.standard_normal(n)), (STRETCH_CHUNK + 35, rng.standard_normal(n))]
-        sched = make_switching_linear_schedule(T, n, set_.R, segments)
-        params = so_ogd_params(set_, sched.G_f, T, c=float(rng.choice([0.05, 1.0])))
-        params = dataclasses.replace(params, eta=set_.R / rng.choice([20.0, 1e4]))
-        trace = so_run(set_, sched, params)
-        plays, losses, gnorms, so_cum, inputs, outputs, counters = _per_round_so_run(set_, sched, params)
-        assert np.array_equal(trace.plays, plays) and np.array_equal(trace.losses, losses)
-        assert np.array_equal(trace.grad_norms, gnorms) and np.array_equal(trace.so_cum, so_cum)
-        assert trace.counters == counters
-        assert np.array_equal(trace.projections.inputs, inputs)
-        assert np.array_equal(trace.projections.outputs, outputs)
-        stops |= _chunk_regimes(sched, np.diff(so_cum, prepend=0), inputs, outputs, set_.R)
-    assert "full_chunk" in stops
-    assert stops & {"refused_first_row", "refused_later_row", "rescale_first_row", "rescale_stop"}
+        linear = make_switching_linear_schedule(T, n, set_.R, segments)
+        full_info = so_ogd_params(set_, linear.G_f, T, c=float(rng.choice([0.05, 1.0])))
+        eta = set_.R / rng.choice([20.0, 1e4])
+        targets = [(length, 2.0 * set_.R * v / np.linalg.norm(v)) for length, v in segments]
+        quad = make_switching_quadratic_schedule(T, n, set_.R, targets)
+        # at c = 1: a quadratic's step pushes a play on the boundary out every round
+        quad_info = so_ogd_params(set_, quad.G_f, T, c=1.0)
+        bandit = so_bgd_params(set_, linear.M, T, c=0.5, c_prime=set_.r, G_f=linear.G_f)
+        for sched, params, seed in ((linear, full_info, None), (quad, quad_info, None), (linear, bandit, 5)):
+            params = dataclasses.replace(params, eta=eta)
+            play_rng = (lambda: None) if seed is None else (lambda: np.random.default_rng(seed))
+            trace, asked = _so_run_recording_blocks(monkeypatch, set_, sched, params, play_rng())
+            plays, losses, gnorms, so_cum, inputs, outputs, counters = _per_round_so_run(set_, sched, params, play_rng())
+            assert np.array_equal(trace.plays, plays) and np.array_equal(trace.losses, losses)
+            assert (trace.grad_norms is None) if gnorms is None else np.array_equal(trace.grad_norms, gnorms)
+            assert np.array_equal(trace.so_cum, so_cum)
+            assert trace.counters == counters
+            assert np.array_equal(trace.projections.inputs, inputs)
+            assert np.array_equal(trace.projections.outputs, outputs)
+            known = seed is None and sched.kind == "linear"
+            met, queried = _chunk_regimes(sched, np.diff(so_cum, prepend=0), inputs, outputs, set_.R, known)
+            assert asked == queried
+            stops[known] |= met
+    for met in stops.values():
+        assert "full_chunk" in met
+        assert met & {"refused_first_row", "refused_later_row", "rescale_first_row", "rescale_stop"}
 
 
 def test_so_run_checks_the_projection_parameters_once_per_run():
