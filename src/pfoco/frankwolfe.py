@@ -7,7 +7,8 @@ as it can hand its caller something useful for building an infeasible
 projection: either the current iterate is provably within 3*eps of y in
 squared distance ("close"), or the vector y - x separates y from the
 whole set with margin 2*eps.  It terminates within ceil(27 R^2 / eps -
-2) iterations, at one LOO call per iteration (the final check included).
+2) LOO calls: an iterate that is already close stops the run before
+asking the LOO, and every other iterate asks it once.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class SeparationResult:
     ``close`` is True when ||point - y||^2 <= 3*eps; otherwise y - point
     defines a hyperplane separating y from the set with margin > 2*eps:
     (y - z) @ (y - point) > 2*eps for every member z.
-    ``iterations`` equals the LOO calls spent.
+    ``iterations`` equals the LOO calls spent: one per iterate that was
+    not close, so 0 when the starting point already was.
     """
 
     point: Vector
@@ -70,23 +72,24 @@ def separating_hyperplane_fw(
     """Either approach y to within sqrt(3*eps) or certify separation.
 
     Runs Frank-Wolfe from the feasible point x1, stopping at the first
-    iterate whose gap certificate (x - y) @ (x - v) is at most eps or
-    whose squared distance to y is at most 3*eps (the gap test runs
-    first; both comparisons are exact).  Squared distance to y never
-    increases along the way, so the result is at least as close to y as
-    x1 was.
+    iterate whose squared distance to y is at most 3*eps, tested before
+    the LOO is asked, or whose gap certificate (x - y) @ (x - v) is at
+    most eps (both comparisons are exact): the paper's points and close
+    flags, at one LOO call fewer on a run that ends close.  Squared
+    distance to y never increases along the way, so the result is at
+    least as close to y as x1 was.
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
     x = np.array(x1, dtype=np.float64)
     cap = 10 * fw_stop_ceiling(set_.R, eps)
     i = 0
-    while True:
+    while float((x - y) @ (x - y)) > 3.0 * eps:
         i += 1
         v = loo_query(set_, x - y, counters)
         gap = float((x - y) @ (x - v))
-        if gap <= eps or float((x - y) @ (x - y)) <= 3.0 * eps:
-            return SeparationResult(point=x, close=float((x - y) @ (x - y)) <= 3.0 * eps, iterations=i)
+        if gap <= eps:
+            return SeparationResult(point=x, close=False, iterations=i)
         if i >= cap:
             raise OracleContractError(
                 "nearest-point loop exceeded 10x its certified ceiling",
@@ -98,3 +101,4 @@ def separating_hyperplane_fw(
             )
         sigma = exact_line_search_quadratic(x, v, y)
         x = x + sigma * (v - x)
+    return SeparationResult(point=x, close=True, iterations=i)

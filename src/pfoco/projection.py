@@ -10,8 +10,8 @@ certificate of proximity.  Two constructions:
   a pair (x, y) with x feasible and ||x - y||^2 <= 3*eps, alternating
   early-stopped Frank-Wolfe runs with small pulls of y toward x.  Once a
   run certifies separation, every later run is known to return x after
-  one LOO call, so those passes are implied: they pull y and cost no
-  call.
+  at most one LOO call, so those passes are implied: they pull y and
+  cost no call.
 
 * :func:`cip_so` uses only the separation oracle.  It returns a single
   point inside (1 - delta_prime/r) K, repeatedly stepping against
@@ -74,7 +74,8 @@ class LooProjection:
     ``fw_iterations`` and ``anchor_dists`` hold one entry per outer pass;
     an ``fw_iterations`` entry is the LOO calls of that pass's Frank-Wolfe
     run, or 0 for an implied pass (one that follows a separating run and
-    spends no call).  ``loo_calls`` is their sum.
+    spends no call) or for a run whose start was already close.
+    ``loo_calls`` is their sum.
     """
 
     x: Vector
@@ -109,8 +110,10 @@ def cip_loo(
     pair, gamma = 2*eps / ||x0 - y0||^2.  A Frank-Wolfe run is made on the
     first pass and after each run that ends close; every pass after a run
     that ends separated is implied, with x kept, 0 LOO calls and an
-    ``fw_iterations`` entry of 0.  x, y and the pass count are those of
-    the paper's loop, which runs Frank-Wolfe on every pass.
+    ``fw_iterations`` entry of 0.  A run asks no LOO at an iterate that
+    is already close, so one that ends close spends one call fewer than
+    the paper's run.  x, y and the pass count are those of the paper's
+    loop, which runs Frank-Wolfe on every pass and asks the LOO first.
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
@@ -145,8 +148,9 @@ def cip_loo(
     # <= eps for v = LOO(x - y).  The pull makes the next query
     # x - y' = (1 - gamma)(x - y): the LOO argmin is scale invariant, so v
     # still answers it, and the gap is (1 - gamma) times the old one, still
-    # <= eps.  That run would return x after one LOO call, and so would every
-    # later one: each pass after a separating run is implied and costs none.
+    # <= eps.  That run would return x after at most one LOO call, and so
+    # would every later one: each pass after a separating run is implied and
+    # costs none.
     # ``separated`` follows the run's own dot-based close flag; where the norm
     # test below disagrees with it in the last bit, x was never certified and
     # the next pass runs Frank-Wolfe again.

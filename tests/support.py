@@ -9,7 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from pfoco.frankwolfe import exact_line_search_quadratic, separating_hyperplane_fw
+from pfoco import projection
+from pfoco.frankwolfe import SeparationResult, exact_line_search_quadratic, separating_hyperplane_fw
 from pfoco.geometry import (
     FEASIBLE,
     Ball,
@@ -194,9 +195,13 @@ def fw_iteration_ceiling(R, eps):
 
 
 def check_cip_loo_record(rec):
-    """Per-invocation certified ceilings for the LOO-based projection."""
+    """Per-invocation certified ceilings for the LOO-based projection,
+    and the record's own bookkeeping: one ``fw_iterations`` and one
+    ``anchor_dists`` entry per pass, summing to ``loo_calls``."""
     eps = rec.eps
     d2 = rec.input_dist_sq
+    assert sum(rec.fw_iterations) == rec.loo_calls
+    assert len(rec.fw_iterations) == len(rec.anchor_dists) == rec.outer_iterations
     for it in rec.fw_iterations:
         ceil_fw = fw_iteration_ceiling(rec.set_R, eps)
         assert it <= ceil_fw, f"inner loop used {it} LOO calls, ceiling {ceil_fw}"
@@ -213,11 +218,43 @@ def check_cip_loo_record(rec):
             assert dist <= d0 + 1e-9
 
 
+def separating_hyperplane_fw_literal(set_, x1, y, eps, counters=None):
+    """The separating-hyperplane Frank-Wolfe run in the paper's order:
+    every iterate asks the LOO first, then the run stops on the gap test
+    or the distance test.  The reference that ``separating_hyperplane_fw``
+    must match bit for bit in its point and close flag, at one LOO call
+    more on a run that ends close."""
+    x = np.array(x1, dtype=np.float64)
+    cap = 10 * fw_iteration_ceiling(set_.R, eps)
+    for i in range(1, cap + 1):
+        v = loo_query(set_, x - y, counters)
+        close = float((x - y) @ (x - y)) <= 3.0 * eps
+        if close or float((x - y) @ (x - v)) <= eps:
+            return SeparationResult(point=x, close=close, iterations=i)
+        x = x + exact_line_search_quadratic(x, v, y) * (v - x)
+    raise AssertionError("the literal run exceeded 10x its certified ceiling")
+
+
+def record_fw_runs(monkeypatch):
+    """Wrap the Frank-Wolfe run that ``cip_loo`` calls: every result it
+    returns is appended to the returned list."""
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(separating_hyperplane_fw(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(projection, "separating_hyperplane_fw", recorded)
+    return runs
+
+
 def cip_loo_literal(set_, x0, y0, eps, counters=None):
     """The LOO-based projection as the paper states it: a separating-
-    hyperplane Frank-Wolfe run on every outer pass, none of them implied.
-    The reference that ``cip_loo`` must match bit for bit in x, y and its
-    pass count, at a higher LOO bill."""
+    hyperplane Frank-Wolfe run in the paper's order on every outer pass,
+    none of them implied.  The reference that ``cip_loo`` must match bit
+    for bit in x, y, its pass count and its anchor distances; its LOO
+    bill is higher by one call per implied pass and one per run that
+    ends close."""
     x = np.array(x0, dtype=np.float64)
     y_in = np.asarray(y0, dtype=np.float64)
     d2 = float((x - y_in) @ (x - y_in))
@@ -232,7 +269,7 @@ def cip_loo_literal(set_, x0, y0, eps, counters=None):
     k = 0
     while True:
         k += 1
-        inner = separating_hyperplane_fw(set_, x, y, eps, counters)
+        inner = separating_hyperplane_fw_literal(set_, x, y, eps, counters)
         x = inner.point
         res.fw_iterations.append(inner.iterations)
         res.loo_calls += inner.iterations

@@ -6,8 +6,14 @@ from pfoco.frankwolfe import (
     fw_stop_ceiling,
     separating_hyperplane_fw,
 )
-from pfoco.geometry import Ball, OracleCounters, loo_query
-from support import SET_KINDS, frank_wolfe_min_distance, random_set, sample_members
+from pfoco.geometry import Ball, OracleCounters, loo_query, squeeze
+from support import (
+    SET_KINDS,
+    frank_wolfe_min_distance,
+    random_set,
+    sample_members,
+    separating_hyperplane_fw_literal,
+)
 
 
 def test_line_search_closed_form():
@@ -123,6 +129,36 @@ def test_separating_run_contract_on_random_instances():
                 w = y - res.point
                 z_star = loo_query(set_, -w)
                 assert float((y - z_star) @ w) > 2.0 * eps - 1e-9
+
+
+def test_separating_run_equals_the_paper_order_less_the_close_call():
+    # the paper's run asks the LOO before its distance test, so a run that
+    # ends close pays for an answer it never reads: the same point and flag,
+    # one call fewer, and none at all when the start is already close
+    rng = np.random.default_rng(53)
+    sets = [random_set(rng, kind) for kind in SET_KINDS for _ in range(4)]
+    sets += [squeeze(random_set(rng, kind), 0.7) for kind in ("l1", "polytope") for _ in range(2)]
+    ends = {"separated": 0, "close": 0, "started close": 0}
+    for set_ in sets:
+        R = set_.R
+        for _ in range(6):
+            x1 = sample_members(set_, rng, 1)[0]
+            y = x1 + rng.standard_normal(set_.n) * rng.uniform(0.02, 1.5) * R
+            eps = rng.uniform(0.005, 0.1) * R * R
+            counters, ref_counters = OracleCounters(), OracleCounters()
+            res = separating_hyperplane_fw(set_, x1, y, eps, counters)
+            ref = separating_hyperplane_fw_literal(set_, x1, y, eps, ref_counters)
+            assert np.array_equal(res.point, ref.point)
+            assert res.close == ref.close
+            assert res.iterations == counters.loo_calls
+            assert ref.iterations == ref_counters.loo_calls
+            assert res.iterations == ref.iterations - res.close
+            if float((x1 - y) @ (x1 - y)) <= 3.0 * eps:
+                assert res.close and res.iterations == 0 and counters == OracleCounters()
+                ends["started close"] += 1
+            else:
+                ends["close" if res.close else "separated"] += 1
+    assert min(ends.values()) > 0, ends
 
 
 def test_separating_run_rejects_bad_eps():

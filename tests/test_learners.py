@@ -39,6 +39,7 @@ from support import (
     cip_loo_literal,
     make_polytope,
     random_set,
+    record_fw_runs,
     record_outward_schedule,
 )
 
@@ -421,18 +422,26 @@ def test_loo_run_bandit_blocks_equal_the_per_round_loop(make, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["l1", "polytope"])
 def test_loo_run_equals_the_paper_literal_projection(kind, monkeypatch):
-    # implied pull-loop passes save LOO calls and change nothing else
+    # implied pull-loop passes and the LOO call skipped at a close iterate
+    # save LOO calls and change nothing else
     set_ = L1Ball(3, 1.0) if kind == "l1" else make_polytope(np.random.default_rng(71), 3)
     sched = make_switching_linear_schedule(250, 3, set_.R, _SEGMENTS, gain=2.0)
     params = loo_bogd_params(set_, sched.G_f, sched.T, eta=0.05, eps=0.01, K=40)
+    runs = record_fw_runs(monkeypatch)
     trace = loo_run(set_, sched, params)
     monkeypatch.setattr(learners, "cip_loo", cip_loo_literal)
     ref = loo_run(set_, sched, params)
     assert np.array_equal(trace.plays, ref.plays) and np.array_equal(trace.losses, ref.losses)
     assert np.array_equal(trace.block_index, ref.block_index)
-    implied = sum(rec.fw_iterations.count(0) for rec in trace.projections)
+    for rec, ref_rec in zip(trace.projections, ref.projections, strict=True):
+        assert np.array_equal(rec.x, ref_rec.x) and np.array_equal(rec.y, ref_rec.y)
+        assert rec.outer_iterations == ref_rec.outer_iterations
+        assert rec.anchor_dists == ref_rec.anchor_dists
+    implied = sum(rec.outer_iterations for rec in trace.projections) - len(runs)
+    close_runs = sum(run.close for run in runs)
     assert implied > 0
-    assert trace.counters.loo_calls == ref.counters.loo_calls - implied
+    assert close_runs > 0 or kind == "polytope"  # every polytope run ends separated
+    assert ref.counters.loo_calls == trace.counters.loo_calls + implied + close_runs
 
 
 def test_loo_bogd_strongly_convex_schedule_arrays():

@@ -21,6 +21,7 @@ from support import (
     check_cip_so_record,
     cip_loo_literal,
     random_set,
+    record_fw_runs,
     sample_members,
 )
 
@@ -141,15 +142,18 @@ def test_cip_loo_pull_iterations_strictly_approach_the_set():
             pytest.fail("pull loop failed to finish in 200 passes")
 
 
-def test_cip_loo_matches_the_paper_literal_loop():
+def test_cip_loo_matches_the_paper_literal_loop(monkeypatch):
     # cip_loo skips the Frank-Wolfe run of every pass after a separating
-    # one; the paper's loop runs it, pays one LOO call for it and gets x
-    # back unchanged.  Chains of projections (each anchored at the last
-    # one's x) also catch an implied pass that leaks into the next call.
+    # one, where the paper's loop pays one LOO call for it and gets x back
+    # unchanged; and its runs skip the LOO call the paper's run makes at
+    # an iterate that is already close.  Chains of projections (each
+    # anchored at the last one's x) also catch an implied pass that leaks
+    # into the next call.
     rng = np.random.default_rng(67)
     sets = [random_set(rng, kind) for kind in SET_KINDS for _ in range(3)]
     sets += [squeeze(random_set(rng, kind), 0.7) for kind in ("l1", "polytope")]
-    implied = 0
+    runs = record_fw_runs(monkeypatch)
+    implied = close_runs = 0
     for set_ in sets:
         R = set_.R
         x = sample_members(set_, rng, 1)[0]
@@ -157,20 +161,34 @@ def test_cip_loo_matches_the_paper_literal_loop():
             y0 = rng.standard_normal(set_.n) * rng.uniform(0.5, 2.0) * R
             eps = rng.uniform(0.005, 0.05) * R * R
             counters, ref_counters = OracleCounters(), OracleCounters()
+            runs.clear()
             res = cip_loo(set_, x, y0, eps, counters)
             ref = cip_loo_literal(set_, x, y0, eps, ref_counters)
             assert np.array_equal(res.x, ref.x) and np.array_equal(res.y, ref.y)
             assert res.outer_iterations == ref.outer_iterations
             assert res.anchor_dists == ref.anchor_dists
-            zeros = res.fw_iterations.count(0)
-            assert res.loo_calls == counters.loo_calls == ref.loo_calls - zeros
+            assert res.loo_calls == counters.loo_calls
             assert ref_counters.loo_calls == ref.loo_calls
+            # passes run Frank-Wolfe until one ends separated; the rest are implied
+            made = iter(runs)
+            separated = False
             for it, ref_it in zip(res.fw_iterations, ref.fw_iterations, strict=True):
-                assert it == ref_it or (it == 0 and ref_it == 1)
+                if separated:
+                    assert (it, ref_it) == (0, 1)
+                    continue
+                run = next(made)
+                assert it == run.iterations == ref_it - run.close
+                separated = not run.close
+            assert next(made, None) is None
+            n_implied = res.outer_iterations - len(runs)
+            n_close = sum(run.close for run in runs)
+            assert ref.loo_calls == res.loo_calls + n_implied + n_close
             check_cip_loo_record(res)
-            implied += zeros
+            check_cip_loo_record(ref)
+            implied += n_implied
+            close_runs += n_close
             x = res.x
-    assert implied > 0
+    assert implied > 0 and close_runs > 0
 
 
 # ----------------------------------------------------------------------
