@@ -23,6 +23,7 @@ budget ceiling was exceeded at runtime).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,7 +49,11 @@ from .harness import (
 from .learners import LEARNERS, theoretical_bounds
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, and an in-process ``main`` call would otherwise
+    spend about 0.8 ms building it again."""
     p = argparse.ArgumentParser(prog="pfoco", description="Projection-free online convex optimization benchmarks.")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -32,12 +32,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import os
-import shutil
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -568,29 +565,21 @@ def interval_regret_report(
 
 
 _TRACE_HEADER = ["t", "x", "loss", "loo_calls_cum", "so_calls_cum", "block_index"]
-_TRACE_CHUNK = 1024  # rows per chunk; bounds the Python objects alive at once
-# Formatted rows from which a forked child formats half a trace: fork and
-# reap cost 1-3.5 ms, a formatted row about 9 us.
-_TRACE_SPLIT_ROWS = 2048
+_TRACE_CHUNK = 1024  # formatted rows per chunk; bounds the buffers alive at once
 
 
 def write_trace_csv(trace: RunTrace, path: str) -> None:
     """Columns: t, x (semicolon-joined, 17 significant digits), loss,
     loo_calls_cum, so_calls_cum, block_index; LF line endings.
 
-    Rows go out in chunks of ``_TRACE_CHUNK``.  Within a chunk, a run of
-    two or more rows whose fields after t are bit-for-bit equal (a
-    blocked learner holds its point for a block) has that tail formatted
-    once, and each of its lines is t plus the tail; each stretch of
-    other rows is one ``%`` format of a repeated row template.  No field
-    can hold a comma, quote or line break, so the bytes are those a
-    ``csv.writer`` would write.
-
-    When at least ``_TRACE_SPLIT_ROWS`` rows are formatted one by one,
-    ``os.fork`` exists and the process may run on two or more CPUs, a
-    forked child formats the chunks after the edge that halves those
-    rows while this process formats the ones before it; the file's bytes
-    are the same either way.
+    A run of two or more rows whose fields after t are bit-for-bit equal
+    (a blocked learner holds its point for a block) has its first row
+    formatted once, and each of its lines is t plus that row's tail; no
+    run is longer than ``_TRACE_CHUNK`` rows.  The first rows of the runs
+    are formatted ``_TRACE_CHUNK`` at a time by :class:`_RowFormatter`,
+    whose floats are the bytes of ``'%.17g' % x`` and whose integers
+    those of ``'%d' % c``.  No field can hold a comma, quote or line
+    break, so the bytes are those a ``csv.writer`` would write.
 
     The rows go to a temporary file beside ``path`` that replaces it only
     once every row is written (see :func:`_replacing`)."""
@@ -600,26 +589,41 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
     plays, losses = trace.plays.view(np.uint64), trace.losses.view(np.uint64)
     same = np.zeros(T, dtype=bool)
     same[1:] = (plays[1:] == plays[:-1]).all(axis=1) & (losses[1:] == losses[:-1])
-    for c in (trace.loo_cum, trace.so_cum, trace.block_index):
+    counts = (trace.loo_cum, trace.so_cum, trace.block_index)
+    for c in counts:
         same[1:] &= c[1:] == c[:-1]
-    same[::_TRACE_CHUNK] = False  # runs end at chunk edges
+    same[::_TRACE_CHUNK] = False  # no run is longer than a chunk
+    first = np.flatnonzero(~same)  # the first row of each run
+    length = np.diff(first, append=T)
+    rows = _RowFormatter(trace.plays.shape[1], min(len(first), _TRACE_CHUNK))
     with _replacing(path) as fh:
-        fh.write(",".join(_TRACE_HEADER) + "\n")
-        split = _split_row(same)
-        if split is None:
-            _write_chunks(trace, same, 0, T, fh.write)
-        else:
-            _write_halves(trace, same, split, fh, path)
+        fh.write((",".join(_TRACE_HEADER) + "\n").encode())
+        for lo in range(0, len(first), _TRACE_CHUNK):
+            pick = first[lo : lo + _TRACE_CHUNK]
+            text = rows.format(pick + 1, trace.plays[pick], trace.losses[pick], [c[pick] for c in counts])
+            runs = np.flatnonzero(length[lo : lo + _TRACE_CHUNK] > 1)
+            if not runs.size:
+                fh.write(text)
+                continue
+            lines = text.splitlines(keepends=True)
+            a = 0  # lines before a are written
+            for k, count in zip(runs.tolist(), length[lo + runs].tolist()):
+                fh.write(b"".join(lines[a:k]))
+                t = int(pick[k]) + 1
+                line_end = b"," + lines[k].split(b",", 1)[1]
+                fh.write((b"%d" + line_end) * count % tuple(range(t, t + count)))
+                a = k + 1
+            fh.write(b"".join(lines[a:]))
 
 
 @contextlib.contextmanager
 def _replacing(path: str):
-    """A text file, open for writing beside ``path``, that is renamed onto
-    ``path`` when the block completes.  On any failure it is removed and
-    ``path`` keeps what it held, so no reader sees a partial file."""
+    """A binary file, open for writing beside ``path``, that is renamed
+    onto ``path`` when the block completes.  On any failure it is removed
+    and ``path`` keeps what it held, so no reader sees a partial file."""
     part = f"{path}.{os.getpid()}.part"
     try:
-        with open(part, "w", newline="") as fh:
+        with open(part, "wb") as fh:
             yield fh
         os.replace(part, path)
     except BaseException:
@@ -628,86 +632,172 @@ def _replacing(path: str):
         raise
 
 
-def _split_row(same: np.ndarray) -> Optional[int]:
-    """The chunk edge that halves the rows formatted one by one, or None
-    when the trace stays in this process."""
-    formatted = np.cumsum(~same)
-    if formatted[-1] < _TRACE_SPLIT_ROWS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return None
-    if len(os.sched_getaffinity(0)) < 2:
-        return None
-    edges = np.arange(_TRACE_CHUNK, len(same), _TRACE_CHUNK)
-    return int(edges[np.argmin(np.abs(2 * formatted[edges - 1] - formatted[-1]))])
+# A field of a formatted row is a slot of 64-bit little-endian words whose
+# unused bytes are NUL; the last byte of the slot is the separator after
+# the field.
+def _words(byte_rows: np.ndarray) -> np.ndarray:
+    """An (m, 8k) array of byte values as k tables of m words: table w
+    holds bytes 8w to 8w + 7 of each row, so that a lookup is one gather."""
+    return byte_rows.astype(np.uint8).view("<u8").astype(np.uint64).T.copy()
 
 
-def _write_halves(trace: RunTrace, same: np.ndarray, split: int, fh, path: str) -> None:
-    """Rows from ``split`` on are formatted by a forked child into an
-    anonymous temporary file beside ``path`` while this process writes
-    the rows before it to ``fh``; the child's text is then appended.
-
-    The child only formats and writes its file.  It prints, logs and
-    calls no BLAS routine (a fork of a process with threads must not
-    wait on their locks), and it leaves through ``os._exit``, so no exit
-    handler runs and no inherited buffer is flushed twice."""
-    fh.flush()  # the child inherits no unwritten bytes
-    with tempfile.TemporaryFile("w+", newline="", dir=os.path.dirname(os.path.abspath(path))) as part:
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: format every row here
-            _write_chunks(trace, same, 0, trace.T, fh.write)
-            return
-        if pid == 0:
-            status = 1
-            try:
-                _write_chunks(trace, same, split, trace.T, part.write)
-                part.flush()
-                status = 0
-            finally:
-                os._exit(status)
-        try:
-            _write_chunks(trace, same, 0, split, fh.write)
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if status:
-            raise OSError(
-                f"{path}: the process formatting rows {split + 1}-{trace.T} "
-                f"exited with status {os.waitstatus_to_exitcode(status)}"
-            )
-        part.seek(0)
-        shutil.copyfileobj(part, fh)
+_J = np.arange(24)  # the bytes of a block of three words
+# _FROM[w][k] keeps the bytes from byte k on in word w of a block.
+_FROM = _words(0xFF * (_J >= np.arange(25)[:, None]))
+# A float of decimal exponent e = -4..16 whose 17 significant digits end in
+# z = 0..16 zeros has layout (e + 4) * 17 + z: its digits are written up to
+# the k-th, k = max(e + 1, 17 - z).  The digits are bytes 3-19 of a block, or
+# bytes 4-20 once shifted a byte; the layout keeps the digits before the
+# point from the first and the fraction from the second, puts the point at
+# the byte between them, and has the slot start with a word of the sign
+# byte and, when e < 0, "0." and -e - 1 zeros.
+_E = np.arange(-4, 17)[:, None, None]
+_K = np.maximum(_E + 1, 17 - np.arange(17)[None, :, None])
+_INTEGER = _words(0xFF * ((3 <= _J) & (_J < np.where(_E < 0, _K, _E + 1) + 3)).reshape(-1, 24))
+_FRACTION = _words(0xFF * ((np.where(_E < 0, 24, _E + 5) <= _J) & (_J < _K + 4)).reshape(-1, 24))
+_POINT = _words(ord(".") * (_J == np.where((_E >= 0) & (_K > _E + 1), _E + 4, 24)).reshape(-1, 24))
+_LEAD = np.where(_J[:8] == 2, ord("."), ord("0")) * ((_E < 0) & (1 <= _J[:8]) & (_J[:8] <= 1 - _E))
+_LEAD = _words(np.broadcast_to(_LEAD, (21, 17, 8)).reshape(-1, 8))[0]
+# ASCII digits of every 4-digit group as a little-endian word, and the
+# number of trailing zeros of each group (4 for 0000).
+_GROUP = np.arange(10_000, dtype=np.int16)  # int16: the (10,000, 4) temporaries take 80 KB, not 320 KB
+_DIGITS4 = (_GROUP[:, None] // np.int16([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8).view("<u4").ravel().astype(np.uint64)
+_ZEROS4 = sum((_GROUP % 10**j == 0).astype(np.uint8) for j in range(1, 5))
+_POW10 = np.cumprod(np.append(1.0, np.full(22, 10.0)))  # 10**0 .. 10**22, each exact
+_POW10_INT = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10**1 .. 10**19
+_FLOAT_WORDS, _INT_WORDS = 4, 3
 
 
-def _write_chunks(trace: RunTrace, same: np.ndarray, start: int, stop: int, write) -> None:
-    """Rows ``start``..``stop - 1`` (``start`` on a chunk edge), one
-    chunk at a time, through ``write``."""
-    tail = ";".join(["%.17g"] * trace.plays.shape[1]) + ",%.17g,%d,%d,%d\n"
-    row = "%d," + tail
-    counts = (trace.loo_cum, trace.so_cum, trace.block_index)
-    for lo in range(start, stop, _TRACE_CHUNK):
-        hi = min(lo + _TRACE_CHUNK, stop)
-        first = lo + np.flatnonzero(~same[lo:hi])  # the first row of each run
-        length = np.diff(first, append=hi)
-        pick = slice(lo, hi) if len(first) == hi - lo else first  # no copy when no row repeats
-        columns = (  # t and the fields of each run's first row
-            (first + 1).tolist(),
-            *trace.plays[pick].T.tolist(),
-            trace.losses[pick].tolist(),
-            *(c[pick].tolist() for c in counts),
-        )
-        a = 0  # runs before a are written
-        runs = np.flatnonzero(length > 1)
-        for k, count in zip(runs.tolist(), length[runs].tolist()):
-            write(_format_runs(row, columns, a, k))
-            t = columns[0][k]
-            line_end = "," + tail % tuple(c[k] for c in columns[1:])
-            write(line_end.join(map(str, range(t, t + count))) + line_end)
-            a = k + 1
-        write(_format_runs(row, columns, a, len(first)))
+def _split(a):
+    """Veltkamp's split of doubles into halves of 26 bits: a = hi + lo."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-def _format_runs(row: str, columns: tuple, a: int, b: int) -> str:
-    """Runs a..b-1 of a chunk, one row each, in one ``%`` format."""
-    return (row * (b - a)) % tuple(itertools.chain.from_iterable(itertools.islice(zip(*columns), a, b)))
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**p as an unevaluated sum h + l of doubles, exactly (Dekker's
+    two-product; 0 <= p <= 22, so 10**p is a double)."""
+    h = a * _POW10[p]
+    ah, al = _split(a)
+    bh, bl = _POW10_HI[p], _POW10_LO[p]
+    return h, ((ah * bh - h) + ah * bl + al * bh) + al * bl
+
+
+def _digit_words(u: np.ndarray) -> tuple[tuple, list]:
+    """The 20 ASCII decimal digits of each uint64 u < 10**20, leading
+    zeros included, as three words (bytes 0-19 of a block), and the last
+    four of its 4-digit groups.  (NumPy divides by a constant quickly,
+    but not so its remainder.)"""
+    top = u // np.uint64(10**16)
+    rest = u - top * np.uint64(10**16)
+    hi = rest // np.uint64(10**8)
+    lo = rest - hi * np.uint64(10**8)
+    g = []
+    for v in (hi, lo):
+        q = v // np.uint64(10**4)
+        g += [q.view(np.int64), (v - q * np.uint64(10**4)).view(np.int64)]  # int64 indexes twice as fast
+    D = _DIGITS4
+    return (D[top.view(np.int64)] | D[g[0]] << 32, D[g[1]] | D[g[2]] << 32, D[g[3]]), g
+
+
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """The bytes of ``'%.17g' % x`` in a slot of four words.
+
+    For 1e-4 <= |x| < 1e16 (and for zeros) the 17 significant digits are
+    N = round-half-even(|x| * 10**(16 - e)) for the decimal exponent e,
+    from an exact two-term product; a carry to 10**17 moves e up by one.
+    They are written in fixed notation, as ``%g`` writes them below
+    exponent 17: "0." and -e - 1 zeros first when e < 0, a point after
+    digit e when a fraction digit is left, trailing fraction zeros
+    dropped.  Every other value (scientific notation, subnormals, inf
+    and nan) is formatted by ``'%.17g'`` itself, one element at a time."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    zero = a == 0
+    a[~fast] = 1.0  # so e = 0 for a zero
+    e = np.floor(np.log10(a)).astype(np.int64)  # may be one off near a power of ten
+    h, l = _scaled(a, 16 - e)
+    N = h.astype(np.int64) + np.rint(l).astype(np.int64)  # h is an even integer when h >= 1e16
+    # Take again at the exponent below a value whose exact scaled value is
+    # under 10**16, and at the one above a value whose N has 18 digits or
+    # carries to 10**17 (here only an exact power of ten whose e is one low:
+    # no other double in this range lies within 5e-18 below a power of ten).
+    low = (h < 1e16) | ((h == 1e16) & (l < 0))
+    off = low | (N >= 10**17)
+    if off.any():
+        e[off] += np.where(low[off], -1, 1)
+        h, l = _scaled(a[off], 16 - e[off])
+        N[off] = h.astype(np.int64) + np.rint(l).astype(np.int64)
+    N[zero] = 0
+    digits, g = _digit_words(N.view(np.uint64))
+    shifted = (digits[0] << 8, digits[1] << 8 | digits[0] >> 56, digits[2] << 8 | digits[1] >> 56)
+    z = [_ZEROS4[gi] for gi in g]
+    layout = (e + 4) * 17 + z[3] + (g[3] == 0) * (z[2] + (g[2] == 0) * (z[1] + (g[1] == 0) * z[0]))
+    out = np.empty(x.shape + (_FLOAT_WORDS,), dtype=np.uint64)
+    out[..., 0] = _LEAD[layout] | np.signbit(x) * np.uint64(ord("-"))
+    for w in range(3):
+        out[..., w + 1] = digits[w] & _INTEGER[w][layout] | shifted[w] & _FRACTION[w][layout] | _POINT[w][layout]
+    other = ~(fast | zero)
+    if other.any():
+        text = np.array(["%.17g" % v for v in x[other].tolist()], dtype="S24")
+        out[other, :3] = text.view("<u8").reshape(-1, 3)
+        out[other, 3] = 0
+    return out
+
+
+def _int_words(c: np.ndarray) -> np.ndarray:
+    """The bytes of ``'%d' % c`` for int64 c in a slot of three words."""
+    u = c.astype(np.uint64)
+    negative = c < 0
+    np.negative(u, out=u, where=negative)  # |c|, 2**63 included
+    digits, _ = _digit_words(u)
+    first = 19 - np.searchsorted(_POW10_INT, u, side="right")  # the first of the 20 digits that is written
+    out = np.empty(c.shape + (_INT_WORDS,), dtype=np.uint64)
+    for w in range(3):
+        out[..., w] = digits[w] & _FROM[w][first]
+    out[..., 0] |= negative * np.uint64(ord("-"))  # u < 10**19: byte 0 is a leading zero
+    return out
+
+
+class _RowFormatter:
+    """Trace rows of an n-dimensional play formatted as text, up to
+    ``rows`` at a time, in buffers allocated once.
+
+    A row is t, the n coordinates of x and the loss, and the three
+    counts, each in its slot of words with its separator in
+    the slot's last byte; one ``bytes.translate`` deletes the NULs of
+    every row at once."""
+
+    def __init__(self, n: int, rows: int):
+        self.n = n
+        self.floats = np.empty((rows, n + 1))
+        self.ints = np.empty((rows, 4), dtype=np.int64)
+        self.f0 = _INT_WORDS  # the first word of x
+        self.c0 = self.f0 + (n + 1) * _FLOAT_WORDS  # the first word of the counts
+        slots = [_INT_WORDS] + [_FLOAT_WORDS] * (n + 1) + [_INT_WORDS] * 3
+        self.words = np.empty((rows, sum(slots)), dtype="<u8")
+        self.seps = np.zeros(sum(slots), dtype=np.uint64)  # in the top byte of each slot's last word
+        self.seps[np.cumsum(slots) - 1] = [ord(c) << 56 for c in "," + ";" * (n - 1) + ",,,,\n"]
+
+    def format(self, t: np.ndarray, plays: np.ndarray, losses: np.ndarray, counts: list) -> bytes:
+        """Lines t[i],plays[i],losses[i],counts[0][i],... for every i, as bytes."""
+        r = len(t)
+        floats, ints, words = self.floats[:r], self.ints[:r], self.words[:r]
+        floats[:, : self.n] = plays
+        floats[:, self.n] = losses
+        ints[:, 0] = t
+        for j, c in enumerate(counts, start=1):
+            ints[:, j] = c
+        iw = _int_words(ints)
+        words[:, : self.f0] = iw[:, 0]
+        words[:, self.f0 : self.c0] = _float_words(floats).reshape(r, -1)
+        words[:, self.c0 :] = iw[:, 1:].reshape(r, -1)
+        words |= self.seps
+        return words.tobytes().translate(None, b"\0")
 
 
 def read_trace_csv(path: str) -> RunTrace:
@@ -811,6 +901,5 @@ def write_run_outputs(out_dir: str, base: str, trace: RunTrace, summary: dict) -
     summary_path = os.path.join(out_dir, base + ".summary.json")
     write_trace_csv(trace, trace_path)
     with _replacing(summary_path) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
     return trace_path, summary_path

@@ -48,25 +48,6 @@ from .geometry import (
 )
 
 
-def pull_toward(y: Vector, g: Vector, Q: float, C: float) -> Vector:
-    """One separation-certified pull step.
-
-    If (y - z) @ g >= Q >= 0 for every z in K and C >= ||g||, then the
-    returned point ytil = y - (Q/C^2) g satisfies, for every z in K,
-    ||ytil - z||^2 <= ||y - z||^2 - (Q/C)^2.
-    """
-    y = as_vector(y)
-    g = as_vector(g)
-    if Q < 0:
-        raise ValueError("Q must be nonnegative")
-    gn = math.sqrt(g.dot(g))
-    if not (C > 0):
-        raise ValueError("C must be positive")
-    if gn > C * (1.0 + 1e-12):
-        raise ValueError("C must upper-bound ||g||")
-    return y - (Q / (C * C)) * g
-
-
 @dataclasses.dataclass
 class LooProjection:
     """Result and diagnostics of one cip_loo invocation.
@@ -262,8 +243,10 @@ def cip_so(
         gn = math.sqrt(g.dot(g))
         if gn == 0.0:
             raise OracleContractError("separation oracle returned a zero normal", iterations=calls)
-        # pull_toward's step; its preconditions hold by construction
-        # (Q = gain * gn >= 0 and C = gn = ||g|| > 0)
+        # a separation-certified pull y - (Q/C^2) g with Q = gain * gn and
+        # C = gn = ||g||: the squared distance to every member of the
+        # target set falls by (Q/C)^2 = gain^2 (pull_toward in
+        # tests/support.py is the reference)
         y = y - ((gain * gn) / (gn * gn)) * g
         calls += 1
         if calls > cap:

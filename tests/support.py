@@ -20,6 +20,7 @@ from pfoco.geometry import (
     SeparationAnswer,
     Simplex,
     SqueezedSetView,
+    as_vector,
     loo_query,
     squeeze,
 )
@@ -279,6 +280,26 @@ def cip_loo_literal(set_, x0, y0, eps, counters=None):
             res.x, res.y, res.outer_iterations = x, y, k
             return res
         y = y - gamma * (y - x)
+
+
+def pull_toward(y, g, Q, C):
+    """One separation-certified pull step: the reference for the pull in
+    ``cip_so``.
+
+    If (y - z) @ g >= Q >= 0 for every z in K and C >= ||g||, then the
+    returned point ytil = y - (Q/C^2) g satisfies, for every z in K,
+    ||ytil - z||^2 <= ||y - z||^2 - (Q/C)^2.
+    """
+    y = as_vector(y)
+    g = as_vector(g)
+    if Q < 0:
+        raise ValueError("Q must be nonnegative")
+    gn = math.sqrt(g.dot(g))
+    if not (C > 0):
+        raise ValueError("C must be positive")
+    if gn > C * (1.0 + 1e-12):
+        raise ValueError("C must upper-bound ||g||")
+    return y - (Q / (C * C)) * g
 
 
 def csv_writer_trace(trace, path):

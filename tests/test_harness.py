@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfoco import harness
 from pfoco.cli import main as cli_main
@@ -635,37 +637,32 @@ def _only_counts_change():
 
 
 @pytest.mark.parametrize(
-    "make, splits",
+    "make",
     [
-        pytest.param(lambda: _random_trace(40, 3), False, id="40-3"),
-        pytest.param(lambda: _random_trace(2100, 1), True, id="2100-1"),  # spans three 1024-row chunks
+        pytest.param(lambda: _random_trace(40, 3), id="40-3"),
+        pytest.param(lambda: _random_trace(2100, 1), id="2100-1"),  # spans three 1024-row chunks
         # runs of 100 and 1500 rows cross the chunk boundaries at 1024, 2048 and 3072
-        pytest.param(lambda: _runs_trace([1000, 100, 1, 1, 2, 1, 900, 1500, 3], 2), False, id="runs-across-chunks"),
-        pytest.param(_signed_zero_flip, False, id="signed-zero-flip"),
-        pytest.param(_only_loss_changes, False, id="only-loss-changes"),
-        pytest.param(_only_counts_change, False, id="only-counts-change"),
-        pytest.param(lambda: _runs_trace([1], 4), False, id="T1"),
-        pytest.param(lambda: _runs_trace([3000], 5), False, id="all-rows-equal"),
+        pytest.param(lambda: _runs_trace([1000, 100, 1, 1, 2, 1, 900, 1500, 3], 2), id="runs-across-chunks"),
+        pytest.param(_signed_zero_flip, id="signed-zero-flip"),
+        pytest.param(_only_loss_changes, id="only-loss-changes"),
+        pytest.param(_only_counts_change, id="only-counts-change"),
+        pytest.param(lambda: _runs_trace([1], 4), id="T1"),
+        pytest.param(lambda: _runs_trace([3000], 5), id="all-rows-equal"),
         # the sep_l1_switch shape: 10^4 rounds of n = 8, every row formatted
-        pytest.param(lambda: _random_trace(10_000, 8), True, id="10000-8"),
-        # 5,004 formatted rows; the split edge at 4096 falls inside the 3,000-row run
-        pytest.param(lambda: _runs_trace([1] * 2500 + [3000] + [1] * 2500, 2), True, id="run-across-split"),
-        # the split edge is 1024, so both flips are written by the child
-        pytest.param(lambda: _signed_zero_flip(lead=3000), True, id="signed-zero-flip-split"),
+        pytest.param(lambda: _random_trace(10_000, 8), id="10000-8"),
+        # 5,004 formatted rows; the pieces of the 3,000-row run fall in the
+        # third 1,024-row chunk of formatted rows
+        pytest.param(lambda: _runs_trace([1] * 2500 + [3000] + [1] * 2500, 2), id="run-across-split"),
+        # both flips fall after 3,000 rows that are each formatted
+        pytest.param(lambda: _signed_zero_flip(lead=3000), id="signed-zero-flip-split"),
     ],
 )
-def test_trace_writer_bytes_equal_csv_writer(tmp_path, monkeypatch, make, splits):
+def test_trace_writer_bytes_equal_csv_writer(tmp_path, make):
     trace = make()
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     out = tmp_path / "out"
     out.mkdir()
     fast, reference = out / "fast.csv", tmp_path / "reference.csv"
     write_trace_csv(trace, str(fast))
-    assert len(forks) == splits
-    with pytest.raises(ChildProcessError):  # no child is left, reaped or not
-        os.waitpid(-1, os.WNOHANG)
     assert os.listdir(out) == ["fast.csv"]
     csv_writer_trace(trace, str(reference))
     assert fast.read_bytes() == reference.read_bytes()
@@ -673,43 +670,61 @@ def test_trace_writer_bytes_equal_csv_writer(tmp_path, monkeypatch, make, splits
     assert back.plays.tobytes() == trace.plays.tobytes() and back.losses.tobytes() == trace.losses.tobytes()
 
 
-def test_trace_writer_stays_serial_without_a_second_cpu_or_process(tmp_path, monkeypatch):
-    trace = _random_trace(10_000, 8)
-    reference = tmp_path / "reference.csv"
-    csv_writer_trace(trace, str(reference))
-    forks = []
-
-    def no_fork():
-        forks.append(1)
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    for cpus, tried in (({0}, 0), ({0, 1}, 1)):  # one CPU: no fork; a failed fork: this process formats every row
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        path = tmp_path / f"{len(cpus)}cpu.csv"
-        write_trace_csv(trace, str(path))
-        assert len(forks) == tried
-        assert path.read_bytes() == reference.read_bytes()
+def _near(values):
+    """Each value, its two neighbouring doubles and their negatives."""
+    v = np.asarray(values, dtype=np.float64)
+    v = np.concatenate((v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)))
+    return np.concatenate((v, -v)).tolist()
 
 
-def test_trace_writer_reports_a_failed_child(tmp_path, monkeypatch):
-    chunks = harness._write_chunks
+_FORMAT_EDGES = (
+    _near([0.0, 5e-324, 2.2250738585072014e-308, 1e-4, 1e16, 1e17, 1.0, 0.1, 0.5, 7.0, 2.0**53])
+    + _near([10.0**k for k in range(-5, 18)])  # a low exponent estimate carries to 10**17 here
+    + [math.inf, -math.inf, math.nan, -math.nan, 1.7976931348623157e308, 9999999999999998.0]
+    # halves of large integers (17 digits, the last a 5) and quarters (18 digits,
+    # the last a 5: a tie when rounded to 17), and odd multiples of 1/8 to 1/32
+    + [k + f for k in (10**15, 10**15 + 3, 1234567890123456, 2**51 - 7) for f in (0.25, 0.5, 0.75)]
+    + [m + 0.5 for m in (2**51 + 3, 2**52 - 1, 4 * 10**15 + 1)]
+    + [(2 * k + 1) / 2**s for k in (10**15, 10**15 + 7) for s in (3, 4, 5)]
+)
 
-    def fails_past_the_split(trace, same, start, stop, write):
-        if start > 0:
-            raise RuntimeError("formatting failed")
-        chunks(trace, same, start, stop, write)
 
+def _slots(words, per):
+    """The text in each slot of ``per`` words, NUL bytes deleted."""
+    raw = np.ascontiguousarray(words, dtype="<u8").tobytes()
+    return [raw[i : i + 8 * per].translate(None, b"\0") for i in range(0, len(raw), 8 * per)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+    decimals=st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=1e-5, max_value=1e17), max_size=40),
+    counts=st.lists(st.integers(0, 2**62), min_size=1, max_size=40),
+)
+def test_row_kernel_writes_the_bytes_of_printf(bits, decimals, counts):
+    # random bit patterns cover every exponent; decimals cover the fixed-notation range densely
+    x = np.concatenate((np.array(bits, dtype=np.uint64).view(np.float64), decimals, _FORMAT_EDGES))
+    assert _slots(harness._float_words(x), 4) == [b"%.17g" % v for v in x.tolist()]
+    c = np.array(counts + [0, 1, 9, 10, 99, 2**62, 2**63 - 1, -1, -10, -(2**63)], dtype=np.int64)
+    assert _slots(harness._int_words(c), 3) == [b"%d" % v for v in c.tolist()]
+
+
+def test_trace_writer_failing_part_way_leaves_the_earlier_outputs(tmp_path, monkeypatch):
     # an earlier run's files, which the failed write must leave as they were
     earlier = write_run_outputs(str(tmp_path), "t", _random_trace(40, 3), {"seed": 0})
     before = [open(p, "rb").read() for p in earlier]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(harness, "_write_chunks", fails_past_the_split)
-    path = tmp_path / "t.csv"
-    with pytest.raises(OSError, match=re.escape(str(path)) + r".*exited with status 1$"):
+    float_words, calls = harness._float_words, []
+
+    def fails_on_the_third_chunk(x):
+        calls.append(len(x))
+        if len(calls) == 3:
+            raise RuntimeError("formatting failed")
+        return float_words(x)
+
+    monkeypatch.setattr(harness, "_float_words", fails_on_the_third_chunk)
+    with pytest.raises(RuntimeError, match="formatting failed"):
         write_run_outputs(str(tmp_path), "t", _random_trace(10_000, 8), {"seed": 1})
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert calls == [1024, 1024, 1024]
     assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.summary.json"]  # no partial file
     assert [open(p, "rb").read() for p in earlier] == before
 
@@ -846,6 +861,22 @@ def test_cli_run_refuses_a_seeds_list_without_a_seed(tmp_path, capsys):
     assert not out.exists()
     assert cli_main(["run", cfg_path, "--seeds", "3,", "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == ["cfg_seed3.csv", "cfg_seed3.summary.json"]
+
+
+def test_cli_main_calls_each_parse_their_own_arguments(tmp_path, capsys):
+    # one parser serves every call in the process; no option of one call
+    # may reach the next
+    cfg_path = _write_cfg(tmp_path, _base_config(T=30, seeds=[0]))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli_main(["run", cfg_path, "--seeds", "5", "--out", str(first)]) == 0
+    assert cli_main(["run", cfg_path, "--out", str(second)]) == 0
+    assert sorted(os.listdir(first)) == ["cfg_seed5.csv", "cfg_seed5.summary.json"]
+    assert sorted(os.listdir(second)) == ["cfg_seed0.csv", "cfg_seed0.summary.json"]
+    capsys.readouterr()
+    assert cli_main(["regret", str(second / "cfg_seed0.csv"), cfg_path, "--intervals", "exhaustive"]) == 0
+    assert "over 465 intervals" in capsys.readouterr().out
+    assert cli_main(["regret", str(second / "cfg_seed0.csv"), cfg_path]) == 0
+    assert "over 465 intervals" not in capsys.readouterr().out
 
 
 def test_negative_and_repeated_seeds_are_refused_by_name(tmp_path, capsys):

@@ -13,13 +13,14 @@ from pfoco.geometry import (
     so_query,
     squeeze,
 )
-from pfoco.projection import cip_loo, cip_so, pull_toward
+from pfoco.projection import cip_loo, cip_so
 from support import (
     INTERIOR_KINDS,
     SET_KINDS,
     check_cip_loo_record,
     check_cip_so_record,
     cip_loo_literal,
+    pull_toward,
     random_set,
     record_fw_runs,
     sample_members,
