@@ -84,10 +84,12 @@ def separating_hyperplane_fw(
     x = np.array(x1, dtype=np.float64)
     cap = 10 * fw_stop_ceiling(set_.R, eps)
     i = 0
-    while float((x - y) @ (x - y)) > 3.0 * eps:
+    r = x - y
+    while float(r @ r) > 3.0 * eps:
         i += 1
-        v = loo_query(set_, x - y, counters)
-        gap = float((x - y) @ (x - v))
+        v = loo_query(set_, r, counters)
+        d = v - x
+        gap = -float(r @ d)  # (x - y) @ (x - v) to the bit: negation is exact
         if gap <= eps:
             return SeparationResult(point=x, close=False, iterations=i)
         if i >= cap:
@@ -97,8 +99,9 @@ def separating_hyperplane_fw(
                 iterations=i,
                 eps=eps,
                 gap=gap,
-                dist_sq=float((x - y) @ (x - y)),
+                dist_sq=float(r @ r),
             )
-        sigma = exact_line_search_quadratic(x, v, y)
-        x = x + sigma * (v - x)
+        dd = float(d @ d)
+        x = x + (gap / dd if dd > gap else 1.0) * d  # exact_line_search_quadratic's step, to the bit
+        r = x - y
     return SeparationResult(point=x, close=True, iterations=i)

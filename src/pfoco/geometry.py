@@ -93,6 +93,13 @@ def as_vector(x) -> Vector:
     return v
 
 
+def _peak(x: np.ndarray):
+    """``x.max()`` as ``x[x.argmax()]``, at a fraction of a small
+    reduction's fixed cost: the same value, NaN included, up to the sign
+    of a zero."""
+    return x[x.argmax()]
+
+
 def _is_block(point) -> bool:
     """Whether a separation query is a (k, n) block of points.  On an
     array this reads ``ndim`` directly: ``np.ndim`` costs about 0.4 us, a
@@ -485,12 +492,13 @@ class Polytope(FeasibleSet):
     over a block, each row from the nearest vertex in a table of
     certified vertices (a vertex found at construction, then each vertex
     ``loo`` certifies).  What neither can certify (ties, zero directions,
-    degenerate vertices) is settled by the 1-D walk under Bland's rule
-    from the construction vertex (see :meth:`_walk`).  Boundedness is
-    verified, and the circumradius bound R computed, by one pass over
-    the 2n directions +-e_i at construction.  The exact projection
-    (:meth:`project`) is one ``scipy.optimize.nnls`` solve, SciPy's only
-    use here, certified by its own KKT multipliers with no LOO.
+    degenerate vertices, the pivot cap) is settled by a 1-D walk under
+    Bland's rule from the construction vertex (see :meth:`_walk`).
+    Boundedness is verified, and the circumradius bound R computed, by
+    one pass over the 2n directions +-e_i at construction.  The exact
+    projection (:meth:`project`) is one ``scipy.optimize.nnls`` solve,
+    SciPy's only use here, certified by its own KKT multipliers with no
+    LOO.
     """
 
     #: KKT-gap certificate threshold for project(), in units of
@@ -536,7 +544,10 @@ class Polytope(FeasibleSet):
         self._tab_S = np.empty((cap, self.m))
         self._tab_V = np.empty((cap, self.n))
         tight = self._start_vertex()
-        self._remember(tight, *self._vertex_row(tight))
+        v = self._vertices(tight[None])[0]
+        slack = self.b - self.A @ v
+        slack[tight] = 0.0
+        self._remember(tight, np.linalg.inv(self.A[tight]), slack, v)
         self.R = self._bounding_radius()
 
     def _bounding_radius(self) -> float:
@@ -550,7 +561,7 @@ class Polytope(FeasibleSet):
         tight = np.empty((2 * n, n), dtype=np.intp)
         tight[rows] = stopped
         for i in np.setdiff1d(np.arange(2 * n), rows).tolist():
-            tight[i] = self._walk(E[i], 0, bland=True)
+            tight[i] = self._walk(E[i])
         V = self._vertices(np.sort(tight, axis=1))
         lo, hi = V[:n].diagonal(), V[n:].diagonal()
         return float(np.sqrt(np.sum(np.maximum(lo**2, hi**2))))
@@ -559,14 +570,15 @@ class Polytope(FeasibleSet):
         """A vertex minimizing ``direction @ v`` over K, pulled inside to
         within a few ulp; a function of the direction alone.
 
-        A nonzero direction first runs :meth:`_warm_loo`, a 1-D primal
-        simplex from the nearest vertex of the start table, whose answer
-        is certified as :meth:`loo_many` certifies a block row; its vertex
-        joins the table.  Zero directions, ties, degenerate vertices, the
-        pivot cap and unbounded steps are settled (see :meth:`_settled`).
+        A nonzero direction (max|d|, its multipliers' scale, is above 0)
+        runs :meth:`_warm_loo`, a 1-D primal simplex from the nearest vertex
+        of the start table, certified as :meth:`loo_many` certifies a block
+        row; its vertex joins the table.  Zero directions, ties, degenerate
+        vertices, the pivot cap and unbounded steps are settled.
         """
         d = self._check_dim(direction)
-        v = self._warm_loo(d) if np.any(d) else None
+        dmax = _peak(np.abs(d))
+        v = self._warm_loo(d, self.CERT_RTOL * dmax) if dmax else None
         return self._settled(d[None])[0] if v is None else v
 
     def loo_many(self, directions) -> np.ndarray:
@@ -601,7 +613,7 @@ class Polytope(FeasibleSet):
         a Bland walk from the construction vertex stops (see
         :meth:`_walk`), pulled inside.  A zero row stops at once, at the
         construction vertex."""
-        tight = np.array([np.sort(self._walk(d, 0, bland=True)) for d in D])
+        tight = np.array([np.sort(self._walk(d)) for d in D])
         return self._inside(self._vertices(tight))
 
     def _start_vertex(self) -> np.ndarray:
@@ -630,15 +642,6 @@ class Polytope(FeasibleSet):
             rows.append(int(hit[j]))
         return np.sort(rows)
 
-    def _vertex_row(self, tight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A start-table row at the vertex on the sorted rows ``tight``:
-        their fresh inverse, every row's slack (0 on ``tight``) and the
-        vertex, from the solve every answer goes through."""
-        v = self._vertices(tight[None])[0]
-        slack = self.b - self.A @ v
-        slack[tight] = 0.0
-        return np.linalg.inv(self.A[tight]), slack, v
-
     def _remember(self, tight: np.ndarray, Binv: np.ndarray, slack: np.ndarray, v: Vector) -> None:
         """Add a vertex to the start table, once per tight set, while
         the table has room."""
@@ -647,78 +650,83 @@ class Polytope(FeasibleSet):
             self._keys.add(key)
             self._tab_T[k], self._tab_B[k], self._tab_S[k], self._tab_V[k] = tight, Binv, slack, v
 
-    def _warm_loo(self, d: Vector) -> Optional[Vector]:
-        """``loo(d)`` for a nonzero d by a warm :meth:`_walk` from the
-        start table's vertex with the lowest ``d @ v``; None unless
-        :meth:`_certified`'s certificate holds at the vertex it stops at
-        (from a fresh inverse of its tight rows)."""
-        T = self._walk(d, int(np.argmin(self._tab_V[: len(self._keys)] @ d)), bland=False)
-        if T is None:
-            return None
-        tight = np.sort(T)
-        Binv, slack, v = self._vertex_row(tight)
-        slack[tight] = np.inf
-        if (d @ Binv).max() >= -self.CERT_RTOL * np.abs(d).max() or slack.min() <= self.CERT_RTOL * self.R:
-            return None
-        slack[tight] = 0.0
-        self._remember(tight, Binv, slack, v)
-        return self._inside(v[None])[0]
-
-    def _walk(self, d: Vector, j: int, bland: bool) -> Optional[np.ndarray]:
-        """The n tight rows (unsorted) of the vertex where a 1-D primal
-        simplex on min d @ x stops, from start-table row j, with
-        :meth:`_simplex_pass`'s ratio test: it stops once no multiplier
-        is below ``-CERT_RTOL * max|d|``.
-
-        Warm (``bland`` false): the most negative multiplier's row leaves;
-        None after ``PIVOT_CAP`` pivots or on an unbounded step.  Settle
-        (``bland`` true): the lowest-indexed row with a negative
-        multiplier leaves, and a ratio tie enters the lowest-indexed row
-        (Bland, *Math. Oper. Res.* 1977), which cannot cycle; so the walk
-        has no cap, and the vertex it stops at depends on d and K alone.
-        An unbounded step, or a vertex visited twice (a cycle only
-        rounding could cause: K is numerically degenerate), raises ``ValueError``.
-        """
-        A = self.A
+    def _warm_loo(self, d: Vector, tol: float) -> Optional[Vector]:
+        """``loo(d)`` for a nonzero d, ``tol = CERT_RTOL * max|d|``, by the
+        pivots of :meth:`_simplex_pass` from the start table's vertex with
+        the lowest ``d @ v``; None after ``PIVOT_CAP`` pivots, on an
+        unbounded step, or unless :meth:`_certified`'s certificate holds
+        at the vertex it stops at (from a fresh inverse of its sorted tight
+        rows).  One ``A @ v`` gives the slacks and the pull inside."""
+        A, b = self.A, self.b
+        j = int((self._tab_V[: len(self._keys)] @ d).argmin())
         T, Binv, slack = self._tab_T[j].copy(), self._tab_B[j].copy(), self._tab_S[j].copy()
-        tol = self.CERT_RTOL * np.abs(d).max()
-        seen: set[bytes] = set()
         for pivots in itertools.count():
             mu = d @ Binv  # minus the multipliers
-            if bland:
-                out = (mu > tol).nonzero()[0]
-                if not out.size:
-                    return T
-                p = out[T[out].argmin()]
-                key = np.sort(T).tobytes()
-                if key in seen:
-                    raise ValueError("polytope is numerically degenerate: the simplex LOO cycled")
-                seen.add(key)
-            else:
-                p = int(mu.argmax())
-                if mu[p] <= tol:
-                    return T
-                if pivots == self.PIVOT_CAP:
-                    return None
-            col = Binv[:, p].copy()  # the vertex moves along -col
-            ag = A @ col
-            down = ag < -1e-12 * np.abs(col).max()  # rows the move approaches
-            down[T] = False
-            hit = down.nonzero()[0]
-            if not hit.size:
-                if bland:
-                    raise ValueError("polytope is unbounded: a simplex step meets no face")
+            p = int(mu.argmax())
+            if mu[p] <= tol:
+                break
+            if pivots == self.PIVOT_CAP or not self._pivot(T, Binv, slack, p):
                 return None
-            ratio = slack[hit] / -ag[hit]
-            i = int(ratio.argmin())  # the lowest-indexed row of a tie
-            enter = hit[i]
-            slack += ratio[i] * ag
-            slack[enter] = 0.0
-            w = A[enter] @ Binv  # the entering row against each column of B
-            col /= w[p]
-            Binv -= col[:, None] * w
-            Binv[:, p] = col
-            T[p] = enter
+        T.sort()  # ascending, as every answer's vertex solve takes them
+        At = A[T]
+        v = np.linalg.solve(At, b[T])
+        Av = A @ v
+        Binv, slack = np.linalg.inv(At), b - Av
+        slack[T] = np.inf
+        if _peak(d @ Binv) >= -tol or slack[slack.argmin()] <= self.CERT_RTOL * self.R:
+            return None
+        slack[T] = 0.0
+        self._remember(T, Binv, slack, v)
+        scale = _peak(Av / b)
+        return v / scale if scale > 1.0 else v
+
+    def _walk(self, d: Vector) -> np.ndarray:
+        """The n tight rows (unsorted) of the vertex where a 1-D primal
+        simplex on min d @ x from the construction vertex stops, once no
+        multiplier is below ``-CERT_RTOL * max|d|``, under Bland's rule
+        (*Math. Oper. Res.* 1977): the lowest-indexed row with a negative
+        multiplier leaves, which cannot cycle, so the walk has no cap and
+        its vertex depends on d and K alone.  An unbounded step, or a
+        vertex visited twice (a cycle only rounding could cause: K is
+        numerically degenerate), raises ``ValueError``."""
+        T, Binv, slack = self._tab_T[0].copy(), self._tab_B[0].copy(), self._tab_S[0].copy()
+        tol = self.CERT_RTOL * _peak(np.abs(d))
+        seen: set[bytes] = set()
+        while True:
+            mu = d @ Binv  # minus the multipliers
+            out = (mu > tol).nonzero()[0]
+            if not out.size:
+                return T
+            p = out[T[out].argmin()]
+            key = np.sort(T).tobytes()
+            if key in seen:
+                raise ValueError("polytope is numerically degenerate: the simplex LOO cycled")
+            seen.add(key)
+            if not self._pivot(T, Binv, slack, p):
+                raise ValueError("polytope is unbounded: a simplex step meets no face")
+
+    def _pivot(self, T: np.ndarray, Binv: np.ndarray, slack: np.ndarray, p: int) -> bool:
+        """One pivot of a 1-D walk, in place, as :meth:`_simplex_pass`
+        pivots (a ratio tie enters the lowest-indexed row): row T[p] is
+        released.  False, with nothing changed, on an unbounded step."""
+        col = Binv[:, p]  # the vertex moves along -col
+        ag = self.A @ col
+        down = ag < -1e-12 * _peak(np.abs(col))  # rows the move approaches
+        down[T] = False
+        hit = down.nonzero()[0]
+        if not hit.size:
+            return False
+        ratio = slack[hit] / ag[hit]  # minus each row's step
+        i = int(ratio.argmax())  # the lowest-indexed row of a tie
+        enter = hit[i]
+        slack -= ratio[i] * ag
+        slack[enter] = 0.0
+        w = self.A[enter] @ Binv  # the entering row against each column of B
+        col = col / w[p]
+        Binv -= col[:, None] * w
+        Binv[:, p] = col
+        T[p] = enter
+        return True
 
     def _simplex_pass(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Primal simplex on min d @ x over K for every row d of D at once,

@@ -864,6 +864,9 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunTrace, LossSchedule, F
     else:
         summary["bounds"] = None
         summary["checks"] = {}
+    if entry.oracle == "loo":
+        ledger = ("loo_calls", "fw_runs", "implied_passes", "close_runs", "started_close", "literal_loo_calls")
+        summary["observed"]["loo_ledger"] = {k: sum(getattr(p, k) for p in trace.projections) for k in ledger}
 
     if schedule.kind in ("linear", "quadratic"):
         intervals = intervals_from_cfg(cfg.intervals_cfg, cfg.T, schedule.boundaries)

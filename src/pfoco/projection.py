@@ -56,7 +56,9 @@ class LooProjection:
     an ``fw_iterations`` entry is the LOO calls of that pass's Frank-Wolfe
     run, or 0 for an implied pass (one that follows a separating run and
     spends no call) or for a run whose start was already close.
-    ``loo_calls`` is their sum.
+    ``loo_calls`` is their sum.  The ledger tells those apart: ``fw_runs``
+    passes ran Frank-Wolfe and ``implied_passes`` did not; ``close_runs``
+    runs ended close, ``started_close`` of them at their start.
     """
 
     x: Vector
@@ -68,6 +70,17 @@ class LooProjection:
     eps: float
     set_R: float
     input_dist_sq: float
+    fw_runs: int = 0
+    implied_passes: int = 0
+    close_runs: int = 0
+    started_close: int = 0
+
+    @property
+    def literal_loo_calls(self) -> int:
+        """The LOO calls of the paper's loop, which runs Frank-Wolfe on
+        every pass and asks the LOO before its close test: one more per
+        implied pass and one more per run that ended close."""
+        return self.loo_calls + self.implied_passes + self.close_runs
 
 
 def cip_loo_outer_ceiling(input_dist_sq: float, eps: float) -> float:
@@ -149,12 +162,16 @@ def cip_loo(
             )
         if separated:
             result.fw_iterations.append(0)
+            result.implied_passes += 1
         else:
             inner = separating_hyperplane_fw(set_, x, y, eps, counters)
             x = inner.point
             separated = not inner.close
             result.fw_iterations.append(inner.iterations)
             result.loo_calls += inner.iterations
+            result.fw_runs += 1
+            result.close_runs += inner.close
+            result.started_close += inner.iterations == 0
         d = x - y
         dist = math.sqrt(d.dot(d))
         result.anchor_dists.append(dist)

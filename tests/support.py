@@ -9,8 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from pfoco import projection
-from pfoco.frankwolfe import SeparationResult, exact_line_search_quadratic, separating_hyperplane_fw
+from pfoco.frankwolfe import SeparationResult, exact_line_search_quadratic
 from pfoco.geometry import (
     FEASIBLE,
     Ball,
@@ -234,19 +233,6 @@ def separating_hyperplane_fw_literal(set_, x1, y, eps, counters=None):
             return SeparationResult(point=x, close=close, iterations=i)
         x = x + exact_line_search_quadratic(x, v, y) * (v - x)
     raise AssertionError("the literal run exceeded 10x its certified ceiling")
-
-
-def record_fw_runs(monkeypatch):
-    """Wrap the Frank-Wolfe run that ``cip_loo`` calls: every result it
-    returns is appended to the returned list."""
-    runs = []
-
-    def recorded(*args, **kwargs):
-        runs.append(separating_hyperplane_fw(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(projection, "separating_hyperplane_fw", recorded)
-    return runs
 
 
 def cip_loo_literal(set_, x0, y0, eps, counters=None):

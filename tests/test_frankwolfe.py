@@ -10,6 +10,7 @@ from pfoco.geometry import Ball, OracleCounters, loo_query, squeeze
 from support import (
     SET_KINDS,
     frank_wolfe_min_distance,
+    make_cut_cube,
     random_set,
     sample_members,
     separating_hyperplane_fw_literal,
@@ -131,6 +132,22 @@ def test_separating_run_contract_on_random_instances():
                 assert float((y - z_star) @ w) > 2.0 * eps - 1e-9
 
 
+def _assert_equals_the_paper_order(set_, x1, y, eps):
+    """The run and the paper's order from x1 toward y: the same point and
+    flag, one call fewer on a run that ends close.  Returns both."""
+    counters, ref_counters = OracleCounters(), OracleCounters()
+    res = separating_hyperplane_fw(set_, x1, y, eps, counters)
+    ref = separating_hyperplane_fw_literal(set_, x1, y, eps, ref_counters)
+    assert np.array_equal(res.point, ref.point)
+    assert res.close == ref.close
+    assert res.iterations == counters.loo_calls
+    assert ref.iterations == ref_counters.loo_calls
+    assert res.iterations == ref.iterations - res.close
+    if float((x1 - y) @ (x1 - y)) <= 3.0 * eps:
+        assert res.close and res.iterations == 0 and counters == OracleCounters()
+    return res, ref
+
+
 def test_separating_run_equals_the_paper_order_less_the_close_call():
     # the paper's run asks the LOO before its distance test, so a run that
     # ends close pays for an answer it never reads: the same point and flag,
@@ -145,20 +162,24 @@ def test_separating_run_equals_the_paper_order_less_the_close_call():
             x1 = sample_members(set_, rng, 1)[0]
             y = x1 + rng.standard_normal(set_.n) * rng.uniform(0.02, 1.5) * R
             eps = rng.uniform(0.005, 0.1) * R * R
-            counters, ref_counters = OracleCounters(), OracleCounters()
-            res = separating_hyperplane_fw(set_, x1, y, eps, counters)
-            ref = separating_hyperplane_fw_literal(set_, x1, y, eps, ref_counters)
-            assert np.array_equal(res.point, ref.point)
-            assert res.close == ref.close
-            assert res.iterations == counters.loo_calls
-            assert ref.iterations == ref_counters.loo_calls
-            assert res.iterations == ref.iterations - res.close
-            if float((x1 - y) @ (x1 - y)) <= 3.0 * eps:
-                assert res.close and res.iterations == 0 and counters == OracleCounters()
+            res, ref = _assert_equals_the_paper_order(set_, x1, y, eps)
+            if res.iterations == 0:
                 ends["started close"] += 1
             else:
                 ends["close" if res.close else "separated"] += 1
     assert min(ends.values()) > 0, ends
+    # long runs on the benchmark's LP-bound cut cubes (n = 10, m = 60),
+    # where each warm simplex answer takes several pivots
+    long_ends = {"separated": 0, "close": 0}
+    for set_ in [make_cut_cube(rng, 10, 60) for _ in range(2)]:
+        R = set_.R
+        for _ in range(5):
+            x1 = sample_members(set_, rng, 1)[0]
+            y = x1 + rng.standard_normal(set_.n) * rng.uniform(0.2, 0.6) * R / np.sqrt(set_.n)
+            res, ref = _assert_equals_the_paper_order(set_, x1, y, rng.uniform(0.001, 0.003) * R * R)
+            if ref.iterations >= 5:
+                long_ends["close" if res.close else "separated"] += 1
+    assert min(long_ends.values()) >= 3, long_ends
 
 
 def test_separating_run_rejects_bad_eps():

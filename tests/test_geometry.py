@@ -621,6 +621,35 @@ def test_polytope_loo_gives_the_reference_answers():
             np.testing.assert_array_equal(poly.loo_many(D), answers)
 
 
+@pytest.mark.parametrize(("cap", "rows"), [(0, None), (1, None), (None, 1), (None, 2), (1, 2)])
+def test_polytope_loo_at_its_pivot_cap_and_with_a_full_start_table(cap, rows, monkeypatch):
+    """A warm walk stopped by ``PIVOT_CAP`` is settled, and a full start
+    table keeps the vertices it holds: answers keep the bits of an LP
+    solver's vertex either way, on the settled rows too."""
+    if cap is not None:
+        monkeypatch.setattr(Polytope, "PIVOT_CAP", cap)
+    if rows is not None:
+        monkeypatch.setattr(Polytope, "TABLE_ROWS", rows)
+    poly = make_cut_cube(np.random.default_rng(73), 10, 60)
+    rng = np.random.default_rng(74)
+    # random rows, many pivots from any start, and rows whose optimum is
+    # the construction vertex or a few pivots from it (the multipliers
+    # there are lam, some of them negative)
+    lam = rng.uniform(-0.3, 1.0, (40, 10))
+    D = np.concatenate([rng.standard_normal((40, 10)), -lam @ poly.A[poly._tab_T[0]]])
+    ref = loo_reference(poly, D)
+    answers, settled = _loo_settles(poly, D)
+    np.testing.assert_array_equal(answers, ref)
+    many, settled_many = _loo_many_settles(poly, D)
+    np.testing.assert_array_equal(many, ref)
+    if cap is not None:
+        assert 0 < len(settled) < len(D) and 0 < len(settled_many) < len(D)
+    if rows is not None:
+        assert len(poly._keys) == rows  # full
+    elif cap is None:
+        assert 1 < len(poly._keys) < poly.TABLE_ROWS
+
+
 def test_polytope_loo_many_after_a_learner_run():
     """A learner's warm LOO calls fill the start table; a comparator scan
     after them settles nothing and answers as one on a fresh set and as

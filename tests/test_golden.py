@@ -34,12 +34,14 @@ import os
 import numpy as np
 import pytest
 
-from pfoco.harness import parse_config_dict, run_one, write_trace_csv
-from support import check_cip_so_record, csv_writer_trace
+from pfoco import learners
+from pfoco.harness import build_instance, parse_config_dict, run_learner, run_one, write_trace_csv
+from support import check_cip_so_record, cip_loo_literal, csv_writer_trace
 
 with open(os.path.join(os.path.dirname(__file__), "golden_runs.json")) as _fh:
     GOLDEN = json.load(_fh)
 GOLDEN_BY_NAME = {c["name"]: c for c in GOLDEN}
+GOLDEN_LOO = [c for c in GOLDEN if c["config"]["learner"]["kind"].startswith("loo_")]
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
@@ -70,3 +72,20 @@ def test_golden_bandit_so_run_pulls_within_its_ceilings():
     assert any(rec.so_calls > 1 for rec in trace.projections)
     for rec in trace.projections:
         check_cip_so_record(rec, set_)
+
+
+@pytest.mark.parametrize("case", GOLDEN_LOO, ids=[c["name"] for c in GOLDEN_LOO])
+def test_golden_loo_ledger_counts_the_paper_literal_loop(case, monkeypatch):
+    # the summary's ledger gives the LOO calls of the paper's loop, which
+    # runs Frank-Wolfe in the paper's order on every pass, to the call
+    cfg = parse_config_dict(case["config"])
+    trace, _, _, summary = run_one(cfg, cfg.seeds[0])
+    ledger = summary["observed"]["loo_ledger"]
+    assert ledger["loo_calls"] == trace.counters.loo_calls
+    assert ledger["fw_runs"] + ledger["implied_passes"] == sum(rec.outer_iterations for rec in trace.projections)
+    monkeypatch.setattr(learners, "cip_loo", cip_loo_literal)
+    set_, schedule, play_rng = build_instance(cfg, cfg.seeds[0])
+    ref = run_learner(cfg.learner_cfg, set_, schedule, cfg.T, play_rng)
+    assert np.array_equal(ref.plays, trace.plays)
+    assert ledger["literal_loo_calls"] == ref.counters.loo_calls
+    assert ledger["literal_loo_calls"] > ledger["loo_calls"]  # every config has an active projection

@@ -39,7 +39,6 @@ from support import (
     cip_loo_literal,
     make_polytope,
     random_set,
-    record_fw_runs,
     record_outward_schedule,
 )
 
@@ -427,7 +426,6 @@ def test_loo_run_equals_the_paper_literal_projection(kind, monkeypatch):
     set_ = L1Ball(3, 1.0) if kind == "l1" else make_polytope(np.random.default_rng(71), 3)
     sched = make_switching_linear_schedule(250, 3, set_.R, _SEGMENTS, gain=2.0)
     params = loo_bogd_params(set_, sched.G_f, sched.T, eta=0.05, eps=0.01, K=40)
-    runs = record_fw_runs(monkeypatch)
     trace = loo_run(set_, sched, params)
     monkeypatch.setattr(learners, "cip_loo", cip_loo_literal)
     ref = loo_run(set_, sched, params)
@@ -437,8 +435,9 @@ def test_loo_run_equals_the_paper_literal_projection(kind, monkeypatch):
         assert np.array_equal(rec.x, ref_rec.x) and np.array_equal(rec.y, ref_rec.y)
         assert rec.outer_iterations == ref_rec.outer_iterations
         assert rec.anchor_dists == ref_rec.anchor_dists
-    implied = sum(rec.outer_iterations for rec in trace.projections) - len(runs)
-    close_runs = sum(run.close for run in runs)
+        assert rec.literal_loo_calls == ref_rec.loo_calls
+    implied = sum(rec.implied_passes for rec in trace.projections)
+    close_runs = sum(rec.close_runs for rec in trace.projections)
     assert implied > 0
     assert close_runs > 0 or kind == "polytope"  # every polytope run ends separated
     assert ref.counters.loo_calls == trace.counters.loo_calls + implied + close_runs

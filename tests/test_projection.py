@@ -22,7 +22,6 @@ from support import (
     cip_loo_literal,
     pull_toward,
     random_set,
-    record_fw_runs,
     sample_members,
 )
 
@@ -143,17 +142,17 @@ def test_cip_loo_pull_iterations_strictly_approach_the_set():
             pytest.fail("pull loop failed to finish in 200 passes")
 
 
-def test_cip_loo_matches_the_paper_literal_loop(monkeypatch):
+def test_cip_loo_matches_the_paper_literal_loop():
     # cip_loo skips the Frank-Wolfe run of every pass after a separating
     # one, where the paper's loop pays one LOO call for it and gets x back
     # unchanged; and its runs skip the LOO call the paper's run makes at
-    # an iterate that is already close.  Chains of projections (each
-    # anchored at the last one's x) also catch an implied pass that leaks
-    # into the next call.
+    # an iterate that is already close.  The record's ledger says which
+    # pass saved what, to the call.  Chains of projections (each anchored
+    # at the last one's x) also catch an implied pass that leaks into the
+    # next call.
     rng = np.random.default_rng(67)
     sets = [random_set(rng, kind) for kind in SET_KINDS for _ in range(3)]
     sets += [squeeze(random_set(rng, kind), 0.7) for kind in ("l1", "polytope")]
-    runs = record_fw_runs(monkeypatch)
     implied = close_runs = 0
     for set_ in sets:
         R = set_.R
@@ -162,32 +161,29 @@ def test_cip_loo_matches_the_paper_literal_loop(monkeypatch):
             y0 = rng.standard_normal(set_.n) * rng.uniform(0.5, 2.0) * R
             eps = rng.uniform(0.005, 0.05) * R * R
             counters, ref_counters = OracleCounters(), OracleCounters()
-            runs.clear()
             res = cip_loo(set_, x, y0, eps, counters)
             ref = cip_loo_literal(set_, x, y0, eps, ref_counters)
             assert np.array_equal(res.x, ref.x) and np.array_equal(res.y, ref.y)
             assert res.outer_iterations == ref.outer_iterations
             assert res.anchor_dists == ref.anchor_dists
             assert res.loo_calls == counters.loo_calls
-            assert ref_counters.loo_calls == ref.loo_calls
-            # passes run Frank-Wolfe until one ends separated; the rest are implied
-            made = iter(runs)
-            separated = False
-            for it, ref_it in zip(res.fw_iterations, ref.fw_iterations, strict=True):
-                if separated:
-                    assert (it, ref_it) == (0, 1)
-                    continue
-                run = next(made)
-                assert it == run.iterations == ref_it - run.close
-                separated = not run.close
-            assert next(made, None) is None
-            n_implied = res.outer_iterations - len(runs)
-            n_close = sum(run.close for run in runs)
-            assert ref.loo_calls == res.loo_calls + n_implied + n_close
+            assert ref_counters.loo_calls == ref.loo_calls == res.literal_loo_calls
+            # passes run Frank-Wolfe until one ends separated (every run
+            # before it ended close, one call short of the paper's run);
+            # the rest are implied, where the paper's run spends one call
+            runs = res.fw_runs
+            assert runs + res.implied_passes == res.outer_iterations
+            assert res.fw_iterations[runs:] == [0] * res.implied_passes
+            assert ref.fw_iterations[runs:] == [1] * res.implied_passes
+            saved = [b - a for a, b in zip(res.fw_iterations[:runs], ref.fw_iterations[:runs], strict=True)]
+            assert set(saved) <= {0, 1} and saved[:-1] == [1] * (runs - 1)
+            assert sum(saved) == res.close_runs
+            assert res.implied_passes == 0 or saved[-1] == 0
+            assert res.started_close == res.fw_iterations[:runs].count(0)
             check_cip_loo_record(res)
             check_cip_loo_record(ref)
-            implied += n_implied
-            close_runs += n_close
+            implied += res.implied_passes
+            close_runs += res.close_runs
             x = res.x
     assert implied > 0 and close_runs > 0
 
