@@ -69,6 +69,7 @@ import math
 from typing import Optional, TypeAlias
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from numpy.typing import NDArray
 
 Vector: TypeAlias = NDArray[np.float64]
@@ -98,6 +99,20 @@ def _peak(x: np.ndarray):
     reduction's fixed cost: the same value, NaN included, up to the sign
     of a zero."""
     return x[x.argmax()]
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve_and_inverse(A: np.ndarray, b: Vector) -> tuple[Vector, np.ndarray]:
+    """``np.linalg.solve(A, b)`` and ``np.linalg.inv(A)`` of one square
+    float64 block, bit for bit: the two LAPACK gufuncs those wrappers
+    call, in one ``errstate`` that raises ``LinAlgError`` on a singular
+    A as theirs does, without the wrappers' per-call type and shape
+    checks (about 10 of the 20 us the pair costs on a 10 x 10 block)."""
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(A, b, signature="dd->d"), _umath_linalg.inv(A, signature="d->d")
 
 
 def _is_block(point) -> bool:
@@ -656,7 +671,8 @@ class Polytope(FeasibleSet):
         the lowest ``d @ v``; None after ``PIVOT_CAP`` pivots, on an
         unbounded step, or unless :meth:`_certified`'s certificate holds
         at the vertex it stops at (from a fresh inverse of its sorted tight
-        rows).  One ``A @ v`` gives the slacks and the pull inside."""
+        rows, with v, by :func:`_solve_and_inverse`).  One ``A @ v`` gives
+        the slacks and the pull inside."""
         A, b = self.A, self.b
         j = int((self._tab_V[: len(self._keys)] @ d).argmin())
         T, Binv, slack = self._tab_T[j].copy(), self._tab_B[j].copy(), self._tab_S[j].copy()
@@ -668,10 +684,9 @@ class Polytope(FeasibleSet):
             if pivots == self.PIVOT_CAP or not self._pivot(T, Binv, slack, p):
                 return None
         T.sort()  # ascending, as every answer's vertex solve takes them
-        At = A[T]
-        v = np.linalg.solve(At, b[T])
+        v, Binv = _solve_and_inverse(A[T], b[T])
         Av = A @ v
-        Binv, slack = np.linalg.inv(At), b - Av
+        slack = b - Av
         slack[T] = np.inf
         if _peak(d @ Binv) >= -tol or slack[slack.argmin()] <= self.CERT_RTOL * self.R:
             return None

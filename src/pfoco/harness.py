@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -179,7 +180,16 @@ def _validate_set_cfg(d: dict) -> dict:
 
 
 def build_set(d: dict) -> FeasibleSet:
-    kind = _validate_set_cfg(d)["kind"]
+    """The feasible set of a set config, checked as :func:`parse_config_dict`
+    checks it."""
+    return _build_set(_validate_set_cfg(d))
+
+
+def _build_set(d: dict) -> FeasibleSet:
+    """The feasible set of a checked set config; an invalid set (a box
+    with its origin outside, a polytope that is unbounded) is a
+    ConfigError."""
+    kind = d["kind"]
     try:
         if kind == "ball":
             return Ball(int(d["n"]), float(d["radius"]))
@@ -293,9 +303,16 @@ def run_learner(
 
 
 def build_instance(cfg: ExperimentConfig, seed: int) -> tuple[FeasibleSet, LossSchedule, np.random.Generator]:
-    """The set, the loss schedule and the play stream of a seeded run."""
+    """The set, the loss schedule and the play stream of a seeded run.
+
+    ``parse_config_dict``, the only maker of an ExperimentConfig, has
+    checked the set config, so the set is built without a second check
+    of its numbers (660 of them on a 60-face polytope in R^10).  The
+    schedule goes through the public :func:`build_schedule`, whose loss
+    check is a few segments (about 20 us): perfbench's tracer times the
+    schedule layer at that name."""
     ss_sched, ss_play = np.random.SeedSequence(seed).spawn(2)
-    set_ = build_set(cfg.set_cfg)
+    set_ = _build_set(cfg.set_cfg)
     schedule = build_schedule(cfg.loss_cfg, cfg.T, set_, np.random.default_rng(ss_sched))
     return set_, schedule, np.random.default_rng(ss_play)
 
@@ -750,17 +767,44 @@ def _float_words(x: np.ndarray) -> np.ndarray:
 
 
 def _int_words(c: np.ndarray) -> np.ndarray:
-    """The bytes of ``'%d' % c`` for int64 c in a slot of three words."""
+    """The bytes of ``'%d' % c`` for int64 c, right-aligned in a block of
+    three words: the last digit at byte 22, byte 23 left for the
+    separator.  Only the block's last w words are returned, w the fewest
+    that hold the longest text of c and its separator (one word up to
+    seven characters)."""
     u = c.astype(np.uint64)
     negative = c < 0
     np.negative(u, out=u, where=negative)  # |c|, 2**63 included
-    digits, _ = _digit_words(u)
     first = 19 - np.searchsorted(_POW10_INT, u, side="right")  # the first of the 20 digits that is written
-    out = np.empty(c.shape + (_INT_WORDS,), dtype=np.uint64)
-    for w in range(3):
-        out[..., w] = digits[w] & _FROM[w][first]
-    out[..., 0] |= negative * np.uint64(ord("-"))  # u < 10**19: byte 0 is a leading zero
+    longest = int((negative - first).max()) + 20
+    w = longest // 8 + 1
+    # the kept words, digit k of the 20 at byte k + 3 of the block
+    if w == 1:  # |c| < 10**7: digits 13-19 are u's two low 4-digit groups less one digit
+        q = u // np.uint64(10**4)
+        r = u - q * np.uint64(10**4)
+        digits = [_DIGITS4[q.view(np.int64)] >> 8 | _DIGITS4[r.view(np.int64)] << 24]
+    else:
+        d, _ = _digit_words(u)
+        digits = [d[0] << 24, d[1] << 24 | d[0] >> 40, d[2] << 24 | d[1] >> 40][_INT_WORDS - w :]
+    first += 3
+    out = np.empty(c.shape + (w,), dtype=np.uint64)
+    for j, word in enumerate(digits):
+        out[..., j] = word & _FROM[_INT_WORDS - w + j][first]
+    # the first byte kept is before the text: a leading zero, or byte 0
+    out[..., 0] |= negative * np.uint64(ord("-"))
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _separators(n: int, w: int) -> np.ndarray:
+    """The separator words of a trace row of an n-dimensional play whose
+    integer slots have w words: each slot's separator in the top byte of
+    its last word.  Read-only, as every write shares it."""
+    slots = [w] + [_FLOAT_WORDS] * (n + 1) + [w] * 3
+    seps = np.zeros(sum(slots), dtype=np.uint64)
+    seps[np.cumsum(slots) - 1] = [ord(c) << 56 for c in "," + ";" * (n - 1) + ",,,,\n"]
+    seps.flags.writeable = False
+    return seps
 
 
 class _RowFormatter:
@@ -768,35 +812,35 @@ class _RowFormatter:
     ``rows`` at a time, in buffers allocated once.
 
     A row is t, the n coordinates of x and the loss, and the three
-    counts, each in its slot of words with its separator in
-    the slot's last byte; one ``bytes.translate`` deletes the NULs of
-    every row at once."""
+    counts, each in its slot of words with its separator in the slot's
+    last byte.  The four integer slots of a chunk have the width
+    :func:`_int_words` gives its integers, and the chunk's rows are one
+    flat buffer viewed at that row width; one ``bytes.translate`` deletes
+    the NULs of every row at once."""
 
     def __init__(self, n: int, rows: int):
         self.n = n
         self.floats = np.empty((rows, n + 1))
         self.ints = np.empty((rows, 4), dtype=np.int64)
-        self.f0 = _INT_WORDS  # the first word of x
-        self.c0 = self.f0 + (n + 1) * _FLOAT_WORDS  # the first word of the counts
-        slots = [_INT_WORDS] + [_FLOAT_WORDS] * (n + 1) + [_INT_WORDS] * 3
-        self.words = np.empty((rows, sum(slots)), dtype="<u8")
-        self.seps = np.zeros(sum(slots), dtype=np.uint64)  # in the top byte of each slot's last word
-        self.seps[np.cumsum(slots) - 1] = [ord(c) << 56 for c in "," + ";" * (n - 1) + ",,,,\n"]
+        self.words = np.empty(rows * (4 * _INT_WORDS + (n + 1) * _FLOAT_WORDS), dtype="<u8")
 
     def format(self, t: np.ndarray, plays: np.ndarray, losses: np.ndarray, counts: list) -> bytes:
         """Lines t[i],plays[i],losses[i],counts[0][i],... for every i, as bytes."""
         r = len(t)
-        floats, ints, words = self.floats[:r], self.ints[:r], self.words[:r]
+        floats, ints = self.floats[:r], self.ints[:r]
         floats[:, : self.n] = plays
         floats[:, self.n] = losses
         ints[:, 0] = t
         for j, c in enumerate(counts, start=1):
             ints[:, j] = c
         iw = _int_words(ints)
-        words[:, : self.f0] = iw[:, 0]
-        words[:, self.f0 : self.c0] = _float_words(floats).reshape(r, -1)
-        words[:, self.c0 :] = iw[:, 1:].reshape(r, -1)
-        words |= self.seps
+        w = iw.shape[-1]
+        c0 = w + (self.n + 1) * _FLOAT_WORDS  # the first word of the counts
+        words = self.words[: r * (c0 + 3 * w)].reshape(r, -1)
+        words[:, :w] = iw[:, 0]
+        words[:, w:c0] = _float_words(floats).reshape(r, -1)
+        words[:, c0:] = iw[:, 1:].reshape(r, -1)
+        words |= _separators(self.n, w)
         return words.tobytes().translate(None, b"\0")
 
 
@@ -898,11 +942,14 @@ def write_run_outputs(out_dir: str, base: str, trace: RunTrace, summary: dict) -
     """``<base>.csv`` and then ``<base>.summary.json`` in ``out_dir``.  Each
     replaces its old file only once it is complete: no failed write
     leaves a partial file, and a failed trace leaves an earlier run's
-    trace and summary as they were."""
+    trace and summary as they were.  The summary is one line of JSON
+    with sorted keys, which the C encoder writes (with ``indent`` the
+    pure-Python encoder would run, about 1 ms on a polytope summary,
+    which repeats A and b)."""
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, base + ".csv")
     summary_path = os.path.join(out_dir, base + ".summary.json")
     write_trace_csv(trace, trace_path)
     with _replacing(summary_path) as fh:
-        fh.write((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
+        fh.write((json.dumps(summary, sort_keys=True) + "\n").encode())
     return trace_path, summary_path

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfoco import geometry
 from pfoco.frankwolfe import separating_hyperplane_fw
 from pfoco.geometry import (
     Ball,
@@ -667,6 +668,36 @@ def test_polytope_loo_many_after_a_learner_run():
     assert len(settled) == 0
     np.testing.assert_array_equal(many, fresh.loo_many(D))
     np.testing.assert_array_equal(many, loo_reference(poly, D))
+
+
+def test_polytope_loo_tail_solves_as_numpy_linalg(monkeypatch):
+    """The warm LOO's tail, which takes its vertex solve and the
+    certificate's inverse from NumPy's LAPACK gufuncs, gives the bits of
+    ``np.linalg.solve`` and ``np.linalg.inv`` on every tight block of a
+    learner's run, and their ``LinAlgError`` on a singular block."""
+    tail, blocks = geometry._solve_and_inverse, []
+
+    def recorded(A, b):
+        blocks.append((A.copy(), b.copy()))
+        return tail(A, b)
+
+    monkeypatch.setattr(geometry, "_solve_and_inverse", recorded)
+    poly = make_cut_cube(np.random.default_rng(63), 10, 60)
+    rng = np.random.default_rng(64)
+    T = 200
+    sched = make_switching_linear_schedule(T, 10, poly.R, [(20, rng.standard_normal(10)) for _ in range(10)])
+    trace = loo_run(poly, sched, loo_bogd_params(poly, sched.G_f, T, eps=0.08, K=20))
+    assert trace.counters.loo_calls > 50 and len(blocks) > 50
+    for A, b in blocks:
+        v, Binv = tail(A, b)
+        assert v.tobytes() == np.linalg.solve(A, b).tobytes()
+        assert Binv.tobytes() == np.linalg.inv(A).tobytes()
+    A, b = blocks[0]
+    A[1] = A[0]  # two tight rows on one face
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        tail(A, b)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        np.linalg.inv(A)
 
 
 def test_polytope_loo_many_takes_the_block_path():

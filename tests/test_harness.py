@@ -151,6 +151,7 @@ def test_set_and_loss_values_are_validated_not_coerced():
     # build_schedule checks its dict as parse_config_dict does
     for loss, message in (
         ({"kind": "switching_linear", "segments": [[5, [True, "1"]], [5, [0, 1]]]}, r"loss.segments\[0\] must be"),
+        ({"kind": "switching_linear", "segments": [[5, [1, 0]], [5, [0, True]]]}, r"loss.segments\[1\] must be"),
         ({"kind": "iid_linear", "gain": 5.0}, r"keys \['gain'\] do not apply to loss 'iid_linear'"),
     ):
         with pytest.raises(ConfigError, match=message):
@@ -216,9 +217,23 @@ def test_build_set_covers_all_kinds():
         ("b", {"kind": "polytope", "A": [[1.0, 0.0], [-1.0, 0.0]], "b": [1.0, float("nan")]}),
         ("A", {"kind": "polytope", "A": [[1.0, "0"], [-1.0, 0.0]], "b": [1.0, 1.0]}),
         ("A", {"kind": "polytope", "A": [1.0, -1.0], "b": [1.0, 1.0]}),
+        ("A", {"kind": "polytope", "A": [[1.0, 0.0], [-1.0, 0.0], [0.0, True], [0.0, -1.0]], "b": [1.0] * 4}),
     ):
         with pytest.raises(ConfigError, match=f"set.{key} must be a list of"):
             build_set(bad)
+
+
+def test_a_run_checks_its_set_config_once(monkeypatch):
+    # parse_config_dict checks the set's numbers; the run builds the set
+    # from them without a second check
+    calls = []
+    check = harness._validate_set_cfg
+    monkeypatch.setattr(harness, "_validate_set_cfg", lambda d: calls.append(d) or check(d))
+    A = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]]
+    poly = {"kind": "polytope", "A": A, "b": [1, 1, 1, 1, 1, 1, 1.5]}
+    cfg = parse_config_dict(_base_config(set=poly, learner={"kind": "loo_bogd", "eps": 0.05, "K": 8}))
+    assert run_one(cfg, 0)[3]["observed"]["loo_calls"] >= 0
+    assert calls == [poly]
 
 
 # ----------------------------------------------------------------------
@@ -611,6 +626,15 @@ def _runs_trace(lengths, n):
     )
 
 
+def _counts_trace(T, rows):
+    """``_random_trace(T, 2)`` with the counts of some rows set:
+    ``rows[t]`` is row t's (loo_cum, so_cum, block_index)."""
+    trace = _random_trace(T, 2)
+    for t, (loo, so, block) in rows.items():
+        trace.loo_cum[t], trace.so_cum[t], trace.block_index[t] = loo, so, block
+    return trace
+
+
 def _signed_zero_flip(lead=0):
     """One run under ==, whose play and loss turn from 0.0 to -0.0 mid-run,
     after ``lead`` rows that each differ from the one before."""
@@ -655,6 +679,18 @@ def _only_counts_change():
         pytest.param(lambda: _runs_trace([1] * 2500 + [3000] + [1] * 2500, 2), id="run-across-split"),
         # both flips fall after 3,000 rows that are each formatted
         pytest.param(lambda: _signed_zero_flip(lead=3000), id="signed-zero-flip-split"),
+        # a chunk's integer slots are one word up to 7 characters, two up
+        # to 15: counts of 7 and 8 digits in one chunk, then in chunks
+        # either side of the edge at 1,024 rows; negative counts; the
+        # int64 extremes
+        pytest.param(lambda: _counts_trace(40, {3: (9_999_999, 5, 1)}), id="counts-7-digits"),
+        pytest.param(lambda: _counts_trace(40, {3: (9_999_999, 10_000_000, 1)}), id="counts-8-digits"),
+        pytest.param(
+            lambda: _counts_trace(2100, {1023: (9_999_999, 1, 1), 1024: (10_000_000, 1, 1), 2047: (1, 1, 10_000_000)}),
+            id="counts-8-digits-across-chunk-edge",
+        ),
+        pytest.param(lambda: _counts_trace(40, {0: (-1, -999_999, 1), 9: (-1_000_000, 0, -7)}), id="counts-negative"),
+        pytest.param(lambda: _counts_trace(40, {7: (2**63 - 1, -(2**63), 0)}), id="counts-int64-extremes"),
     ],
 )
 def test_trace_writer_bytes_equal_csv_writer(tmp_path, make):
@@ -706,7 +742,11 @@ def test_row_kernel_writes_the_bytes_of_printf(bits, decimals, counts):
     x = np.concatenate((np.array(bits, dtype=np.uint64).view(np.float64), decimals, _FORMAT_EDGES))
     assert _slots(harness._float_words(x), 4) == [b"%.17g" % v for v in x.tolist()]
     c = np.array(counts + [0, 1, 9, 10, 99, 2**62, 2**63 - 1, -1, -10, -(2**63)], dtype=np.int64)
-    assert _slots(harness._int_words(c), 3) == [b"%d" % v for v in c.tolist()]
+    # integer slots are as few words as the longest text and its separator need
+    for block in (c, c % 10**7, -(c % 10**6), c % 10**15, -(c % 10**14)):
+        words, text = harness._int_words(block), [b"%d" % v for v in block.tolist()]
+        assert words.shape == (len(block), max(map(len, text)) // 8 + 1)
+        assert _slots(words, words.shape[1]) == text
 
 
 def test_trace_writer_failing_part_way_leaves_the_earlier_outputs(tmp_path, monkeypatch):
@@ -816,7 +856,9 @@ def test_cli_run_and_regret_agree(tmp_path, capsys):
 
     trace_path = os.path.join(out, "cfg_seed2.csv")
     assert os.path.exists(trace_path)
-    summary = json.loads(open(os.path.join(out, "cfg_seed2.summary.json")).read())
+    text = open(os.path.join(out, "cfg_seed2.summary.json")).read()
+    assert text.count("\n") == 1 and text.endswith("}\n")  # one line of JSON
+    summary = json.loads(text)
 
     assert cli_main(["regret", trace_path, cfg_path, "--seed", "2"]) == 0
     assert _static_regret_printed(capsys) == pytest.approx(summary["observed"]["static_regret"], rel=1e-9, abs=1e-9)
