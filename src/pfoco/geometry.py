@@ -110,7 +110,9 @@ def _solve_and_inverse(A: np.ndarray, b: Vector) -> tuple[Vector, np.ndarray]:
     float64 block, bit for bit: the two LAPACK gufuncs those wrappers
     call, in one ``errstate`` that raises ``LinAlgError`` on a singular
     A as theirs does, without the wrappers' per-call type and shape
-    checks (about 10 of the 20 us the pair costs on a 10 x 10 block)."""
+    checks (about 10 of the 20 us the pair costs on a 10 x 10 block).
+    ``numpy.linalg._umath_linalg`` is a private NumPy module, checked on
+    NumPy 2.4; pyproject.toml bounds NumPy below 3 for it."""
     with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
         return _umath_linalg.solve1(A, b, signature="dd->d"), _umath_linalg.inv(A, signature="d->d")
 

@@ -779,13 +779,8 @@ def _int_words(c: np.ndarray) -> np.ndarray:
     longest = int((negative - first).max()) + 20
     w = longest // 8 + 1
     # the kept words, digit k of the 20 at byte k + 3 of the block
-    if w == 1:  # |c| < 10**7: digits 13-19 are u's two low 4-digit groups less one digit
-        q = u // np.uint64(10**4)
-        r = u - q * np.uint64(10**4)
-        digits = [_DIGITS4[q.view(np.int64)] >> 8 | _DIGITS4[r.view(np.int64)] << 24]
-    else:
-        d, _ = _digit_words(u)
-        digits = [d[0] << 24, d[1] << 24 | d[0] >> 40, d[2] << 24 | d[1] >> 40][_INT_WORDS - w :]
+    d, _ = _digit_words(u)
+    digits = [d[0] << 24, d[1] << 24 | d[0] >> 40, d[2] << 24 | d[1] >> 40][_INT_WORDS - w :]
     first += 3
     out = np.empty(c.shape + (w,), dtype=np.uint64)
     for j, word in enumerate(digits):
