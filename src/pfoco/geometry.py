@@ -43,10 +43,13 @@ it is a 1-D float64 array (or rows of one) of the set's dimension with
 finite entries.  The learner loops call these same entry points: the
 chunk pass of :func:`pfoco.learners.so_run` sends each chunk of rounds
 as one block through :func:`so_query`, checked as a whole, for every
-learner kind and feedback; there is no unchecked path.  The per-vector
-check (:func:`as_vector`) is one ``dot`` and a finiteness test of the
-result, about 1 us on an 8-vector; the entry-wise scan runs only when
-that sum of squares is not finite.
+learner kind and feedback; there is no unchecked path.  Points and
+blocks are checked by one rule: a finite sum over the entries proves
+every entry finite, and the entry-wise scan runs only when that sum is
+not finite.  A point sums its squares by one ``dot`` (about 1 us on an
+8-vector), a block its entries by NumPy's own reduction (1.1 us on the
+32 x 8 blocks of an SO run, against 1.7 us for the scan; level with it
+on a comparator scan's 2,025 x 8).
 
 Dependencies: the sets, the polytope's LOO included, use NumPy alone,
 so importing this module, building a polytope and asking its LOO load
@@ -87,11 +90,17 @@ def as_vector(x) -> Vector:
     v = np.ascontiguousarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    # a finite sum of squares proves every entry finite; only an overflow
-    # or a non-finite entry needs the entry-wise scan
-    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
+    if not _finite(v, v.dot(v)):
         raise ValueError("vector has non-finite entries")
     return v
+
+
+def _finite(v: np.ndarray, total: float) -> bool:
+    """Whether every entry of v is finite, given a sum over its entries
+    (of the entries or of their squares): a finite sum proves it, and
+    only an overflow or a non-finite entry needs the entry-wise scan.
+    Points and blocks are checked by this one rule."""
+    return math.isfinite(total) or bool(np.isfinite(v).all())
 
 
 def _peak(x: np.ndarray):
@@ -242,11 +251,14 @@ class FeasibleSet:
         return out
 
     def _check_rows(self, rows) -> np.ndarray:
-        """Coerce to a finite, contiguous (k, n) float64 array."""
+        """Coerce to a finite, contiguous (k, n) float64 array.  Entries
+        whose sum overflows are accepted, after NumPy's overflow warning."""
         M = np.ascontiguousarray(rows, dtype=np.float64)
         if M.ndim != 2 or M.shape[1] != self.n:
             raise ValueError(f"expected a (k, {self.n}) array, got shape {M.shape}")
-        if not np.isfinite(M).all():
+        # the plain sum, not the squares' dot: BLAS may hand a long dot to
+        # helper threads, which can take milliseconds to wake
+        if not _finite(M, np.add.reduce(M.reshape(-1))):
             raise ValueError("array has non-finite entries")
         return M
 
@@ -368,7 +380,8 @@ class Box(FeasibleSet):
 
 def simplex_project_sorted(y, s: float) -> np.ndarray:
     """Project onto {x >= 0, sum(x) = s} by the sort-and-threshold rule;
-    a 2-D ``y`` is projected row by row."""
+    a 2-D ``y`` is projected row by row (the batched sets call
+    :func:`_simplex_project_rows`, which gives each row these bits)."""
     n = y.shape[-1]
     u = np.sort(y, axis=-1)[..., ::-1]
     css = np.cumsum(u, axis=-1) - s
@@ -377,6 +390,39 @@ def simplex_project_sorted(y, s: float) -> np.ndarray:
     rho = n - np.argmax(cond[..., ::-1], axis=-1)[..., None]
     theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
     return np.maximum(y - theta, 0.0)
+
+
+def _simplex_project_rows(Y: np.ndarray, s: float) -> np.ndarray:
+    """:func:`simplex_project_sorted` of every row of a (k, n) array, each
+    with the bits it gives that row.  Each row is sorted, but the running
+    sums, the threshold test and the last index where it holds are taken
+    one coordinate at a time over the columns of the sorted rows, in n
+    NumPy calls on length-k columns, not in per-row reductions of length
+    n, whose per-row cost is most of their time on short rows.
+
+    For coordinate j (0-based) the candidate threshold is
+    t_j = (u_0 + ... + u_j - s) / (j + 1), summed in order; the threshold
+    is the t_j of the last j with u_j > t_j (the same test as
+    u_j - t_j > 0 on finite u), or t_{n-1} where no j passes, as the
+    sorted rule's ``argmax`` of an all-false row gives."""
+    n = Y.shape[1]
+    U = np.sort(Y, axis=1)[:, ::-1].T.copy()  # U[j]: the j-th largest entry of every row
+    total = U[0].copy()
+    t = total - s
+    theta = t.copy()
+    passed = U[0] > t
+    unset = None if passed.all() else ~passed  # rows no coordinate has passed yet
+    for j in range(1, n):
+        np.add(total, U[j], out=total)
+        np.subtract(total, s, out=t)
+        np.divide(t, j + 1, out=t)
+        np.greater(U[j], t, out=passed)
+        np.copyto(theta, t, where=passed)
+        if unset is not None:
+            unset &= ~passed
+    if unset is not None:
+        np.copyto(theta, t, where=unset)
+    return np.maximum(Y - theta[:, None], 0.0)
 
 
 class Simplex(FeasibleSet):
@@ -438,7 +484,7 @@ class Simplex(FeasibleSet):
         return V
 
     def project_many(self, points) -> np.ndarray:
-        return simplex_project_sorted(self._check_rows(points), self.scale)
+        return _simplex_project_rows(self._check_rows(points), self.scale)
 
 
 class L1Ball(FeasibleSet):
@@ -492,9 +538,12 @@ class L1Ball(FeasibleSet):
 
     def project_many(self, points) -> np.ndarray:
         Y = self._check_rows(points)
+        A = np.abs(Y)
+        out = np.sum(A, axis=1) > self.R
+        if out.all():  # as in a quadratic scan whose targets lie outside K
+            return np.sign(Y) * _simplex_project_rows(A, self.R)
         X = Y.copy()
-        out = np.sum(np.abs(Y), axis=1) > self.R
-        X[out] = np.sign(Y[out]) * simplex_project_sorted(np.abs(Y[out]), self.R)
+        X[out] = np.sign(Y[out]) * _simplex_project_rows(A[out], self.R)
         return X
 
 

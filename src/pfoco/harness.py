@@ -33,6 +33,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -602,14 +603,21 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
     once every row is written (see :func:`_replacing`)."""
     T = trace.T
     # same[t]: row t repeats row t - 1 after t.  Floats compare as bits:
-    # 0.0 == -0.0, but they print as 0 and -0.
+    # 0.0 == -0.0, but they print as 0 and -0.  The plays are compared
+    # only once some row's loss and counts repeat (none does in an SO
+    # trace, whose so_calls_cum rises every round); a blocked trace's rows
+    # mostly repeat, and there one compare of every row costs less than a
+    # gather of the candidates (the marks took 76 against 163 us at
+    # T = 2,000, n = 8).
     plays, losses = trace.plays.view(np.uint64), trace.losses.view(np.uint64)
     same = np.zeros(T, dtype=bool)
-    same[1:] = (plays[1:] == plays[:-1]).all(axis=1) & (losses[1:] == losses[:-1])
+    same[1:] = losses[1:] == losses[:-1]
     counts = (trace.loo_cum, trace.so_cum, trace.block_index)
     for c in counts:
         same[1:] &= c[1:] == c[:-1]
     same[::_TRACE_CHUNK] = False  # no run is longer than a chunk
+    if same.any():
+        same[1:] &= (plays[1:] == plays[:-1]).all(axis=1)
     first = np.flatnonzero(~same)  # the first row of each run
     length = np.diff(first, append=T)
     rows = _RowFormatter(trace.plays.shape[1], min(len(first), _TRACE_CHUNK))
@@ -802,6 +810,13 @@ def _separators(n: int, w: int) -> np.ndarray:
     return seps
 
 
+# A chunk of fewer rows is formatted by the '%d'/'%.17g' row template: the
+# kernel's fixed cost (0.1-0.2 ms of NumPy calls) outweighs its per-row
+# saving below about 32 rows (the crossover measured at 28-36 rows for
+# n = 8 and n = 10).
+_TEMPLATE_ROWS = 32
+
+
 class _RowFormatter:
     """Trace rows of an n-dimensional play formatted as text, up to
     ``rows`` at a time, in buffers allocated once.
@@ -811,10 +826,13 @@ class _RowFormatter:
     last byte.  The four integer slots of a chunk have the width
     :func:`_int_words` gives its integers, and the chunk's rows are one
     flat buffer viewed at that row width; one ``bytes.translate`` deletes
-    the NULs of every row at once."""
+    the NULs of every row at once.  A chunk of fewer than
+    ``_TEMPLATE_ROWS`` rows is formatted by the row template whose bytes
+    the kernel reproduces."""
 
     def __init__(self, n: int, rows: int):
         self.n = n
+        self.template = b"%d," + b";".join([b"%.17g"] * n) + b",%.17g,%d,%d,%d\n"
         self.floats = np.empty((rows, n + 1))
         self.ints = np.empty((rows, 4), dtype=np.int64)
         self.words = np.empty(rows * (4 * _INT_WORDS + (n + 1) * _FLOAT_WORDS), dtype="<u8")
@@ -822,6 +840,9 @@ class _RowFormatter:
     def format(self, t: np.ndarray, plays: np.ndarray, losses: np.ndarray, counts: list) -> bytes:
         """Lines t[i],plays[i],losses[i],counts[0][i],... for every i, as bytes."""
         r = len(t)
+        if r < _TEMPLATE_ROWS:
+            fields = zip(t.tolist(), *plays.T.tolist(), losses.tolist(), *(c.tolist() for c in counts))
+            return self.template * r % tuple(itertools.chain.from_iterable(fields))
         floats, ints = self.floats[:r], self.ints[:r]
         floats[:, : self.n] = plays
         floats[:, self.n] = losses

@@ -513,6 +513,49 @@ def test_batched_oracles_equal_row_by_row(kind, squeezed):
             np.testing.assert_array_equal(many, one)
 
 
+# Entries of projection rows: ties and signed zeros, general values, and
+# entries so large that u_0 - (u_0 - s) is 0, so that no coordinate of
+# their row passes the threshold test and the sorted rule falls back to
+# rho = n.
+_PROJECTION_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 3.0]),
+    st.floats(-50.0, 50.0, allow_nan=False),
+    st.sampled_from([1e20, -1e20]),
+)
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 17])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batched_projection_equals_the_sorted_rule_row_by_row(n, data):
+    rows = data.draw(st.lists(st.lists(_PROJECTION_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=12))
+    # zero rows of both signs, inside K
+    mixed = np.array(rows + [[0.0] * n, [-0.0] * n])
+    l1, simplex = L1Ball(n, 1.0), Simplex(n, 1.0)
+    outside = mixed[np.abs(mixed).sum(axis=1) > l1.R]
+    for Y in (mixed, outside):  # a block mixed inside and outside K, and one all outside
+        for s in (0.5, 1.0, 3.0):
+            many = geometry._simplex_project_rows(Y, s)
+            assert _bits_equal(many, simplex_project_sorted(Y, s))
+            assert _bits_equal(many, np.array([simplex_project_sorted(y, s) for y in Y]).reshape(Y.shape))
+        for set_ in (l1, simplex):
+            assert _bits_equal(set_.project_many(Y), np.array([set_.project(y) for y in Y]).reshape(Y.shape))
+
+
+def test_batched_projection_falls_back_where_no_coordinate_passes():
+    # at s = 1 no coordinate of the first row passes the threshold test
+    # (u_0 - (u_0 - 1) == 0), so its threshold is t_{n-1}, while the second
+    # row passes at j = 0 and j = 1; at s = -1 neither row passes anywhere;
+    # the second row alone passes at j = 0, so no row is left to fall back
+    Y = np.array([[1e20, 0.0, 0.0], [0.9, 0.0, -2.0]])
+    for block, s in ((Y, 1.0), (Y, -1.0), (Y[1:], 1.0)):
+        assert _bits_equal(geometry._simplex_project_rows(block, s), simplex_project_sorted(block, s))
+
+
 def _interval_sums(rng, n, k=120, T=60):
     """Sums of random loss coefficients over k random intervals of [1, T],
     as a linear comparator asks them."""
@@ -917,6 +960,39 @@ def test_as_vector_accepts_entries_whose_squares_overflow():
     # check must fall back to looking at the entries themselves
     v = as_vector([1e200, -1e200])
     assert v.dtype == np.float64 and v.tolist() == [1e200, -1e200]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in reduce:RuntimeWarning")
+def test_points_and_blocks_accept_and_refuse_the_same_entries():
+    # one rule for both: a finite sum over the entries proves them finite,
+    # and a sum that overflows (squares above 1e154, or entries summing past
+    # 1.8e308) or is not finite falls back to the entry-wise scan; NumPy
+    # warns of an overflow, and of inf - inf in a block's sum
+    ball = Ball(3, 1.0)
+    rows = [
+        [0.0, -0.0, 5e-324],
+        [1e200, -1e200, 1e200],
+        [1.7e308, 1.7e308, 0.0],
+        [np.inf, 0.0, 0.0],
+        [-np.inf, np.inf, 0.0],
+        [np.nan, 1.0, 0.0],
+    ]
+
+    def accepts(check, x):
+        try:
+            check(x)
+        except ValueError as e:
+            assert "non-finite" in str(e)
+            return False
+        return True
+
+    for row in rows:
+        finite = bool(np.isfinite(row).all())
+        assert accepts(ball._check_dim, np.array(row)) == finite, row
+        for k in (1, 2, 3000):  # a block of one, a few rows, a comparator scan's size
+            assert accepts(ball._check_rows, np.tile(row, (k, 1))) == finite, (row, k)
+            assert accepts(ball.project_many, np.tile(row, (k, 1))) == finite, (row, k)
 
 
 @pytest.mark.parametrize("squeezed", [False, True], ids=["set", "squeezed"])

@@ -646,6 +646,17 @@ def _signed_zero_flip(lead=0):
     return trace
 
 
+def _edges_trace():
+    """29 distinct rows of n = 8 whose plays and losses run through the
+    non-NaN values of ``_FORMAT_EDGES``."""
+    edges = np.array([v for v in _FORMAT_EDGES if not math.isnan(v)])
+    T = 29
+    trace = _random_trace(T, 8)
+    trace.plays[:] = np.resize(edges, (T, 8))
+    trace.losses[:] = np.resize(edges[::-1], T)
+    return trace
+
+
 def _only_loss_changes():
     trace = _runs_trace([300], 3)
     trace.losses[:] = np.repeat(np.random.default_rng(33).standard_normal(30), 10)
@@ -691,6 +702,19 @@ def _only_counts_change():
         ),
         pytest.param(lambda: _counts_trace(40, {0: (-1, -999_999, 1), 9: (-1_000_000, 0, -7)}), id="counts-negative"),
         pytest.param(lambda: _counts_trace(40, {7: (2**63 - 1, -(2**63), 0)}), id="counts-int64-extremes"),
+        # a chunk of fewer than 32 formatted rows takes the row template, and
+        # one of 32 or more the kernel: each side of that edge, and a second
+        # chunk of 31 rows after a full one
+        pytest.param(lambda: _random_trace(31, 3), id="31-distinct-rows"),
+        pytest.param(lambda: _random_trace(32, 3), id="32-distinct-rows"),
+        pytest.param(lambda: _random_trace(33, 3), id="33-distinct-rows"),
+        pytest.param(lambda: _random_trace(1024 + 31, 2), id="1024+31-distinct-rows"),
+        # a blocked trace: four runs whose pieces cross the chunk edges at
+        # 1,024 and 2,048 rounds, six formatted rows in all
+        pytest.param(lambda: _runs_trace([600, 900, 700, 300], 8), id="blocked-runs-across-chunk-edges"),
+        # the kernel's edge values, NaNs aside (they print without a sign), in
+        # one chunk of 29 rows
+        pytest.param(_edges_trace, id="format-edges-few-rows"),
     ],
 )
 def test_trace_writer_bytes_equal_csv_writer(tmp_path, make):
@@ -747,6 +771,25 @@ def test_row_kernel_writes_the_bytes_of_printf(bits, decimals, counts):
         words, text = harness._int_words(block), [b"%d" % v for v in block.tolist()]
         assert words.shape == (len(block), max(map(len, text)) // 8 + 1)
         assert _slots(words, words.shape[1]) == text
+
+
+@pytest.mark.parametrize("n", [1, 8, 10])
+def test_few_row_chunks_take_the_template_with_the_kernels_bytes(n, monkeypatch):
+    # _FORMAT_EDGES values, NaNs included (at n = 8 and 10 the 31 rows hold
+    # every one), in chunks of 1 to 31 rows: the row template's bytes equal
+    # the kernel's on the same rows
+    x = np.resize(np.array(_FORMAT_EDGES), (31, n + 1))
+    counts = [np.arange(31) * 10**k for k in (0, 7, 15)]
+    counts[1][3] = -(10**6)
+    t = np.arange(1, 32) * 997
+    fmt = harness._RowFormatter(n, 31)
+    for r in (1, 2, 17, 31):
+        args = (t[:r], x[:r, :n], x[:r, n], [c[:r] for c in counts])
+        template = fmt.format(*args)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_TEMPLATE_ROWS", 0)
+            assert fmt.format(*args) == template
+        assert template.count(b"\n") == r and template.startswith(b"%d," % t[0])
 
 
 def test_trace_writer_failing_part_way_leaves_the_earlier_outputs(tmp_path, monkeypatch):
