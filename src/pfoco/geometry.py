@@ -43,13 +43,12 @@ it is a 1-D float64 array (or rows of one) of the set's dimension with
 finite entries.  The learner loops call these same entry points: the
 chunk pass of :func:`pfoco.learners.so_run` sends each chunk of rounds
 as one block through :func:`so_query`, checked as a whole, for every
-learner kind and feedback; there is no unchecked path.  Points and
-blocks are checked by one rule: a finite sum over the entries proves
-every entry finite, and the entry-wise scan runs only when that sum is
-not finite.  A point sums its squares by one ``dot`` (about 1 us on an
-8-vector), a block its entries by NumPy's own reduction (1.1 us on the
-32 x 8 blocks of an SO run, against 1.7 us for the scan; level with it
-on a comparator scan's 2,025 x 8).
+learner kind and feedback; there is no unchecked path.  The per-vector
+check (:func:`as_vector`) is one ``dot`` and a finiteness test of the
+result, about 1 us on an 8-vector; the entry-wise scan runs only when
+that sum of squares is not finite.  A block is scanned entry by entry
+(``np.isfinite``), since a NumPy sum of its entries warns on overflow;
+both checks accept and refuse the same entries.
 
 Dependencies: the sets, the polytope's LOO included, use NumPy alone,
 so importing this module, building a polytope and asking its LOO load
@@ -90,17 +89,11 @@ def as_vector(x) -> Vector:
     v = np.ascontiguousarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not _finite(v, v.dot(v)):
+    # a finite sum of squares proves every entry finite; only an overflow
+    # or a non-finite entry needs the entry-wise scan
+    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
-
-
-def _finite(v: np.ndarray, total: float) -> bool:
-    """Whether every entry of v is finite, given a sum over its entries
-    (of the entries or of their squares): a finite sum proves it, and
-    only an overflow or a non-finite entry needs the entry-wise scan.
-    Points and blocks are checked by this one rule."""
-    return math.isfinite(total) or bool(np.isfinite(v).all())
 
 
 def _peak(x: np.ndarray):
@@ -251,14 +244,11 @@ class FeasibleSet:
         return out
 
     def _check_rows(self, rows) -> np.ndarray:
-        """Coerce to a finite, contiguous (k, n) float64 array.  Entries
-        whose sum overflows are accepted, after NumPy's overflow warning."""
+        """Coerce to a finite, contiguous (k, n) float64 array."""
         M = np.ascontiguousarray(rows, dtype=np.float64)
         if M.ndim != 2 or M.shape[1] != self.n:
             raise ValueError(f"expected a (k, {self.n}) array, got shape {M.shape}")
-        # the plain sum, not the squares' dot: BLAS may hand a long dot to
-        # helper threads, which can take milliseconds to wake
-        if not _finite(M, np.add.reduce(M.reshape(-1))):
+        if not np.isfinite(M).all():
             raise ValueError("array has non-finite entries")
         return M
 
@@ -539,11 +529,10 @@ class L1Ball(FeasibleSet):
     def project_many(self, points) -> np.ndarray:
         Y = self._check_rows(points)
         A = np.abs(Y)
-        out = np.sum(A, axis=1) > self.R
-        if out.all():  # as in a quadratic scan whose targets lie outside K
-            return np.sign(Y) * _simplex_project_rows(A, self.R)
-        X = Y.copy()
-        X[out] = np.sign(Y[out]) * _simplex_project_rows(A[out], self.R)
+        # every row is projected (a row's answer does not depend on the
+        # others), then the rows inside K are put back as they came
+        X = np.sign(Y) * _simplex_project_rows(A, self.R)
+        np.copyto(X, Y, where=(np.sum(A, axis=1) <= self.R)[:, None])
         return X
 
 
