@@ -384,11 +384,18 @@ def simplex_project_sorted(y, s: float) -> np.ndarray:
 
 def _simplex_project_rows(Y: np.ndarray, s: float) -> np.ndarray:
     """:func:`simplex_project_sorted` of every row of a (k, n) array, each
-    with the bits it gives that row.  Each row is sorted, but the running
-    sums, the threshold test and the last index where it holds are taken
-    one coordinate at a time over the columns of the sorted rows, in n
-    NumPy calls on length-k columns, not in per-row reductions of length
-    n, whose per-row cost is most of their time on short rows.
+    with the bits it gives that row (see :func:`_simplex_thresholds`)."""
+    return np.maximum(Y - _simplex_thresholds(Y, s)[0][:, None], 0.0)
+
+
+def _simplex_thresholds(Y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold of :func:`simplex_project_sorted` for every row of a
+    (k, n) array, and each row's sum in sorted order.  Each row is sorted,
+    but the running sums, the threshold test and the last index where it
+    holds are taken one coordinate at a time over the columns of the
+    sorted rows, in n NumPy calls on length-k columns, not in per-row
+    reductions of length n, whose per-row cost is most of their time on
+    short rows.
 
     For coordinate j (0-based) the candidate threshold is
     t_j = (u_0 + ... + u_j - s) / (j + 1), summed in order; the threshold
@@ -412,7 +419,7 @@ def _simplex_project_rows(Y: np.ndarray, s: float) -> np.ndarray:
             unset &= ~passed
     if unset is not None:
         np.copyto(theta, t, where=unset)
-    return np.maximum(Y - theta[:, None], 0.0)
+    return theta, total
 
 
 class Simplex(FeasibleSet):
@@ -531,8 +538,17 @@ class L1Ball(FeasibleSet):
         A = np.abs(Y)
         # every row is projected (a row's answer does not depend on the
         # others), then the rows inside K are put back as they came
-        X = np.sign(Y) * _simplex_project_rows(A, self.R)
-        np.copyto(X, Y, where=(np.sum(A, axis=1) <= self.R)[:, None])
+        theta, total = _simplex_thresholds(A, self.R)
+        X = np.sign(Y) * np.maximum(A - theta[:, None], 0.0)
+        # Summed in any order, n entries >= 0 give their exact sum to within
+        # a relative (n - 1)u / (1 - (n - 1)u), u = 2**-53 (an addition's
+        # rounding error is relative even where it underflows).  So a row
+        # whose sum in sorted order exceeds R by a relative 8nu, and did
+        # not overflow, is outside K by project's 1-D sum too; only the
+        # other rows are summed as project sums them.
+        near = np.flatnonzero(~(total * (1.0 - Y.shape[1] * 2.0**-50) > self.R) | (total == np.inf))
+        inside = near[np.sum(A[near], axis=1) <= self.R]
+        X[inside] = Y[inside]
         return X
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -620,12 +619,14 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
         same[1:] &= (plays[1:] == plays[:-1]).all(axis=1)
     first = np.flatnonzero(~same)  # the first row of each run
     length = np.diff(first, append=T)
+    runless = len(first) == T  # every per-round trace: its chunks are slices, not gathers
     rows = _RowFormatter(trace.plays.shape[1], min(len(first), _TRACE_CHUNK))
     with _replacing(path) as fh:
         fh.write((",".join(_TRACE_HEADER) + "\n").encode())
         for lo in range(0, len(first), _TRACE_CHUNK):
             pick = first[lo : lo + _TRACE_CHUNK]
-            text = rows.format(pick + 1, trace.plays[pick], trace.losses[pick], [c[pick] for c in counts])
+            at = slice(lo, lo + _TRACE_CHUNK) if runless else pick
+            text = rows.format(pick + 1, trace.plays[at], trace.losses[at], [c[at] for c in counts])
             runs = np.flatnonzero(length[lo : lo + _TRACE_CHUNK] > 1)
             if not runs.size:
                 fh.write(text)
@@ -729,8 +730,12 @@ def _digit_words(u: np.ndarray) -> tuple[tuple, list]:
     return (D[top.view(np.int64)] | D[g[0]] << 32, D[g[1]] | D[g[2]] << 32, D[g[3]]), g
 
 
-def _float_words(x: np.ndarray) -> np.ndarray:
-    """The bytes of ``'%.17g' % x`` in a slot of four words.
+def _float_words(x: np.ndarray, out: np.ndarray, sep) -> None:
+    """The bytes of ``'%.17g' % x`` written into ``out``, a slot of four
+    words per element of the C-contiguous array x (out's shape is
+    x.shape + (4,); it may be a strided view, such as the float slots of
+    a row buffer), with ``sep`` (a word, or one per element after
+    broadcasting: the separator in its top byte) in each slot's last word.
 
     For 1e-4 <= |x| < 1e16 (and for zeros) the 17 significant digits are
     N = round-half-even(|x| * 10**(16 - e)) for the decimal exponent e,
@@ -741,9 +746,11 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     dropped.  Every other value (scientific notation, subnormals, inf
     and nan) is formatted by ``'%.17g'`` itself, one element at a time."""
     a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e16)
-    zero = a == 0
-    a[~fast] = 1.0  # so e = 0 for a zero
+    fast = a >= 1e-4
+    fast &= a < 1e16
+    slow = np.flatnonzero(~fast)  # zeros and the values '%.17g' formats (nan compares false)
+    x_slow = x.ravel()[slow]
+    a.ravel()[slow] = 1.0  # so e = 0 for a zero
     e = np.floor(np.log10(a)).astype(np.int64)  # may be one off near a power of ten
     h, l = _scaled(a, 16 - e)
     N = h.astype(np.int64) + np.rint(l).astype(np.int64)  # h is an even integer when h >= 1e16
@@ -757,21 +764,26 @@ def _float_words(x: np.ndarray) -> np.ndarray:
         e[off] += np.where(low[off], -1, 1)
         h, l = _scaled(a[off], 16 - e[off])
         N[off] = h.astype(np.int64) + np.rint(l).astype(np.int64)
-    N[zero] = 0
+    N.ravel()[slow[x_slow == 0]] = 0
     digits, g = _digit_words(N.view(np.uint64))
     shifted = (digits[0] << 8, digits[1] << 8 | digits[0] >> 56, digits[2] << 8 | digits[1] >> 56)
-    z = [_ZEROS4[gi] for gi in g]
-    layout = (e + 4) * 17 + z[3] + (g[3] == 0) * (z[2] + (g[2] == 0) * (z[1] + (g[1] == 0) * z[0]))
-    out = np.empty(x.shape + (_FLOAT_WORDS,), dtype=np.uint64)
+    # the trailing zeros: the last 4-digit group's, and the earlier groups'
+    # only where the last group is 0000
+    layout = (e + 4) * 17 + _ZEROS4[g[3]]
+    ends = np.flatnonzero(g[3] == 0)
+    if ends.size:
+        g0, g1, g2 = (gi.ravel()[ends] for gi in g[:3])
+        layout.ravel()[ends] += _ZEROS4[g2] + (g2 == 0) * (_ZEROS4[g1] + (g1 == 0) * _ZEROS4[g0])
     out[..., 0] = _LEAD[layout] | np.signbit(x) * np.uint64(ord("-"))
     for w in range(3):
-        out[..., w + 1] = digits[w] & _INTEGER[w][layout] | shifted[w] & _FRACTION[w][layout] | _POINT[w][layout]
-    other = ~(fast | zero)
-    if other.any():
-        text = np.array(["%.17g" % v for v in x[other].tolist()], dtype="S24")
-        out[other, :3] = text.view("<u8").reshape(-1, 3)
-        out[other, 3] = 0
-    return out
+        word = digits[w] & _INTEGER[w][layout] | shifted[w] & _FRACTION[w][layout] | _POINT[w][layout]
+        out[..., w + 1] = word | sep if w == 2 else word
+    other = slow[x_slow != 0]
+    if other.size:
+        # at most 24 characters, over the slot's first three words (its last
+        # holds only the separator: these were formatted as 1.0)
+        text = np.array(["%.17g" % v for v in x.ravel()[other].tolist()], dtype="S24").view("<u8").reshape(-1, 3)
+        out[(*np.unravel_index(other, x.shape), slice(None, 3))] = text
 
 
 def _int_words(c: np.ndarray) -> np.ndarray:
@@ -779,7 +791,8 @@ def _int_words(c: np.ndarray) -> np.ndarray:
     three words: the last digit at byte 22, byte 23 left for the
     separator.  Only the block's last w words are returned, w the fewest
     that hold the longest text of c and its separator (one word up to
-    seven characters)."""
+    seven characters).  When that is one word (every |c| < 10**7), only
+    the last eight of the 20 digits are computed."""
     u = c.astype(np.uint64)
     negative = c < 0
     np.negative(u, out=u, where=negative)  # |c|, 2**63 included
@@ -787,8 +800,12 @@ def _int_words(c: np.ndarray) -> np.ndarray:
     longest = int((negative - first).max()) + 20
     w = longest // 8 + 1
     # the kept words, digit k of the 20 at byte k + 3 of the block
-    d, _ = _digit_words(u)
-    digits = [d[0] << 24, d[1] << 24 | d[0] >> 40, d[2] << 24 | d[1] >> 40][_INT_WORDS - w :]
+    if w == 1:  # digits 12-19 are those of u; the word holds 13-19
+        q = u // np.uint64(10**4)
+        digits = [(_DIGITS4[q.view(np.int64)] | _DIGITS4[(u - q * np.uint64(10**4)).view(np.int64)] << 32) >> 8]
+    else:
+        d, _ = _digit_words(u)
+        digits = [d[0] << 24, d[1] << 24 | d[0] >> 40, d[2] << 24 | d[1] >> 40][_INT_WORDS - w :]
     first += 3
     out = np.empty(c.shape + (w,), dtype=np.uint64)
     for j, word in enumerate(digits):
@@ -798,22 +815,11 @@ def _int_words(c: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _separators(n: int, w: int) -> np.ndarray:
-    """The separator words of a trace row of an n-dimensional play whose
-    integer slots have w words: each slot's separator in the top byte of
-    its last word.  Read-only, as every write shares it."""
-    slots = [w] + [_FLOAT_WORDS] * (n + 1) + [w] * 3
-    seps = np.zeros(sum(slots), dtype=np.uint64)
-    seps[np.cumsum(slots) - 1] = [ord(c) << 56 for c in "," + ";" * (n - 1) + ",,,,\n"]
-    seps.flags.writeable = False
-    return seps
-
-
 # A chunk of fewer rows is formatted by the '%d'/'%.17g' row template: the
 # kernel's fixed cost (0.1-0.2 ms of NumPy calls) outweighs its per-row
-# saving below about 32 rows (the crossover measured at 28-36 rows for
-# n = 8 and n = 10).
+# saving below about 32 rows (the crossover measured at 24-44 rows for
+# n = 8 and n = 10, moving with the host's speed and the rows' values;
+# above 64 on the sparse rows of blocked l1 traces).
 _TEMPLATE_ROWS = 32
 
 
@@ -825,13 +831,16 @@ class _RowFormatter:
     counts, each in its slot of words with its separator in the slot's
     last byte.  The four integer slots of a chunk have the width
     :func:`_int_words` gives its integers, and the chunk's rows are one
-    flat buffer viewed at that row width; one ``bytes.translate`` deletes
+    flat buffer viewed at that row width, whose float slots
+    :func:`_float_words` writes in place; one ``bytes.translate`` deletes
     the NULs of every row at once.  A chunk of fewer than
     ``_TEMPLATE_ROWS`` rows is formatted by the row template whose bytes
     the kernel reproduces."""
 
     def __init__(self, n: int, rows: int):
         self.n = n
+        self.float_seps = np.array([ord(c) << 56 for c in ";" * (n - 1) + ",,"], dtype=np.uint64)
+        self.int_seps = np.array([ord(c) << 56 for c in ",,,\n"], dtype=np.uint64)
         self.template = b"%d," + b";".join([b"%.17g"] * n) + b",%.17g,%d,%d,%d\n"
         self.floats = np.empty((rows, n + 1))
         self.ints = np.empty((rows, 4), dtype=np.int64)
@@ -850,13 +859,13 @@ class _RowFormatter:
         for j, c in enumerate(counts, start=1):
             ints[:, j] = c
         iw = _int_words(ints)
+        iw[..., -1] |= self.int_seps
         w = iw.shape[-1]
         c0 = w + (self.n + 1) * _FLOAT_WORDS  # the first word of the counts
         words = self.words[: r * (c0 + 3 * w)].reshape(r, -1)
         words[:, :w] = iw[:, 0]
-        words[:, w:c0] = _float_words(floats).reshape(r, -1)
+        _float_words(floats, words[:, w:c0].reshape(r, self.n + 1, _FLOAT_WORDS), self.float_seps)
         words[:, c0:] = iw[:, 1:].reshape(r, -1)
-        words |= _separators(self.n, w)
         return words.tobytes().translate(None, b"\0")
 
 

@@ -547,6 +547,21 @@ def test_batched_projection_equals_the_sorted_rule_row_by_row(n, data):
             assert _bits_equal(set_.project_many(Y), np.array([set_.project(y) for y in Y]).reshape(Y.shape))
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 13, 17])
+def test_l1_batched_projection_keeps_the_membership_of_the_1d_sum(n):
+    # rows whose entries sum to within a few units in the last place of R,
+    # where summing in sorted order and project's 1-D sum can disagree on
+    # membership: project_many must decide each row as project does
+    rng = np.random.default_rng(n)
+    for R in (1.0, 0.3, 7.5):
+        Y = rng.standard_normal((400, n)) * ((rng.random((400, n)) < 0.8) | (np.arange(n) == 0))  # some zeros, no zero row
+        Y *= R / np.abs(Y).sum(axis=1, keepdims=True) * (1.0 + rng.integers(-8, 9, (400, 1)) * 2.0**-52)
+        ball = L1Ball(n, R)
+        inside = np.abs(Y).sum(axis=1) <= R
+        assert inside.any() and not inside.all()
+        assert _bits_equal(ball.project_many(Y), np.array([ball.project(y) for y in Y]))
+
+
 def _interval_sums(rng, n, k=120, T=60):
     """Sums of random loss coefficients over k random intervals of [1, T],
     as a linear comparator asks them."""

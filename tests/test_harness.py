@@ -604,7 +604,7 @@ def _random_trace(T, n):
     plays = rng.standard_normal((T, n)) * 10.0 ** rng.integers(-20, 20, (T, n))
     plays.flat[: special.size] = special[: plays.size]
     losses = rng.standard_normal(T)
-    losses[: special.size] = special
+    losses[: special.size] = special[:T]
     counts = np.cumsum(rng.integers(0, 4, T)).astype(np.int64)
     return RunTrace(plays, losses, counts, 2 * counts, np.arange(T, dtype=np.int64) // 7 + 1, None, [], {})
 
@@ -654,6 +654,15 @@ def _edges_trace():
     trace = _random_trace(T, 8)
     trace.plays[:] = np.resize(edges, (T, 8))
     trace.losses[:] = np.resize(edges[::-1], T)
+    return trace
+
+
+def _one_run_of_two():
+    """3,000 distinct rows but for one run: row 1,501 repeats row 1,500
+    after t."""
+    trace = _random_trace(3000, 8)
+    for a in (trace.plays, trace.losses, trace.loo_cum, trace.so_cum, trace.block_index):
+        a[1500] = a[1499]
     return trace
 
 
@@ -715,6 +724,12 @@ def _only_counts_change():
         # the kernel's edge values, NaNs aside (they print without a sign), in
         # one chunk of 29 rows
         pytest.param(_edges_trace, id="format-edges-few-rows"),
+        # a trace without runs is formatted from slices of its rows: one of
+        # exactly two chunks and one of a single row; one run of two rows
+        # sends a trace of 3,000 back to the gathered first rows
+        pytest.param(lambda: _random_trace(2048, 8), id="runless-2048-rows"),
+        pytest.param(lambda: _random_trace(1, 8), id="runless-1-row"),
+        pytest.param(_one_run_of_two, id="3000-rows-one-run-of-two"),
     ],
 )
 def test_trace_writer_bytes_equal_csv_writer(tmp_path, make):
@@ -764,7 +779,16 @@ def _slots(words, per):
 def test_row_kernel_writes_the_bytes_of_printf(bits, decimals, counts):
     # random bit patterns cover every exponent; decimals cover the fixed-notation range densely
     x = np.concatenate((np.array(bits, dtype=np.uint64).view(np.float64), decimals, _FORMAT_EDGES))
-    assert _slots(harness._float_words(x), 4) == [b"%.17g" % v for v in x.tolist()]
+    out = np.empty((len(x), 4), dtype=np.uint64)
+    harness._float_words(x, out, 0)
+    assert _slots(out, 4) == [b"%.17g" % v for v in x.tolist()]
+    # the slots are written in place, here into a strided view of a wider
+    # buffer whose other words stay as they were, with a separator after
+    # each text (in its slot's top byte)
+    buffer = np.zeros((len(x), 6), dtype=np.uint64)
+    harness._float_words(x, buffer[:, 1:5], ord(";") << 56)
+    assert _slots(buffer[:, 1:5], 4) == [b"%.17g;" % v for v in x.tolist()]
+    assert not buffer[:, [0, 5]].any()
     c = np.array(counts + [0, 1, 9, 10, 99, 2**62, 2**63 - 1, -1, -10, -(2**63)], dtype=np.int64)
     # integer slots are as few words as the longest text and its separator need
     for block in (c, c % 10**7, -(c % 10**6), c % 10**15, -(c % 10**14)):
@@ -798,11 +822,11 @@ def test_trace_writer_failing_part_way_leaves_the_earlier_outputs(tmp_path, monk
     before = [open(p, "rb").read() for p in earlier]
     float_words, calls = harness._float_words, []
 
-    def fails_on_the_third_chunk(x):
+    def fails_on_the_third_chunk(x, out, sep):
         calls.append(len(x))
         if len(calls) == 3:
             raise RuntimeError("formatting failed")
-        return float_words(x)
+        float_words(x, out, sep)
 
     monkeypatch.setattr(harness, "_float_words", fails_on_the_third_chunk)
     with pytest.raises(RuntimeError, match="formatting failed"):
