@@ -586,17 +586,20 @@ _TRACE_CHUNK = 1024  # formatted rows per chunk; bounds the buffers alive at onc
 
 
 def write_trace_csv(trace: RunTrace, path: str) -> None:
-    """Columns: t, x (semicolon-joined, 17 significant digits), loss,
-    loo_calls_cum, so_calls_cum, block_index; LF line endings.
+    """Columns: t, x (semicolon-joined), loss, loo_calls_cum,
+    so_calls_cum, block_index; LF line endings.  A float is written
+    ``'%.16e' % x`` (17 significant digits, which ``float()`` reads back
+    to the same bits), but 0.0 and -0.0 as ``0`` and ``-0``; an integer
+    ``'%d' % c``.  A 10^4-round trace of n = 8 takes about 2.3 MB, a
+    blocked one of 2,000 rounds about 260 kB.
 
     A run of two or more rows whose fields after t are bit-for-bit equal
     (a blocked learner holds its point for a block) has its first row
     formatted once, and each of its lines is t plus that row's tail; no
     run is longer than ``_TRACE_CHUNK`` rows.  The first rows of the runs
-    are formatted ``_TRACE_CHUNK`` at a time by :class:`_RowFormatter`,
-    whose floats are the bytes of ``'%.17g' % x`` and whose integers
-    those of ``'%d' % c``.  No field can hold a comma, quote or line
-    break, so the bytes are those a ``csv.writer`` would write.
+    are formatted ``_TRACE_CHUNK`` at a time by :class:`_RowFormatter`.
+    No field can hold a comma, quote or line break, so the bytes are
+    those a ``csv.writer`` would write.
 
     The rows go to a temporary file beside ``path`` that replaces it only
     once every row is written (see :func:`_replacing`)."""
@@ -658,38 +661,23 @@ def _replacing(path: str):
 
 # A field of a formatted row is a slot of 64-bit little-endian words whose
 # unused bytes are NUL; the last byte of the slot is the separator after
-# the field.
-def _words(byte_rows: np.ndarray) -> np.ndarray:
-    """An (m, 8k) array of byte values as k tables of m words: table w
-    holds bytes 8w to 8w + 7 of each row, so that a lookup is one gather."""
-    return byte_rows.astype(np.uint8).view("<u8").astype(np.uint64).T.copy()
-
-
-_J = np.arange(24)  # the bytes of a block of three words
-# _FROM[w][k] keeps the bytes from byte k on in word w of a block.
-_FROM = _words(0xFF * (_J >= np.arange(25)[:, None]))
-# A float of decimal exponent e = -4..16 whose 17 significant digits end in
-# z = 0..16 zeros has layout (e + 4) * 17 + z: its digits are written up to
-# the k-th, k = max(e + 1, 17 - z).  The digits are bytes 3-19 of a block, or
-# bytes 4-20 once shifted a byte; the layout keeps the digits before the
-# point from the first and the fraction from the second, puts the point at
-# the byte between them, and has the slot start with a word of the sign
-# byte and, when e < 0, "0." and -e - 1 zeros.
-_E = np.arange(-4, 17)[:, None, None]
-_K = np.maximum(_E + 1, 17 - np.arange(17)[None, :, None])
-_INTEGER = _words(0xFF * ((3 <= _J) & (_J < np.where(_E < 0, _K, _E + 1) + 3)).reshape(-1, 24))
-_FRACTION = _words(0xFF * ((np.where(_E < 0, 24, _E + 5) <= _J) & (_J < _K + 4)).reshape(-1, 24))
-_POINT = _words(ord(".") * (_J == np.where((_E >= 0) & (_K > _E + 1), _E + 4, 24)).reshape(-1, 24))
-_LEAD = np.where(_J[:8] == 2, ord("."), ord("0")) * ((_E < 0) & (1 <= _J[:8]) & (_J[:8] <= 1 - _E))
-_LEAD = _words(np.broadcast_to(_LEAD, (21, 17, 8)).reshape(-1, 8))[0]
-# ASCII digits of every 4-digit group as a little-endian word, and the
-# number of trailing zeros of each group (4 for 0000).
+# the field.  _FROM[w][k] keeps the bytes from byte k on in word w of a
+# block of three words.
+_FROM = (0xFF * (np.arange(24) >= np.arange(25)[:, None])).astype(np.uint8).view("<u8").astype(np.uint64).T.copy()
+# ASCII digits of every 4-digit group as a little-endian word.
 _GROUP = np.arange(10_000, dtype=np.int16)  # int16: the (10,000, 4) temporaries take 80 KB, not 320 KB
 _DIGITS4 = (_GROUP[:, None] // np.int16([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8).view("<u4").ravel().astype(np.uint64)
-_ZEROS4 = sum((_GROUP % 10**j == 0).astype(np.uint8) for j in range(1, 5))
 _POW10 = np.cumprod(np.append(1.0, np.full(22, 10.0)))  # 10**0 .. 10**22, each exact
 _POW10_INT = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10**1 .. 10**19
-_FLOAT_WORDS, _INT_WORDS = 4, 3
+_FLOAT_WORDS, _INT_WORDS = 3, 3
+# A float slot is the sign byte (NUL for a positive value), the first
+# digit, the point and 16 more digits in bytes 0-18, the exponent "e-04"
+# .. "e+15" in bytes 19-22 and the separator in byte 23.
+_EXPONENT = np.array([int.from_bytes(b"e%+03d" % e, "little") << 24 for e in range(-4, 16)], dtype=np.uint64)
+_LEAD = (np.arange(ord("0"), ord("9") + 1) << 8 | ord(".") << 16).astype(np.uint64)  # "\0d." for each first digit d
+_TOP = np.uint64(0xFF << 56)  # a slot's separator byte, in its last word
+_ZERO_WORD = np.array([ord("0"), ord("-") | ord("0") << 8], dtype=np.uint64)  # "0", "-0"
+_ZERO_TEXT = b"0.0000000000000000e+00"  # '%.16e' of 0 and -0 (after the sign): a trace writes 0 and -0
 
 
 def _split(a):
@@ -711,44 +699,46 @@ def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, ((ah * bh - h) + ah * bl + al * bh) + al * bl
 
 
-def _digit_words(u: np.ndarray) -> tuple[tuple, list]:
-    """The 20 ASCII decimal digits of each uint64 u < 10**20, leading
-    zeros included, as three words (bytes 0-19 of a block), and the last
-    four of its 4-digit groups.  (NumPy divides by a constant quickly,
-    but not so its remainder.)"""
+def _digit_groups(u: np.ndarray) -> list:
+    """The 20 decimal digits of each uint64 u < 10**20, leading zeros
+    included, as five int64 arrays of 4-digit groups, the first group
+    first: indexes into ``_DIGITS4``.  (NumPy divides by a constant
+    quickly, but not so its remainder.)"""
     top = u // np.uint64(10**16)
     rest = u - top * np.uint64(10**16)
     hi = rest // np.uint64(10**8)
     lo = rest - hi * np.uint64(10**8)
-    g = []
+    g = [top.view(np.int64)]
     for v in (hi, lo):
         q = v // np.uint64(10**4)
         g += [q.view(np.int64), (v - q * np.uint64(10**4)).view(np.int64)]  # int64 indexes twice as fast
-    D = _DIGITS4
-    return (D[top.view(np.int64)] | D[g[0]] << 32, D[g[1]] | D[g[2]] << 32, D[g[3]]), g
+    return g
 
 
-def _float_words(x: np.ndarray, out: np.ndarray, sep) -> None:
-    """The bytes of ``'%.17g' % x`` written into ``out``, a slot of four
-    words per element of the C-contiguous array x (out's shape is
-    x.shape + (4,); it may be a strided view, such as the float slots of
-    a row buffer), with ``sep`` (a word, or one per element after
-    broadcasting: the separator in its top byte) in each slot's last word.
+def _float_words(x: np.ndarray, out: np.ndarray, sep) -> bool:
+    """The trace text of each element of the C-contiguous array x
+    (``'%.16e' % x``, but ``0`` and ``-0`` for zeros; exact, see
+    :func:`write_trace_csv`) written into ``out``, a slot of three words
+    per element (out's shape is x.shape + (3,); it may be a strided view,
+    such as the float slots of a row buffer), with ``sep`` (a word, or one
+    per element after broadcasting: the separator in its top byte) in each
+    slot's last byte.  False, with the slots part written, if a text does
+    not fit its slot: a negative value with a three-digit exponent.
 
-    For 1e-4 <= |x| < 1e16 (and for zeros) the 17 significant digits are
+    For 1e-4 <= |x| < 1e16 the 17 significant digits are
     N = round-half-even(|x| * 10**(16 - e)) for the decimal exponent e,
     from an exact two-term product; a carry to 10**17 moves e up by one.
-    They are written in fixed notation, as ``%g`` writes them below
-    exponent 17: "0." and -e - 1 zeros first when e < 0, a point after
-    digit e when a fraction digit is left, trailing fraction zeros
-    dropped.  Every other value (scientific notation, subnormals, inf
-    and nan) is formatted by ``'%.17g'`` itself, one element at a time."""
+    The first of N's :func:`_digit_groups` is its first digit (N < 10**17),
+    written with the point after it from a table; the other four, its 16
+    other digits, go to bytes 3-18 as in an integer block, and the
+    exponent comes from a table: each byte has a fixed place.  Zeros are
+    constant words, and every other value (subnormals, |x| < 1e-4 or
+    >= 1e16, inf and nan) is formatted by ``'%.16e'`` one at a time."""
     a = np.abs(x)
     fast = a >= 1e-4
     fast &= a < 1e16
-    slow = np.flatnonzero(~fast)  # zeros and the values '%.17g' formats (nan compares false)
-    x_slow = x.ravel()[slow]
-    a.ravel()[slow] = 1.0  # so e = 0 for a zero
+    slow = np.flatnonzero(~fast)  # zeros and the values '%.16e' formats (nan compares false)
+    a.ravel()[slow] = 1.0  # their slots are written again below
     e = np.floor(np.log10(a)).astype(np.int64)  # may be one off near a power of ten
     h, l = _scaled(a, 16 - e)
     N = h.astype(np.int64) + np.rint(l).astype(np.int64)  # h is an even integer when h >= 1e16
@@ -762,21 +752,24 @@ def _float_words(x: np.ndarray, out: np.ndarray, sep) -> None:
         e[off] += np.where(low[off], -1, 1)
         h, l = _scaled(a[off], 16 - e[off])
         N[off] = h.astype(np.int64) + np.rint(l).astype(np.int64)
-    N.ravel()[slow[x_slow == 0]] = 0
-    digits, g = _digit_words(N.view(np.uint64))
-    shifted = (digits[0] << 8, digits[1] << 8 | digits[0] >> 56, digits[2] << 8 | digits[1] >> 56)
-    z = [_ZEROS4[gi] for gi in g]
-    layout = (e + 4) * 17 + z[3] + (g[3] == 0) * (z[2] + (g[2] == 0) * (z[1] + (g[1] == 0) * z[0]))
-    out[..., 0] = _LEAD[layout] | np.signbit(x) * np.uint64(ord("-"))
-    for w in range(3):
-        word = digits[w] & _INTEGER[w][layout] | shifted[w] & _FRACTION[w][layout] | _POINT[w][layout]
-        out[..., w + 1] = word | sep if w == 2 else word
-    other = slow[x_slow != 0]
+    first, *g = _digit_groups(N.view(np.uint64))
+    G1, G2, G3, G4 = (_DIGITS4[gi] for gi in g)
+    out[..., 0] = _LEAD[first] | G1 << 24 | G2 << 56 | np.signbit(x) * np.uint64(ord("-"))
+    out[..., 1] = G2 >> 8 | G3 << 24 | G4 << 56
+    out[..., 2] = G4 >> 8 | _EXPONENT[e + 4] | sep
+    v = x.ravel()[slow]
+    text = np.zeros((slow.size, 3), dtype=np.uint64)
+    text[:, 0] = _ZERO_WORD[np.signbit(v).view(np.int8)]
+    other = np.flatnonzero(v)  # nan is not 0
     if other.size:
-        # at most 24 characters, over the slot's first three words (its last
-        # holds only the separator: these were formatted as 1.0)
-        text = np.array(["%.17g" % v for v in x.ravel()[other].tolist()], dtype="S24").view("<u8").reshape(-1, 3)
-        out[(*np.unravel_index(other, x.shape), slice(None, 3))] = text
+        s = ["%.16e" % f for f in v[other].tolist()]
+        if max(map(len, s)) > 23:
+            return False
+        text[other] = np.array(s, dtype="S24").view("<u8").reshape(-1, 3)
+    at = np.unravel_index(slow, x.shape)
+    text[:, 2] |= out[(*at, 2)] & _TOP
+    out[at] = text
+    return True
 
 
 def _int_words(c: np.ndarray) -> np.ndarray:
@@ -799,8 +792,8 @@ def _int_words(c: np.ndarray) -> np.ndarray:
         q = u // np.uint64(10**4)
         digits = [(_DIGITS4[q.view(np.int64)] | _DIGITS4[(u - q * np.uint64(10**4)).view(np.int64)] << 32) >> 8]
     else:
-        d, _ = _digit_words(u)
-        digits = [d[0] << 24, d[1] << 24 | d[0] >> 40, d[2] << 24 | d[1] >> 40][_INT_WORDS - w :]
+        G0, G1, G2, G3, G4 = (_DIGITS4[gi] for gi in _digit_groups(u))
+        digits = [G0 << 24 | G1 << 56, G1 >> 8 | G2 << 24 | G3 << 56, G3 >> 8 | G4 << 24][_INT_WORDS - w :]
     first += 3
     out = np.empty(c.shape + (w,), dtype=np.uint64)
     for j, word in enumerate(digits):
@@ -810,12 +803,12 @@ def _int_words(c: np.ndarray) -> np.ndarray:
     return out
 
 
-# A chunk of fewer rows is formatted by the '%d'/'%.17g' row template: the
+# A chunk of fewer rows is formatted by the '%d'/'%.16e' row template: the
 # kernel's fixed cost (0.1-0.2 ms of NumPy calls) outweighs its per-row
-# saving below about 32 rows (the crossover measured at 24-44 rows for
-# n = 8 and n = 10, moving with the host's speed and the rows' values;
-# above 64 on the sparse rows of blocked l1 traces).
-_TEMPLATE_ROWS = 32
+# saving below about 28 rows (the crossover measured at 25-29 rows on the
+# rows of sep_l1_switch traces and on the sparse first rows of blocked l1
+# traces, and at 17-25 on random rows of n = 8 and n = 10, in three runs).
+_TEMPLATE_ROWS = 28
 
 
 class _RowFormatter:
@@ -834,14 +827,14 @@ class _RowFormatter:
     one flat buffer viewed at that row width, whose float slots
     :func:`_float_words` writes in place; one ``bytes.translate`` deletes
     the NULs of every row at once.  A chunk of fewer than
-    ``_TEMPLATE_ROWS`` rows is formatted by the row template whose bytes
-    the kernel reproduces."""
+    ``_TEMPLATE_ROWS`` rows, or with a float text too long for its slot,
+    is formatted by the row template whose bytes the kernel reproduces."""
 
     def __init__(self, n: int, rows: int):
         self.n = n
         self.float_seps = np.array([ord(c) << 56 for c in ";" * (n - 1) + ",,"], dtype=np.uint64)
         self.int_seps = np.array([ord(c) << 56 for c in ",,,\n"], dtype=np.uint64)
-        self.template = b"%d," + b";".join([b"%.17g"] * n) + b",%.17g,%d,%d,%d\n"
+        self.template = b"%d," + b";".join([b"%.16e"] * n) + b",%.16e,%d,%d,%d\n"
         self.floats = np.empty((rows, n + 1))
         self.ints = np.empty((rows, 4), dtype=np.int64)
         self.words = np.empty(rows * (4 * _INT_WORDS + (n + 1) * _FLOAT_WORDS), dtype="<u8")
@@ -849,24 +842,24 @@ class _RowFormatter:
     def format(self, t: np.ndarray, plays: np.ndarray, losses: np.ndarray, counts: list) -> bytes:
         """Lines t[i],plays[i],losses[i],counts[0][i],... for every i, as bytes."""
         r = len(t)
-        if r < _TEMPLATE_ROWS:
-            fields = zip(t.tolist(), *plays.T.tolist(), losses.tolist(), *(c.tolist() for c in counts))
-            return self.template * r % tuple(itertools.chain.from_iterable(fields))
-        floats, ints = self.floats[:r], self.ints[:r]
-        floats[:, : self.n] = plays
-        floats[:, self.n] = losses
-        ints[:, 0] = t
-        for j, c in enumerate(counts, start=1):
-            ints[:, j] = c
-        iw = _int_words(ints)
-        iw[..., -1] |= self.int_seps
-        w = iw.shape[-1]
-        c0 = w + (self.n + 1) * _FLOAT_WORDS  # the first word of the counts
-        words = self.words[: r * (c0 + 3 * w)].reshape(r, -1)
-        words[:, :w] = iw[:, 0]
-        _float_words(floats, words[:, w:c0].reshape(r, self.n + 1, _FLOAT_WORDS), self.float_seps)
-        words[:, c0:] = iw[:, 1:].reshape(r, -1)
-        return words.tobytes().translate(None, b"\0")
+        if r >= _TEMPLATE_ROWS:
+            floats, ints = self.floats[:r], self.ints[:r]
+            floats[:, : self.n] = plays
+            floats[:, self.n] = losses
+            ints[:, 0] = t
+            for j, c in enumerate(counts, start=1):
+                ints[:, j] = c
+            iw = _int_words(ints)
+            iw[..., -1] |= self.int_seps
+            w = iw.shape[-1]
+            c0 = w + (self.n + 1) * _FLOAT_WORDS  # the first word of the counts
+            words = self.words[: r * (c0 + 3 * w)].reshape(r, -1)
+            if _float_words(floats, words[:, w:c0].reshape(r, self.n + 1, _FLOAT_WORDS), self.float_seps):
+                words[:, :w] = iw[:, 0]
+                words[:, c0:] = iw[:, 1:].reshape(r, -1)
+                return words.tobytes().translate(None, b"\0")
+        fields = zip(t.tolist(), *plays.T.tolist(), losses.tolist(), *(c.tolist() for c in counts))
+        return (self.template * r % tuple(itertools.chain.from_iterable(fields))).replace(_ZERO_TEXT, b"0")
 
 
 def read_trace_csv(path: str) -> RunTrace:

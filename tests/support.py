@@ -288,9 +288,18 @@ def pull_toward(y, g, Q, C):
     return y - (Q / (C * C)) * g
 
 
+def trace_field(v):
+    """A float as a trace writes it: ``'0'`` and ``'-0'`` for zeros,
+    ``'%.16e' % v`` for every other value."""
+    if v == 0:
+        return "-0" if math.copysign(1.0, v) < 0 else "0"
+    return "%.16e" % v
+
+
 def csv_writer_trace(trace, path):
     """The trace file as ``csv.writer`` writes it, one formatted row at a
-    time: the reference that ``write_trace_csv`` must match byte for byte."""
+    time, each float by :func:`trace_field`: the reference that
+    ``write_trace_csv`` must match byte for byte."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t", "x", "loss", "loo_calls_cum", "so_calls_cum", "block_index"])
@@ -298,8 +307,8 @@ def csv_writer_trace(trace, path):
             w.writerow(
                 [
                     t + 1,
-                    ";".join(format(v, ".17g") for v in trace.plays[t]),
-                    format(trace.losses[t], ".17g"),
+                    ";".join(trace_field(v) for v in trace.plays[t].tolist()),
+                    trace_field(float(trace.losses[t])),
                     int(trace.loo_cum[t]),
                     int(trace.so_cum[t]),
                     int(trace.block_index[t]),

@@ -50,6 +50,7 @@ from support import (
     random_set,
     sample_members,
     strided_intervals_literal,
+    trace_field,
 )
 
 
@@ -657,6 +658,26 @@ def _edges_trace():
     return trace
 
 
+def _kernel_chunk_trace(values):
+    """64 distinct rows of n = 8, one kernel chunk, of values in
+    1e-4 <= |x| < 1e16 but for ``values``, which run through the plays
+    from row 5 on and the losses from row 40 on."""
+    trace = _runs_trace([1] * 64, 8)
+    trace.plays[5:, :].flat[: len(values)] = values
+    trace.losses[40 : 40 + len(values)] = values
+    return trace
+
+
+# the edges of the kernel's range (1e-4, the largest double below 1e16) and
+# values of its slow path (zeros, subnormals, three-digit exponents, inf,
+# nan, and the longest texts that fit, -1e-99 and -9.9e99): a chunk of them
+# stays in the kernel, while a negative value with a three-digit exponent
+# sends its chunk to the row template
+_KERNEL_EDGES = [0.0, -0.0, 1e-4, -1e-4, 9999999999999998.0, -9999999999999998.0, math.inf, -math.inf, math.nan]
+_KERNEL_EDGES += [5e-324, 1e-300, 1e300, 1.7976931348623157e308, -1e-99, -9.9e99, 0.0, -0.0]
+_TEMPLATE_TRIGGERS = [-1e-300, -5e-324]
+
+
 def _one_run_of_two():
     """3,000 distinct rows but for one run: row 1,501 repeats row 1,500
     after t."""
@@ -711,9 +732,16 @@ def _only_counts_change():
         ),
         pytest.param(lambda: _counts_trace(40, {0: (-1, -999_999, 1), 9: (-1_000_000, 0, -7)}), id="counts-negative"),
         pytest.param(lambda: _counts_trace(40, {7: (2**63 - 1, -(2**63), 0)}), id="counts-int64-extremes"),
-        # a chunk of fewer than 32 formatted rows takes the row template, and
-        # one of 32 or more the kernel: each side of that edge, and a second
-        # chunk of 31 rows after a full one
+        # a chunk of fewer than 28 formatted rows takes the row template, and
+        # one of 28 or more the kernel: each side of that edge, and a second
+        # chunk of 27 rows after a full one (rows whose floats all fit the
+        # kernel's slots)
+        pytest.param(lambda: _runs_trace([1] * 27, 3), id="27-distinct-rows"),
+        pytest.param(lambda: _runs_trace([1] * 28, 3), id="28-distinct-rows"),
+        pytest.param(lambda: _runs_trace([1] * 29, 3), id="29-distinct-rows"),
+        pytest.param(lambda: _runs_trace([1] * (1024 + 27), 2), id="1024+27-distinct-rows"),
+        # chunks of 31 to 33 rows whose -1e-300 sends them from the kernel
+        # to the template, and a 31-row second chunk that the kernel formats
         pytest.param(lambda: _random_trace(31, 3), id="31-distinct-rows"),
         pytest.param(lambda: _random_trace(32, 3), id="32-distinct-rows"),
         pytest.param(lambda: _random_trace(33, 3), id="33-distinct-rows"),
@@ -777,18 +805,25 @@ def _slots(words, per):
     counts=st.lists(st.integers(0, 2**62), min_size=1, max_size=40),
 )
 def test_row_kernel_writes_the_bytes_of_printf(bits, decimals, counts):
-    # random bit patterns cover every exponent; decimals cover the fixed-notation range densely
+    # random bit patterns cover every exponent; decimals cover the kernel's own range densely
     x = np.concatenate((np.array(bits, dtype=np.uint64).view(np.float64), decimals, _FORMAT_EDGES))
-    out = np.empty((len(x), 4), dtype=np.uint64)
-    harness._float_words(x, out, 0)
-    assert _slots(out, 4) == [b"%.17g" % v for v in x.tolist()]
+    # a text of 24 bytes (a negative value with a three-digit exponent)
+    # does not fit a slot with its separator: the kernel says so, and
+    # its row goes to the template
+    fits = np.array([len(trace_field(v)) < 24 for v in x.tolist()])
+    for v in x[~fits].tolist() + [-1e-300, -5e-324, -1e100]:
+        assert not harness._float_words(np.array([1.0, v, 0.0]), np.empty((3, 3), dtype=np.uint64), 0)
+    x = x[fits]
+    out = np.empty((len(x), 3), dtype=np.uint64)
+    assert harness._float_words(x, out, 0)
+    assert _slots(out, 3) == [trace_field(v).encode() for v in x.tolist()]
     # the slots are written in place, here into a strided view of a wider
     # buffer whose other words stay as they were, with a separator after
     # each text (in its slot's top byte)
-    buffer = np.zeros((len(x), 6), dtype=np.uint64)
-    harness._float_words(x, buffer[:, 1:5], ord(";") << 56)
-    assert _slots(buffer[:, 1:5], 4) == [b"%.17g;" % v for v in x.tolist()]
-    assert not buffer[:, [0, 5]].any()
+    buffer = np.zeros((len(x), 5), dtype=np.uint64)
+    assert harness._float_words(x, buffer[:, 1:4], ord(";") << 56)
+    assert _slots(buffer[:, 1:4], 3) == [trace_field(v).encode() + b";" for v in x.tolist()]
+    assert not buffer[:, [0, 4]].any()
     c = np.array(counts + [0, 1, 9, 10, 99, 2**62, 2**63 - 1, -1, -10, -(2**63)], dtype=np.int64)
     # integer slots are as few words as the longest text and its separator need
     for block in (c, c % 10**7, -(c % 10**6), c % 10**15, -(c % 10**14)):
@@ -799,21 +834,45 @@ def test_row_kernel_writes_the_bytes_of_printf(bits, decimals, counts):
 
 @pytest.mark.parametrize("n", [1, 8, 10])
 def test_few_row_chunks_take_the_template_with_the_kernels_bytes(n, monkeypatch):
-    # _FORMAT_EDGES values, NaNs included (at n = 8 and 10 the 31 rows hold
-    # every one), in chunks of 1 to 31 rows: the row template's bytes equal
-    # the kernel's on the same rows
-    x = np.resize(np.array(_FORMAT_EDGES), (31, n + 1))
-    counts = [np.arange(31) * 10**k for k in (0, 7, 15)]
+    # _FORMAT_EDGES values, NaNs included, but for the texts too long for
+    # the kernel's slots (at n = 8 and 10 the 27 rows hold every one), in
+    # chunks of 1 to 27 rows: the row template's bytes equal the kernel's
+    # on the same rows
+    x = np.resize(np.array([v for v in _FORMAT_EDGES if len(trace_field(v)) < 24]), (27, n + 1))
+    counts = [np.arange(27) * 10**k for k in (0, 7, 15)]
     counts[1][3] = -(10**6)
-    t = np.arange(1, 32) * 997
-    fmt = harness._RowFormatter(n, 31)
-    for r in (1, 2, 17, 31):
+    t = np.arange(1, 28) * 997
+    fmt = harness._RowFormatter(n, 27)
+    for r in (1, 2, 17, 27):
         args = (t[:r], x[:r, :n], x[:r, n], [c[:r] for c in counts])
         template = fmt.format(*args)
         with monkeypatch.context() as m:
             m.setattr(harness, "_TEMPLATE_ROWS", 0)
             assert fmt.format(*args) == template
         assert template.count(b"\n") == r and template.startswith(b"%d," % t[0])
+
+
+@pytest.mark.parametrize("values", [_KERNEL_EDGES] + [[v] for v in _TEMPLATE_TRIGGERS], ids=["edges", "-1e-300", "-5e-324"])
+def test_kernel_chunk_sends_only_24_byte_texts_to_the_template(tmp_path, values, monkeypatch):
+    float_words, fitted = harness._float_words, []
+
+    def spy(x, out, sep):
+        fitted.append(float_words(x, out, sep))
+        return fitted[-1]
+
+    monkeypatch.setattr(harness, "_float_words", spy)
+    trace = _kernel_chunk_trace(values)
+    write_trace_csv(trace, str(tmp_path / "t.csv"))
+    assert fitted == [values is _KERNEL_EDGES]
+    lines = (tmp_path / "t.csv").read_bytes().splitlines()
+    csv_writer_trace(trace, str(tmp_path / "reference.csv"))
+    assert lines == (tmp_path / "reference.csv").read_bytes().splitlines()
+    # zeros keep their short text; -1e-300 and -5e-324 take 24 bytes
+    fields = lines[6].split(b",")[1].split(b";") + [lines[41].split(b",")[2]]
+    want = [b"0", b"-0", b"1.0000000000000000e-04"] if values is _KERNEL_EDGES else [b"%.16e" % values[0]]
+    assert fields[: len(want)] == want and b"%.16e" % 0.0 not in b"".join(lines)
+    back = read_trace_csv(str(tmp_path / "t.csv"))
+    assert back.plays.tobytes() == trace.plays.tobytes() and back.losses.tobytes() == trace.losses.tobytes()
 
 
 def test_trace_writer_failing_part_way_leaves_the_earlier_outputs(tmp_path, monkeypatch):
@@ -826,7 +885,7 @@ def test_trace_writer_failing_part_way_leaves_the_earlier_outputs(tmp_path, monk
         calls.append(len(x))
         if len(calls) == 3:
             raise RuntimeError("formatting failed")
-        float_words(x, out, sep)
+        return float_words(x, out, sep)
 
     monkeypatch.setattr(harness, "_float_words", fails_on_the_third_chunk)
     with pytest.raises(RuntimeError, match="formatting failed"):
