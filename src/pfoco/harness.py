@@ -152,21 +152,25 @@ def parse_config_file(path: str) -> ExperimentConfig:
     return parse_config_dict(_read_json(path, "config"))
 
 
+# set kind -> its required keys, its optional keys, and its set from a checked config
+_SETS = {
+    "ball": (("n", "radius"), (), lambda d: Ball(int(d["n"]), float(d["radius"]))),
+    "box": (("lower", "upper"), (), lambda d: Box(d["lower"], d["upper"])),
+    "simplex": (("n",), ("scale",), lambda d: Simplex(int(d["n"]), float(d.get("scale", 1.0)))),
+    "l1": (("n", "radius"), (), lambda d: L1Ball(int(d["n"]), float(d["radius"]))),
+    "polytope": (
+        ("A", "b"), (), lambda d: Polytope(np.asarray(d["A"], dtype=np.float64), np.asarray(d["b"], dtype=np.float64))
+    ),
+}
+
+
 def _validate_set_cfg(d: dict) -> dict:
     _check_keys(d, "set", ("kind",), ("n", "radius", "scale", "lower", "upper", "A", "b"))
     kind = d.get("kind")
-    if kind == "ball":
-        _check_keys(d, "set(ball)", ("kind", "n", "radius"))
-    elif kind == "box":
-        _check_keys(d, "set(box)", ("kind", "lower", "upper"))
-    elif kind == "simplex":
-        _check_keys(d, "set(simplex)", ("kind", "n"), ("scale",))
-    elif kind == "l1":
-        _check_keys(d, "set(l1)", ("kind", "n", "radius"))
-    elif kind == "polytope":
-        _check_keys(d, "set(polytope)", ("kind", "A", "b"))
-    else:
+    entry = _SETS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         raise ConfigError(f"unknown set kind {kind!r}")
+    _check_keys(d, f"set({kind})", ("kind", *entry[0]), entry[1])
     if "n" in d:
         _int(d, "n", "set", minimum=1)
     for key in sorted(set(d) & {"radius", "scale"}):
@@ -189,39 +193,31 @@ def _build_set(d: dict) -> FeasibleSet:
     """The feasible set of a checked set config; an invalid set (a box
     with its origin outside, a polytope that is unbounded) is a
     ConfigError."""
-    kind = d["kind"]
     try:
-        if kind == "ball":
-            return Ball(int(d["n"]), float(d["radius"]))
-        if kind == "box":
-            return Box(d["lower"], d["upper"])
-        if kind == "simplex":
-            return Simplex(int(d["n"]), float(d.get("scale", 1.0)))
-        if kind == "l1":
-            return L1Ball(int(d["n"]), float(d["radius"]))
-        if kind == "polytope":
-            return Polytope(np.asarray(d["A"], dtype=np.float64), np.asarray(d["b"], dtype=np.float64))
+        return _SETS[d["kind"]][2](d)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"bad set config: {e}") from e
 
 
-# loss kind -> the config keys it reads
-_LOSS_KEYS = {
-    "iid_linear": {"scale"},
-    "switching_linear": {"segments", "gain"},
-    "iid_quadratic": {"alpha", "spread"},
-    "switching_quadratic": {"segments", "alpha"},
-    "iid_absdev": {"scale"},
+# loss kind -> the config keys it reads and its schedule maker, which takes
+# T, n, R, the segments of a switching kind or else the schedule's generator,
+# and the numbers the config sets (the maker's defaults are the config's)
+_LOSSES = {
+    "iid_linear": ({"scale"}, make_iid_linear_schedule),
+    "switching_linear": ({"segments", "gain"}, make_switching_linear_schedule),
+    "iid_quadratic": ({"alpha", "spread"}, make_iid_quadratic_schedule),
+    "switching_quadratic": ({"segments", "alpha"}, make_switching_quadratic_schedule),
+    "iid_absdev": ({"scale"}, make_iid_absdev_schedule),
 }
 
 
 def _validate_loss_cfg(d: dict, T: int) -> dict:
-    _check_keys(d, "loss", ("kind",), set().union(*_LOSS_KEYS.values()))
+    _check_keys(d, "loss", ("kind",), set().union(*(keys for keys, _ in _LOSSES.values())))
     kind = d.get("kind")
-    keys = _LOSS_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
+    entry = _LOSSES.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         raise ConfigError(f"unknown loss kind {kind!r}")
-    extras = sorted(set(d) - {"kind"} - keys)
+    extras = sorted(set(d) - {"kind"} - entry[0])
     if extras:
         raise ConfigError(f"keys {extras} do not apply to loss {kind!r}")
     for key in sorted(set(d) & {"scale", "gain", "alpha", "spread"}):
@@ -243,20 +239,10 @@ def _validate_loss_cfg(d: dict, T: int) -> dict:
 
 def build_schedule(d: dict, T: int, set_: FeasibleSet, rng: np.random.Generator) -> LossSchedule:
     kind = _validate_loss_cfg(d, T)["kind"]
-    n, R = set_.n, set_.R
+    source = d["segments"] if kind.startswith("switching") else rng
+    numbers = {key: float(d[key]) for key in set(d) - {"kind", "segments"}}
     try:
-        if kind == "iid_linear":
-            return make_iid_linear_schedule(T, n, R, rng, scale=float(d.get("scale", 1.0)))
-        if kind == "switching_linear":
-            return make_switching_linear_schedule(T, n, R, d["segments"], gain=float(d.get("gain", 1.0)))
-        if kind == "iid_quadratic":
-            return make_iid_quadratic_schedule(
-                T, n, R, rng, alpha=float(d.get("alpha", 1.0)), spread=float(d.get("spread", 0.2))
-            )
-        if kind == "switching_quadratic":
-            return make_switching_quadratic_schedule(T, n, R, d["segments"], alpha=float(d.get("alpha", 1.0)))
-        if kind == "iid_absdev":
-            return make_iid_absdev_schedule(T, n, R, rng, scale=float(d.get("scale", 1.0)))
+        return _LOSSES[kind][1](T, set_.n, set_.R, source, **numbers)
     except ValueError as e:
         raise ConfigError(f"bad loss config: {e}") from e
 
@@ -661,18 +647,17 @@ def _replacing(path: str):
 
 # A field of a formatted row is a slot of 64-bit little-endian words whose
 # unused bytes are NUL; the last byte of the slot is the separator after
-# the field.  _FROM[w][k] keeps the bytes from byte k on in word w of a
-# block of three words.
-_FROM = (0xFF * (np.arange(24) >= np.arange(25)[:, None])).astype(np.uint8).view("<u8").astype(np.uint64).T.copy()
+# the field.  An integer slot is one word: up to seven digits, right-aligned.
+# _KEEP[d - 1] keeps the last d digits of a word and its separator.
+_KEEP = np.array([(1 << 64) - (1 << 8 * (7 - d)) for d in range(1, 8)], dtype=np.uint64)
+_POW10_INT = 10 ** np.arange(1, 7)  # 10**1 .. 10**6
 # ASCII digits of every 4-digit group as a little-endian word.
 _GROUP = np.arange(10_000, dtype=np.int16)  # int16: the (10,000, 4) temporaries take 80 KB, not 320 KB
 _DIGITS4 = (_GROUP[:, None] // np.int16([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8).view("<u4").ravel().astype(np.uint64)
 _POW10 = np.cumprod(np.append(1.0, np.full(22, 10.0)))  # 10**0 .. 10**22, each exact
-_POW10_INT = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10**1 .. 10**19
-_FLOAT_WORDS, _INT_WORDS = 3, 3
-# A float slot is the sign byte (NUL for a positive value), the first
-# digit, the point and 16 more digits in bytes 0-18, the exponent "e-04"
-# .. "e+15" in bytes 19-22 and the separator in byte 23.
+# A float slot is three words: the sign byte (NUL for a positive value),
+# the first digit, the point and 16 more digits in bytes 0-18, the
+# exponent "e-04" .. "e+15" in bytes 19-22 and the separator in byte 23.
 _EXPONENT = np.array([int.from_bytes(b"e%+03d" % e, "little") << 24 for e in range(-4, 16)], dtype=np.uint64)
 _LEAD = (np.arange(ord("0"), ord("9") + 1) << 8 | ord(".") << 16).astype(np.uint64)  # "\0d." for each first digit d
 _TOP = np.uint64(0xFF << 56)  # a slot's separator byte, in its last word
@@ -730,10 +715,10 @@ def _float_words(x: np.ndarray, out: np.ndarray, sep) -> bool:
     from an exact two-term product; a carry to 10**17 moves e up by one.
     The first of N's :func:`_digit_groups` is its first digit (N < 10**17),
     written with the point after it from a table; the other four, its 16
-    other digits, go to bytes 3-18 as in an integer block, and the
-    exponent comes from a table: each byte has a fixed place.  Zeros are
-    constant words, and every other value (subnormals, |x| < 1e-4 or
-    >= 1e16, inf and nan) is formatted by ``'%.16e'`` one at a time."""
+    other digits, go to bytes 3-18, and the exponent comes from a table:
+    each byte has a fixed place.  Zeros are constant words, and every
+    other value (subnormals, |x| < 1e-4 or >= 1e16, inf and nan) is
+    formatted by ``'%.16e'`` one at a time."""
     a = np.abs(x)
     fast = a >= 1e-4
     fast &= a < 1e16
@@ -772,35 +757,19 @@ def _float_words(x: np.ndarray, out: np.ndarray, sep) -> bool:
     return True
 
 
-def _int_words(c: np.ndarray) -> np.ndarray:
-    """The bytes of ``'%d' % c`` for int64 c, right-aligned in a block of
-    three words: the last digit at byte 22, byte 23 left for the
-    separator.  Only the block's last w words are returned, w the fewest
-    that hold the longest text of c and its separator (one word up to
-    seven characters).  When that is one word (every |c| < 10**7, every
-    count of a perfbench trace), only the last eight of the 20 digits are
-    computed: a 1,024-row chunk of n = 8 then formats in 0.96 of the time,
-    a 64-row one in 0.90."""
-    u = c.astype(np.uint64)
-    negative = c < 0
-    np.negative(u, out=u, where=negative)  # |c|, 2**63 included
-    first = 19 - np.searchsorted(_POW10_INT, u, side="right")  # the first of the 20 digits that is written
-    longest = int((negative - first).max()) + 20
-    w = longest // 8 + 1
-    # the kept words, digit k of the 20 at byte k + 3 of the block
-    if w == 1:  # digits 12-19 are those of u; the word holds 13-19
-        q = u // np.uint64(10**4)
-        digits = [(_DIGITS4[q.view(np.int64)] | _DIGITS4[(u - q * np.uint64(10**4)).view(np.int64)] << 32) >> 8]
-    else:
-        G0, G1, G2, G3, G4 = (_DIGITS4[gi] for gi in _digit_groups(u))
-        digits = [G0 << 24 | G1 << 56, G1 >> 8 | G2 << 24 | G3 << 56, G3 >> 8 | G4 << 24][_INT_WORDS - w :]
-    first += 3
-    out = np.empty(c.shape + (w,), dtype=np.uint64)
-    for j, word in enumerate(digits):
-        out[..., j] = word & _FROM[_INT_WORDS - w + j][first]
-    # the first byte kept is before the text: a leading zero, or byte 0
-    out[..., 0] |= negative * np.uint64(ord("-"))
-    return out
+def _int_words(c: np.ndarray, sep) -> Optional[np.ndarray]:
+    """The text ``'%d' % c`` of each element of the int64 array c in a
+    word of its own, right-aligned in bytes 0-6, with ``sep`` (a word, or
+    one per element after broadcasting: the separator in its top byte)
+    in byte 7.  None if some element is outside [0, 10**7), whose text
+    does not fit: the row template formats that chunk.  A trace's t and
+    counts stay far below 10**7 (about 10**4 SO calls in a perfbench
+    run)."""
+    if c.view(np.uint64).max() >= 10**7:  # a negative value views as 2**63 or more
+        return None
+    q = c // 10**4  # c < 10**7, so the eight digits of c are those of q and of the rest
+    digits = (_DIGITS4[q] | _DIGITS4[c - q * 10**4] << 32) >> 8  # the leading zero of the eight dropped
+    return digits & _KEEP[np.searchsorted(_POW10_INT, c, side="right")] | sep
 
 
 # A chunk of fewer rows is formatted by the '%d'/'%.16e' row template: the
@@ -819,16 +788,15 @@ class _RowFormatter:
     counts, each in its slot of words with its separator in the top byte
     of the slot's last word: ',' after t, ';' between coordinates, ','
     after the last coordinate, the loss and the first two counts, and
-    '\\n' after the last count.  ``float_seps`` holds the float slots'
-    separator words, which :func:`_float_words` writes with each slot's
-    text, and ``int_seps`` those of t and the counts, which are OR-ed into
-    their slots' last words.  The four integer slots of a chunk have the
-    width :func:`_int_words` gives its integers, and the chunk's rows are
-    one flat buffer viewed at that row width, whose float slots
-    :func:`_float_words` writes in place; one ``bytes.translate`` deletes
-    the NULs of every row at once.  A chunk of fewer than
-    ``_TEMPLATE_ROWS`` rows, or with a float text too long for its slot,
-    is formatted by the row template whose bytes the kernel reproduces."""
+    '\\n' after the last count.  Every row has one layout: a word for t,
+    three for each float, a word for each count.  :func:`_int_words` and
+    :func:`_float_words` take the separators, ``int_seps`` and
+    ``float_seps``, with the texts; the float slots are written in place in
+    the row buffer.  One ``bytes.translate`` deletes the NULs of every row
+    at once.  A chunk of fewer than ``_TEMPLATE_ROWS`` rows, or with a text
+    too long for its slot (a count outside [0, 10**7), a float of 24
+    bytes), is formatted by the row template whose bytes the kernel
+    reproduces."""
 
     def __init__(self, n: int, rows: int):
         self.n = n
@@ -837,26 +805,22 @@ class _RowFormatter:
         self.template = b"%d," + b";".join([b"%.16e"] * n) + b",%.16e,%d,%d,%d\n"
         self.floats = np.empty((rows, n + 1))
         self.ints = np.empty((rows, 4), dtype=np.int64)
-        self.words = np.empty(rows * (4 * _INT_WORDS + (n + 1) * _FLOAT_WORDS), dtype="<u8")
+        self.words = np.empty((rows, 4 + 3 * (n + 1)), dtype="<u8")
 
     def format(self, t: np.ndarray, plays: np.ndarray, losses: np.ndarray, counts: list) -> bytes:
         """Lines t[i],plays[i],losses[i],counts[0][i],... for every i, as bytes."""
         r = len(t)
         if r >= _TEMPLATE_ROWS:
-            floats, ints = self.floats[:r], self.ints[:r]
+            floats, ints, words = self.floats[:r], self.ints[:r], self.words[:r]
             floats[:, : self.n] = plays
             floats[:, self.n] = losses
             ints[:, 0] = t
             for j, c in enumerate(counts, start=1):
                 ints[:, j] = c
-            iw = _int_words(ints)
-            iw[..., -1] |= self.int_seps
-            w = iw.shape[-1]
-            c0 = w + (self.n + 1) * _FLOAT_WORDS  # the first word of the counts
-            words = self.words[: r * (c0 + 3 * w)].reshape(r, -1)
-            if _float_words(floats, words[:, w:c0].reshape(r, self.n + 1, _FLOAT_WORDS), self.float_seps):
-                words[:, :w] = iw[:, 0]
-                words[:, c0:] = iw[:, 1:].reshape(r, -1)
+            iw = _int_words(ints, self.int_seps)
+            if iw is not None and _float_words(floats, words[:, 1:-3].reshape(r, self.n + 1, 3), self.float_seps):
+                words[:, 0] = iw[:, 0]
+                words[:, -3:] = iw[:, 1:]
                 return words.tobytes().translate(None, b"\0")
         fields = zip(t.tolist(), *plays.T.tolist(), losses.tolist(), *(c.tolist() for c in counts))
         return (self.template * r % tuple(itertools.chain.from_iterable(fields))).replace(_ZERO_TEXT, b"0")

@@ -720,10 +720,9 @@ def _only_counts_change():
         pytest.param(lambda: _runs_trace([1] * 2500 + [3000] + [1] * 2500, 2), id="run-across-split"),
         # both flips fall after 3,000 rows that are each formatted
         pytest.param(lambda: _signed_zero_flip(lead=3000), id="signed-zero-flip-split"),
-        # a chunk's integer slots are one word up to 7 characters, two up
-        # to 15: counts of 7 and 8 digits in one chunk, then in chunks
-        # either side of the edge at 1,024 rows; negative counts; the
-        # int64 extremes
+        # an integer slot is one word, which holds 0 to 9,999,999: counts
+        # of 7 and 8 digits in one chunk, then in chunks either side of the
+        # edge at 1,024 rows; negative counts; the int64 extremes
         pytest.param(lambda: _counts_trace(40, {3: (9_999_999, 5, 1)}), id="counts-7-digits"),
         pytest.param(lambda: _counts_trace(40, {3: (9_999_999, 10_000_000, 1)}), id="counts-8-digits"),
         pytest.param(
@@ -802,7 +801,7 @@ def _slots(words, per):
 @given(
     bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
     decimals=st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=1e-5, max_value=1e17), max_size=40),
-    counts=st.lists(st.integers(0, 2**62), min_size=1, max_size=40),
+    counts=st.lists(st.integers(0, 10**7 - 1), min_size=1, max_size=40),
 )
 def test_row_kernel_writes_the_bytes_of_printf(bits, decimals, counts):
     # random bit patterns cover every exponent; decimals cover the kernel's own range densely
@@ -824,25 +823,34 @@ def test_row_kernel_writes_the_bytes_of_printf(bits, decimals, counts):
     assert harness._float_words(x, buffer[:, 1:4], ord(";") << 56)
     assert _slots(buffer[:, 1:4], 3) == [trace_field(v).encode() + b";" for v in x.tolist()]
     assert not buffer[:, [0, 4]].any()
-    c = np.array(counts + [0, 1, 9, 10, 99, 2**62, 2**63 - 1, -1, -10, -(2**63)], dtype=np.int64)
-    # integer slots are as few words as the longest text and its separator need
-    for block in (c, c % 10**7, -(c % 10**6), c % 10**15, -(c % 10**14)):
-        words, text = harness._int_words(block), [b"%d" % v for v in block.tolist()]
-        assert words.shape == (len(block), max(map(len, text)) // 8 + 1)
-        assert _slots(words, words.shape[1]) == text
+    # an integer slot is one word: its text, right-aligned, and the separator
+    # in its top byte; a block with a text that does not fit is refused
+    c = np.array(counts + [0, 1, 9, 10, 99, 999_999, 1_000_000, 9_999_999], dtype=np.int64)
+    words = harness._int_words(c, ord(",") << 56)
+    assert words.shape == c.shape and _slots(words, 1) == [b"%d," % v for v in c.tolist()]
+    assert (words >> 56 == ord(",")).all()
+    for v in (-1, 10**7, 2**63 - 1, -(2**63)):
+        assert harness._int_words(np.append(c, v), 0) is None
 
 
 @pytest.mark.parametrize("n", [1, 8, 10])
 def test_few_row_chunks_take_the_template_with_the_kernels_bytes(n, monkeypatch):
     # _FORMAT_EDGES values, NaNs included, but for the texts too long for
-    # the kernel's slots (at n = 8 and 10 the 27 rows hold every one), in
-    # chunks of 1 to 27 rows: the row template's bytes equal the kernel's
-    # on the same rows
+    # the kernel's slots (at n = 8 and 10 the 27 rows hold every one), and
+    # counts from 0 to 9,999,999, in chunks of 1 to 27 rows: the row
+    # template's bytes equal the kernel's on the same rows
     x = np.resize(np.array([v for v in _FORMAT_EDGES if len(trace_field(v)) < 24]), (27, n + 1))
-    counts = [np.arange(27) * 10**k for k in (0, 7, 15)]
-    counts[1][3] = -(10**6)
+    counts = [np.arange(27) * 10**k for k in (0, 3, 5)]
+    counts[1][3] = 9_999_999
     t = np.arange(1, 28) * 997
     fmt = harness._RowFormatter(n, 27)
+    float_words, fitted = harness._float_words, []
+
+    def spy(x, out, sep):
+        fitted.append(float_words(x, out, sep))
+        return fitted[-1]
+
+    monkeypatch.setattr(harness, "_float_words", spy)
     for r in (1, 2, 17, 27):
         args = (t[:r], x[:r, :n], x[:r, n], [c[:r] for c in counts])
         template = fmt.format(*args)
@@ -850,6 +858,7 @@ def test_few_row_chunks_take_the_template_with_the_kernels_bytes(n, monkeypatch)
             m.setattr(harness, "_TEMPLATE_ROWS", 0)
             assert fmt.format(*args) == template
         assert template.count(b"\n") == r and template.startswith(b"%d," % t[0])
+    assert fitted == [True] * 4  # the kernel wrote each chunk it was given
 
 
 @pytest.mark.parametrize("values", [_KERNEL_EDGES] + [[v] for v in _TEMPLATE_TRIGGERS], ids=["edges", "-1e-300", "-5e-324"])
@@ -873,6 +882,30 @@ def test_kernel_chunk_sends_only_24_byte_texts_to_the_template(tmp_path, values,
     assert fields[: len(want)] == want and b"%.16e" % 0.0 not in b"".join(lines)
     back = read_trace_csv(str(tmp_path / "t.csv"))
     assert back.plays.tobytes() == trace.plays.tobytes() and back.losses.tobytes() == trace.losses.tobytes()
+
+
+@pytest.mark.parametrize("where", ["so-cum-crosses-1e7", "negative-count"])
+def test_counts_outside_a_word_send_only_their_chunks_to_the_template(tmp_path, where, monkeypatch):
+    # 3,000 distinct rows, three chunks whose floats all fit the kernel's
+    # slots: so_cum reaches 10**7 at row 1,500, inside the second chunk, or
+    # one loo_cum of the third chunk is negative
+    trace = _runs_trace([1] * 3000, 8)
+    if where == "so-cum-crosses-1e7":
+        trace.so_cum += 10**7 - trace.so_cum[1500]
+    else:
+        trace.loo_cum[2100] = -5
+    int_words, fitted = harness._int_words, []
+
+    def spy(c, sep):
+        words = int_words(c, sep)
+        fitted.append(words is not None)
+        return words
+
+    monkeypatch.setattr(harness, "_int_words", spy)
+    write_trace_csv(trace, str(tmp_path / "t.csv"))
+    assert fitted == ([True, False, False] if where == "so-cum-crosses-1e7" else [True, True, False])
+    csv_writer_trace(trace, str(tmp_path / "reference.csv"))
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_trace_writer_failing_part_way_leaves_the_earlier_outputs(tmp_path, monkeypatch):
