@@ -26,8 +26,8 @@ and the global budget/regret bounds on real runs.  An SO run keeps
 them as columns (:class:`SoRecords`: each round's projection input and
 output, and its calls from ``so_cum``).  It takes every run, of either
 feedback and any loss kind, in chunks of rounds whose inputs are asked
-about in block queries; only a round that is refused or needs the
-rescale enters :func:`~pfoco.projection.cip_so`.
+about in block queries; only a round that is refused, needs the
+rescale or is a chunk alone enters :func:`~pfoco.projection.cip_so`.
 
 Parameter builders (``*_params``) encode the step sizes, tolerances,
 and block lengths under which the guarantees hold, validate their
@@ -434,6 +434,7 @@ def ogd_wf_run(
     """Online gradient descent with the exact projection from the set's
     center; ``etas`` is a scalar or a length-T array of step sizes, and
     ``rng`` is unused (it completes the run signature the learners share).
+    The losses are one ``values`` call over the plays, after the loop.
     ``params["etas"]`` lists every step when T <= 64; otherwise it is the
     one step of a constant schedule, or the first and last of any other."""
     t0 = time.perf_counter()
@@ -446,15 +447,11 @@ def ogd_wf_run(
         raise ValueError("etas must be positive and finite")
     x = np.array(set_.center, dtype=np.float64)
     plays = np.empty((T, n))
-    losses = np.empty(T)
     gnorms = np.empty(T)
-    value, subgrad, rows = schedule.family.value, schedule.family.subgrad, schedule.rows.tolist()
+    subgrad, rows = schedule.family.subgrad, schedule.rows.tolist()
     for t in range(T):
-        i = rows[t]
         plays[t] = x
-        val = value(i, x)
-        g = subgrad(i, x)
-        losses[t] = val
+        g = subgrad(rows[t], x)
         gnorms[t] = np.linalg.norm(g)
         x = set_.project(x - eta_arr[t] * g)
     if T <= 64:
@@ -466,7 +463,7 @@ def ogd_wf_run(
     zeros = np.zeros(T, dtype=np.int64)
     return RunTrace(
         plays=plays,
-        losses=losses,
+        losses=schedule.family.values(schedule.rows, plays),
         loo_cum=zeros.copy(),
         so_cum=zeros.copy(),
         block_index=np.arange(1, T + 1, dtype=np.int64),
@@ -599,20 +596,23 @@ def so_run(
     STRETCH_CHUNK rows.  Otherwise the steps are speculative: a lean
     loop makes each row from the one before (play, value and one-point
     estimate, or subgradient and its norm), so after a chunk ends early
-    the next is one round long, doubling after each full chunk up to
-    STRETCH_CHUNK.  The rows before the first that needs the rescale to
-    the R-ball, divided by 1 - delta'/r, go to the oracle as one block
-    query through :func:`~pfoco.projection.so_query`, charged the SO
-    calls a per-round loop makes, and each accepted row is its round's
-    input and output.  The round that ends a chunk early (refused, or in
-    need of the rescale) takes :func:`~pfoco.projection.cip_so`, which
-    goes on from the block's refusal, so no point is queried twice; the
-    rows after it are thrown away.
+    the next is one round long, doubling after each full chunk (or
+    one-round chunk of one SO call) up to STRETCH_CHUNK.  The rows
+    before the first that needs the rescale to the R-ball, divided by
+    1 - delta'/r, go to the oracle as one block query through
+    :func:`~pfoco.projection.so_query`, charged the SO calls a
+    per-round loop makes, and each accepted row is its round's input
+    and output.  The round that ends a chunk early (refused, or in need
+    of the rescale) takes :func:`~pfoco.projection.cip_so`, which goes
+    on from the block's refusal, so no point is queried twice; the rows
+    after it are thrown away.  A one-round chunk skips the block query
+    and takes :func:`~pfoco.projection.cip_so` as the rescale does.
 
     The trace records each round's projection input and output as
-    columns (:class:`SoRecords`).  With full information the plays are
-    the previous outputs and the losses one ``values`` call over them,
-    both filled after the loop.
+    columns (:class:`SoRecords`).  The plays and losses are filled
+    after the loop: each round plays the previous round's output, plus
+    delta' u_t with bandit feedback, and the losses are one ``values``
+    call over the plays.
     """
     t0 = time.perf_counter()
     bandit = _is_bandit(params, schedule, rng, so_run)
@@ -627,8 +627,6 @@ def so_run(
     scale = 1.0 - dp / r
     calls = np.ones(T, dtype=np.int64)  # SO calls of each round
     so_in, so_out = np.empty((T, n)), np.empty((T, n))
-    plays = np.empty((T, n))
-    losses = np.empty(T) if bandit else None  # full information: one values call after the loop
     gnorms = None if bandit else np.empty(T)
     if known:
         # each round's step, as eta * subgrad rounds it: a linear loss's
@@ -652,39 +650,37 @@ def so_run(
             y = ytil
             for s in range(t, t + c):
                 if bandit:
-                    z = plays[s] = y + dp * U[s]
-                    val = losses[s] = value(row_list[s], z)
-                    g = bandit_gradient_estimate(val, U[s], n, dp)
+                    g = bandit_gradient_estimate(value(row_list[s], y + dp * U[s]), U[s], n, dp)
                 else:
                     g = subgrad(row_list[s], y)
                     gnorms[s] = math.sqrt(g.dot(g))
                 Y[s - t] = y = y - eta * g
-        # a list: ndarray.all() alone costs about what a 1-row chunk's test does
-        unscaled = (np.sqrt(np.vecdot(Y, Y)) <= R).tolist()
-        stop = unscaled.index(False) if False in unscaled else c
-        ans = projection.so_query(set_, Y[:stop] / scale if dp else Y[:stop], counters) if stop else FEASIBLE
-        k = stop if ans.feasible else ans.row
-        so_out[t : t + k] = Y[:k]
-        t += k
-        if k == c:
-            ytil = Y[c - 1]
-            size = min(2 * size, STRETCH_CHUNK)
-            continue
-        # round t is refused, or (ans feasible) its input needs the rescale
+        ans = FEASIBLE  # a one-round chunk goes to cip_so whole
+        if c > 1:
+            # a list: ndarray.all() alone costs about what a 1-row chunk's test does
+            unscaled = (np.sqrt(np.vecdot(Y, Y)) <= R).tolist()
+            stop = unscaled.index(False) if False in unscaled else c
+            ans = projection.so_query(set_, Y[:stop] / scale if dp else Y[:stop], counters) if stop else FEASIBLE
+            k = stop if ans.feasible else ans.row
+            so_out[t : t + k] = Y[:k]
+            t += k
+            if k == c:
+                ytil = Y[c - 1]
+                size = min(2 * size, STRETCH_CHUNK)
+                continue
+        # round t is alone, refused, or (ans feasible) its input needs the rescale
         res = cip_so(set_, r, delta, dp, so_in[t], counters, first=None if ans.feasible else ans)
         ytil = so_out[t] = res.y
         calls[t] = res.so_calls
         t += 1
-        size = STRETCH_CHUNK if known else 1
-    if not bandit:
-        # each round plays the previous round's output, from the origin
-        plays[0] = 0.0
-        plays[1:] = so_out[:-1]
-        losses = family.values(rows, plays)
+        size = STRETCH_CHUNK if known else 2 if c == 1 and res.so_calls == 1 else 1
+    plays = np.vstack((np.zeros(n), so_out[:-1]))  # each round plays the previous output, from the origin
+    if bandit:
+        plays += dp * U  # and its exploration step
     so_cum = np.cumsum(calls)
     return RunTrace(
         plays=plays,
-        losses=losses,
+        losses=family.values(rows, plays),
         loo_cum=np.zeros(T, dtype=np.int64),  # SO projections make no LOO calls
         so_cum=so_cum,
         block_index=np.arange(1, T + 1, dtype=np.int64),

@@ -34,6 +34,7 @@ from pfoco.losses import (
 from pfoco.projection import SoProjection, cip_loo, cip_so
 from support import (
     INTERIOR_KINDS,
+    SET_KINDS,
     check_cip_loo_record,
     check_cip_so_record,
     cip_loo_literal,
@@ -226,6 +227,55 @@ def test_ogd_wf_records_a_step_schedule_by_its_first_and_last_step():
             assert decaying == steps.tolist() and constant == [0.1] * T
         else:
             assert decaying == {"first": 1.0, "last": 1.0 / 65} and constant == 0.1
+
+
+def _per_round_ogd_wf_run(set_, schedule, etas):
+    """ogd_wf one round at a time: value, subgradient, norm and exact
+    projection each round; also the rounds whose projection moved the
+    point."""
+    family, T = schedule.family, schedule.T
+    x = np.array(set_.center, dtype=np.float64)
+    plays, losses, gnorms = np.empty((T, set_.n)), np.empty(T), np.empty(T)
+    moved = 0
+    for t in range(T):
+        i = schedule.rows[t]
+        plays[t] = x
+        losses[t] = family.value(i, x)
+        g = family.subgrad(i, x)
+        gnorms[t] = np.linalg.norm(g)
+        step = x - etas[t] * g
+        x = set_.project(step)
+        moved += not np.array_equal(x, step)
+    return plays, losses, gnorms, moved
+
+
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_ogd_wf_run_equals_the_per_round_loop(kind):
+    """ogd_wf_run, whose losses are one values call after its loop,
+    against the per-round loop on random sets of each kind, over iid
+    linear, quadratic (targets out to 2R) and abs-dev losses, with a
+    constant step and with 1/(alpha t)."""
+    rng = np.random.default_rng(131)
+    T, alpha = 80, 1.5
+    moved = {"constant": 0, "1/(alpha t)": 0}  # rounds whose projection acts
+    for _ in range(3):
+        set_ = random_set(rng, kind)
+        n, R = set_.n, set_.R
+        for sched in (
+            make_iid_linear_schedule(T, n, R, rng),
+            make_iid_quadratic_schedule(T, n, R, rng, alpha=alpha, spread=2.0 * R),
+            make_iid_absdev_schedule(T, n, R, rng),
+        ):
+            eta = R / (sched.G_f * math.sqrt(T))
+            decaying = 1.0 / (alpha * np.arange(1, T + 1))
+            for name, etas, steps in (("constant", eta, np.full(T, eta)), ("1/(alpha t)", decaying, decaying)):
+                trace = ogd_wf_run(set_, sched, etas)
+                plays, losses, gnorms, rounds = _per_round_ogd_wf_run(set_, sched, steps)
+                assert np.array_equal(trace.plays, plays)
+                assert np.array_equal(trace.losses, losses)
+                assert np.array_equal(trace.grad_norms, gnorms)
+                moved[name] += rounds
+    assert min(moved.values()) > 0, moved
 
 
 # ----------------------------------------------------------------------
@@ -583,18 +633,22 @@ def _chunk_regimes(schedule, calls, inputs, outputs, R, known):
     need of the rescale).  Known steps take chunks of STRETCH_CHUNK
     rounds; speculative steps take one round after an early end and
     double the length after each full chunk, up to STRETCH_CHUNK.  A
-    chunk whose first input needs the rescale makes no block query."""
+    one-round chunk goes to cip_so, and is full if its round takes one
+    SO call; it makes no block query, nor does a chunk whose first input
+    needs the rescale."""
     accepted = (calls == 1) & np.all(inputs == outputs, axis=1)
     rescaled = np.array([math.sqrt(y.dot(y)) > R for y in inputs])
-    starts, t, size = [], 0, STRETCH_CHUNK
+    starts, blocks, t, size = [], [], 0, STRETCH_CHUNK
     while t < len(calls):
         starts.append(t)
         run = accepted[t : t + size]
-        full = run.all()
+        blocks.append(len(run) > 1)
+        # a one-round chunk goes to cip_so whole, and counts as full after one call
+        full = run.all() if len(run) > 1 else calls[t] == 1
         t += len(run) if full else int(run.argmin()) + 1
         if not known:
             size = min(2 * size, STRETCH_CHUNK) if full else 1
-    starts = np.array(starts)
+    starts, blocks = np.array(starts), np.array(blocks)
     last = starts[1:] - 1  # the last round of each chunk but the run's last
     switches = np.flatnonzero(np.diff(schedule.rows)) + 1
     ends = np.append(starts[1:], len(calls))
@@ -609,7 +663,7 @@ def _chunk_regimes(schedule, calls, inputs, outputs, R, known):
         "switch_inside_chunk": bool(np.any(accepted[switches - 1] & accepted[switches] & ~np.isin(switches, starts))),
     }
     queried = np.cumsum(calls) - calls  # SO calls charged before each round
-    return {name for name, hit in found.items() if hit}, queried[starts[~rescaled[starts]]].tolist()
+    return {name for name, hit in found.items() if hit}, queried[starts[blocks & ~rescaled[starts]]].tolist()
 
 
 def _so_run_recording_blocks(monkeypatch, *args):
