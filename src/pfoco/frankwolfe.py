@@ -77,7 +77,9 @@ def separating_hyperplane_fw(
     most eps (both comparisons are exact): the paper's points and close
     flags, at one LOO call fewer on a run that ends close.  Squared
     distance to y never increases along the way, so the result is at
-    least as close to y as x1 was.
+    least as close to y as x1 was.  A gap that is not finite, which a
+    finite x1 and y give only with a non-finite LOO answer, raises
+    :class:`~pfoco.geometry.OracleContractError`.
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
@@ -90,6 +92,8 @@ def separating_hyperplane_fw(
         v = loo_query(set_, r, counters)
         d = v - x
         gap = -float(r @ d)  # (x - y) @ (x - v) to the bit: negation is exact
+        if not math.isfinite(gap):
+            raise OracleContractError("linear-optimization oracle returned a non-finite point", iterations=i, eps=eps)
         if gap <= eps:
             return SeparationResult(point=x, close=False, iterations=i)
         if i >= cap:

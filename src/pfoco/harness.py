@@ -80,10 +80,9 @@ def _is_numbers(v) -> bool:
     return isinstance(v, list) and all(map(_is_number, v))
 
 
-def _num(d: dict, key: str, where: str, default=None, minimum=None):
-    v = d.get(key, default)
-    if v is None and key not in d:
-        raise ConfigError(f"{where}.{key} is required")
+def _num(d: dict, key: str, where: str, minimum=None):
+    """The number ``d[key]`` (the caller has checked that the key is there)."""
+    v = d[key]
     if not _is_number(v):
         raise ConfigError(f"{where}.{key} must be a {'finite number' if isinstance(v, float) else 'number'}")
     if minimum is not None and v < minimum:
@@ -91,8 +90,8 @@ def _num(d: dict, key: str, where: str, default=None, minimum=None):
     return v
 
 
-def _int(d: dict, key: str, where: str, default=None, minimum=None):
-    v = _num(d, key, where, default, minimum)
+def _int(d: dict, key: str, where: str, minimum=None):
+    v = _num(d, key, where, minimum)
     if int(v) != v:
         raise ConfigError(f"{where}.{key} must be an integer")
     return int(v)

@@ -152,6 +152,20 @@ def _positive(**values: float) -> None:
             raise ValueError(f"needs {name} > 0")
 
 
+def _params(kind: str, set_: FeasibleSet, T: int, G_f: float, M: float, **fields) -> LearnerParams:
+    """A kind's parameters over ``set_``, with the set's R, r and n."""
+    return LearnerParams(kind=kind, T=T, R=set_.R, r=set_.r, n=set_.n, G_f=G_f, M=M, **fields)
+
+
+def _preconditions(T: int, set_: Optional[FeasibleSet] = None) -> None:
+    """Refuse a horizon T < 1 and, given ``set_``, a set with no interior
+    margin (r = 0)."""
+    if T < 1:
+        raise ValueError("needs T >= 1")
+    if set_ is not None and not (set_.r > 0):
+        raise ValueError("needs an interior margin r > 0")
+
+
 # ----------------------------------------------------------------------
 # parameter builders
 
@@ -165,8 +179,7 @@ def loo_bogd_params(
     K: Optional[int] = None,
 ) -> LearnerParams:
     """Blocked LOO learner, general convex losses."""
-    if T < 1:
-        raise ValueError("needs T >= 1")
+    _preconditions(T)
     _positive(G_f=schedule_G_f)
     R = set_.R
     K = _clamp_block_length(5.0 * math.sqrt(T), T) if K is None else int(K)
@@ -174,20 +187,8 @@ def loo_bogd_params(
     eta = (R / schedule_G_f) * T ** (-0.75) if eta is None else float(eta)
     eps = 60.0 * R * R * T ** (-0.5) if eps is None else float(eps)
     _positive(eta=eta, eps=eps)
-    return LearnerParams(
-        kind="loo_bogd",
-        T=T,
-        R=R,
-        r=set_.r,
-        n=set_.n,
-        G_f=schedule_G_f,
-        M=0.0,
-        K=K,
-        B=B,
-        eta=eta,
-        eps=eps,
-        eta_m=np.full(B, eta),
-        eps_m=np.full(B, eps),
+    return _params(
+        "loo_bogd", set_, T, schedule_G_f, 0.0, K=K, B=B, eta=eta, eps=eps, eta_m=np.full(B, eta), eps_m=np.full(B, eps)
     )
 
 
@@ -211,20 +212,8 @@ def loo_bogd_sc_params(
     K = _clamp_block_length((alpha * R / schedule_G_f) ** (2.0 / 3.0) * T ** (2.0 / 3.0), T) if K is None else int(K)
     B = _blocks(T, K)
     m = np.arange(1, B + 1, dtype=np.float64)
-    return LearnerParams(
-        kind="loo_bogd_sc",
-        T=T,
-        R=R,
-        r=set_.r,
-        n=set_.n,
-        G_f=schedule_G_f,
-        M=0.0,
-        K=K,
-        B=B,
-        eta_m=2.0 / (alpha * K * m),
-        eps_m=(20.0 * schedule_G_f / (alpha * (m + 3.0))) ** 2,
-        alpha=alpha,
-    )
+    eta_m, eps_m = 2.0 / (alpha * K * m), (20.0 * schedule_G_f / (alpha * (m + 3.0))) ** 2
+    return _params("loo_bogd_sc", set_, T, schedule_G_f, 0.0, K=K, B=B, eta_m=eta_m, eps_m=eps_m, alpha=alpha)
 
 
 def loo_bbgd_params(
@@ -239,11 +228,8 @@ def loo_bbgd_params(
     Plays live on the (1 - delta/r)-squeezed set so the exploration
     sphere of radius delta = c * T^(-1/4) never leaves the original.
     """
-    if T < 1:
-        raise ValueError("needs T >= 1")
+    _preconditions(T, set_)
     R, r, n = set_.R, set_.r, set_.n
-    if not (r > 0):
-        raise ValueError("needs an interior margin r > 0")
     _positive(M=schedule_M, c=c)
     delta = c * T ** (-0.25)
     if not (delta < r):
@@ -252,22 +238,9 @@ def loo_bbgd_params(
     eta = (R / math.sqrt(n * schedule_M)) * T ** (-0.75)
     eps = delta * delta / 3.0
     B = _blocks(T, K)
-    return LearnerParams(
-        kind="loo_bbgd",
-        T=T,
-        R=R,
-        r=r,
-        n=n,
-        G_f=G_f,
-        M=schedule_M,
-        K=K,
-        B=B,
-        eta=eta,
-        eps=eps,
-        eta_m=np.full(B, eta),
-        eps_m=np.full(B, eps),
-        delta=delta,
-        c=c,
+    eta_m, eps_m = np.full(B, eta), np.full(B, eps)
+    return _params(
+        "loo_bbgd", set_, T, G_f, schedule_M, K=K, B=B, eta=eta, eps=eps, eta_m=eta_m, eps_m=eps_m, delta=delta, c=c
     )
 
 
@@ -278,11 +251,8 @@ def so_ogd_params(
     c: Optional[float] = None,
 ) -> LearnerParams:
     """Per-round SO learner, full information."""
-    if T < 1:
-        raise ValueError("needs T >= 1")
+    _preconditions(T, set_)
     R, r = set_.R, set_.r
-    if not (r > 0):
-        raise ValueError("needs an interior margin r > 0")
     if c is None:
         c = 4.0 * R / r
     _positive(G_f=schedule_G_f, c=c)
@@ -290,18 +260,7 @@ def so_ogd_params(
     if not (delta < 1.0):
         raise ValueError(f"needs c*T^(-1/2) < 1: c = {c}, T = {T} gives delta = {delta:.6g}")
     eta = (r / (2.0 * schedule_G_f)) * T ** (-0.5)
-    return LearnerParams(
-        kind="so_ogd",
-        T=T,
-        R=R,
-        r=r,
-        n=set_.n,
-        G_f=schedule_G_f,
-        M=0.0,
-        eta=eta,
-        delta=delta,
-        c=c,
-    )
+    return _params("so_ogd", set_, T, schedule_G_f, 0.0, eta=eta, delta=delta, c=c)
 
 
 def so_bgd_params(
@@ -313,11 +272,8 @@ def so_bgd_params(
     G_f: float = 0.0,
 ) -> LearnerParams:
     """Per-round SO learner with one-point bandit feedback."""
-    if T < 1:
-        raise ValueError("needs T >= 1")
-    R, r, n = set_.R, set_.r, set_.n
-    if not (r > 0):
-        raise ValueError("needs an interior margin r > 0")
+    _preconditions(T, set_)
+    r, n = set_.r, set_.n
     _positive(M=schedule_M)
     if c is None:
         c = 8.0 / r
@@ -333,19 +289,8 @@ def so_bgd_params(
             f"needs 2*c'*T^(-1/4) < r: c' = {c_prime}, T = {T} gives 2*delta' = {2 * delta_prime:.6g} >= r = {r:.6g}"
         )
     eta = (r / (4.0 * math.sqrt(n * schedule_M))) * T ** (-0.75)
-    return LearnerParams(
-        kind="so_bgd",
-        T=T,
-        R=R,
-        r=r,
-        n=n,
-        G_f=G_f,
-        M=schedule_M,
-        eta=eta,
-        delta=delta,
-        delta_prime=delta_prime,
-        c=c,
-        c_prime=c_prime,
+    return _params(
+        "so_bgd", set_, T, G_f, schedule_M, eta=eta, delta=delta, delta_prime=delta_prime, c=c, c_prime=c_prime
     )
 
 
@@ -415,8 +360,10 @@ def theoretical_bounds(params: LearnerParams) -> dict:
     """Regret and oracle-call bounds for a parameterized run; the regret
     is in the sense of the kind's ``scope`` in :data:`LEARNERS`."""
     kind = LEARNERS.get(params.kind)
-    if kind is None or kind.bounds is None:
+    if kind is None:
         raise ValueError(f"unknown learner kind {params.kind!r}")
+    if kind.bounds is None:
+        raise ValueError(f"learner kind {params.kind!r} has no governing bounds")
     regret, calls = kind.bounds(params)
     return {"regret": regret, "oracle_calls": calls, "oracle": kind.oracle}
 

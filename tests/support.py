@@ -5,9 +5,11 @@ the literal references that fast paths are compared against."""
 import csv
 import dataclasses
 import math
+import re
 from typing import Optional
 
 import numpy as np
+import pytest
 
 from pfoco.frankwolfe import SeparationResult, exact_line_search_quadratic
 from pfoco.geometry import (
@@ -29,6 +31,19 @@ from pfoco.projection import LooProjection, cip_so
 
 SET_KINDS = ("ball", "box", "simplex", "l1", "polytope")
 INTERIOR_KINDS = ("ball", "box", "l1", "polytope")  # r > 0
+
+
+def assert_refused(call, want, message, capsys=None):
+    """``call()`` raises the exception type ``want`` with ``message`` in its
+    text; or, for an int ``want`` (a CLI exit code), returns ``want`` with
+    ``message`` in what it printed to ``capsys``."""
+    if isinstance(want, int):
+        assert call() == want
+        printed = capsys.readouterr()
+        assert message in printed.out + printed.err, printed
+    else:
+        with pytest.raises(want, match=re.escape(message)):
+            call()
 
 
 def make_polytope(rng, n, extra=4):
@@ -352,6 +367,24 @@ def check_cip_so_record(rec, set_):
     dret = np.linalg.norm(rec.y - target.project(rec.y))
     bound = (d0 * d0 - dret * dret) / gain + 1.0
     assert rec.so_calls <= bound + 1e-6, f"SO calls {rec.so_calls} exceed {bound}"
+
+
+def check_cip_so_records(trace, set_):
+    """:func:`check_cip_so_record` on every round of an SO run at once.  The
+    inputs and outputs are the columns of ``trace.projections`` (a
+    ``SoRecords``), each round's SO calls are the steps of ``trace.so_cum``,
+    and ``project_many`` makes the exact projections, giving each row the
+    bits ``project`` gives it."""
+    recs = trace.projections
+    delta, dp, r = recs[0].delta, recs[0].delta_prime, recs[0].r
+    target = squeeze(set_, (1.0 - delta) * (1.0 - dp / r))
+    gain = delta * delta * (r - dp) * (r - dp)
+    d0 = np.linalg.norm(recs.inputs - target.project_many(recs.inputs), axis=1)
+    dret = np.linalg.norm(recs.outputs - target.project_many(recs.outputs), axis=1)
+    bound = (d0 * d0 - dret * dret) / gain + 1.0
+    calls = np.diff(trace.so_cum, prepend=0)
+    over = np.flatnonzero(~(calls <= bound + 1e-6))
+    assert not over.size, f"round {over[0] + 1}: SO calls {calls[over[0]]} exceed {bound[over[0]]}"
 
 
 def record_outward_schedule(set_, T, c=None):

@@ -32,6 +32,7 @@ from pfoco.harness import (
     write_trace_csv,
 )
 from pfoco.learners import (
+    SoRecords,
     loo_bbgd_params,
     loo_bogd_params,
     loo_bogd_sc_params,
@@ -51,7 +52,7 @@ from pfoco.losses import (
     make_iid_quadratic_schedule,
     make_switching_linear_schedule,
 )
-from pfoco.projection import LooProjection, SoProjection, cip_loo, cip_so
+from pfoco.projection import LooProjection, cip_loo, cip_so
 from support import (
     INTERIOR_KINDS,
     SET_KINDS,
@@ -59,6 +60,7 @@ from support import (
     block_sum_moment_samples,
     check_cip_loo_record,
     check_cip_so_record,
+    check_cip_so_records,
     estimate_gradient_mc,
     frank_wolfe_min_distance,
     random_set,
@@ -196,13 +198,13 @@ def test_a02_oracle_iteration_budgets():
         checked += 1
     for result in (_blocked_loo_result(), _strongly_convex_result(), _separation_ogd_result()):
         trace, _, set_, *_ = result
-        for rec in trace.projections:
-            if isinstance(rec, LooProjection):
+        if isinstance(trace.projections, SoRecords):
+            check_cip_so_records(trace, set_)
+        else:
+            for rec in trace.projections:
+                assert isinstance(rec, LooProjection)
                 check_cip_loo_record(rec)
-            else:
-                assert isinstance(rec, SoProjection)
-                check_cip_so_record(rec, set_)
-            checked += 1
+        checked += len(trace.projections)
     print(f"\n[budgets] {checked} invocations checked, zero violations")
     assert checked >= 200
 
@@ -376,8 +378,7 @@ def test_a07_bandit_feasibility_and_budgets():
                 trace = so_run(set_, sched, params, np.random.default_rng(ss_play))
                 calls.append(trace.counters.so_calls)
                 assert trace.counters.so_calls <= so_display_gate
-                for rec in trace.projections:
-                    check_cip_so_record(rec, set_)
+                check_cip_so_records(trace, set_)
             norms = np.linalg.norm(trace.plays, axis=1)
             max_norm = max(max_norm, float(norms.max()))
             assert norms.max() <= R + tol

@@ -6,7 +6,8 @@ from pfoco.frankwolfe import (
     fw_stop_ceiling,
     separating_hyperplane_fw,
 )
-from pfoco.geometry import Ball, OracleCounters, loo_query, squeeze
+from pfoco.geometry import Ball, OracleContractError, OracleCounters, loo_query, squeeze
+from pfoco.projection import cip_loo
 from support import (
     SET_KINDS,
     frank_wolfe_min_distance,
@@ -186,3 +187,57 @@ def test_separating_run_rejects_bad_eps():
     ball = Ball(2, 1.0)
     with pytest.raises(ValueError):
         separating_hyperplane_fw(ball, np.array([1.0, 0.0]), np.array([2.0, 0.0]), eps=0.0)
+
+
+class _NanLooBall(Ball):
+    """An LOO that answers NaN: a contract breaker."""
+
+    def loo(self, direction):
+        return np.full(self.n, np.nan)
+
+
+class _CreepingLooBall(Ball):
+    """An LOO that answers x - 0.01 (x - y) for the direction x - y: each
+    step moves 1% of the way to y, and the gap stays above eps.  A
+    contract breaker."""
+
+    def __init__(self, y):
+        super().__init__(2, 1.0)
+        self.y = y
+
+    def loo(self, direction):
+        return self.y + 0.99 * direction
+
+
+_FAR = np.array([100.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call, message, diagnostics",
+    [
+        pytest.param(
+            lambda: separating_hyperplane_fw(_NanLooBall(2, 1.0), np.zeros(2), _FAR, 0.1),
+            "linear-optimization oracle returned a non-finite point",
+            {"iterations": 1, "eps": 0.1},
+            id="fw-nan",
+        ),
+        # cip_loo once returned x = [nan, nan] here, with no error
+        pytest.param(
+            lambda: cip_loo(_NanLooBall(2, 1.0), np.zeros(2), _FAR, 0.1),
+            "linear-optimization oracle returned a non-finite point",
+            {"iterations": 1, "eps": 0.1},
+            id="cip_loo-nan",
+        ),
+        # eps >= 9 R^2 makes the certified ceiling 1, so the cap is 10 calls
+        pytest.param(
+            lambda: separating_hyperplane_fw(_CreepingLooBall(_FAR), np.zeros(2), _FAR, 9.0),
+            "nearest-point loop exceeded 10x its certified ceiling",
+            {"ceiling": 1, "iterations": 10, "eps": 9.0},
+            id="fw-cap",
+        ),
+    ],
+)
+def test_separating_run_refuses_a_broken_oracle(call, message, diagnostics):
+    with pytest.raises(OracleContractError, match=message) as exc:
+        call()
+    assert diagnostics.items() <= exc.value.diagnostics.items()

@@ -24,6 +24,7 @@ from pfoco.learners import loo_bogd_params, loo_run
 from pfoco.losses import make_switching_linear_schedule
 from support import (
     SET_KINDS,
+    assert_refused,
     assert_separator_valid,
     loo_reference,
     make_cut_cube,
@@ -1013,6 +1014,33 @@ def test_separate_checks_its_point(kind, squeezed):
     for length in (n - 1, n + 1):
         with pytest.raises(ValueError, match="dimension mismatch"):
             set_.separate(np.zeros(length))
+
+
+_POSITIVE = "must be positive and finite"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: Ball(0, 1.0), "dimension must be >= 1", id="ball-n"),
+        pytest.param(lambda: Ball(2, 0.0), "radius " + _POSITIVE, id="ball-radius-zero"),
+        pytest.param(lambda: Ball(2, np.inf), "radius " + _POSITIVE, id="ball-radius-inf"),
+        pytest.param(lambda: Simplex(0), "dimension must be >= 1", id="simplex-n"),
+        pytest.param(lambda: Simplex(2, -1.0), "scale " + _POSITIVE, id="simplex-scale-negative"),
+        pytest.param(lambda: Simplex(2, np.nan), "scale " + _POSITIVE, id="simplex-scale-nan"),
+        pytest.param(lambda: L1Ball(-1, 1.0), "dimension must be >= 1", id="l1-n"),
+        pytest.param(lambda: L1Ball(2, -0.5), "radius " + _POSITIVE, id="l1-radius"),
+        pytest.param(lambda: Box([-1.0, -1.0], [1.0]), "lower/upper dimension mismatch", id="box-bounds"),
+        pytest.param(lambda: Box([-1.0, 0.0], [1.0, 0.0]), "positive width in every coordinate", id="box-width"),
+        pytest.param(lambda: Polytope(np.eye(2), [1.0]), "A must be (m, n) with b of length m", id="polytope-b"),
+        pytest.param(lambda: Polytope([[1.0, np.nan], [-1.0, 0.0]], [1.0, 1.0]), "A has non-finite entries", id="polytope-A"),
+        pytest.param(lambda: Polytope([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0]), "zero rows in A", id="polytope-row"),
+        pytest.param(lambda: squeeze(Ball(2, 1.0), 0.0), "squeeze factor must be in (0, 1]", id="squeeze-zero"),
+        pytest.param(lambda: squeeze(Ball(2, 1.0), 1.5), "squeeze factor must be in (0, 1]", id="squeeze-above-one"),
+    ],
+)
+def test_sets_refuse_invalid_parameters_by_name(build, message):
+    assert_refused(build, ValueError, message)
 
 
 def test_polytope_loo_vertices_exactly_feasible():

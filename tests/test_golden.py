@@ -36,7 +36,7 @@ import pytest
 
 from pfoco import learners
 from pfoco.harness import build_instance, parse_config_dict, run_learner, run_one, write_trace_csv
-from support import check_cip_so_record, cip_loo_literal, csv_writer_trace
+from support import check_cip_so_records, cip_loo_literal, csv_writer_trace
 
 with open(os.path.join(os.path.dirname(__file__), "golden_runs.json")) as _fh:
     GOLDEN = json.load(_fh)
@@ -70,8 +70,7 @@ def test_golden_bandit_so_run_pulls_within_its_ceilings():
     trace, _, set_, _ = run_one(cfg, cfg.seeds[0])
     assert trace.counters.so_calls > cfg.T
     assert any(rec.so_calls > 1 for rec in trace.projections)
-    for rec in trace.projections:
-        check_cip_so_record(rec, set_)
+    check_cip_so_records(trace, set_)
 
 
 @pytest.mark.parametrize("case", GOLDEN_LOO, ids=[c["name"] for c in GOLDEN_LOO])

@@ -44,6 +44,7 @@ from pfoco.losses import (
 
 from support import (
     SET_KINDS,
+    assert_refused,
     csv_writer_trace,
     make_cut_cube,
     make_polytope,
@@ -180,6 +181,35 @@ def test_interval_config_validation():
             parse_config_dict(_base_config(intervals=intervals))
     with pytest.raises(ConfigError, match="limited to T <= 512"):
         parse_config_dict(_base_config(T=600, intervals={"policy": "exhaustive"}))
+
+
+@pytest.mark.parametrize(
+    "intervals, count",
+    [
+        pytest.param({"policy": "strided", "extra": [[3, 17], [5, 5], [1, 40]]}, None, id="strided"),
+        pytest.param({"policy": "exhaustive"}, 40 * 41 // 2, id="exhaustive"),
+        pytest.param({"policy": "list", "intervals": [[4, 9], [1, 3], [4, 9]]}, 2, id="list"),
+    ],
+)
+def test_config_interval_policy_scores_the_run(intervals, count, tmp_path, capsys):
+    # the config's policy reaches the summary and pfoco regret's default;
+    # strided's count is the literal reference's (its [1, 40] extra repeats)
+    segments = [[20, [1.0, 0.0]], [20, [-0.3, 1.0]]]
+    raw = _base_config(T=40, seeds=[1], loss={"kind": "switching_linear", "segments": segments}, intervals=intervals)
+    cfg = parse_config_dict(raw)
+    assert cfg.intervals_cfg == intervals
+    trace, schedule, set_, summary = run_one(cfg, 1)
+    if count is None:
+        count = len(strided_intervals_literal(40, schedule.boundaries, intervals["extra"]))
+    report = interval_regret_report(trace, schedule, set_, intervals_from_cfg(intervals, 40, schedule.boundaries))
+    observed = summary["observed"]
+    assert observed["n_intervals"] == report.n_intervals == count
+    assert observed["adaptive_regret"] == report.max_regret
+    assert observed["adaptive_argmax"] == list(report.argmax)
+    cfg_path, trace_path, _ = _ran(tmp_path, raw)
+    capsys.readouterr()
+    assert cli_main(["regret", trace_path, cfg_path]) == 0
+    assert f"adaptive regret over {count} intervals: {report.max_regret:.10g}" in capsys.readouterr().out
 
 
 def test_precondition_failures_name_the_inequality():
@@ -1259,6 +1289,128 @@ def test_cli_intervals_file_and_missing_config(tmp_path, capsys):
 
     assert cli_main(["validate", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def _ran(tmp_path, cfg):
+    """The config file, trace and summary of ``pfoco run`` on ``cfg`` (one seed)."""
+    cfg_path = _write_cfg(tmp_path, cfg)
+    assert cli_main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    base = str(tmp_path / "out" / f"cfg_seed{cfg['seeds'][0]}")
+    return cfg_path, base + ".csv", base + ".summary.json"
+
+
+def _unreadable_summary(tmp_path):
+    cfg_path, trace_path, summary_path = _ran(tmp_path, _base_config(T=8))
+    with open(summary_path, "w") as fh:
+        fh.write("{")
+    return cli_main(["regret", trace_path, cfg_path])
+
+
+def _regret_without_summary(tmp_path):
+    # the config's one seed, 4, rebuilds the schedule whose losses the trace holds
+    cfg_path, trace_path, summary_path = _ran(tmp_path, _base_config(T=8, seeds=[4]))
+    os.remove(summary_path)
+    return cli_main(["regret", trace_path, cfg_path])
+
+
+def _not_a_trace(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text("a,b\n1,2\n")
+    return read_trace_csv(str(path))
+
+
+def _zero_normal_run(tmp_path):
+    # so_ogd across a switch on the l1 ball pulls, and every normal is zero
+    segments = [[20, [1.0, 0.5, -0.3, 0.2]], [20, [-0.4, -1.0, 0.6, 0.3]]]
+    cfg = _base_config(
+        T=40,
+        set={"kind": "l1", "n": 4, "radius": 1.0},
+        loss={"kind": "switching_linear", "segments": segments},
+        learner={"kind": "so_ogd", "c": 0.05},
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(L1Ball, "_normal", lambda self, y: np.zeros(self.n))
+        return cli_main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+
+
+def _switching(target):
+    return _base_config(T=8, loss={"kind": "switching_linear", "segments": [[8, target]]})
+
+
+@pytest.mark.parametrize(
+    "call, want, message",
+    [
+        pytest.param(
+            lambda tmp: build_instance(parse_config_dict(_switching([1.0, 0.0, 0.0])), 0),
+            ConfigError,
+            "bad loss config: segment target has wrong dimension",
+            id="segment-dimension",
+        ),
+        pytest.param(
+            lambda tmp: build_instance(parse_config_dict(_switching([0.0, 0.0])), 0),
+            ConfigError,
+            "bad loss config: segment target must be nonzero",
+            id="segment-zero",
+        ),
+        pytest.param(lambda tmp: parse_config_dict([]), ConfigError, "config must be an object", id="config-object"),
+        pytest.param(
+            lambda tmp: parse_config_dict(_base_config(set=["ball"])), ConfigError, "set must be an object", id="set-object"
+        ),
+        pytest.param(
+            lambda tmp: parse_config_dict(_base_config(intervals="strided")),
+            ConfigError,
+            "intervals must be an object",
+            id="intervals-object",
+        ),
+        pytest.param(
+            lambda tmp: parse_config_dict(_base_config(out_dir=3)), ConfigError, "config.out_dir must be a string", id="out_dir"
+        ),
+        pytest.param(
+            lambda tmp: parse_config_dict(_base_config(loss={"kind": "switching_quadratic"})),
+            ConfigError,
+            "switching losses need a non-empty loss.segments list",
+            id="segments-missing",
+        ),
+        pytest.param(
+            lambda tmp: parse_config_dict(_base_config(intervals={"policy": "list"})),
+            ConfigError,
+            "interval policy 'list' needs an intervals list",
+            id="list-without-intervals",
+        ),
+        pytest.param(_not_a_trace, ValueError, "not a trace CSV", id="trace-header"),
+        pytest.param(
+            lambda tmp: cli_main(["run", _write_cfg(tmp, _base_config(T=8)), "--seeds", "x"]),
+            2,
+            "config error: bad --seeds list 'x'",
+            id="cli-seeds",
+        ),
+        pytest.param(
+            lambda tmp: cli_main(["regret", _ran(tmp, _base_config(T=8))[1], _write_cfg(tmp, _base_config(T=9), "T9.json")]),
+            2,
+            "trace has 8 rounds but config.T = 9",
+            id="cli-trace-T",
+        ),
+        pytest.param(_unreadable_summary, 2, "unreadable summary", id="cli-summary"),
+        pytest.param(
+            _zero_normal_run,
+            3,
+            "oracle contract violation: separation oracle returned a zero normal\n  iterations: 1\n",
+            id="cli-oracle-contract",
+        ),
+        pytest.param(_regret_without_summary, 0, "adaptive regret over", id="cli-config-seed"),
+        pytest.param(
+            lambda tmp: cli_main(["validate", _write_cfg(tmp, _base_config(learner={"kind": "ogd_wf"}))]),
+            0,
+            "ok: learner=ogd_wf (no oracle bounds)",
+            id="cli-validate-ogd_wf",
+        ),
+    ],
+)
+def test_harness_and_cli_answers_by_name(call, want, message, tmp_path, capsys):
+    # an exception type, or an exit code and a message printed; the last two
+    # rows are answers, not refusals: the config's one seed scores a trace
+    # without a summary, and a learner without bounds validates
+    assert_refused(lambda: call(tmp_path), want, message, capsys)
 
 
 def test_cli_entry_point_installed():

@@ -1,12 +1,14 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from pfoco import learners, projection
-from pfoco.geometry import Ball, Box, L1Ball, OracleCounters, squeeze
-from pfoco.harness import run_learner
+from pfoco.cli import main as cli_main
+from pfoco.geometry import Ball, Box, L1Ball, OracleCounters, Simplex, squeeze
+from pfoco.harness import ConfigError, learner_params, run_learner
 from pfoco.learners import (
     STRETCH_CHUNK,
     loo_bbgd_params,
@@ -35,8 +37,9 @@ from pfoco.projection import SoProjection, cip_loo, cip_so
 from support import (
     INTERIOR_KINDS,
     SET_KINDS,
+    assert_refused,
     check_cip_loo_record,
-    check_cip_so_record,
+    check_cip_so_records,
     cip_loo_literal,
     make_polytope,
     random_set,
@@ -152,6 +155,60 @@ def test_parameter_builders_need_a_horizon():
         for T in (0, -3):
             with pytest.raises(ValueError, match=r"needs T >= 1"):
                 build(T)
+
+
+_MARGIN = "needs an interior margin r > 0"
+
+
+def _validate_on_simplex(tmp_path, learner):
+    """``pfoco validate`` on iid linear losses over the simplex, which has r = 0."""
+    cfg = {"T": 100, "set": {"kind": "simplex", "n": 3}, "loss": {"kind": "iid_linear"}, "learner": learner}
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(cfg))
+    return cli_main(["validate", str(path)])
+
+
+def _linear_schedule(T):
+    return make_iid_linear_schedule(T, 2, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "call, want, message",
+    [
+        pytest.param(lambda tmp: loo_bbgd_params(Simplex(3), 1.0, 100, c=0.5), ValueError, _MARGIN, id="loo_bbgd"),
+        pytest.param(lambda tmp: so_ogd_params(Simplex(3), 1.0, 100), ValueError, _MARGIN, id="so_ogd"),
+        pytest.param(lambda tmp: so_bgd_params(Simplex(3), 1.0, 100), ValueError, _MARGIN, id="so_bgd"),
+        pytest.param(lambda tmp: _validate_on_simplex(tmp, {"kind": "loo_bbgd", "c": 0.5}), 2, _MARGIN, id="validate-loo_bbgd"),
+        pytest.param(lambda tmp: _validate_on_simplex(tmp, {"kind": "so_ogd"}), 2, _MARGIN, id="validate-so_ogd"),
+        pytest.param(lambda tmp: _validate_on_simplex(tmp, {"kind": "so_bgd"}), 2, _MARGIN, id="validate-so_bgd"),
+        pytest.param(
+            lambda tmp: learner_params({"kind": "loo_bogd_sc"}, Ball(2, 1.0), _linear_schedule(100), 100),
+            ConfigError,
+            "learner parameters rejected: needs a strongly convex schedule (alpha > 0)",
+            id="loo_bogd_sc-linear",
+        ),
+        pytest.param(
+            lambda tmp: ogd_wf_run(Ball(2, 1.0), _linear_schedule(5), np.full(4, 0.1)),
+            ValueError,
+            "etas must be a scalar or a length-T array",
+            id="ogd_wf-etas",
+        ),
+        pytest.param(
+            lambda tmp: theoretical_bounds(dataclasses.replace(so_ogd_params(Ball(2, 1.0), 1.0, 100), kind="ogd_wf")),
+            ValueError,
+            "learner kind 'ogd_wf' has no governing bounds",
+            id="bounds-ogd_wf",
+        ),
+        pytest.param(
+            lambda tmp: theoretical_bounds(dataclasses.replace(so_ogd_params(Ball(2, 1.0), 1.0, 100), kind="adagrad")),
+            ValueError,
+            "unknown learner kind 'adagrad'",
+            id="bounds-unknown",
+        ),
+    ],
+)
+def test_learner_refusals_by_name(call, want, message, tmp_path, capsys):
+    assert_refused(lambda: call(tmp_path), want, message, capsys)
 
 
 def test_reference_bounds_reproduce_hand_values():
@@ -552,9 +609,8 @@ def test_so_ogd_round_mechanics():
     assert trace.counters.so_calls == sum(r.so_calls for r in trace.projections)
     assert trace.counters.so_calls >= T
     assert trace.counters.loo_calls == 0
-    for rec in trace.projections[:: T // 50]:
-        check_cip_so_record(rec, ball)
-        assert ball.contains(rec.y)
+    check_cip_so_records(trace, ball)
+    assert all(ball.contains(y) for y in trace.projections.outputs[:: T // 50])
 
 
 def test_so_bgd_round_mechanics():
@@ -566,9 +622,8 @@ def test_so_bgd_round_mechanics():
     trace = so_run(ball, sched, params, np.random.default_rng(3))
     assert all(ball.contains(z) for z in trace.plays)
     scale = 1.0 - params.delta_prime / ball.r
-    for rec in trace.projections[:: T // 40]:
-        check_cip_so_record(rec, ball)
-        assert ball.contains(rec.y / scale)
+    check_cip_so_records(trace, ball)
+    assert all(ball.contains(y / scale) for y in trace.projections.outputs[:: T // 40])
     again = so_run(ball, sched, params, np.random.default_rng(3))
     np.testing.assert_array_equal(trace.plays, again.plays)
     with pytest.raises(ValueError, match="so_bgd' needs an rng"):
@@ -868,8 +923,7 @@ def test_so_records_are_built_on_access_from_read_only_columns():
         recs.inputs[0, 0] = 1.0
     with pytest.raises(ValueError):
         last.y[0] = 1.0
-    for rec in recs[::50]:
-        check_cip_so_record(rec, set_)
+    check_cip_so_records(trace, set_)
 
 
 def test_learners_reject_mismatched_horizon():

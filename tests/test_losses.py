@@ -18,6 +18,7 @@ from pfoco.losses import (
     sample_unit_sphere,
 )
 from support import (
+    assert_refused,
     block_sum_moment_bounds,
     block_sum_moment_samples,
     estimate_gradient_mc,
@@ -184,6 +185,13 @@ def test_schedule_builders():
     a = make_iid_absdev_schedule(50, 2, 1.0, rng)
     assert a.kind == "absdev"
     assert a.G_f == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "make", [make_iid_linear_schedule, make_iid_quadratic_schedule, make_iid_absdev_schedule], ids=lambda f: f.__name__
+)
+def test_iid_schedule_makers_refuse_an_empty_horizon(make):
+    assert_refused(lambda: make(0, 2, 1.0, np.random.default_rng(0)), ValueError, "T must be >= 1")
 
 
 def test_schedule_tables_hold_one_loss_per_segment():

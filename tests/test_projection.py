@@ -323,3 +323,13 @@ def test_cip_so_aborts_on_oracle_contract_breach():
     with pytest.raises(OracleContractError) as exc:
         cip_so(bad, r=1.0, delta=0.3, delta_prime=0.0, y0=np.array([1.5, 0.0]))
     assert "ceiling" in exc.value.diagnostics
+
+
+def test_cip_so_refuses_a_zero_normal(monkeypatch):
+    # [0.7, 0.7] is inside the R-ball but outside the l1 ball, so the first
+    # query is refused, with the normal the broken oracle gives
+    monkeypatch.setattr(L1Ball, "_normal", lambda self, y: np.zeros(self.n))
+    set_ = L1Ball(2, 1.0)
+    with pytest.raises(OracleContractError, match="separation oracle returned a zero normal") as exc:
+        cip_so(set_, r=set_.r, delta=0.3, delta_prime=0.0, y0=np.array([0.7, 0.7]))
+    assert exc.value.diagnostics == {"iterations": 1}
