@@ -22,7 +22,9 @@ and bandit feedback; a bandit run steps along the one-point estimate
 Every run returns a :class:`RunTrace` carrying plays, per-round losses,
 cumulative oracle counts, and the full diagnostics of every projection
 invocation, so tests can assert the per-invocation iteration ceilings
-and the global budget/regret bounds on real runs.  An SO run keeps
+and the global budget/regret bounds on real runs.  Each loop scores its
+losses after the loop, in one ``values`` call over the plays, and no
+loop computes gradient norms or reads the clock.  An SO run keeps
 them as columns (:class:`SoRecords`: each round's projection input and
 output, and its calls from ``so_cum``).  It takes every run, of either
 feedback and any loss kind, in chunks of rounds whose inputs are asked
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from collections.abc import Sequence
 from typing import Callable, Optional, Union
 
@@ -60,7 +61,7 @@ STRETCH_CHUNK = 32
 
 @dataclasses.dataclass
 class RunTrace:
-    """Everything observable about one learner run."""
+    """What one learner run produced; the harness times the run."""
 
     plays: np.ndarray
     losses: np.ndarray
@@ -70,8 +71,7 @@ class RunTrace:
     counters: OracleCounters
     projections: Sequence
     params: dict
-    grad_norms: Optional[np.ndarray] = None
-    wall_time: float = 0.0
+    grad_norms: Optional[np.ndarray] = None  # always None; kept for perfbench/tracing.py, which reads it
 
     @property
     def T(self) -> int:
@@ -384,7 +384,6 @@ def ogd_wf_run(
     The losses are one ``values`` call over the plays, after the loop.
     ``params["etas"]`` lists every step when T <= 64; otherwise it is the
     one step of a constant schedule, or the first and last of any other."""
-    t0 = time.perf_counter()
     T = schedule.T
     n = set_.n
     eta_arr = np.full(T, float(etas)) if np.isscalar(etas) else np.asarray(etas, dtype=np.float64)
@@ -394,13 +393,10 @@ def ogd_wf_run(
         raise ValueError("etas must be positive and finite")
     x = np.array(set_.center, dtype=np.float64)
     plays = np.empty((T, n))
-    gnorms = np.empty(T)
     subgrad, rows = schedule.family.subgrad, schedule.rows.tolist()
     for t in range(T):
         plays[t] = x
-        g = subgrad(rows[t], x)
-        gnorms[t] = np.linalg.norm(g)
-        x = set_.project(x - eta_arr[t] * g)
+        x = set_.project(x - eta_arr[t] * subgrad(rows[t], x))
     if T <= 64:
         recorded = eta_arr.tolist()
     elif (eta_arr == eta_arr[0]).all():
@@ -417,8 +413,6 @@ def ogd_wf_run(
         counters=OracleCounters(),
         projections=[],
         params={"kind": "ogd_wf", "T": T, "etas": recorded},
-        grad_norms=gnorms,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -450,14 +444,13 @@ def loo_run(
     ``np.subtract.accumulate``.  Full information (loo_bogd,
     loo_bogd_sc) steps along the subgradient at the block's target;
     play and target are fixed for the block, so each run of rounds
-    sharing a loss row costs one value, one subgradient and one norm.
-    Bandit feedback (loo_bbgd) keeps the anchors on the (1 -
-    delta/r)-squeezed set, plays anchor + delta*u_t, which stays inside
-    the original set, and steps along the one-point estimate from the
-    single observed value; a block's plays, values and steps are each
-    one array operation.
+    sharing a loss row costs one subgradient.  Bandit feedback
+    (loo_bbgd) keeps the anchors on the (1 - delta/r)-squeezed set,
+    plays anchor + delta*u_t, which stays inside the original set, and
+    steps along the one-point estimate from the single observed value; a
+    block's plays, values and steps are each one array operation.  Both
+    feedbacks score the losses after the loop, in one ``values`` call.
     """
-    t0 = time.perf_counter()
     bandit = _is_bandit(params, schedule, rng, loo_run)
     T, K, B = params.T, params.K, params.B
     n = set_.n
@@ -473,8 +466,6 @@ def loo_run(
     upcoming = (start.copy(), start.copy())
     y = start.copy()  # running accumulator of gradient steps
     plays = np.empty((T, n))
-    losses = np.empty(T)
-    gnorms = None if bandit else np.empty(T)
     loo_cum = np.empty(T, dtype=np.int64)
     projections = []
     for m in range(1, B + 1):
@@ -491,31 +482,25 @@ def loo_run(
         if bandit:
             u = U[first:last]
             plays[first:last] = anchor + delta * u
-            losses[first:last] = vals = family.values(rows[first:last], plays[first:last])
+            vals = family.values(rows[first:last], plays[first:last])
             # eta * ((n/delta) f(z_t) u_t), rounded as the one-point estimate
             steps[1:] = eta * (((n / delta) * vals)[:, None] * u)
         else:
             plays[first:last] = anchor
             edges = [first, *(np.flatnonzero(np.diff(rows[first:last])) + first + 1).tolist(), last]
             for a, b in zip(edges[:-1], edges[1:]):
-                i = rows[a]
-                losses[a:b] = family.value(i, anchor)
-                g = family.subgrad(i, target)
-                gnorms[a:b] = np.linalg.norm(g)
-                steps[a - first + 1 : b - first + 1] = eta * g
+                steps[a - first + 1 : b - first + 1] = eta * family.subgrad(rows[a], target)
         # sequential, so y - s_1 - s_2 ... rounds exactly as a per-round loop
         y = np.subtract.accumulate(steps)[-1]
     return RunTrace(
         plays=plays,
-        losses=losses,
+        losses=family.values(rows, plays),
         loo_cum=loo_cum,
         so_cum=np.zeros(T, dtype=np.int64),  # LOO projections make no SO calls
         block_index=np.arange(T, dtype=np.int64) // K + 1,
         counters=counters,
         projections=projections,
         params=params.to_dict(),
-        grad_norms=gnorms,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -542,9 +527,9 @@ def so_run(
     the run, and one ``np.subtract.accumulate`` makes a chunk of
     STRETCH_CHUNK rows.  Otherwise the steps are speculative: a lean
     loop makes each row from the one before (play, value and one-point
-    estimate, or subgradient and its norm), so after a chunk ends early
-    the next is one round long, doubling after each full chunk (or
-    one-round chunk of one SO call) up to STRETCH_CHUNK.  The rows
+    estimate, or subgradient), so after a chunk ends early the next is
+    one round long, doubling after each full chunk (or one-round chunk
+    of one SO call) up to STRETCH_CHUNK.  The rows
     before the first that needs the rescale to the R-ball, divided by
     1 - delta'/r, go to the oracle as one block query through
     :func:`~pfoco.projection.so_query`, charged the SO calls a
@@ -561,7 +546,6 @@ def so_run(
     delta' u_t with bandit feedback, and the losses are one ``values``
     call over the plays.
     """
-    t0 = time.perf_counter()
     bandit = _is_bandit(params, schedule, rng, so_run)
     T = params.T
     n, R, r = set_.n, set_.R, set_.r
@@ -574,12 +558,10 @@ def so_run(
     scale = 1.0 - dp / r
     calls = np.ones(T, dtype=np.int64)  # SO calls of each round
     so_in, so_out = np.empty((T, n)), np.empty((T, n))
-    gnorms = None if bandit else np.empty(T)
     if known:
         # each round's step, as eta * subgrad rounds it: a linear loss's
         # subgradient does not depend on the point
         steps = eta * family.C[rows]
-        gnorms[:] = np.sqrt(np.vecdot(family.C, family.C))[rows]
     else:
         U = sample_unit_sphere(rng, n, T) if bandit else None
         value, subgrad, row_list = family.value, family.subgrad, rows.tolist()
@@ -600,7 +582,6 @@ def so_run(
                     g = bandit_gradient_estimate(value(row_list[s], y + dp * U[s]), U[s], n, dp)
                 else:
                     g = subgrad(row_list[s], y)
-                    gnorms[s] = math.sqrt(g.dot(g))
                 Y[s - t] = y = y - eta * g
         ans = FEASIBLE  # a one-round chunk goes to cip_so whole
         if c > 1:
@@ -634,8 +615,6 @@ def so_run(
         counters=counters,
         projections=SoRecords(so_in, so_out, so_cum, delta, dp, r, R),
         params=params.to_dict(),
-        grad_norms=gnorms,
-        wall_time=time.perf_counter() - t0,
     )
 
 

@@ -233,6 +233,55 @@ def check_cip_loo_record(rec):
             assert dist <= d0 + 1e-9
 
 
+# relative tolerance of the contract audit, on the size of the terms compared
+CONTRACT_RTOL = 1e-9
+
+
+def trusted_loo(set_, d):
+    """argmin of d @ z over K, independent of the set's own ``loo``: closed
+    forms for the ball, box and l1 ball (each centered at the origin),
+    ``loo_reference`` on a polytope, and factor times the base set's answer
+    on a squeezed view."""
+    d = np.asarray(d, dtype=np.float64)
+    if isinstance(set_, SqueezedSetView):
+        return set_.factor * trusted_loo(set_.base, d)
+    if isinstance(set_, Ball):
+        nrm = math.sqrt(float(d @ d))
+        return np.zeros_like(d) if nrm == 0.0 else (-set_.R / nrm) * d
+    if isinstance(set_, Box):
+        return np.where(d > 0.0, set_.lower, set_.upper)
+    if isinstance(set_, L1Ball):
+        z = np.zeros_like(d)
+        j = int(np.argmax(np.abs(d)))
+        z[j] = -set_.R * np.sign(d[j])
+        return z
+    if isinstance(set_, Polytope):
+        return loo_reference(set_, d[None])[0]
+    raise TypeError(f"no trusted LOO for {type(set_).__name__}")
+
+
+def worst_member_margin(set_, y0, y):
+    """max over z in K of ||y - z||^2 - ||y0 - z||^2, and the size of its
+    terms.  The difference is ||y||^2 - ||y0||^2 - 2 z @ (y - y0), so the
+    maximum is at z = trusted_loo(y - y0): one call decides the whole set."""
+    d = y - y0
+    terms = (float(y @ y), float(y0 @ y0), 2.0 * float(trusted_loo(set_, d) @ d))
+    return terms[0] - terms[1] - terms[2], sum(abs(t) for t in terms)
+
+
+def check_cip_loo_contract(set_, y0, eps, rec):
+    """The whole contract of one ``cip_loo`` result ``rec`` for input y0:
+    x in K, ||x - y||^2 <= 3 eps, and ||y - z|| <= ||y0 - z|| for every
+    member z, exactly (:func:`worst_member_margin`), each within
+    ``CONTRACT_RTOL``."""
+    x, y = rec.x, rec.y
+    assert set_.contains(x), f"x = {x} is not a member"
+    d2 = float((x - y) @ (x - y))
+    assert d2 <= 3.0 * eps * (1.0 + CONTRACT_RTOL), f"||x - y||^2 = {d2} > 3 eps = {3.0 * eps}"
+    margin, size = worst_member_margin(set_, y0, y)
+    assert margin <= CONTRACT_RTOL * size, f"worst member margin {margin} > 0: y = {y} is farther from a member than y0"
+
+
 def separating_hyperplane_fw_literal(set_, x1, y, eps, counters=None):
     """The separating-hyperplane Frank-Wolfe run in the paper's order:
     every iterate asks the LOO first, then the run stops on the gap test

@@ -25,10 +25,12 @@ three of its 40-round blocks, so a block's rows split into runs that end
 mid-block.
 
 Each golden trace is also written by ``write_trace_csv`` and compared
-byte for byte with the ``csv.writer`` reference.
+byte for byte with the ``csv.writer`` reference, and every in-run LOO
+projection of the LOO configs is audited against its whole contract.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -36,7 +38,8 @@ import pytest
 
 from pfoco import learners
 from pfoco.harness import build_instance, parse_config_dict, run_learner, run_one, write_trace_csv
-from support import check_cip_so_records, cip_loo_literal, csv_writer_trace
+from pfoco.projection import cip_loo
+from support import check_cip_loo_contract, check_cip_so_records, cip_loo_literal, csv_writer_trace
 
 with open(os.path.join(os.path.dirname(__file__), "golden_runs.json")) as _fh:
     GOLDEN = json.load(_fh)
@@ -55,6 +58,7 @@ def test_golden_run(case, tmp_path):
     assert int(trace.so_cum.sum()) == want["so_cum_sum"]
     assert np.bincount(trace.block_index)[1:].tolist() == want["block_lengths"]
     assert summary["checks"] == want["checks"]
+    assert math.isfinite(summary["observed"]["wall_time_s"]) and summary["observed"]["wall_time_s"] > 0
     assert float(trace.plays.sum()) == pytest.approx(want["plays_sum"], rel=1e-9, abs=1e-12)
     assert float(trace.losses.sum()) == pytest.approx(want["losses_sum"], rel=1e-9, abs=1e-12)
     if cfg.learner_cfg["kind"].startswith("loo_"):
@@ -88,3 +92,25 @@ def test_golden_loo_ledger_counts_the_paper_literal_loop(case, monkeypatch):
     assert np.array_equal(ref.plays, trace.plays)
     assert ledger["literal_loo_calls"] == ref.counters.loo_calls
     assert ledger["literal_loo_calls"] > ledger["loo_calls"]  # every config has an active projection
+
+
+@pytest.mark.parametrize("case", GOLDEN_LOO, ids=[c["name"] for c in GOLDEN_LOO])
+def test_golden_loo_projections_keep_their_contract(case, monkeypatch):
+    # each in-run cip_loo call, on the set or the bandit kinds' squeezed
+    # view, is audited exactly with one trusted LOO call
+    seen = []
+
+    def recording_cip_loo(set_, x0, y0, eps, counters=None):
+        res = cip_loo(set_, x0, y0, eps, counters)
+        seen.append((set_, x0.copy(), y0.copy(), eps, res))
+        return res
+
+    monkeypatch.setattr(learners, "cip_loo", recording_cip_loo)
+    cfg = parse_config_dict(case["config"])
+    set_, schedule, play_rng = build_instance(cfg, cfg.seeds[0])
+    trace = run_learner(cfg.learner_cfg, set_, schedule, cfg.T, play_rng)
+    assert len(seen) == len(trace.projections)
+    for view, x0, y0, eps, res in seen:
+        assert view.contains(x0)
+        check_cip_loo_contract(view, y0, eps, res)
+    assert any(res.outer_iterations > 0 for *_, res in seen)

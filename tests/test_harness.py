@@ -175,6 +175,8 @@ def test_interval_config_validation():
         parse_config_dict(_base_config(intervals={"policy": "list", "intervals": []}))
     with pytest.raises(ConfigError, match="does not apply to policy"):
         parse_config_dict(_base_config(intervals={"policy": "list", "intervals": [[1, 4]], "extra": [[1, 2]]}))
+    with pytest.raises(ConfigError, match="intervals.extra does not apply to policy 'exhaustive'"):
+        parse_config_dict(_base_config(T=40, intervals={"policy": "exhaustive", "extra": [[1, 2]]}))
     # true would be read as 1
     for intervals in ({"policy": "list", "intervals": [[True, 2]]}, {"policy": "strided", "extra": [[1, True]]}):
         with pytest.raises(ConfigError, match="integer pairs"):

@@ -254,7 +254,8 @@ def test_ogd_baseline_static_regret_bound():
     c_sum = sched.family.C[sched.rows].sum(axis=0)
     x_star = ball.loo(c_sum)
     regret = float(trace.losses.sum() - c_sum @ x_star)
-    bound = np.sum((trace.plays[0] - x_star) ** 2) / (2 * eta) + 0.5 * eta * float(np.sum(trace.grad_norms**2))
+    gnorms = np.array([np.linalg.norm(sched.family.subgrad(i, x)) for i, x in zip(sched.rows, trace.plays)])
+    bound = np.sum((trace.plays[0] - x_star) ** 2) / (2 * eta) + 0.5 * eta * float(np.sum(gnorms**2))
     assert regret <= bound + 1e-9
 
 
@@ -269,7 +270,8 @@ def test_ogd_baseline_strongly_convex_step_schedule():
     x_star = ball.project(sched.family.B[sched.rows].mean(axis=0))
     opt = sum(sched.family.value(i, x_star) for i in sched.rows)
     regret = float(trace.losses.sum() - opt)
-    bound = float(np.sum(trace.grad_norms**2 / (2.0 * alpha * np.arange(1, T + 1))))
+    gnorms = np.array([np.linalg.norm(sched.family.subgrad(i, x)) for i, x in zip(sched.rows, trace.plays)])
+    bound = float(np.sum(gnorms**2 / (2.0 * alpha * np.arange(1, T + 1))))
     assert regret <= bound + 1e-9
 
 
@@ -287,23 +289,21 @@ def test_ogd_wf_records_a_step_schedule_by_its_first_and_last_step():
 
 
 def _per_round_ogd_wf_run(set_, schedule, etas):
-    """ogd_wf one round at a time: value, subgradient, norm and exact
+    """ogd_wf one round at a time: value, subgradient and exact
     projection each round; also the rounds whose projection moved the
     point."""
     family, T = schedule.family, schedule.T
     x = np.array(set_.center, dtype=np.float64)
-    plays, losses, gnorms = np.empty((T, set_.n)), np.empty(T), np.empty(T)
+    plays, losses = np.empty((T, set_.n)), np.empty(T)
     moved = 0
     for t in range(T):
         i = schedule.rows[t]
         plays[t] = x
         losses[t] = family.value(i, x)
-        g = family.subgrad(i, x)
-        gnorms[t] = np.linalg.norm(g)
-        step = x - etas[t] * g
+        step = x - etas[t] * family.subgrad(i, x)
         x = set_.project(step)
         moved += not np.array_equal(x, step)
-    return plays, losses, gnorms, moved
+    return plays, losses, moved
 
 
 @pytest.mark.parametrize("kind", SET_KINDS)
@@ -327,10 +327,10 @@ def test_ogd_wf_run_equals_the_per_round_loop(kind):
             decaying = 1.0 / (alpha * np.arange(1, T + 1))
             for name, etas, steps in (("constant", eta, np.full(T, eta)), ("1/(alpha t)", decaying, decaying)):
                 trace = ogd_wf_run(set_, sched, etas)
-                plays, losses, gnorms, rounds = _per_round_ogd_wf_run(set_, sched, steps)
+                plays, losses, rounds = _per_round_ogd_wf_run(set_, sched, steps)
                 assert np.array_equal(trace.plays, plays)
                 assert np.array_equal(trace.losses, losses)
-                assert np.array_equal(trace.grad_norms, gnorms)
+                assert trace.grad_norms is None
                 moved[name] += rounds
     assert min(moved.values()) > 0, moved
 
@@ -418,11 +418,11 @@ def test_loo_bogd_matches_eager_end_of_block_realization():
 
 
 def _per_round_loo_run(set_, schedule, params, rng=None):
-    """The blocked learner one round at a time: plays, losses, gradient
-    norms, cumulative LOO counts and the (anchor, y, eps) input of every
-    projection.  With an rng it is the bandit loop (loo_bbgd): anchors on
-    the squeezed set, z = anchor + delta*u_t, the value at z, then a
-    step along the one-point estimate; its gradient norms are None."""
+    """The blocked learner one round at a time: plays, losses, cumulative
+    LOO counts and the (anchor, y, eps) input of every projection.  With
+    an rng it is the bandit loop (loo_bbgd): anchors on the squeezed set,
+    z = anchor + delta*u_t, the value at z, then a step along the
+    one-point estimate."""
     T, K, B, n = params.T, params.K, params.B, set_.n
     bandit = rng is not None
     delta = params.delta
@@ -435,7 +435,6 @@ def _per_round_loo_run(set_, schedule, params, rng=None):
     upcoming = (start.copy(), start.copy())
     y = start.copy()
     plays, losses = np.empty((T, n)), np.empty(T)
-    gnorms = None if bandit else np.empty(T)
     loo_cum = np.empty(T, dtype=np.int64)
     inputs = []
     for m in range(1, B + 1):
@@ -457,11 +456,9 @@ def _per_round_loo_run(set_, schedule, params, rng=None):
             else:
                 plays[t] = anchor
                 losses[t] = family.value(i, anchor)
-                g = family.subgrad(i, target)
-                gnorms[t] = np.linalg.norm(g)
-                y = y - eta * g
+                y = y - eta * family.subgrad(i, target)
             loo_cum[t] = counters.loo_calls
-    return plays, losses, gnorms, loo_cum, inputs
+    return plays, losses, loo_cum, inputs
 
 
 def _assert_run_equals_per_round_loop(set_, sched, params, monkeypatch, play_seed=None):
@@ -477,10 +474,10 @@ def _assert_run_equals_per_round_loop(set_, sched, params, monkeypatch, play_see
         return None if play_seed is None else np.random.default_rng(play_seed)
 
     trace = loo_run(set_, sched, params, play_rng())
-    plays, losses, gnorms, loo_cum, inputs = _per_round_loo_run(set_, sched, params, play_rng())
+    plays, losses, loo_cum, inputs = _per_round_loo_run(set_, sched, params, play_rng())
     assert np.array_equal(trace.plays, plays)
     assert np.array_equal(trace.losses, losses)
-    assert (trace.grad_norms is None) if gnorms is None else np.array_equal(trace.grad_norms, gnorms)
+    assert trace.grad_norms is None
     assert np.array_equal(trace.loo_cum, loo_cum)
     assert len(seen) == len(inputs) == params.B - 1
     for (x0, y0, eps), (ref_x0, ref_y0, ref_eps) in zip(seen, inputs):
@@ -632,9 +629,8 @@ def test_so_bgd_round_mechanics():
 
 def _per_round_so_run(set_, schedule, params, rng=None):
     """so_run one round at a time, with cip_so on every round: plays,
-    losses, gradient norms, cumulative SO counts, each projection's input
-    and output, and the counters.  With an rng it is the bandit loop
-    (so_bgd); its gradient norms are None."""
+    losses, cumulative SO counts, each projection's input and output, and
+    the counters.  With an rng it is the bandit loop (so_bgd)."""
     T, n = params.T, set_.n
     bandit = rng is not None
     dp = params.delta_prime if bandit else 0.0
@@ -643,7 +639,6 @@ def _per_round_so_run(set_, schedule, params, rng=None):
     counters = OracleCounters()
     ytil = np.zeros(n)
     plays, losses = np.empty((T, n)), np.empty(T)
-    gnorms = None if bandit else np.empty(T)
     so_cum = np.empty(T, dtype=np.int64)
     inputs, outputs = np.empty((T, n)), np.empty((T, n))
     for t in range(T):
@@ -658,12 +653,11 @@ def _per_round_so_run(set_, schedule, params, rng=None):
             plays[t] = ytil
             losses[t] = family.value(i, ytil)
             g = family.subgrad(i, ytil)
-            gnorms[t] = np.linalg.norm(g)
         y_in = ytil - params.eta * g
         ytil = cip_so(set_, set_.r, params.delta, dp, y_in, counters).y
         inputs[t], outputs[t] = y_in, ytil
         so_cum[t] = counters.so_calls
-    return plays, losses, gnorms, so_cum, inputs, outputs, counters
+    return plays, losses, so_cum, inputs, outputs, counters
 
 
 def _mixed_runs_on_the_ball(T, quadratic=False):
@@ -830,10 +824,10 @@ def test_so_run_equals_the_per_round_loop(case, monkeypatch):
         params = so_ogd_params(set_, sched.G_f, sched.T, c=c)
     rng = (lambda: np.random.default_rng(9)) if bandit else (lambda: None)
     trace, asked = _so_run_recording_blocks(monkeypatch, set_, sched, params, rng())
-    plays, losses, gnorms, so_cum, inputs, outputs, counters = _per_round_so_run(set_, sched, params, rng())
+    plays, losses, so_cum, inputs, outputs, counters = _per_round_so_run(set_, sched, params, rng())
     assert np.array_equal(trace.plays, plays)
     assert np.array_equal(trace.losses, losses)
-    assert (trace.grad_norms is None) if gnorms is None else np.array_equal(trace.grad_norms, gnorms)
+    assert trace.grad_norms is None
     assert np.array_equal(trace.so_cum, so_cum)
     assert trace.counters == counters
     assert np.array_equal(trace.projections.inputs, inputs)
@@ -873,9 +867,9 @@ def test_so_run_equals_the_per_round_loop_on_random_sets(kind, monkeypatch):
             params = dataclasses.replace(params, eta=eta)
             play_rng = (lambda: None) if seed is None else (lambda: np.random.default_rng(seed))
             trace, asked = _so_run_recording_blocks(monkeypatch, set_, sched, params, play_rng())
-            plays, losses, gnorms, so_cum, inputs, outputs, counters = _per_round_so_run(set_, sched, params, play_rng())
+            plays, losses, so_cum, inputs, outputs, counters = _per_round_so_run(set_, sched, params, play_rng())
             assert np.array_equal(trace.plays, plays) and np.array_equal(trace.losses, losses)
-            assert (trace.grad_norms is None) if gnorms is None else np.array_equal(trace.grad_norms, gnorms)
+            assert trace.grad_norms is None
             assert np.array_equal(trace.so_cum, so_cum)
             assert trace.counters == counters
             assert np.array_equal(trace.projections.inputs, inputs)

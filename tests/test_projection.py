@@ -17,12 +17,14 @@ from pfoco.projection import cip_loo, cip_so
 from support import (
     INTERIOR_KINDS,
     SET_KINDS,
+    check_cip_loo_contract,
     check_cip_loo_record,
     check_cip_so_record,
     cip_loo_literal,
     pull_toward,
     random_set,
     sample_members,
+    worst_member_margin,
 )
 
 
@@ -113,6 +115,33 @@ def test_cip_loo_contract_on_random_instances():
             # no farther than y0 from any member
             for z in sample_members(set_, rng, 60):
                 assert np.sum((res.y - z) ** 2) <= np.sum((y0 - z) ** 2) + 1e-9
+
+
+class _IterateLooBall(Ball):
+    """Ball(2, 1) whose LOO answers Frank-Wolfe's current iterate x on a run
+    toward y0: the query is x - y0, so the answer is the query plus y0.
+    Every gap is then 0, which Frank-Wolfe takes for a separation."""
+
+    def __init__(self, y0):
+        super().__init__(2, 1.0)
+        self.y0 = y0
+
+    def loo(self, direction):
+        return self._check_dim(direction) + self.y0
+
+
+def test_cip_loo_contract_audit_catches_an_loo_that_answers_its_iterate():
+    y0, eps = np.array([0.9, 0.0]), 0.01
+    probe = _IterateLooBall(y0)
+    res = cip_loo(probe, np.zeros(2), y0, eps)
+    # one LOO call, then implied passes pull y toward x = 0: z = (1, 0) is
+    # now farther from y than from y0
+    assert res.loo_calls == 1 and res.outer_iterations > 1
+    assert worst_member_margin(probe, y0, res.y)[0] == pytest.approx(0.674, abs=1e-3)
+    with pytest.raises(AssertionError, match="worst member margin"):
+        check_cip_loo_contract(probe, y0, eps, res)
+    ball = Ball(2, 1.0)
+    check_cip_loo_contract(ball, y0, eps, cip_loo(ball, np.zeros(2), y0, eps))
 
 
 def test_cip_loo_pull_iterations_strictly_approach_the_set():
