@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Ball, Box, FeasibleSet, L1Ball, Polytope, Simplex
-from .learners import LEARNERS, LearnerParams, RunTrace, theoretical_bounds
+from .learners import LEARNERS, RunTrace, theoretical_bounds
 from .losses import (
     LossSchedule,
     make_iid_absdev_schedule,
@@ -853,7 +853,7 @@ def read_trace_csv(path: str) -> RunTrace:
         block_index=block_index,
         counters=None,
         projections=[],
-        params={},
+        params=None,
     )
 
 
@@ -876,7 +876,7 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunTrace, LossSchedule, F
         "T": cfg.T,
         "set": cfg.set_cfg,
         "loss": cfg.loss_cfg,
-        "params": trace.params,
+        "params": trace.params.to_dict(),
         "observed": {
             "loo_calls": int(trace.counters.loo_calls),
             "so_calls": int(trace.counters.so_calls),
@@ -884,7 +884,7 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunTrace, LossSchedule, F
         },
     }
     if entry.bounds is not None:
-        bounds = theoretical_bounds(LearnerParams(**trace.params))
+        bounds = theoretical_bounds(trace.params)
         summary["bounds"] = bounds
         summary["bound_scope"] = entry.scope
         observed_calls = trace.counters.loo_calls if bounds["oracle"] == "loo" else trace.counters.so_calls

@@ -7,8 +7,8 @@ oracle.  The blocked variants amortize one projection over K rounds of
 accumulated gradients, which is what pushes the total oracle bill down
 to O(T) while keeping the regret sublinear.
 
-Two run loops cover the paper's learners, each with full-information
-and bandit feedback; a bandit run steps along the one-point estimate
+Three run loops, each called as ``run(set_, schedule, params, rng)``,
+cover the learners; a bandit kind steps along the one-point estimate
 (n/delta) f(x + delta u) u in place of the subgradient:
 
 * :func:`loo_run` -- blocked OGD with the LOO-based infeasible
@@ -19,10 +19,10 @@ and bandit feedback; a bandit run steps along the one-point estimate
 * :func:`ogd_wf_run` -- OGD with the exact projection (``ogd_wf``), the
   classical baseline the others are measured against.
 
-Every run returns a :class:`RunTrace` carrying plays, per-round losses,
-cumulative oracle counts, and the full diagnostics of every projection
-invocation, so tests can assert the per-invocation iteration ceilings
-and the global budget/regret bounds on real runs.  Each loop scores its
+Every run returns a :class:`RunTrace` carrying its parameters, plays,
+per-round losses, cumulative oracle counts, and the full diagnostics of
+every projection invocation, so tests can assert the per-invocation
+iteration ceilings and the global budget/regret bounds on real runs.  Each loop scores its
 losses after the loop, in one ``values`` call over the plays, and no
 loop computes gradient norms or reads the clock.  An SO run keeps
 them as columns (:class:`SoRecords`: each round's projection input and
@@ -31,10 +31,11 @@ feedback and any loss kind, in chunks of rounds whose inputs are asked
 about in block queries; only a round that is refused, needs the
 rescale or is a chunk alone enters :func:`~pfoco.projection.cip_so`.
 
-Parameter builders (``*_params``) encode the step sizes, tolerances,
-and block lengths under which the guarantees hold, validate their
-preconditions by name, and accept explicit overrides.  The table
-:data:`LEARNERS` holds everything that depends on the learner kind: the
+Six parameter builders (``*_params``), one per kind, encode the step
+sizes, tolerances, and block lengths under which the guarantees hold,
+validate their preconditions by name, and take overrides, which they
+coerce to float; the run loops take their :class:`LearnerParams`.  The
+table :data:`LEARNERS` holds everything that depends on the learner kind: the
 config keys it accepts, the builder from a config to its parameters,
 its run loop, and its governing regret and oracle-call bounds, which
 :func:`theoretical_bounds` evaluates at the actual run parameters.
@@ -45,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Sequence
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -61,7 +62,7 @@ STRETCH_CHUNK = 32
 
 @dataclasses.dataclass
 class RunTrace:
-    """What one learner run produced; the harness times the run."""
+    """What one learner run produced under ``params``; the harness times the run."""
 
     plays: np.ndarray
     losses: np.ndarray
@@ -70,7 +71,7 @@ class RunTrace:
     block_index: np.ndarray
     counters: OracleCounters
     projections: Sequence
-    params: dict
+    params: Optional[LearnerParams]  # None for a trace read from CSV
     grad_norms: Optional[np.ndarray] = None  # always None; kept for perfbench/tracing.py, which reads it
 
     @property
@@ -146,10 +147,10 @@ def _blocks(T: int, K: int) -> int:
 
 
 def _positive(**values: float) -> None:
-    """Refuse, by name, the first value that is not positive."""
+    """Refuse, by name, the first value that is not positive and finite."""
     for name, v in values.items():
-        if not (v > 0):
-            raise ValueError(f"needs {name} > 0")
+        if not (0 < v < math.inf):
+            raise ValueError(f"needs {name} > 0 and finite, got {v}")
 
 
 def _params(kind: str, set_: FeasibleSet, T: int, G_f: float, M: float, **fields) -> LearnerParams:
@@ -168,6 +169,23 @@ def _preconditions(T: int, set_: Optional[FeasibleSet] = None) -> None:
 
 # ----------------------------------------------------------------------
 # parameter builders
+
+
+def ogd_wf_params(
+    set_: FeasibleSet,
+    schedule_G_f: float,
+    T: int,
+    eta: Optional[float] = None,
+    alpha: Optional[float] = None,
+) -> LearnerParams:
+    """OGD with the exact projection: step 1/(alpha t) in round t with
+    ``alpha``, else ``eta``, else R/(G_f sqrt(T)) in every round."""
+    _preconditions(T)
+    _positive(G_f=schedule_G_f)
+    eta = set_.R / (schedule_G_f * math.sqrt(T)) if eta is None and alpha is None else eta
+    given = {k: float(v) for k, v in (("alpha", alpha), ("eta", eta)) if v is not None}
+    _positive(**given)
+    return _params("ogd_wf", set_, T, schedule_G_f, 0.0, eta=given.get("eta"), alpha=given.get("alpha"))
 
 
 def loo_bogd_params(
@@ -204,6 +222,7 @@ def loo_bogd_sc_params(
     Tolerances shrink and step sizes decay per block; valid once the
     horizon dominates the conditioning: T >= 27*(alpha*R/G_f)^2.
     """
+    alpha = float(alpha)
     _positive(alpha=alpha, G_f=schedule_G_f)
     R = set_.R
     floor = 27.0 * (alpha * R / schedule_G_f) ** 2
@@ -230,6 +249,7 @@ def loo_bbgd_params(
     """
     _preconditions(T, set_)
     R, r, n = set_.R, set_.r, set_.n
+    c = float(c)
     _positive(M=schedule_M, c=c)
     delta = c * T ** (-0.25)
     if not (delta < r):
@@ -253,8 +273,7 @@ def so_ogd_params(
     """Per-round SO learner, full information."""
     _preconditions(T, set_)
     R, r = set_.R, set_.r
-    if c is None:
-        c = 4.0 * R / r
+    c = 4.0 * R / r if c is None else float(c)
     _positive(G_f=schedule_G_f, c=c)
     delta = c * T ** (-0.5)
     if not (delta < 1.0):
@@ -275,10 +294,8 @@ def so_bgd_params(
     _preconditions(T, set_)
     r, n = set_.r, set_.n
     _positive(M=schedule_M)
-    if c is None:
-        c = 8.0 / r
-    if c_prime is None:
-        c_prime = math.sqrt(n * schedule_M)
+    c = 8.0 / r if c is None else float(c)
+    c_prime = math.sqrt(n * schedule_M) if c_prime is None else float(c_prime)
     _positive(c=c, c_prime=c_prime)
     delta = c * T ** (-0.25)
     delta_prime = c_prime * T ** (-0.25)
@@ -375,34 +392,23 @@ def theoretical_bounds(params: LearnerParams) -> dict:
 def ogd_wf_run(
     set_: FeasibleSet,
     schedule: LossSchedule,
-    etas: Union[float, np.ndarray],
+    params: LearnerParams,
     rng: Optional[np.random.Generator] = None,
 ) -> RunTrace:
     """Online gradient descent with the exact projection from the set's
-    center; ``etas`` is a scalar or a length-T array of step sizes, and
-    ``rng`` is unused (it completes the run signature the learners share).
-    The losses are one ``values`` call over the plays, after the loop.
-    ``params["etas"]`` lists every step when T <= 64; otherwise it is the
-    one step of a constant schedule, or the first and last of any other."""
-    T = schedule.T
+    center, stepping 1/(alpha t) in round t with ``params.alpha``, else
+    ``params.eta`` each round; ``rng`` is unused (full information).
+    The losses are one ``values`` call over the plays, after the loop."""
+    _is_bandit(params, schedule, rng, ogd_wf_run)
+    T = params.T
     n = set_.n
-    eta_arr = np.full(T, float(etas)) if np.isscalar(etas) else np.asarray(etas, dtype=np.float64)
-    if eta_arr.shape != (T,):
-        raise ValueError("etas must be a scalar or a length-T array")
-    if not (np.isfinite(eta_arr).all() and (eta_arr > 0).all()):
-        raise ValueError("etas must be positive and finite")
+    steps = np.full(T, params.eta) if params.alpha is None else 1.0 / (params.alpha * np.arange(1, T + 1))
     x = np.array(set_.center, dtype=np.float64)
     plays = np.empty((T, n))
     subgrad, rows = schedule.family.subgrad, schedule.rows.tolist()
     for t in range(T):
         plays[t] = x
-        x = set_.project(x - eta_arr[t] * subgrad(rows[t], x))
-    if T <= 64:
-        recorded = eta_arr.tolist()
-    elif (eta_arr == eta_arr[0]).all():
-        recorded = float(eta_arr[0])
-    else:  # a schedule, by its ends
-        recorded = {"first": float(eta_arr[0]), "last": float(eta_arr[-1])}
+        x = set_.project(x - steps[t] * subgrad(rows[t], x))
     zeros = np.zeros(T, dtype=np.int64)
     return RunTrace(
         plays=plays,
@@ -412,7 +418,7 @@ def ogd_wf_run(
         block_index=np.arange(1, T + 1, dtype=np.int64),
         counters=OracleCounters(),
         projections=[],
-        params={"kind": "ogd_wf", "T": T, "etas": recorded},
+        params=params,
     )
 
 
@@ -500,7 +506,7 @@ def loo_run(
         block_index=np.arange(T, dtype=np.int64) // K + 1,
         counters=counters,
         projections=projections,
-        params=params.to_dict(),
+        params=params,
     )
 
 
@@ -614,7 +620,7 @@ def so_run(
         block_index=np.arange(1, T + 1, dtype=np.int64),
         counters=counters,
         projections=SoRecords(so_in, so_out, so_cum, delta, dp, r, R),
-        params=params.to_dict(),
+        params=params,
     )
 
 
@@ -622,17 +628,8 @@ def so_run(
 # the learner table
 
 
-def _opt_float(v) -> Optional[float]:
-    return None if v is None else float(v)
-
-
-def _ogd_wf_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> Union[float, np.ndarray]:
-    """Step sizes 1/(alpha t) with ``alpha``, else ``eta``, else R/(G_f sqrt(T))."""
-    _positive(**{k: cfg[k] for k in ("alpha", "eta") if cfg.get(k) is not None})
-    alpha, eta = cfg.get("alpha"), cfg.get("eta")
-    if alpha is not None:
-        return 1.0 / (float(alpha) * np.arange(1, T + 1))
-    return float(eta) if eta is not None else set_.R / (sched.G_f * math.sqrt(T))
+def _ogd_wf_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> LearnerParams:
+    return ogd_wf_params(set_, sched.G_f, T, eta=cfg.get("eta"), alpha=cfg.get("alpha"))
 
 
 def _loo_bogd_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> LearnerParams:
@@ -643,20 +640,19 @@ def _loo_bogd_sc_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: 
     alpha = cfg.get("alpha", sched.family.alpha)
     if not (alpha and alpha > 0):
         raise ValueError("needs a strongly convex schedule (alpha > 0)")
-    return loo_bogd_sc_params(set_, sched.G_f, T, alpha=float(alpha), K=cfg.get("K"))
+    return loo_bogd_sc_params(set_, sched.G_f, T, alpha=alpha, K=cfg.get("K"))
 
 
 def _loo_bbgd_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> LearnerParams:
-    return loo_bbgd_params(set_, sched.M, T, c=float(cfg["c"]), G_f=sched.G_f)
+    return loo_bbgd_params(set_, sched.M, T, c=cfg["c"], G_f=sched.G_f)
 
 
 def _so_ogd_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> LearnerParams:
-    return so_ogd_params(set_, sched.G_f, T, c=_opt_float(cfg.get("c")))
+    return so_ogd_params(set_, sched.G_f, T, c=cfg.get("c"))
 
 
 def _so_bgd_from_cfg(cfg: dict, set_: FeasibleSet, sched: LossSchedule, T: int) -> LearnerParams:
-    c, c_prime = _opt_float(cfg.get("c")), _opt_float(cfg.get("c_prime"))
-    return so_bgd_params(set_, sched.M, T, c=c, c_prime=c_prime, G_f=sched.G_f)
+    return so_bgd_params(set_, sched.M, T, c=cfg.get("c"), c_prime=cfg.get("c_prime"), G_f=sched.G_f)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -665,7 +661,8 @@ class LearnerKind:
 
     ``keys`` are the config keys it accepts besides ``kind``; ``required``
     maps those without a default to a description.  ``build(cfg, set_,
-    schedule, T)`` gives what ``run(set_, schedule, params, rng)``
+    schedule, T)`` gives the kind's :class:`LearnerParams`, through its
+    ``*_params`` builder, which ``run(set_, schedule, params, rng)``
     takes.  ``bounds(params)`` is (regret in the sense of ``scope``,
     calls to ``oracle``); all three are None without a guarantee.
     """

@@ -436,6 +436,27 @@ def check_cip_so_records(trace, set_):
     assert not over.size, f"round {over[0] + 1}: SO calls {calls[over[0]]} exceed {bound[over[0]]}"
 
 
+def check_cip_so_contract(trace, set_):
+    """The whole contract of every SO projection of a run: each output lies
+    in (1 - delta'/r) K, by one block ``separate`` of the outputs divided
+    by that scale, and ||y - z|| <= ||y0 - z|| for every member z of the
+    doubly squeezed target (1 - delta)(1 - delta'/r) K, decided exactly by
+    :func:`worst_member_margin` within ``CONTRACT_RTOL``.  A round whose
+    output is its input has margin 0 and is skipped.  Returns the number
+    of rounds audited by margin."""
+    recs = trace.projections
+    delta, dp, r = recs[0].delta, recs[0].delta_prime, recs[0].r
+    scale = 1.0 - dp / r
+    ans = set_.separate(recs.outputs / scale)
+    assert ans.feasible, f"round {ans.row + 1}: output {recs.outputs[ans.row]} is outside (1 - delta'/r) K"
+    target = squeeze(set_, (1.0 - delta) * scale)
+    moved = np.flatnonzero((recs.outputs != recs.inputs).any(axis=1)).tolist()
+    for t in moved:
+        margin, size = worst_member_margin(target, recs.inputs[t], recs.outputs[t])
+        assert margin <= CONTRACT_RTOL * size, f"round {t + 1}: worst member margin {margin} > 0"
+    return len(moved)
+
+
 def record_outward_schedule(set_, T, c=None):
     """The play-dependent loss c_t = -sign(x_t)/sqrt(n) (sign(0) taken
     as 1), which pushes each play outward, recorded against ``so_ogd``

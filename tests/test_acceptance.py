@@ -37,6 +37,7 @@ from pfoco.learners import (
     loo_bogd_params,
     loo_bogd_sc_params,
     loo_run,
+    ogd_wf_params,
     ogd_wf_run,
     so_bgd_params,
     so_ogd_params,
@@ -455,7 +456,7 @@ def test_a09_strided_scan_tracks_exhaustive_scan():
             segs.append([int(length), (tgt / np.linalg.norm(tgt)).tolist()])
         set_ = L1Ball(n, 1.0) if i % 2 == 0 else Ball(n, 1.0)
         sched = make_switching_linear_schedule(T, n, set_.R, segs)
-        trace = ogd_wf_run(set_, sched, float(rng.uniform(0.02, 0.1)))
+        trace = ogd_wf_run(set_, sched, ogd_wf_params(set_, sched.G_f, T, eta=float(rng.uniform(0.02, 0.1))))
         st = interval_regret_report(trace, sched, set_, strided_intervals(T, sched.boundaries))
         ex = interval_regret_report(trace, sched, set_, exhaustive_intervals(T))
         ratios.append(st.max_regret / ex.max_regret)

@@ -25,8 +25,9 @@ three of its 40-round blocks, so a block's rows split into runs that end
 mid-block.
 
 Each golden trace is also written by ``write_trace_csv`` and compared
-byte for byte with the ``csv.writer`` reference, and every in-run LOO
-projection of the LOO configs is audited against its whole contract.
+byte for byte with the ``csv.writer`` reference, and every in-run
+projection of the LOO and SO configs is audited against its whole
+contract.
 """
 
 import json
@@ -37,14 +38,22 @@ import numpy as np
 import pytest
 
 from pfoco import learners
+from pfoco.geometry import L1Ball
 from pfoco.harness import build_instance, parse_config_dict, run_learner, run_one, write_trace_csv
 from pfoco.projection import cip_loo
-from support import check_cip_loo_contract, check_cip_so_records, cip_loo_literal, csv_writer_trace
+from support import (
+    check_cip_loo_contract,
+    check_cip_so_contract,
+    check_cip_so_records,
+    cip_loo_literal,
+    csv_writer_trace,
+)
 
 with open(os.path.join(os.path.dirname(__file__), "golden_runs.json")) as _fh:
     GOLDEN = json.load(_fh)
 GOLDEN_BY_NAME = {c["name"]: c for c in GOLDEN}
 GOLDEN_LOO = [c for c in GOLDEN if c["config"]["learner"]["kind"].startswith("loo_")]
+GOLDEN_SO = [c for c in GOLDEN if c["config"]["learner"]["kind"].startswith("so_")]
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
@@ -114,3 +123,26 @@ def test_golden_loo_projections_keep_their_contract(case, monkeypatch):
         assert view.contains(x0)
         check_cip_loo_contract(view, y0, eps, res)
     assert any(res.outer_iterations > 0 for *_, res in seen)
+
+
+@pytest.mark.parametrize("case", GOLDEN_SO, ids=[c["name"] for c in GOLDEN_SO])
+def test_golden_so_projections_keep_their_contract(case):
+    # every round's SO projection, full information and bandit, is audited
+    # exactly: its output by one block membership query, each round that
+    # pulls or rescales with one trusted LOO call (two bandit configs do
+    # neither, so only their outputs' membership is audited)
+    cfg = parse_config_dict(case["config"])
+    trace, _, set_, _ = run_one(cfg, cfg.seeds[0])
+    audited = check_cip_so_contract(trace, set_)
+    assert audited > 0 or trace.counters.so_calls == cfg.T
+
+
+def test_cip_so_contract_audit_catches_a_normal_that_does_not_separate(monkeypatch):
+    # a normal tilted off the separator by half its next coordinate still
+    # ends each pull loop inside K, and the margin shows the broken contract
+    normal = L1Ball._normal
+    monkeypatch.setattr(L1Ball, "_normal", lambda self, y: (lambda g: g + 0.5 * np.roll(g, 1))(normal(self, y)))
+    cfg = parse_config_dict(GOLDEN_BY_NAME["so_ogd_l1_switch_lin"]["config"])
+    trace, _, set_, _ = run_one(cfg, cfg.seeds[0])
+    with pytest.raises(AssertionError, match="worst member margin"):
+        check_cip_so_contract(trace, set_)

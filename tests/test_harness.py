@@ -1335,6 +1335,12 @@ def _zero_normal_run(tmp_path):
         return cli_main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
 
 
+def _ogd_wf_without_gradients(tmp_path, command):
+    # iid linear losses of scale 0 have G_f = 0, so no default step exists
+    cfg = _base_config(loss={"kind": "iid_linear", "scale": 0}, learner={"kind": "ogd_wf"})
+    return cli_main([command, _write_cfg(tmp_path, cfg), *(["--out", str(tmp_path / "out")] if command == "run" else [])])
+
+
 def _switching(target):
     return _base_config(T=8, loss={"kind": "switching_linear", "segments": [[8, target]]})
 
@@ -1398,6 +1404,18 @@ def _switching(target):
             3,
             "oracle contract violation: separation oracle returned a zero normal\n  iterations: 1\n",
             id="cli-oracle-contract",
+        ),
+        pytest.param(
+            lambda tmp: _ogd_wf_without_gradients(tmp, "validate"),
+            2,
+            "learner parameters rejected: needs G_f > 0",
+            id="cli-validate-ogd_wf-G_f-0",
+        ),
+        pytest.param(
+            lambda tmp: _ogd_wf_without_gradients(tmp, "run"),
+            2,
+            "learner parameters rejected: needs G_f > 0",
+            id="cli-run-ogd_wf-G_f-0",
         ),
         pytest.param(_regret_without_summary, 0, "adaptive regret over", id="cli-config-seed"),
         pytest.param(

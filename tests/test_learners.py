@@ -15,6 +15,7 @@ from pfoco.learners import (
     loo_bogd_params,
     loo_bogd_sc_params,
     loo_run,
+    ogd_wf_params,
     ogd_wf_run,
     so_bgd_params,
     so_ogd_params,
@@ -136,17 +137,36 @@ def test_loo_bogd_sc_refuses_a_block_length_outside_the_horizon():
     assert loo_bogd_sc_params(ball, 1.0, 1000, alpha=1.0, K=1000).B == 1
 
 
-def test_ogd_wf_run_refuses_steps_that_are_not_positive_and_finite():
-    ball = Ball(2, 1.0)
-    sched = make_iid_linear_schedule(5, 2, ball.R, np.random.default_rng(0))
-    for etas in (0.0, -0.1, np.inf, np.nan, np.array([0.1, 0.1, -0.1, 0.1, 0.1])):
-        with pytest.raises(ValueError, match="etas must be positive and finite"):
-            ogd_wf_run(ball, sched, etas)
+_BALL = Ball(2, 1.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        pytest.param("eta", lambda v: ogd_wf_params(_BALL, 1.0, 100, eta=v), id="ogd_wf-eta"),
+        pytest.param("alpha", lambda v: ogd_wf_params(_BALL, 1.0, 100, alpha=v), id="ogd_wf-alpha"),
+        pytest.param("eta", lambda v: loo_bogd_params(_BALL, 1.0, 100, eta=v), id="loo_bogd-eta"),
+        pytest.param("eps", lambda v: loo_bogd_params(_BALL, 1.0, 100, eps=v), id="loo_bogd-eps"),
+        pytest.param("alpha", lambda v: loo_bogd_sc_params(_BALL, 1.0, 1000, alpha=v), id="loo_bogd_sc-alpha"),
+        pytest.param("c", lambda v: loo_bbgd_params(_BALL, 1.0, 10000, c=v), id="loo_bbgd-c"),
+        pytest.param("c", lambda v: so_ogd_params(_BALL, 1.0, 10000, c=v), id="so_ogd-c"),
+        pytest.param("c", lambda v: so_bgd_params(_BALL, 1.0, 10000, c=v), id="so_bgd-c"),
+        pytest.param("c_prime", lambda v: so_bgd_params(_BALL, 1.0, 10000, c_prime=v), id="so_bgd-c_prime"),
+    ],
+)
+def test_parameter_builders_refuse_overrides_that_are_not_positive_and_finite(name, build, value):
+    # an infinite eps once built a loo_bogd run that played the centre
+    # with no LOO call, and an infinite ogd_wf step failed in its first
+    # projection; the builder refuses each by name
+    with pytest.raises(ValueError, match=rf"needs {name} > 0 and finite, got {value}"):
+        build(value)
 
 
 def test_parameter_builders_need_a_horizon():
     ball = Ball(2, 1.0)
     for build in (
+        lambda T: ogd_wf_params(ball, 1.0, T),
         lambda T: loo_bogd_params(ball, 1.0, T),
         lambda T: loo_bbgd_params(ball, 1.0, T, c=0.5),
         lambda T: so_ogd_params(ball, 1.0, T),
@@ -188,10 +208,10 @@ def _linear_schedule(T):
             id="loo_bogd_sc-linear",
         ),
         pytest.param(
-            lambda tmp: ogd_wf_run(Ball(2, 1.0), _linear_schedule(5), np.full(4, 0.1)),
+            lambda tmp: ogd_wf_run(Ball(2, 1.0), _linear_schedule(100), so_ogd_params(Ball(2, 1.0), 1.0, 100)),
             ValueError,
-            "etas must be a scalar or a length-T array",
-            id="ogd_wf-etas",
+            "params built for learner 'so_ogd', not for ogd_wf_run",
+            id="ogd_wf_run-foreign-params",
         ),
         pytest.param(
             lambda tmp: theoretical_bounds(dataclasses.replace(so_ogd_params(Ball(2, 1.0), 1.0, 100), kind="ogd_wf")),
@@ -249,7 +269,8 @@ def test_ogd_baseline_static_regret_bound():
     T = 300
     sched = make_iid_linear_schedule(T, 3, ball.R, rng)
     eta = ball.R / (sched.G_f * math.sqrt(T))
-    trace = ogd_wf_run(ball, sched, eta)
+    trace = ogd_wf_run(ball, sched, ogd_wf_params(ball, sched.G_f, T))
+    assert trace.params.eta == eta
     assert all(ball.contains(x) for x in trace.plays)
     c_sum = sched.family.C[sched.rows].sum(axis=0)
     x_star = ball.loo(c_sum)
@@ -265,8 +286,7 @@ def test_ogd_baseline_strongly_convex_step_schedule():
     T = 400
     alpha = 1.5
     sched = make_iid_quadratic_schedule(T, 2, ball.R, rng, alpha=alpha, spread=0.2)
-    etas = 1.0 / (alpha * np.arange(1, T + 1))
-    trace = ogd_wf_run(ball, sched, etas)
+    trace = ogd_wf_run(ball, sched, ogd_wf_params(ball, sched.G_f, T, alpha=alpha))
     x_star = ball.project(sched.family.B[sched.rows].mean(axis=0))
     opt = sum(sched.family.value(i, x_star) for i in sched.rows)
     regret = float(trace.losses.sum() - opt)
@@ -275,17 +295,22 @@ def test_ogd_baseline_strongly_convex_step_schedule():
     assert regret <= bound + 1e-9
 
 
-def test_ogd_wf_records_a_step_schedule_by_its_first_and_last_step():
+def test_ogd_wf_records_its_step_rule_not_its_steps():
+    # the trace's params name the rule (alpha, or one eta), as every kind's
+    # do; no field holds a per-round list
     ball = Ball(2, 1.0)
-    for T in (64, 65):
-        sched = make_switching_linear_schedule(T, 2, 1.0, [(T, [1.0, 0.0])])
-        steps = 1.0 / np.arange(1, T + 1)  # alpha = 1
-        decaying = run_learner({"kind": "ogd_wf", "alpha": 1.0}, ball, sched, T, None).params["etas"]
-        constant = run_learner({"kind": "ogd_wf", "eta": 0.1}, ball, sched, T, None).params["etas"]
-        if T <= 64:
-            assert decaying == steps.tolist() and constant == [0.1] * T
-        else:
-            assert decaying == {"first": 1.0, "last": 1.0 / 65} and constant == 0.1
+    T = 65
+    sched = make_switching_linear_schedule(T, 2, 1.0, [(T, [1.0, 0.0])])
+    for cfg, eta, alpha in (
+        ({"alpha": 1.0}, None, 1.0),
+        ({"eta": 0.1}, 0.1, None),
+        ({}, 1.0 / math.sqrt(T), None),  # R/(G_f sqrt(T))
+    ):
+        params = run_learner({"kind": "ogd_wf", **cfg}, ball, sched, T, None).params
+        assert params == ogd_wf_params(ball, sched.G_f, T, **cfg)
+        recorded = params.to_dict()
+        assert (recorded["kind"], recorded["eta"], recorded["alpha"]) == ("ogd_wf", eta, alpha)
+        assert not any(isinstance(v, list) for v in recorded.values()), recorded
 
 
 def _per_round_ogd_wf_run(set_, schedule, etas):
@@ -325,8 +350,11 @@ def test_ogd_wf_run_equals_the_per_round_loop(kind):
         ):
             eta = R / (sched.G_f * math.sqrt(T))
             decaying = 1.0 / (alpha * np.arange(1, T + 1))
-            for name, etas, steps in (("constant", eta, np.full(T, eta)), ("1/(alpha t)", decaying, decaying)):
-                trace = ogd_wf_run(set_, sched, etas)
+            for name, params, steps in (
+                ("constant", ogd_wf_params(set_, sched.G_f, T, eta=eta), np.full(T, eta)),
+                ("1/(alpha t)", ogd_wf_params(set_, sched.G_f, T, alpha=alpha), decaying),
+            ):
+                trace = ogd_wf_run(set_, sched, params)
                 plays, losses, rounds = _per_round_ogd_wf_run(set_, sched, steps)
                 assert np.array_equal(trace.plays, plays)
                 assert np.array_equal(trace.losses, losses)
